@@ -5,7 +5,9 @@ and may attach named pre/postconditions to transitions. Two automata are
 composable when their alphabets do not clash (no shared inputs, no shared
 outputs, hidden actions private to each side); their synchronized product
 pairs states, synchronizes the shared input/output actions, interleaves the
-rest, and conjoins the guards of synchronized steps.
+rest, and conjoins the guards of synchronized steps. A conjunction is built
+only when a step needs it, and every constraint the product adds to the left
+operand's gets a name free among both kinds (see ``_GuardRegistry``).
 
 Collections are stored as tuples in declaration order. Transition tuples may
 repeat a declaration (a contract listing is free to state the same step
@@ -17,8 +19,9 @@ is never materialized.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .domains import VariableDecl, is_identifier
 from .exprs import (
@@ -130,9 +133,6 @@ class InterfaceAutomaton:
         if label in self.hidden:
             return ActionClass.HIDDEN
         return None
-
-    def outgoing(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.source == state)
 
     def is_empty(self) -> bool:
         return not self.states
@@ -297,26 +297,26 @@ class ProductResult:
         object.__setattr__(self, "pair_of", dict(self.pair_of))
 
 
+class ProductError(ValueError):
+    """The operands cannot be merged: a variable or a conjoined operation
+    parameter is declared with different domains on the two sides."""
+
+
 def _merge_variables(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> dict[str, VariableDecl]:
     merged = dict(a1.variables)
     for name, decl in a2.variables.items():
         if name in merged and merged[name].domain != decl.domain:
-            raise ValueError(f"variable {name!r} declared with different domains in both operands")
+            raise ProductError(f"variable {name!r} declared with different domains in both operands")
         merged[name] = decl
     return merged
 
 
 def _merge_params(p1: tuple[ParamDecl, ...], p2: tuple[ParamDecl, ...]) -> tuple[ParamDecl, ...]:
-    merged: list[ParamDecl] = list(p1)
-    names = {p.name: p for p in p1}
+    merged = {p.name: p for p in p1}
     for p in p2:
-        if p.name in names:
-            if names[p.name].domain != p.domain:
-                raise ValueError(f"parameter {p.name!r} declared with different domains")
-            continue
-        merged.append(p)
-        names[p.name] = p
-    return tuple(merged)
+        if merged.setdefault(p.name, p).domain != p.domain:
+            raise ProductError(f"parameter {p.name!r} declared with different domains")
+    return tuple(merged.values())
 
 
 def conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str) -> NamedConstraint:
@@ -335,36 +335,50 @@ def conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str)
     )
 
 
-def _merge_registry(
-    r1: Mapping[str, NamedConstraint],
-    r2: Mapping[str, NamedConstraint],
-    contract: str,
-) -> dict[str, NamedConstraint]:
-    merged = dict(r1)
-    for name, c in r2.items():
-        if name in merged and merged[name].body != c.body:
-            raise ValueError(f"constraint name {name!r} bound to different bodies in both operands")
-        merged.setdefault(name, c)
-    for c1 in r1.values():
-        for c2 in r2.values():
-            conj = conjoin_constraints(c1, c2, contract)
-            if conj.name in merged and merged[conj.name].body != conj.body:
-                raise ValueError(f"conjunction name {conj.name!r} collides with an existing constraint")
-            merged.setdefault(conj.name, conj)
-    return merged
+def _fresh_name(base: str, taken: Container[str]) -> str:
+    """``base``, or else the first of ``base_2``, ``base_3``, ... not in ``taken``."""
+    name, n = base, 2
+    while name in taken:
+        name, n = f"{base}_{n}", n + 1
+    return name
 
 
-def _conj_name(n1: Optional[str], n2: Optional[str]) -> Optional[str]:
-    """Name of the conjunction of two optional constraint references.
+class _GuardRegistry:
+    """The pre- or postconditions of a product, under one naming rule.
 
-    A missing side is the constant true, which conjunction absorbs.
+    Starts as the left operand's constraints. ``intern`` adds any other: an
+    entry with the same name and body is reused, else the constraint takes
+    ``_fresh_name`` over ``taken``, the names of both kinds, so an added
+    pre never shares a name with a post. The right operand's constraints are
+    interned up front and ``rename`` maps those that had to move. ``conjoin``
+    builds a conjunction the first time a synchronized step needs it.
     """
-    if n1 is None:
-        return n2
-    if n2 is None:
-        return n1
-    a, b = sorted((n1, n2))
-    return f"{a}_and_{b}"
+
+    def __init__(self, left: Mapping[str, NamedConstraint], right: Mapping[str, NamedConstraint],
+                 contract: str, taken: set[str]):
+        self.entries = dict(left)
+        self.contract = contract
+        self.taken = taken
+        self.rename = {n: new for n, c in right.items() if (new := self.intern(c)) != n}
+        self.conjunctions: dict[tuple[str, str], str] = {}
+
+    def intern(self, c: NamedConstraint) -> str:
+        same = self.entries.get(c.name)
+        if same is not None and same.body == c.body:
+            return c.name
+        name = _fresh_name(c.name, self.taken)
+        self.taken.add(name)
+        self.entries[name] = c if name == c.name else replace(c, name=name)
+        return name
+
+    def conjoin(self, n1: Optional[str], n2: Optional[str]) -> Optional[str]:
+        """Name of ``n1 and n2``; a missing side is true, which conjunction absorbs."""
+        if n1 is None or n2 is None:
+            return n2 if n1 is None else n1
+        if (n1, n2) not in self.conjunctions:
+            conj = conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
+            self.conjunctions[n1, n2] = self.intern(conj)
+        return self.conjunctions[n1, n2]
 
 
 def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
@@ -373,10 +387,10 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     Non-shared actions interleave and keep their guards; a shared action
     fires one transition from each side in the same step, and the step's
     pre/post are the (canonically sorted) conjunctions of both sides'.
+    Constraint names follow ``_GuardRegistry``. Raises
+    ``NotComposableError`` for a clashing alphabet and ``ProductError`` when
+    the operands' declarations cannot be merged.
     """
-    report = composable(a1, a2)
-    if not report.ok:
-        raise NotComposableError(report)
     shared_set = shared(a1, a2)
 
     name = f"{a1.name}_x_{a2.name}"
@@ -387,93 +401,66 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     )
 
     variables = _merge_variables(a1, a2)
-    pre_reg = _merge_registry(a1.preconditions, a2.preconditions, name)
-    post_reg = _merge_registry(a1.postconditions, a2.postconditions, name)
+    taken = set(a1.preconditions) | set(a1.postconditions)
+    pres = _GuardRegistry(a1.preconditions, a2.preconditions, name, taken)
+    posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)
 
     out1: dict[str, list[Transition]] = {}
     for t in a1.transitions:
         out1.setdefault(t.source, []).append(t)
     out2: dict[str, list[Transition]] = {}
     for t in a2.transitions:
+        if t.pre in pres.rename or t.post in posts.rename:
+            t = replace(t, pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
         out2.setdefault(t.source, []).append(t)
 
     pair_id: dict[tuple[str, str], str] = {}
     pair_of: dict[str, tuple[str, str]] = {}
-    order: list[str] = []
+    worklist: deque[tuple[str, str]] = deque()
 
     def intern(pair: tuple[str, str]) -> str:
-        if pair in pair_id:
-            return pair_id[pair]
-        base = f"{pair[0]}__{pair[1]}"
-        pid = base
-        n = 2
-        while pid in pair_of:  # distinct pair collided on the joined name
-            pid = f"{base}_{n}"
-            n += 1
-        pair_id[pair] = pid
-        pair_of[pid] = pair
-        order.append(pid)
-        return pid
+        """Name of a pair state; a pair is queued for expansion when first named."""
+        if pair not in pair_id:
+            # a distinct pair may collide on the joined name
+            pid = _fresh_name(f"{pair[0]}__{pair[1]}", pair_of)
+            pair_id[pair] = pid
+            pair_of[pid] = pair
+            worklist.append(pair)
+        return pair_id[pair]
 
-    initial_pairs = [(i1, i2) for i1 in a1.initials for i2 in a2.initials]
-    initials = tuple(dict.fromkeys(intern(p) for p in initial_pairs))
+    initials = tuple(dict.fromkeys(intern((i1, i2)) for i1 in a1.initials for i2 in a2.initials))
 
-    transitions: list[Transition] = []
-    seen_steps: set[Transition] = set()
+    steps: dict[Transition, None] = {}  # insertion-ordered set
 
     def emit(src: str, pre: Optional[str], action: ActionLabel, post: Optional[str], dst: str) -> None:
-        t = Transition(src, pre, action, post, dst)
-        if t not in seen_steps:
-            seen_steps.add(t)
-            transitions.append(t)
+        steps[Transition(src, pre, action, post, dst)] = None
 
-    worklist = list(dict.fromkeys(initial_pairs))
-    visited: set[tuple[str, str]] = set(worklist)
     while worklist:
-        s1, s2 = worklist.pop(0)
-        pid = intern((s1, s2))
+        s1, s2 = worklist.popleft()
+        pid = pair_id[s1, s2]
         for t in out1.get(s1, ()):
             if t.action not in shared_set:
-                nxt = (t.target, s2)
-                emit(pid, t.pre, t.action, t.post, intern(nxt))
-                if nxt not in visited:
-                    visited.add(nxt)
-                    worklist.append(nxt)
-            else:
-                for u in out2.get(s2, ()):
-                    if u.action != t.action:
-                        continue
-                    nxt = (t.target, u.target)
-                    emit(
-                        pid,
-                        _conj_name(t.pre, u.pre),
-                        t.action,
-                        _conj_name(t.post, u.post),
-                        intern(nxt),
-                    )
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        worklist.append(nxt)
+                emit(pid, t.pre, t.action, t.post, intern((t.target, s2)))
+                continue
+            for u in out2.get(s2, ()):
+                if u.action == t.action:
+                    pre, post = pres.conjoin(t.pre, u.pre), posts.conjoin(t.post, u.post)
+                    emit(pid, pre, t.action, post, intern((t.target, u.target)))
         for u in out2.get(s2, ()):
-            if u.action in shared_set:
-                continue  # synchronized above
-            nxt = (s1, u.target)
-            emit(pid, u.pre, u.action, u.post, intern(nxt))
-            if nxt not in visited:
-                visited.add(nxt)
-                worklist.append(nxt)
+            if u.action not in shared_set:  # shared ones were synchronized above
+                emit(pid, u.pre, u.action, u.post, intern((s1, u.target)))
 
     automaton = InterfaceAutomaton(
         name=name,
-        states=tuple(order),
+        states=tuple(pair_of),
         initials=initials,
         inputs=inputs,
         outputs=outputs,
         hidden=hidden,
         variables=variables,
-        preconditions=pre_reg,
-        postconditions=post_reg,
-        transitions=tuple(transitions),
+        preconditions=pres.entries,
+        postconditions=posts.entries,
+        transitions=tuple(steps),
     )
     return ProductResult(
         automaton=automaton,

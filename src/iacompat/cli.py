@@ -6,8 +6,9 @@ compatibility), ``product`` (write the synchronized product as a document),
 explicit bindings).
 
 Exit codes are uniform: 0 success/compatible, 1 incompatible or a failed
-validation, 2 usage or parse errors. All output is deterministic; running the
-same invocation twice produces byte-identical results.
+validation, 2 usage, parse or I/O errors, or a pair whose declarations cannot
+be merged into a product (``ProductError``). All output is deterministic;
+running the same invocation twice produces byte-identical results.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .automata import InterfaceAutomaton, composable, product, qualify_hidden
+from .automata import InterfaceAutomaton, ProductError, composable, product, qualify_hidden
 from .docformat import (
     document_diagnostics,
     document_from_automaton,
@@ -293,13 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ProductError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .automata import (
     ActionClass,
@@ -56,7 +56,7 @@ class AllGuardsFalse:
     transitions: tuple[Transition, ...]
 
 
-IllegalReason = object  # UnreceivedOutput | AllGuardsFalse
+IllegalReason = Union[UnreceivedOutput, AllGuardsFalse]
 
 
 @dataclass(frozen=True)
@@ -410,13 +410,15 @@ def report_to_dict(report: CompatReport) -> dict:
                             "sender": reason.sender,
                         }
                     )
-                else:
+                elif isinstance(reason, AllGuardsFalse):
                     entries.append(
                         {
                             "kind": "all_guards_false",
                             "disabled": len(reason.transitions),
                         }
                     )
+                else:
+                    raise TypeError(f"unknown illegal-state reason: {reason!r}")
             pair = report.product.pair_of[pid] if report.product else None
             illegal.append({"state": pid, "pair": list(pair) if pair else None, "reasons": entries})
 

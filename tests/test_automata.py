@@ -218,11 +218,11 @@ def test_product_rejects_clashing_variable_domains():
                               inputs=(), outputs=(go,), hidden=(), variables=x_int)
     b = ia.InterfaceAutomaton(name="B", states=("t",), initials=("t",),
                               inputs=(go,), outputs=(), hidden=(), variables=x_bool)
-    with pytest.raises(ValueError):
+    with pytest.raises(ia.ProductError):
         ia.product(a, b)
 
 
-def test_product_rejects_clashing_constraint_names():
+def test_product_renames_clashing_constraint_names():
     p_a = ia.parse_constraint("context A::go() pre P: true")
     p_b = ia.parse_constraint("context B::go() pre P: false")
     go = ia.ActionLabel("go")
@@ -234,8 +234,41 @@ def test_product_rejects_clashing_constraint_names():
                               inputs=(go,), outputs=(), hidden=(),
                               preconditions={"P": p_b},
                               transitions=(ia.Transition("t", "P", go, None, "t"),))
-    with pytest.raises(ValueError):
-        ia.product(a, b)
+    auto = ia.product(a, b).automaton
+    pres = auto.preconditions
+    assert ia.to_text(pres["P"].body) == "true"
+    assert ia.to_text(pres["P_2"].body) == "false"
+    (t,) = auto.transitions
+    assert t.pre == "P_and_P_2"
+    assert ia.to_text(pres["P_and_P_2"].body) == "true and false"
+
+
+def test_product_names_are_unique_across_kinds():
+    pre = ia.parse_constraint("context A::go() pre C: false")
+    post = ia.parse_constraint("context B::go() post C: true")
+    go, tick = ia.ActionLabel("go"), ia.ActionLabel("tick")
+    a = ia.InterfaceAutomaton(name="A", states=("s",), initials=("s",),
+                              inputs=(), outputs=(go,), hidden=(),
+                              preconditions={"C": pre},
+                              transitions=(ia.Transition("s", "C", go, None, "s"),))
+    b = ia.InterfaceAutomaton(name="B", states=("t",), initials=("t",),
+                              inputs=(go,), outputs=(), hidden=(tick,),
+                              postconditions={"C": post},
+                              transitions=(ia.Transition("t", None, go, None, "t"),
+                                           ia.Transition("t", None, tick, "C", "t")))
+    auto = ia.product(a, b).automaton
+    assert set(auto.preconditions) == {"C"}
+    assert set(auto.postconditions) == {"C_2"}
+    assert ia.Transition("s__t", None, tick, "C_2", "s__t") in auto.transitions
+    # the pre C is false but the post C_2 is not, so tick keeps s__t legal
+    assert ia.check_compatibility(a, b).verdict is ia.CompatVerdict.COMPATIBLE
+
+
+def test_case_study_registry_holds_only_used_conjunctions():
+    auto = ia.product(ia.qualify_hidden(_ld()), ia.qualify_hidden(_tl())).automaton
+    assert len(auto.preconditions) + len(auto.postconditions) == 11
+    assert {t.pre for t in auto.transitions} - {None} <= set(auto.preconditions)
+    assert {t.post for t in auto.transitions} - {None} <= set(auto.postconditions)
 
 
 def _swap_isomorphic(p12, p21):

@@ -196,6 +196,61 @@ def test_product_stdout(capsys):
 
 
 # ---------------------------------------------------------------------------
+# pairs whose constraint names or declarations meet in the product
+
+
+def _go_contract(tmp_path, name, sends, var, constraints=(), pre=None):
+    """One-state contract that sends or receives ``go``, written as an .ia file."""
+    role = "inputs;\n  outputs go;" if sends else "inputs go;\n  outputs;"
+    context = "".join(f"    {c};\n" for c in constraints)
+    if context:
+        context = f"  context {name}::go() {{\n{context}  }}\n"
+    guard = f" pre {pre}" if pre else ""
+    path = tmp_path / f"{name}.ia"
+    path.write_text(
+        f'document "{name}" version "1";\n'
+        f"contract {name} {{\n  states s;\n  initial s;\n  {role}\n  hidden;\n"
+        f"  var {var};\n{context}  transitions {{\n    s -[go{guard}]-> s;\n  }}\n}}\n"
+    )
+    return str(path)
+
+
+def test_check_conjunction_name_collision(tmp_path, capsys):
+    a = _go_contract(tmp_path, "A", True, "x : int[0..2]",
+                     ("pre P: x < 1", "pre P_and_Q: x < 2"), pre="P")
+    b = _go_contract(tmp_path, "B", False, "y : int[0..2]", ("pre Q: y < 2",), pre="Q")
+    code, out, _ = run_cli(capsys, "check", a, b)
+    assert code == 0
+    assert "verdict: compatible" in out
+    code, out, _ = run_cli(capsys, "product", a, b)
+    assert code == 0
+    assert "pre P_and_Q: x < 2;" in out
+    assert "pre P_and_Q_2: x < 1 and y < 2;" in out
+    assert "-[go pre P_and_Q_2]->" in out
+
+
+def test_check_unnamed_constraints_on_both_sides(tmp_path, capsys):
+    a = _go_contract(tmp_path, "UA", True, "x : int[0..2]", ("pre: x < 1",), pre="pre_unnamed_1")
+    b = _go_contract(tmp_path, "UB", False, "y : int[0..2]", ("pre: y < 0",), pre="pre_unnamed_1")
+    code, out, _ = run_cli(capsys, "check", a, b)
+    assert code == 1
+    assert "verdict: incompatible (empty_after_pruning)" in out
+    code, out, _ = run_cli(capsys, "product", a, b)
+    assert code == 0
+    assert "-[go pre pre_unnamed_1_and_pre_unnamed_1_2]->" in out
+
+
+@pytest.mark.parametrize("command", ["check", "product"])
+def test_clashing_variable_domains_exit_2(tmp_path, capsys, command):
+    a = _go_contract(tmp_path, "DA", True, "x : int[0..1]")
+    b = _go_contract(tmp_path, "DB", False, "x : bool")
+    code, out, err = run_cli(capsys, command, a, b)
+    assert code == 2
+    assert out == ""
+    assert err == "error: variable 'x' declared with different domains in both operands\n"
+
+
+# ---------------------------------------------------------------------------
 # dot
 
 
