@@ -12,9 +12,12 @@ the offending combinations.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
-import iacompat as ia
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import iacompat as ia  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Measure bad-state closure cost against product size.
+"""Measure the graph stages' cost against product size.
 
-Builds pairs of hidden cycles whose product is an n*m torus where every
-state is bad, runs the closure with an operation counter, and fits a
-straight line through (transitions, operations).  The closure is a
-backward reachability pass, so the fit should be near-perfectly linear;
-anything superlinear here would point at a regression in the worklist.
+Builds pairs of hidden cycles whose product is an n*n torus where every
+state is bad, and fits a straight line through (transitions, cost) for four
+stages: the closure's operation count, and the best-of-``--repeats`` wall
+time of ``product``, ``illegal_states`` and ``shortest_witness``. Each is a
+single pass over the graph, so every fit should be near-perfectly linear;
+anything superlinear here would point at a regression in a stage.
+
+Every repeat starts from freshly built operands, so each stage pays for the
+automaton indexes it builds first, as it does inside a check. The real
+illegal set of a cycle pair holds the initial state, which would make the
+witness search trivial, so the search runs toward the pair farthest from
+the initial state instead, 2*(n-1) hidden steps away.
 """
 
 from __future__ import annotations
@@ -18,46 +25,78 @@ from pathlib import Path
 
 import numpy as np
 
-import iacompat as ia
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
+import iacompat as ia  # noqa: E402
 from randgen import cycle_pair  # noqa: E402
+
+TIMED = ("product", "illegal", "witness")
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
     sizes: tuple[int, ...] = (8, 11, 16, 22, 32, 45, 64, 71)
     r2_floor: float = 0.98
-    repeats: int = 1
+    repeats: int = 5
+
+
+def run_once(n: int) -> tuple[int, int, int, dict[str, float]]:
+    """One pass over fresh operands: states, transitions, closure ops, seconds per stage."""
+    a, b = cycle_pair(n, n)
+    secs: dict[str, float] = {}
+    t0 = time.perf_counter()
+    prod = ia.product(a, b)
+    t1 = time.perf_counter()
+    ill = ia.illegal_states(prod, a, b)
+    t2 = time.perf_counter()
+    ctr = ia.OpCounter()
+    bad = ia.bad_states(prod, ill, counter=ctr)
+    t3 = time.perf_counter()
+    secs.update(product=t1 - t0, illegal=t2 - t1, closure=t3 - t2)
+
+    auto = prod.automaton
+    assert len(bad) == len(auto.states), "cycle product must be fully bad"
+    pid = {pair: s for s, pair in prod.pair_of.items()}
+    far = ia.IllegalStateSet(frozenset({pid[a.states[-1], b.states[-1]]}), {})
+    t4 = time.perf_counter()
+    trace = ia.shortest_witness(prod, far)
+    secs["witness"] = time.perf_counter() - t4
+    assert trace is not None and len(trace.steps) == 2 * (n - 1), "witness must cross the torus"
+    return len(auto.states), len(auto.transitions), ctr.ops, secs
+
+
+def fit(name: str, xs: list[int], ys: list[float], unit: str, floor: float) -> bool:
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    r2 = float(np.corrcoef(x, y)[0, 1] ** 2)
+    ok = r2 >= floor
+    print(f"{name:<8} {unit} ~= {slope:.4g} * transitions + {intercept:.4g}   "
+          f"(R^2 = {r2:.6f}) {'PASS' if ok else 'FAIL'}")
+    return ok
 
 
 def measure(cfg: ScalingConfig) -> int:
-    rows: list[tuple[int, int, int, int, float]] = []
-    print(f"{'n':>4} {'states':>7} {'trans':>7} {'ops':>8} {'ops/trans':>9} {'secs':>8}")
+    trans: list[int] = []
+    ops: list[int] = []
+    best: dict[str, list[float]] = {name: [] for name in TIMED}
+    print(f"{'n':>4} {'states':>7} {'trans':>7} {'ops':>8} {'ops/trans':>9} "
+          + " ".join(f"{name + '_s':>10}" for name in ("closure",) + TIMED))
     for n in cfg.sizes:
-        a, b = cycle_pair(n, n)
-        prod = ia.product(a, b)
-        ill = ia.illegal_states(prod, a, b)
-        best = None
-        for _ in range(cfg.repeats):
-            ctr = ia.OpCounter()
-            t0 = time.perf_counter()
-            bad = ia.bad_states(prod, ill, counter=ctr)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        auto = prod.automaton
-        assert len(bad) == len(auto.states), "cycle product must be fully bad"
-        rows.append((n, len(auto.states), len(auto.transitions), ctr.ops, best))
-        print(f"{n:>4} {len(auto.states):>7} {len(auto.transitions):>7} "
-              f"{ctr.ops:>8} {ctr.ops / len(auto.transitions):>9.3f} {best:>8.4f}")
+        runs = [run_once(n) for _ in range(cfg.repeats)]
+        states, n_trans, n_ops, _ = runs[0]
+        low = {name: min(r[3][name] for r in runs) for name in ("closure",) + TIMED}
+        trans.append(n_trans)
+        ops.append(n_ops)
+        for name in TIMED:
+            best[name].append(low[name])
+        print(f"{n:>4} {states:>7} {n_trans:>7} {n_ops:>8} {n_ops / n_trans:>9.3f} "
+              + " ".join(f"{low[name]:>10.5f}" for name in ("closure",) + TIMED))
 
-    xs = np.array([r[2] for r in rows], dtype=float)
-    ys = np.array([r[3] for r in rows], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    r2 = float(np.corrcoef(xs, ys)[0, 1] ** 2)
-    print(f"\nops ~= {slope:.3f} * transitions + {intercept:.1f}   (R^2 = {r2:.6f})")
-    ok = r2 >= cfg.r2_floor
-    print(f"linearity check (R^2 >= {cfg.r2_floor}): {'PASS' if ok else 'FAIL'}")
+    print(f"\nlinearity checks (R^2 >= {cfg.r2_floor}):")
+    ok = fit("closure", trans, ops, "ops", cfg.r2_floor)
+    for name in TIMED:
+        ok = fit(name, trans, best[name], "secs", cfg.r2_floor) and ok
     return 0 if ok else 1
 
 
@@ -65,7 +104,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=None,
                     metavar="N", help="cycle lengths (product has N*N states)")
-    ap.add_argument("--repeats", type=int, default=1,
+    ap.add_argument("--repeats", type=int, default=ScalingConfig.repeats,
                     help="timing repetitions per size (best is kept)")
     args = ap.parse_args()
     cfg = ScalingConfig(sizes=tuple(args.sizes) if args.sizes else

@@ -18,9 +18,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import iacompat as ia
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
+import iacompat as ia  # noqa: E402
 from oracles import oracle_verdict  # noqa: E402
 from randgen import rand_composable_pair  # noqa: E402
 

@@ -11,7 +11,9 @@ operand's gets a name free among both kinds (see ``_GuardRegistry``).
 
 Collections are stored as tuples in declaration order. Transition tuples may
 repeat a declaration (a contract listing is free to state the same step
-twice); every algorithm here applies set semantics regardless. The product
+twice); every algorithm here applies set semantics regardless. The graph
+stages read indexes each automaton builds once, on first use (``classes``,
+``outgoing``, ``enabled``), instead of rescanning the tuples. The product
 construction visits reachable state pairs only, which is a worst case of
 O(|transitions1| * |transitions2|) work; membership in the larger full grid
 is never materialized.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Container, Iterable, Mapping, Optional
 
 from .domains import VariableDecl, is_identifier
@@ -95,7 +98,10 @@ def _label_tuple(labels: Iterable[ActionLabel]) -> tuple[ActionLabel, ...]:
 
 @dataclass(frozen=True)
 class InterfaceAutomaton:
-    """Immutable automaton value. Structural equality; never hash one."""
+    """Immutable automaton value. Structural equality; never hash one.
+
+    The cached indexes are not fields, so equality, ``replace`` and ``repr``
+    never see them; every caller shares them, so treat them as read-only."""
 
     name: str
     states: tuple[str, ...]
@@ -125,14 +131,31 @@ class InterfaceAutomaton:
     def alphabet(self) -> tuple[ActionLabel, ...]:
         return self.inputs + self.outputs + self.hidden
 
+    @cached_property
+    def classes(self) -> dict[ActionLabel, ActionClass]:
+        """Class of each declared label; inputs win over outputs, outputs over hidden."""
+        index = dict.fromkeys(self.hidden, ActionClass.HIDDEN)
+        index.update(dict.fromkeys(self.outputs, ActionClass.OUTPUT))
+        index.update(dict.fromkeys(self.inputs, ActionClass.INPUT))
+        return index
+
+    @cached_property
+    def outgoing(self) -> dict[str, list[Transition]]:
+        """Transitions out of each state, and of any undeclared source, in order."""
+        index: dict[str, list[Transition]] = {s: [] for s in self.states}
+        for t in self.transitions:
+            index.setdefault(t.source, []).append(t)
+        return index
+
+    @cached_property
+    def enabled(self) -> dict[ActionClass, dict[str, frozenset[ActionLabel]]]:
+        """Labels of each class on the transitions out of each ``outgoing`` key."""
+        return {cls: {s: frozenset(t.action for t in out if self.classes.get(t.action) is cls)
+                      for s, out in self.outgoing.items()}
+                for cls in ActionClass}
+
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
-        if label in self.inputs:
-            return ActionClass.INPUT
-        if label in self.outputs:
-            return ActionClass.OUTPUT
-        if label in self.hidden:
-            return ActionClass.HIDDEN
-        return None
+        return self.classes.get(label)
 
     def is_empty(self) -> bool:
         return not self.states
@@ -204,9 +227,9 @@ def _path_declared(variables: Mapping[str, VariableDecl], path: list[str]) -> bo
 
 def enabled_actions(a: InterfaceAutomaton, state: str, cls: ActionClass) -> set[ActionLabel]:
     """Actions of the given class labelling transitions out of ``state``."""
-    if state not in a.states:
+    if state not in a.outgoing:
         raise ValueError(f"state not found: {state}")
-    return {t.action for t in a.transitions if t.source == state and a.action_class(t.action) is cls}
+    return set(a.enabled[cls][state])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +428,12 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     pres = _GuardRegistry(a1.preconditions, a2.preconditions, name, taken)
     posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)
 
-    out1: dict[str, list[Transition]] = {}
-    for t in a1.transitions:
-        out1.setdefault(t.source, []).append(t)
-    out2: dict[str, list[Transition]] = {}
-    for t in a2.transitions:
-        if t.pre in pres.rename or t.post in posts.rename:
-            t = replace(t, pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
-        out2.setdefault(t.source, []).append(t)
+    if pres.rename or posts.rename:
+        a2 = replace(a2, transitions=tuple(
+            replace(t, pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
+            for t in a2.transitions
+        ))
+    out1, out2 = a1.outgoing, a2.outgoing
 
     pair_id: dict[tuple[str, str], str] = {}
     pair_of: dict[str, tuple[str, str]] = {}

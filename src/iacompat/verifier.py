@@ -9,17 +9,18 @@ to false. The backward closure follows output and hidden steps only: a
 helpful environment can steer inputs away from trouble, so input steps do
 not propagate badness.
 
-The closure is a single breadth-first sweep over the reversed product graph,
-linear in states plus transitions; building the product itself is the
-quadratic part. ``OpCounter`` exposes the closure's elementary operation
-count for measurement.
+Every stage reads the automata's cached indexes and is linear in the product:
+the illegal-state pass makes O(|P| * |shared|) lookups plus one falsity query
+per distinct guard; the closure and the witness search are breadth-first
+sweeps in O(states + transitions). ``OpCounter`` exposes the closure's
+elementary operation count for measurement.
 """
 from __future__ import annotations
 
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .automata import (
@@ -31,12 +32,11 @@ from .automata import (
     Transition,
     composable,
     empty_automaton,
-    enabled_actions,
     product,
     qualify_hidden,
     validate,
 )
-from .domains import Domain, VariableDecl
+from .domains import VariableDecl
 from .exprs import NamedConstraint
 from .falsity import Verdict, constraint_falsity, default_budget
 
@@ -57,6 +57,9 @@ class AllGuardsFalse:
 
 
 IllegalReason = Union[UnreceivedOutput, AllGuardsFalse]
+
+# steps the component pair takes on its own; the environment controls inputs
+_AUTONOMOUS = frozenset({ActionClass.OUTPUT, ActionClass.HIDDEN})
 
 
 @dataclass(frozen=True)
@@ -97,49 +100,44 @@ def illegal_states(
     auto = prod.automaton
     variables = dict(decls) if decls is not None else dict(auto.variables)
     budget = default_budget() if budget is None else budget
-    shared_set = set(prod.shared_actions)
 
-    verdict_cache: dict[str, Verdict] = {}
+    # one verdict cache per registry, since a pre and a post may share a name
+    pre_cache: dict[str, Verdict] = {}
+    post_cache: dict[str, Verdict] = {}
 
-    def is_false(name: Optional[str], registry: Mapping[str, NamedConstraint]) -> bool:
+    def is_false(name: Optional[str], registry: Mapping[str, NamedConstraint],
+                 cache: dict[str, Verdict]) -> bool:
         if name is None:
             return False
-        if name not in verdict_cache:
-            verdict_cache[name] = constraint_falsity(
-                registry[name], variables, budget=budget
-            ).verdict
-        return verdict_cache[name] is Verdict.FALSE
+        if name not in cache:
+            cache[name] = constraint_falsity(registry[name], variables, budget=budget).verdict
+        return cache[name] is Verdict.FALSE
 
-    outgoing: dict[str, list[Transition]] = {s: [] for s in auto.states}
-    for t in auto.transitions:
-        outgoing[t.source].append(t)
+    shared_sorted = sorted(prod.shared_actions, key=lambda l: l.sort_key)
+    out1, in1 = a1.enabled[ActionClass.OUTPUT], a1.enabled[ActionClass.INPUT]
+    out2, in2 = a2.enabled[ActionClass.OUTPUT], a2.enabled[ActionClass.INPUT]
 
     reasons: dict[str, list[IllegalReason]] = {}
 
     for pid in auto.states:
         s1, s2 = prod.pair_of[pid]
-        for action in sorted(shared_set, key=lambda l: l.sort_key):
-            if action in enabled_actions(a1, s1, ActionClass.OUTPUT) and action not in enabled_actions(
-                a2, s2, ActionClass.INPUT
-            ):
+        sends1, takes1, sends2, takes2 = out1[s1], in1[s1], out2[s2], in2[s2]
+        for action in shared_sorted:
+            if action in sends1 and action not in takes2:
                 reasons.setdefault(pid, []).append(UnreceivedOutput(action, "left"))
-            if action in enabled_actions(a2, s2, ActionClass.OUTPUT) and action not in enabled_actions(
-                a1, s1, ActionClass.INPUT
-            ):
+            if action in sends2 and action not in takes1:
                 reasons.setdefault(pid, []).append(UnreceivedOutput(action, "right"))
 
-        out = outgoing[pid]
-        if out or strict_deadlock:
+        out = auto.outgoing[pid]
+        if out:
             disabled = [
-                t
-                for t in out
-                if is_false(t.pre, auto.preconditions) or is_false(t.post, auto.postconditions)
+                t for t in out if is_false(t.pre, auto.preconditions, pre_cache)
+                or is_false(t.post, auto.postconditions, post_cache)
             ]
-            if len(disabled) == len(out) and (out or strict_deadlock):
-                if out:
-                    reasons.setdefault(pid, []).append(AllGuardsFalse(tuple(disabled)))
-                else:  # strict deadlock reading: no step at all
-                    reasons.setdefault(pid, []).append(AllGuardsFalse(()))
+            if len(disabled) == len(out):
+                reasons.setdefault(pid, []).append(AllGuardsFalse(tuple(disabled)))
+        elif strict_deadlock:  # the vacuous reading: no step at all
+            reasons.setdefault(pid, []).append(AllGuardsFalse(()))
 
     return IllegalStateSet(
         states=frozenset(reasons),
@@ -161,13 +159,11 @@ def bad_states(
     """
     tick = counter.tick if counter is not None else (lambda n=1: None)
     auto = prod.automaton
-    autonomous = {ActionClass.OUTPUT, ActionClass.HIDDEN}
-    classes = {l: auto.action_class(l) for l in auto.alphabet}
 
     reverse: dict[str, list[str]] = {}
     for t in auto.transitions:
         tick()
-        if classes.get(t.action) in autonomous:
+        if auto.classes.get(t.action) in _AUTONOMOUS:
             reverse.setdefault(t.target, []).append(t.source)
 
     bad = set(illegal.states)
@@ -189,22 +185,16 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     Returns the canonical empty automaton when nothing survives.
     """
     auto = prod.automaton
-    kept = [s for s in auto.states if s not in remove]
     initials = [s for s in auto.initials if s not in remove]
     if not initials:
         return empty_automaton(auto.name)
-
-    out: dict[str, list[Transition]] = {s: [] for s in kept}
-    for t in auto.transitions:
-        if t.source not in remove and t.target not in remove:
-            out[t.source].append(t)
 
     reachable: set[str] = set(initials)
     queue = deque(initials)
     while queue:
         s = queue.popleft()
-        for t in out[s]:
-            if t.target not in reachable:
+        for t in auto.outgoing[s]:
+            if t.target not in reachable and t.target not in remove:
                 reachable.add(t.target)
                 queue.append(t.target)
 
@@ -237,39 +227,28 @@ def shortest_witness(prod: ProductResult, illegal: IllegalStateSet) -> Optional[
     an illegal state autonomously.
     """
     auto = prod.automaton
-    autonomous = {ActionClass.OUTPUT, ActionClass.HIDDEN}
-    targets = illegal.states
+    classes, outgoing, targets = auto.classes, auto.outgoing, illegal.states
 
-    parent: dict[str, tuple[str, Transition]] = {}
-    seen = set(auto.initials)
+    parent: dict[str, Optional[Transition]] = dict.fromkeys(auto.initials)  # also the seen set
+    found = next((s for s in auto.initials if s in targets), None)
     queue = deque(auto.initials)
-    found: Optional[str] = None
-    for s in auto.initials:
-        if s in targets:
-            found = s
-            break
     while queue and found is None:
-        s = queue.popleft()
-        for t in auto.transitions:
-            if t.source != s or auto.action_class(t.action) not in autonomous:
+        for t in outgoing[queue.popleft()]:
+            if t.target in parent or classes.get(t.action) not in _AUTONOMOUS:
                 continue
-            if t.target in seen:
-                continue
-            seen.add(t.target)
-            parent[t.target] = (s, t)
+            parent[t.target] = t
             if t.target in targets:
                 found = t.target
                 break
             queue.append(t.target)
     if found is None:
         return None
-    states = [found]
     steps: list[Transition] = []
-    while states[0] in parent:
-        prev, step = parent[states[0]]
-        states.insert(0, prev)
-        steps.insert(0, step)
-    return Trace(states=tuple(states), steps=tuple(steps))
+    while (step := parent[found]) is not None:
+        steps.append(step)
+        found = step.source
+    steps.reverse()
+    return Trace(states=(found,) + tuple(t.target for t in steps), steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Pairs from rand_composable_pair are composable by construction: private
 action names are namespaced per side and every shared action is an input on
 exactly one side and an output on the other. Sizes follow the sampling
 bounds used by the acceptance run (at most 4 states, 3 actions, and 2
-variables with domains of at most 3 values per side).
+variables with domains of at most 3 values per side); ``max_states`` raises
+the state bound for properties that need deeper products.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def rand_constraints(rng: random.Random, owner: str, decls):
     return pres, posts
 
 
-def rand_automaton(rng: random.Random, name: str, inputs, outputs, hidden):
-    n_states = rng.randint(1, 4)
+def rand_automaton(rng: random.Random, name: str, inputs, outputs, hidden, max_states: int = 4):
+    n_states = rng.randint(1, max_states)
     states = tuple(f"{name}s{i}" for i in range(n_states))
     n_init = 1 if rng.random() < 0.8 else min(2, n_states)
     initials = tuple(states[:n_init])
@@ -140,7 +141,7 @@ def rand_automaton(rng: random.Random, name: str, inputs, outputs, hidden):
     )
 
 
-def rand_composable_pair(rng: random.Random):
+def rand_composable_pair(rng: random.Random, max_states: int = 4):
     n_shared = rng.randint(0, 2)
     shared = [ActionLabel(f"sh{i}") for i in range(n_shared)]
     sides = {"L": {"in": [], "out": [], "hid": []}, "R": {"in": [], "out": [], "hid": []}}
@@ -155,8 +156,8 @@ def rand_composable_pair(rng: random.Random):
         for i in range(rng.randint(0, 3 - n_shared)):
             cls = rng.choice(("in", "out", "hid"))
             sides[key][cls].append(ActionLabel(f"{key}p{i}"))
-    a1 = rand_automaton(rng, "L", sides["L"]["in"], sides["L"]["out"], sides["L"]["hid"])
-    a2 = rand_automaton(rng, "R", sides["R"]["in"], sides["R"]["out"], sides["R"]["hid"])
+    a1 = rand_automaton(rng, "L", sides["L"]["in"], sides["L"]["out"], sides["L"]["hid"], max_states)
+    a2 = rand_automaton(rng, "R", sides["R"]["in"], sides["R"]["out"], sides["R"]["hid"], max_states)
     return a1, a2
 
 

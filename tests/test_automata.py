@@ -2,6 +2,7 @@
 qualification, synchronized product."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,27 @@ def test_enabled_actions_terminal_state():
 def test_enabled_actions_unknown_state():
     with pytest.raises(ValueError):
         ia.enabled_actions(_ld(), "NoSuchState", ia.ActionClass.INPUT)
+
+
+def test_action_class_precedence_on_overlap():
+    x, y = ia.ActionLabel("x"), ia.ActionLabel("y")
+    a = ia.InterfaceAutomaton(name="A", states=("s",), initials=("s",),
+                              inputs=(x,), outputs=(x, y), hidden=(x, y))
+    assert a.action_class(x) is ia.ActionClass.INPUT
+    assert a.action_class(y) is ia.ActionClass.OUTPUT
+    assert a.action_class(ia.ActionLabel("z")) is None
+
+
+def test_cached_indexes_stay_out_of_the_value():
+    ld = _ld()
+    text = repr(ld)
+    assert ld.enabled[ia.ActionClass.INPUT]["OnReady"] == {ia.ActionLabel("receiveMessages")}
+    assert repr(ld) == text
+    assert ld == _ld()
+    first = ld.transitions[0]
+    moved = replace(ld, transitions=(first,))
+    assert moved.outgoing[first.source] == [first]
+    assert sum(map(len, moved.outgoing.values())) == 1
 
 
 # ---------------------------------------------------------------------------

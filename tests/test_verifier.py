@@ -86,6 +86,26 @@ def test_satisfiable_guard_not_illegal():
     assert ia.illegal_states(prod, a, b).states == frozenset()
 
 
+def test_pre_and_post_of_one_name_keep_separate_verdicts():
+    # pre C is false and post C is not; one shared verdict would let the
+    # satisfiable post C keep s1's only step enabled
+    x_decl = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
+    pre = ia.parse_constraint("context A::stay() pre C: x < 0", x_decl)
+    post = ia.parse_constraint("context A::go() post C: x >= 0", x_decl)
+    go, stay = _lab("go"), _lab("stay")
+    a = _auto("A", ["s0", "s1"], ["s0"], hidden=[go, stay], variables=x_decl,
+              pres={"C": pre}, posts={"C": post},
+              transitions=[ia.Transition("s0", None, go, "C", "s1"),
+                           ia.Transition("s1", "C", stay, None, "s1")])
+    b = _auto("B", ["t"], ["t"])
+    assert ia.validate(a) == []
+    prod = ia.product(a, b)
+    ill = ia.illegal_states(prod, a, b)
+    assert ill.states == frozenset({"s1__t"})
+    (reason,) = ill.reasons["s1__t"]
+    assert reason == ia.AllGuardsFalse((ia.Transition("s1__t", "C", stay, None, "s1__t"),))
+
+
 def test_fixture_illegal_set_against_oracle():
     ld, tl = _qualified_fixture_pair()
     prod = ia.product(ld, tl)
@@ -287,6 +307,51 @@ def test_enum_budget_option_flows_to_falsity():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+def _naive_distance(auto, targets):
+    """Fewest output/hidden steps from an initial state into ``targets``,
+    by rescanning every transition in each BFS round."""
+    autonomous = set(auto.outputs) | set(auto.hidden)
+    frontier, seen, dist = set(auto.initials), set(auto.initials), 0
+    while frontier:
+        if frontier & targets:
+            return dist
+        frontier = {t.target for t in auto.transitions
+                    if t.source in frontier and t.target not in seen
+                    and t.action in autonomous}
+        seen |= frontier
+        dist += 1
+    return None
+
+
+def _assert_shortest_witness(prod, targets):
+    auto = prod.automaton
+    want = _naive_distance(auto, targets)
+    w = ia.shortest_witness(prod, ia.IllegalStateSet(targets, {}))
+    if want is None:
+        assert w is None
+        return
+    assert w.states[0] in auto.initials
+    assert len(w.states) == len(w.steps) + 1
+    steps = set(auto.transitions)
+    for src, t, dst in zip(w.states, w.steps, w.states[1:]):
+        assert t in steps and (t.source, t.target) == (src, dst)
+        assert t.action in auto.outputs or t.action in auto.hidden
+    assert w.states[-1] in targets
+    assert len(w.steps) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), max_states=st.sampled_from((4, 30)))
+def test_witness_is_a_shortest_autonomous_path(seed, max_states):
+    # a single random target as well: the illegal sets of random pairs are
+    # dense, so their witnesses are too short to tell a BFS from a DFS
+    rng = random.Random(seed)
+    a1, a2 = rand_composable_pair(rng, max_states)
+    prod = ia.product(a1, a2)
+    _assert_shortest_witness(prod, ia.illegal_states(prod, a1, a2).states)
+    _assert_shortest_witness(prod, frozenset({rng.choice(prod.automaton.states)}))
 
 
 @settings(max_examples=100, deadline=None)
