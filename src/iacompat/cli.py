@@ -5,10 +5,10 @@ compatibility), ``product`` (write the synchronized product as a document),
 ``dot`` (graph export), ``eval`` (evaluate a constraint expression under
 explicit bindings).
 
-Exit codes are uniform: 0 success/compatible, 1 incompatible or a failed
-validation, 2 usage, parse or I/O errors, or a pair whose declarations cannot
-be merged into a product (``ProductError``). All output is deterministic;
-running the same invocation twice produces byte-identical results.
+Exit codes are uniform: 0 success/compatible, 1 incompatible or an operand
+failing validation, 2 usage, parse or I/O errors, or a pair whose declarations
+cannot be merged into a product (``ProductError``). All output is
+deterministic; running the same invocation twice gives byte-identical results.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .verifier import (
     InvalidAutomaton,
     check_compatibility,
     report_to_json,
+    require_valid,
 )
 
 
@@ -131,12 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         strict_deadlock=args.strict_deadlock,
         enum_budget=args.enum_budget,
     )
-    try:
-        report = check_compatibility(a, b, options)
-    except InvalidAutomaton as exc:
-        for d in exc.diagnostics:
-            print(f"invalid: {d}", file=sys.stderr)
-        return 1
+    report = check_compatibility(a, b, options)
     for line in _summary_lines(report):
         print(line)
     if args.witness:
@@ -158,6 +154,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     a = _load_single(args.left)
     b = _load_single(args.right)
+    require_valid(a, b)
     if args.qualify_hidden:
         a = qualify_hidden(a)
         b = qualify_hidden(b)
@@ -294,6 +291,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidAutomaton as exc:
+        for d in exc.diagnostics:
+            print(f"invalid: {d}", file=sys.stderr)
+        return 1
     except (ParseError, ProductError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

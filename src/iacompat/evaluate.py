@@ -5,13 +5,20 @@ are symmetric ("parallel"): a conjunction is false as soon as either operand
 is false, even if the other one errors, and dually for disjunction and for
 implication. This makes evaluation order-insensitive, which the simplifier
 relies on when it sorts commutative operands and applies annihilators.
+
+Evaluation is compile-once: ``compile_expr`` turns an expression into nested
+closures, with every variable reference resolved to an accessor, so the
+falsity enumeration walks each guard's tree once, not once per valuation. An
+``and`` or ``or`` chain compiles to one n-ary closure, so evaluation depth
+does not grow with its length. ``evaluate`` compiles against a ``Valuation``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .domains import Domain, OpaqueDomain, RecordDomain, Value, resolve_path
+from .domains import Value
 from .exprs import (
     Apply,
     BinOp,
@@ -27,6 +34,8 @@ from .exprs import (
     Not,
     SetLit,
     VarRef,
+    children,
+    has_old_refs,
     to_text,
 )
 
@@ -62,32 +71,17 @@ class Valuation:
         for cut in range(len(path), 0, -1):
             key = ".".join(path[:cut])
             if key in table:
-                v = table[key]
-                for seg in path[cut:]:
-                    if not isinstance(v, dict) or seg not in v:
-                        raise EvalError(f"value of {key!r} has no field {seg!r}")
-                    v = v[seg]
-                return v
+                return _navigate(table[key], key, path[cut:])
         marker = "@pre" if old else ""
         raise MissingVariable(f"unbound variable: {'.'.join(path)}{marker}")
 
-    def check_against(self, decls: Mapping[str, Domain]) -> list[str]:
-        """Domain-membership problems for every binding, empty when clean."""
-        problems = []
-        tables = [("", self.values)] + ([("@pre ", self.old)] if self.old else [])
-        for prefix, table in tables:
-            for key, v in table.items():
-                path = tuple(key.split("."))
-                try:
-                    hit = resolve_path(dict(decls), path)
-                except ValueError as exc:
-                    problems.append(f"{prefix}{key}: {exc}")
-                    continue
-                if hit is None:
-                    problems.append(f"{prefix}{key}: not a declared variable")
-                elif not hit[1].contains(v):
-                    problems.append(f"{prefix}{key}: value {v!r} outside {hit[1].text()}")
-        return problems
+
+def _navigate(v: Value, key: str, segs: tuple[str, ...]) -> Value:
+    for seg in segs:
+        if not isinstance(v, dict) or seg not in v:
+            raise EvalError(f"value of {key!r} has no field {seg!r}")
+        v = v[seg]
+    return v
 
 
 def _values_equal(a: Value, b: Value) -> bool:
@@ -99,10 +93,14 @@ def _values_equal(a: Value, b: Value) -> bool:
     return a == b
 
 
+def _not_bool(e: Expr, v: Value) -> EvalError:
+    return EvalError(f"expected a boolean from `{to_text(e)}`, got {v!r}")
+
+
 def _as_bool(e: Expr, v: Value) -> bool:
     if isinstance(v, bool):
         return v
-    raise EvalError(f"expected a boolean from `{to_text(e)}`, got {v!r}")
+    raise _not_bool(e, v)
 
 
 def _as_int(e: Expr, v: Value) -> int:
@@ -111,127 +109,155 @@ def _as_int(e: Expr, v: Value) -> int:
     raise EvalError(f"expected an integer from `{to_text(e)}`, got {v!r}")
 
 
-def _try_bool(e: Expr, val: Valuation) -> tuple[Optional[bool], Optional[EvalError]]:
-    try:
-        return _as_bool(e, evaluate(e, val)), None
-    except EvalError as exc:
-        return None, exc
+# ---------------------------------------------------------------------------
+# compilation
+
+Compiled = Callable[[Any], Value]  # environment -> value, as its accessors read it
+Access = Callable[[VarRef], Compiled]
 
 
 def evaluate(e: Expr, val: Valuation) -> Value:
     """Value of an expression under a valuation; raises EvalError subclasses."""
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, EnumLit):
-        return e.name
-    if isinstance(e, SetLit):
-        return frozenset(evaluate(x, val) for x in e.items)
+    return compile_expr(e, lambda ref: lambda v: v.lookup(ref.path, ref.old))(val)
+
+
+def slot_access(cur_names: Sequence[str], old_names: Sequence[str]) -> Access:
+    """Accessors for a flat tuple environment: the values of ``cur_names``, then
+    the old-state values of ``old_names``; references bind as in ``Valuation.lookup``."""
+    slots = ({n: i for i, n in enumerate(cur_names)},
+             {n: i for i, n in enumerate(old_names, len(cur_names))})
+
+    def access(ref: VarRef) -> Compiled:
+        table = slots[ref.old]
+        for cut in range(len(ref.path), 0, -1):
+            key, segs = ".".join(ref.path[:cut]), ref.path[cut:]
+            if key in table:
+                i = table[key]
+                return (lambda env: _navigate(env[i], key, segs)) if segs else operator.itemgetter(i)
+        return lambda env: Valuation({}, {}).lookup(ref.path, ref.old)  # raises MissingVariable
+
+    return access
+
+
+_INT_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "+": operator.add, "-": operator.sub}
+
+
+def compile_expr(e: Expr, access: Access) -> Compiled:
+    """Compile an expression once into nested closures over an environment.
+
+    ``access`` turns each variable reference into the closure that reads it.
+    A compiled expression gives the value, or raises the EvalError, that
+    evaluating the tree under the same bindings gives.
+    """
+    if isinstance(e, (BoolLit, IntLit, EnumLit)):
+        v = e.name if isinstance(e, EnumLit) else e.value
+        return lambda env: v
     if isinstance(e, VarRef):
-        return val.lookup(e.path, e.old)
+        return access(e)
+    if isinstance(e, BinOp) and e.op in ("and", "or"):
+        return _compile_chain(e, access)
+    if isinstance(e, BinOp) and e.op == "implies":
+        # same truth table and same errors, left operand first
+        return _compile_chain(BinOp("or", Not(e.left), e.right), access)
+    sub = [compile_expr(c, access) for c in children(e)]
+    if isinstance(e, SetLit):
+        return lambda env: frozenset([f(env) for f in sub])
     if isinstance(e, Not):
-        return not _as_bool(e.operand, evaluate(e.operand, val))
+        return lambda env: not _as_bool(e.operand, sub[0](env))
     if isinstance(e, BinOp):
-        return _eval_binop(e, val)
+        left, right = sub
+        if e.op == "=":
+            return lambda env: _values_equal(left(env), right(env))
+        if e.op == "<>":
+            return lambda env: not _values_equal(left(env), right(env))
+        op = _INT_OPS[e.op]
+        def int_op(env):
+            a = left(env)
+            if a.__class__ is not int:  # an int passes without a call
+                a = _as_int(e.left, a)
+            b = right(env)
+            if b.__class__ is not int:
+                b = _as_int(e.right, b)
+            return op(a, b)
+        return int_op
     if isinstance(e, Membership):
-        coll = evaluate(e.collection, val)
-        if not isinstance(coll, frozenset):
-            raise EvalError(f"`{to_text(e.collection)}` is not a set")
-        item = evaluate(e.item, val)
-        return any(_values_equal(item, x) for x in coll)
+        def membership(env):
+            coll = sub[1](env)
+            if not isinstance(coll, frozenset):
+                raise EvalError(f"`{to_text(e.collection)}` is not a set")
+            item = sub[0](env)
+            return any(_values_equal(item, x) for x in coll)
+        return membership
     if isinstance(e, Apply):
-        target = evaluate(e.target, val)
-        key = evaluate(e.key, val)
-        if isinstance(target, dict):
-            for k, x in target.items():
-                if _values_equal(k, key):
-                    return x
-            raise UndefinedApplication(f"key {key!r} outside the domain of `{to_text(e.target)}`")
-        if isinstance(target, tuple):
-            i = _as_int(e.key, key)
-            if 1 <= i <= len(target):
-                return target[i - 1]
-            raise UndefinedApplication(f"index {i} outside the sequence `{to_text(e.target)}`")
-        raise EvalError(f"`{to_text(e.target)}` is neither a map nor a sequence")
+        def apply(env):
+            target, key = sub[0](env), sub[1](env)
+            if isinstance(target, dict):
+                for k, x in target.items():
+                    if _values_equal(k, key):
+                        return x
+                raise UndefinedApplication(f"key {key!r} outside the domain of `{to_text(e.target)}`")
+            if isinstance(target, tuple):
+                i = _as_int(e.key, key)
+                if 1 <= i <= len(target):
+                    return target[i - 1]
+                raise UndefinedApplication(f"index {i} outside the sequence `{to_text(e.target)}`")
+            raise EvalError(f"`{to_text(e.target)}` is neither a map nor a sequence")
+        return apply
     if isinstance(e, FieldAccess):
-        target = evaluate(e.target, val)
-        if isinstance(target, dict) and e.name in target:
-            return target[e.name]
-        raise EvalError(f"`{to_text(e.target)}` has no field {e.name!r}")
+        def field_access(env):
+            target = sub[0](env)
+            if isinstance(target, dict) and e.name in target:
+                return target[e.name]
+            raise EvalError(f"`{to_text(e.target)}` has no field {e.name!r}")
+        return field_access
     if isinstance(e, MethodCall):
-        return _eval_method(e, val)
+        return lambda env: _method(e, sub, env)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_binop(e: BinOp, val: Valuation) -> Value:
-    op = e.op
-    if op == "and":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is False or rv is False:
-            return False
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return True
-    if op == "or":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is True or rv is True:
-            return True
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return False
-    if op == "implies":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is False or rv is True:
-            return True
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return rv  # lv is True here
-    if op in ("=", "<>"):
-        lv = evaluate(e.left, val)
-        rv = evaluate(e.right, val)
-        eq = _values_equal(lv, rv)
-        return eq if op == "=" else not eq
-    lv = _as_int(e.left, evaluate(e.left, val))
-    rv = _as_int(e.right, evaluate(e.right, val))
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    raise TypeError(f"unknown operator {op!r}")
+def _compile_chain(e: BinOp, access: Access) -> Compiled:
+    # the operands of the whole same-operator chain, left to right; an
+    # explicit stack keeps compilation and evaluation depth flat
+    parts, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp) and node.op == e.op:
+            stack += (node.right, node.left)
+        else:
+            parts.append((compile_expr(node, access), node))
+    decisive = e.op == "or"  # the operand value that decides the chain
+
+    def chain(env):
+        # a decisive operand wins over any error; otherwise the leftmost
+        # failing operand's error is raised, as the binary definition does
+        failed = None
+        for f, node in parts:
+            try:
+                v = f(env)
+            except EvalError as exc:
+                v = exc
+            if v is decisive:
+                return v
+            if failed is None and v is not (not decisive):
+                failed = v if isinstance(v, EvalError) else _not_bool(node, v)
+        if failed is not None:
+            raise failed
+        return not decisive
+
+    return chain
 
 
-def _eval_method(e: MethodCall, val: Valuation) -> Value:
+def _method(e: MethodCall, sub: list[Compiled], env: Any) -> Value:
     if e.name == "notEmpty":
         # Arrow operations wrap scalars as singletons; an undefined
         # application yields the empty collection, hence false.
         try:
-            v = evaluate(e.target, val)
+            v = sub[0](env)
         except UndefinedApplication:
             return False
-        if isinstance(v, (tuple, frozenset)):
-            return len(v) > 0
-        if isinstance(v, dict):
-            return len(v) > 0
-        return True
-    v = evaluate(e.target, val)
+        return len(v) > 0 if isinstance(v, (tuple, frozenset, dict)) else True
+    v = sub[0](env)
     if e.name == "size":
         if isinstance(v, (tuple, frozenset, dict)):
             return len(v)
@@ -251,14 +277,12 @@ def _eval_method(e: MethodCall, val: Valuation) -> Value:
             try:
                 return frozenset(v.values())
             except TypeError:
-                raise EvalError(
-                    f"range of `{to_text(e.target)}` holds unhashable values"
-                ) from None
+                raise EvalError(f"range of `{to_text(e.target)}` holds unhashable values") from None
         raise EvalError(f"range of a non-map `{to_text(e.target)}`")
     if e.name == "front":
         if not isinstance(v, tuple):
             raise EvalError(f"front of a non-sequence `{to_text(e.target)}`")
-        k = _as_int(e.args[0], evaluate(e.args[0], val))
+        k = _as_int(e.args[0], sub[1](env))
         if k < 0:
             raise EvalError("front with a negative length")
         return v[: min(k, len(v))]
@@ -267,15 +291,9 @@ def _eval_method(e: MethodCall, val: Valuation) -> Value:
 
 def eval_constraint(c: NamedConstraint, val: Valuation) -> bool:
     """Truth of a named constraint. Postconditions may read the old state."""
-    if c.kind is ConstraintKind.POST and val.old is None and _needs_old(c.body):
+    if c.kind is ConstraintKind.POST and val.old is None and has_old_refs(c.body):
         raise EvalError(f"postcondition {c.name} needs an old-state map")
     return _as_bool(c.body, evaluate(c.body, val))
-
-
-def _needs_old(e: Expr) -> bool:
-    from .exprs import has_old_refs
-
-    return has_old_refs(e)
 
 
 # ---------------------------------------------------------------------------

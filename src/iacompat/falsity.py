@@ -8,6 +8,11 @@ budgets; callers treat it as "possibly satisfiable".
 For postconditions the relation ranges over pairs of states: every variable
 referenced with an old-state marker is enumerated twice, once for the old
 assignment and once for the new one. Evaluation errors count as not-true.
+
+Each query compiles its simplified guard once and calls it on the raw value
+tuples of the enumeration, in a fixed order: the referenced variables by
+sorted name, every old assignment inside each current one. Only a satisfying
+witness becomes a ``Valuation``; ``explored`` counts up to and including it.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .domains import Domain, VariableDecl, resolve_path
-from .evaluate import EvalError, Valuation, evaluate, simplify
+from .evaluate import EvalError, Valuation, compile_expr, simplify, slot_access
 from .exprs import (
     BoolLit,
     Expr,
@@ -74,51 +79,42 @@ def falsity(
     if s == BoolLit(True):
         return FalsityResult(Verdict.SATISFIABLE, witness=Valuation({}, old=None))
 
-    # collect the declared variables behind every free reference
-    cur_vars: dict[str, Domain] = {}
-    old_vars: dict[str, Domain] = {}
-    any_old = False
+    # the declared variables behind every free reference; enumerate each
+    # declared variable's own domain, not the leaf the path points at: the
+    # valuation binds whole variables
+    cur_names: set[str] = set()
+    old_names: set[str] = set()
     for ref in variable_refs(s):
         hit = _resolve(table, ref.path)
         if hit is None:
             raise EvalError(f"free variable {'.'.join(ref.path)} does not resolve against the declarations")
-        name, _ = hit
-        # enumerate the declared variable's own domain, not the leaf the
-        # path points at: the valuation binds whole variables
-        dom = table[name]
-        if ref.old:
-            any_old = True
-            old_vars[name] = dom
-        else:
-            cur_vars[name] = dom
+        (old_names if ref.old else cur_names).add(hit[0])
+    cur_names, old_names = sorted(cur_names), sorted(old_names)
+    names = cur_names + old_names
 
     total = 1
-    for dom in itertools.chain(cur_vars.values(), old_vars.values()):
-        n = dom.count()
+    for name in names:
+        n = table[name].count()
         if n is None:
             return FalsityResult(Verdict.UNKNOWN)
         total *= n
         if total > budget:
             return FalsityResult(Verdict.UNKNOWN)
 
-    cur_names = sorted(cur_vars)
-    old_names = sorted(old_vars)
-    cur_pools = [list(cur_vars[n].values()) for n in cur_names]
-    old_pools = [list(old_vars[n].values()) for n in old_names]
+    pools = [list(table[name].values()) for name in names]
+    run = compile_expr(s, slot_access(cur_names, old_names))
 
     explored = 0
-    for cur_combo in itertools.product(*cur_pools):
-        for old_combo in itertools.product(*old_pools):
-            explored += 1
-            val = Valuation(
-                values=dict(zip(cur_names, cur_combo)),
-                old=dict(zip(old_names, old_combo)) if any_old else None,
-            )
-            try:
-                if evaluate(s, val) is True:
-                    return FalsityResult(Verdict.SATISFIABLE, witness=val, explored=explored)
-            except EvalError:
-                pass  # not-true outcome
+    for explored, env in enumerate(itertools.product(*pools), 1):
+        try:
+            if run(env) is True:
+                witness = Valuation(
+                    values=dict(zip(cur_names, env)),
+                    old=dict(zip(old_names, env[len(cur_names):])) if old_names else None,
+                )
+                return FalsityResult(Verdict.SATISFIABLE, witness=witness, explored=explored)
+        except EvalError:
+            pass  # not-true outcome
     return FalsityResult(Verdict.FALSE, explored=explored)
 
 

@@ -294,6 +294,14 @@ class InvalidAutomaton(ValueError):
         super().__init__(f"automaton {name} fails validation: {listing}")
 
 
+def require_valid(*automata: InterfaceAutomaton) -> None:
+    """Raise InvalidAutomaton for the first automaton that fails validation."""
+    for a in automata:
+        diags = validate(a)
+        if diags:
+            raise InvalidAutomaton(a.name, diags)
+
+
 def check_compatibility(
     a1: InterfaceAutomaton,
     a2: InterfaceAutomaton,
@@ -301,10 +309,7 @@ def check_compatibility(
 ) -> CompatReport:
     """Run the full pairwise check and report every intermediate artifact."""
     options = options or CompatOptions()
-    for a in (a1, a2):
-        diags = validate(a)
-        if diags:
-            raise InvalidAutomaton(a.name, diags)
+    require_valid(a1, a2)
 
     if options.qualify_hidden:
         a1 = qualify_hidden(a1)

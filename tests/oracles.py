@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to cross-check the engine.
 
 Everything here is written the slow, obvious way on purpose: full-grid
-products, per-state definition tests, fixpoint loops. The only piece of the
-engine that is reused is the leaf expression evaluator; enumeration, domain
+products, per-state definition tests, fixpoint loops, and a tree-walking
+expression interpreter. Expression evaluation, enumeration, domain
 resolution, illegality, closure, and pruning are all re-derived
-independently so a shared bug cannot hide.
+independently of the engine, so a shared bug cannot hide; only the data
+types, the expression printer and the exception classes are shared.
 """
 
 from __future__ import annotations
@@ -15,16 +16,221 @@ from iacompat import (
     ActionClass,
     Apply,
     BinOp,
+    BoolLit,
+    EnumLit,
     EvalError,
     FieldAccess,
+    IntLit,
     Membership,
     MethodCall,
+    MissingVariable,
     Not,
     SetLit,
+    UndefinedApplication,
     Valuation,
     VarRef,
-    evaluate,
+    to_text,
 )
+
+
+# ---------------------------------------------------------------------------
+# expression evaluation, by walking the tree
+
+
+def _lookup(val, path, old):
+    table = val.old if old else val.values
+    if table is None:
+        raise EvalError("old-state reference evaluated without an old-state map")
+    for cut in range(len(path), 0, -1):
+        key = ".".join(path[:cut])
+        if key in table:
+            v = table[key]
+            for seg in path[cut:]:
+                if not isinstance(v, dict) or seg not in v:
+                    raise EvalError(f"value of {key!r} has no field {seg!r}")
+                v = v[seg]
+            return v
+    marker = "@pre" if old else ""
+    raise MissingVariable(f"unbound variable: {'.'.join(path)}{marker}")
+
+
+def _values_equal(a, b):
+    # bool is an int in Python; keep the sorts apart
+    if isinstance(a, bool) != isinstance(b, bool):
+        return False
+    if isinstance(a, frozenset) != isinstance(b, frozenset):
+        return False
+    return a == b
+
+
+def _as_bool(e, v):
+    if isinstance(v, bool):
+        return v
+    raise EvalError(f"expected a boolean from `{to_text(e)}`, got {v!r}")
+
+
+def _as_int(e, v):
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise EvalError(f"expected an integer from `{to_text(e)}`, got {v!r}")
+
+
+def _try_bool(e, val):
+    try:
+        return _as_bool(e, oracle_evaluate(e, val)), None
+    except EvalError as exc:
+        return None, exc
+
+
+def oracle_evaluate(e, val):
+    """Value of an expression under a valuation; raises EvalError subclasses.
+
+    Reference for ``iacompat.evaluate``: the same values, and the same errors
+    with the same messages, by direct recursion over the tree.
+    """
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, EnumLit):
+        return e.name
+    if isinstance(e, SetLit):
+        return frozenset(oracle_evaluate(x, val) for x in e.items)
+    if isinstance(e, VarRef):
+        return _lookup(val, e.path, e.old)
+    if isinstance(e, Not):
+        return not _as_bool(e.operand, oracle_evaluate(e.operand, val))
+    if isinstance(e, BinOp):
+        return _eval_binop(e, val)
+    if isinstance(e, Membership):
+        coll = oracle_evaluate(e.collection, val)
+        if not isinstance(coll, frozenset):
+            raise EvalError(f"`{to_text(e.collection)}` is not a set")
+        item = oracle_evaluate(e.item, val)
+        return any(_values_equal(item, x) for x in coll)
+    if isinstance(e, Apply):
+        target = oracle_evaluate(e.target, val)
+        key = oracle_evaluate(e.key, val)
+        if isinstance(target, dict):
+            for k, x in target.items():
+                if _values_equal(k, key):
+                    return x
+            raise UndefinedApplication(f"key {key!r} outside the domain of `{to_text(e.target)}`")
+        if isinstance(target, tuple):
+            i = _as_int(e.key, key)
+            if 1 <= i <= len(target):
+                return target[i - 1]
+            raise UndefinedApplication(f"index {i} outside the sequence `{to_text(e.target)}`")
+        raise EvalError(f"`{to_text(e.target)}` is neither a map nor a sequence")
+    if isinstance(e, FieldAccess):
+        target = oracle_evaluate(e.target, val)
+        if isinstance(target, dict) and e.name in target:
+            return target[e.name]
+        raise EvalError(f"`{to_text(e.target)}` has no field {e.name!r}")
+    if isinstance(e, MethodCall):
+        return _eval_method(e, val)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _eval_binop(e, val):
+    op = e.op
+    if op == "and":
+        lv, le = _try_bool(e.left, val)
+        rv, re_ = _try_bool(e.right, val)
+        if lv is False or rv is False:
+            return False
+        if le:
+            raise le
+        if re_:
+            raise re_
+        return True
+    if op == "or":
+        lv, le = _try_bool(e.left, val)
+        rv, re_ = _try_bool(e.right, val)
+        if lv is True or rv is True:
+            return True
+        if le:
+            raise le
+        if re_:
+            raise re_
+        return False
+    if op == "implies":
+        lv, le = _try_bool(e.left, val)
+        rv, re_ = _try_bool(e.right, val)
+        if lv is False or rv is True:
+            return True
+        if le:
+            raise le
+        if re_:
+            raise re_
+        return rv  # lv is True here
+    if op in ("=", "<>"):
+        lv = oracle_evaluate(e.left, val)
+        rv = oracle_evaluate(e.right, val)
+        eq = _values_equal(lv, rv)
+        return eq if op == "=" else not eq
+    lv = _as_int(e.left, oracle_evaluate(e.left, val))
+    rv = _as_int(e.right, oracle_evaluate(e.right, val))
+    if op == "<":
+        return lv < rv
+    if op == "<=":
+        return lv <= rv
+    if op == ">":
+        return lv > rv
+    if op == ">=":
+        return lv >= rv
+    if op == "+":
+        return lv + rv
+    if op == "-":
+        return lv - rv
+    raise TypeError(f"unknown operator {op!r}")
+
+
+def _eval_method(e, val):
+    if e.name == "notEmpty":
+        # Arrow operations wrap scalars as singletons; an undefined
+        # application yields the empty collection, hence false.
+        try:
+            v = oracle_evaluate(e.target, val)
+        except UndefinedApplication:
+            return False
+        if isinstance(v, (tuple, frozenset)):
+            return len(v) > 0
+        if isinstance(v, dict):
+            return len(v) > 0
+        return True
+    v = oracle_evaluate(e.target, val)
+    if e.name == "size":
+        if isinstance(v, (tuple, frozenset, dict)):
+            return len(v)
+        raise EvalError(f"size of a non-collection `{to_text(e.target)}`")
+    if e.name == "lastItem":
+        if isinstance(v, tuple):
+            if v:
+                return v[-1]
+            raise UndefinedApplication(f"lastItem of the empty sequence `{to_text(e.target)}`")
+        raise EvalError(f"lastItem of a non-sequence `{to_text(e.target)}`")
+    if e.name == "domain":
+        if isinstance(v, dict):
+            return frozenset(v.keys())
+        raise EvalError(f"domain of a non-map `{to_text(e.target)}`")
+    if e.name == "range":
+        if isinstance(v, dict):
+            try:
+                return frozenset(v.values())
+            except TypeError:
+                raise EvalError(
+                    f"range of `{to_text(e.target)}` holds unhashable values"
+                ) from None
+        raise EvalError(f"range of a non-map `{to_text(e.target)}`")
+    if e.name == "front":
+        if not isinstance(v, tuple):
+            raise EvalError(f"front of a non-sequence `{to_text(e.target)}`")
+        k = _as_int(e.args[0], oracle_evaluate(e.args[0], val))
+        if k < 0:
+            raise EvalError("front with a negative length")
+        return v[: min(k, len(v))]
+    raise EvalError(f"unknown method {e.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +303,7 @@ def oracle_falsity(expr, decls, params=()):
         for old in itertools.product(*(tuple(d.values()) for d in old_domains)):
             val = Valuation(values=base, old=dict(zip(old_names, old)) if old_names else None)
             try:
-                if evaluate(expr, val) is True:
+                if oracle_evaluate(expr, val) is True:
                     return False
             except EvalError:
                 pass

@@ -14,6 +14,7 @@ import random
 
 from iacompat import (
     ActionLabel,
+    Apply,
     BinOp,
     BoolDomain,
     BoolLit,
@@ -21,11 +22,18 @@ from iacompat import (
     ConstraintKind,
     EnumDomain,
     EnumLit,
+    FieldAccess,
     IntLit,
     IntRangeDomain,
     InterfaceAutomaton,
+    MapDomain,
+    Membership,
+    MethodCall,
     NamedConstraint,
     Not,
+    RecordDomain,
+    SeqDomain,
+    SetLit,
     Transition,
     Valuation,
     VariableDecl,
@@ -71,6 +79,66 @@ def rand_expr(rng: random.Random, decls, depth: int = 2):
         return Not(rand_expr(rng, decls, depth - 1))
     op = ("and", "or", "implies")[pick - 1]
     return BinOp(op, rand_expr(rng, decls, depth - 1), rand_expr(rng, decls, depth - 1))
+
+
+# rand_term ranges over one variable of each kind of domain that evaluation
+# navigates: records, maps and sequences besides the scalars
+_TERM_ENUM = EnumDomain(("ea", "eb"))
+TERM_DECLS = (
+    VariableDecl("b", BoolDomain()),
+    VariableDecl("n", IntRangeDomain(0, 2)),
+    VariableDecl("e", _TERM_ENUM),
+    VariableDecl("r", RecordDomain((
+        ("c", _TERM_ENUM), ("s", IntRangeDomain(0, 2)), ("t", RecordDomain((("b", BoolDomain()),))),
+    ))),
+    VariableDecl("m", MapDomain(_TERM_ENUM, IntRangeDomain(0, 1))),
+    VariableDecl("q", SeqDomain(BoolDomain(), 2)),
+)
+# scalar paths, missing fields and an undeclared variable; then the rest
+_SCALAR_PATHS = (
+    ("b",), ("n",), ("e",), ("r", "c"), ("r", "s"), ("r", "t", "b"), ("r", "x"), ("r", "t", "x"), ("u",),
+)
+_TERM_PATHS = _SCALAR_PATHS + (("r",), ("r", "t"), ("m",), ("q",))
+_TERM_OPS = ("and", "or", "implies", "=", "<>", "<", "<=", ">", ">=", "+", "-")
+_TERM_METHODS = ("size", "lastItem", "domain", "range", "notEmpty", "front")
+
+
+def _term_leaf(rng: random.Random, paths):
+    pick = rng.randrange(5)
+    if pick == 0:
+        return BoolLit(rng.random() < 0.5)
+    if pick == 1:
+        return IntLit(rng.randint(-1, 3))
+    if pick == 2:
+        return EnumLit(rng.choice(("ea", "eb", "ez")))
+    return VarRef(rng.choice(paths), old=rng.random() < 0.3)
+
+
+def rand_term(rng: random.Random, depth: int = 3):
+    """Random expression over TERM_DECLS of any sort, well-sorted or not.
+
+    Every node kind occurs, with old-state references, missing variables and
+    missing fields, so evaluators can be compared on values and on errors.
+    Set literals hold scalar leaves only, so they never hash a record.
+    """
+    if depth <= 0 or rng.random() < 0.25:
+        return _term_leaf(rng, _TERM_PATHS)
+    sub = lambda: rand_term(rng, depth - 1)  # noqa: E731
+    pick = rng.randrange(7)
+    if pick == 0:
+        return Not(sub())
+    if pick == 1:
+        return BinOp(rng.choice(_TERM_OPS), sub(), sub())
+    if pick == 2:
+        return SetLit(tuple(_term_leaf(rng, _SCALAR_PATHS) for _ in range(rng.randint(0, 2))))
+    if pick == 3:
+        return Membership(sub(), sub())
+    if pick == 4:
+        return Apply(sub(), sub())
+    if pick == 5:
+        return FieldAccess(sub(), rng.choice(("c", "s", "x")))
+    name = rng.choice(_TERM_METHODS)
+    return MethodCall(sub(), name, (sub(),) if name == "front" else ())
 
 
 def _with_old(expr, rng: random.Random):

@@ -176,6 +176,14 @@ def test_product_not_composable(capsys):
     assert "not composable" in (out + err)
 
 
+@pytest.mark.parametrize("command", ["check", "product"])
+def test_invalid_operand_exits_1(capsys, command):
+    code, out, err = run_cli(capsys, command, BROKEN, PING)
+    assert code == 1
+    assert out == ""
+    assert err == "invalid: alphabet-overlap: alphabets not disjoint: turnOn\n"
+
+
 def test_product_writes_parseable_document(tmp_path, capsys):
     out_path = tmp_path / "prod.ia"
     code, _, _ = run_cli(capsys, "product", LD, TL, "--qualify-hidden",
@@ -320,6 +328,29 @@ def test_eval_old_binding(capsys):
     code, out, _ = run_cli(capsys, "eval", "myCS.s = myCS~.s + 1",
                            "--bind", "myCS.s=3", "--bind-old", "myCS.s=2")
     assert (code, out.strip()) == (0, "true")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["myCS.s = myCS~.s + 1", "--bind", "myCS.s=3"],
+     "old-state reference evaluated without an old-state map"),
+    (["x(1) = 2", "--bind", "x=3"], "`x` is neither a map nor a sequence"),
+    (["x and y", "--bind", "x=true", "--bind", "y=3"], "expected a boolean from `y`, got 3"),
+    (["x or y", "--bind", "x=false", "--bind", "y=<off>"],
+     "expected a boolean from `y`, got 'off'"),
+    (["x implies y", "--bind", "x=true", "--bind", "y=2"], "expected a boolean from `y`, got 2"),
+    (["not x", "--bind", "x=2"], "expected a boolean from `x`, got 2"),
+    (["x < 1", "--bind", "x=true"], "expected an integer from `x`, got True"),
+    (["x.c = 1", "--bind", "x=3"], "value of 'x' has no field 'c'"),
+    (["x in set y", "--bind", "x=1", "--bind", "y=2"], "`y` is not a set"),
+    (["x.size() = 0", "--bind", "x=1"], "size of a non-collection `x`"),
+    (["x.lastItem() = 0", "--bind", "x=1"], "lastItem of a non-sequence `x`"),
+    (["x.front(1) = y", "--bind", "x=1", "--bind", "y=1"], "front of a non-sequence `x`"),
+    (["x.domain = y", "--bind", "x=1", "--bind", "y=1"], "domain of a non-map `x`"),
+    (["x.range = y", "--bind", "x=1", "--bind", "y=1"], "range of a non-map `x`"),
+])
+def test_eval_error_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert (code, out, err) == (1, f"evaluation error: {message}\n", "")
 
 
 # ---------------------------------------------------------------------------

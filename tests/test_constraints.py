@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
-from oracles import oracle_falsity
-from randgen import rand_domain, rand_expr, rand_valuation
+from iacompat.evaluate import compile_expr, slot_access
+from oracles import collect_paths, oracle_evaluate, oracle_falsity
+from randgen import TERM_DECLS, _with_old, rand_domain, rand_expr, rand_term, rand_valuation
 
+import itertools
 import random
 
 
@@ -237,7 +239,7 @@ def test_apply_miss_is_absorbed_by_or():
     # mem(n) raises on a missing key; `or` still decides when the other
     # disjunct is true
     val = ia.Valuation({"mem": {}, "n": "dev1", "dat": {"c": "off", "s": 0}})
-    with pytest.raises(ia.EvalError):
+    with pytest.raises(ia.UndefinedApplication, match="^key 'dev1' outside the domain of `mem`$"):
         ia.eval_constraint(c, val)
     hit = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 3}}, "n": "dev1",
                         "dat": {"c": "off", "s": 3}})
@@ -267,10 +269,25 @@ def test_parallel_conjunction_absorbs_errors():
     e = ia.parse_expression("x and missing", decls, open_world=True)
     # false wins even though the right side is unbound
     assert ia.evaluate(e, ia.Valuation({"x": False})) is False
-    with pytest.raises(ia.EvalError):
+    with pytest.raises(ia.MissingVariable, match="^unbound variable: missing$"):
         ia.evaluate(e, ia.Valuation({"x": True}))
     e2 = ia.parse_expression("missing or x", decls, open_world=True)
     assert ia.evaluate(e2, ia.Valuation({"x": True})) is True
+
+
+def test_deep_conjunction_gets_a_verdict():
+    # 400 links: the tree-walking evaluator raised RecursionError here
+    x = ia.VarRef(("x",))
+    decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 9))}
+    for modulus, verdict in ((9, ia.Verdict.SATISFIABLE), (10, ia.Verdict.FALSE)):
+        e = ia.BinOp("<>", x, ia.IntLit(0))
+        for k in range(1, 400):
+            e = ia.BinOp("and", e, ia.BinOp("<>", x, ia.IntLit(k % modulus)))
+        res = ia.falsity(e, decls)
+        assert (res.verdict, res.explored) == (verdict, 10)
+        if verdict is ia.Verdict.SATISFIABLE:
+            assert res.witness == ia.Valuation({"x": 9})
+            assert ia.evaluate(e, res.witness) is True
 
 
 def test_constant_fold_example():
@@ -422,3 +439,92 @@ def test_expression_print_parse_round_trip(seed):
     text = ia.to_text(expr)
     again = ia.parse_expression(text, {d.name: d for d in decls})
     assert ia.to_text(again) == text
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except ia.EvalError as exc:
+        return type(exc), str(exc)
+    return type(v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_evaluate_agrees_with_tree_walking_oracle(seed):
+    # same value, or the same EvalError subclass with the same message; on
+    # Valuation lookups and on the flat value tuples falsity enumerates
+    rng = random.Random(seed)
+    expr = rand_term(rng, depth=rng.randint(1, 4))
+    for _ in range(10):
+        val = rand_valuation(rng, TERM_DECLS, old=rng.random() < 0.7, drop=0.2)
+        if rng.random() < 0.2:
+            val.values["r.s"] = 7  # a sub-path bound on its own wins over "r"
+        want = _outcome(oracle_evaluate, expr, val)
+        assert _outcome(ia.evaluate, expr, val) == want
+        if val.old is not None:
+            cur, old = sorted(val.values), sorted(val.old)
+            env = tuple(val.values[n] for n in cur) + tuple(val.old[n] for n in old)
+            assert _outcome(compile_expr(expr, slot_access(cur, old)), env) == want
+
+
+def _first_satisfying(expr, decl_map):
+    """(1 + index of the first satisfying valuation, that valuation) in the
+    promised order, or (number of valuations, None): the referenced declared
+    variables by sorted name, current ones outermost, each old assignment
+    inside its current one, as nested ``itertools.product`` loops."""
+    paths = set()
+    collect_paths(expr, paths)
+
+    def root(dotted):
+        parts = dotted.split(".")
+        return next(".".join(parts[:c]) for c in range(len(parts), 0, -1)
+                    if ".".join(parts[:c]) in decl_map)
+
+    cur = sorted({root(p) for p, is_old in paths if not is_old})
+    old = sorted({root(p) for p, is_old in paths if is_old})
+    index = 0
+    for cur_combo in itertools.product(*(list(decl_map[n].values()) for n in cur)):
+        for old_combo in itertools.product(*(list(decl_map[n].values()) for n in old)):
+            index += 1
+            val = ia.Valuation(dict(zip(cur, cur_combo)),
+                               dict(zip(old, old_combo)) if old else None)
+            try:
+                if oracle_evaluate(expr, val) is True:
+                    return index, val
+            except ia.EvalError:
+                pass
+    return index, None
+
+
+def _check_enumeration(expr, decl_map, params=None):
+    res = ia.falsity(expr, decl_map, params=params)
+    if res.verdict is ia.Verdict.UNKNOWN:
+        return
+    simple = ia.simplify(expr)
+    if isinstance(simple, ia.BoolLit):
+        assert res.explored == 0
+        return
+    table = {**decl_map, **(params or {})}
+    explored, witness = _first_satisfying(simple, table)
+    assert res.explored == explored
+    assert res.witness == witness
+    if witness is not None:
+        assert oracle_evaluate(expr, res.witness) is True
+
+
+@pytest.mark.parametrize("name", sorted(CASE_STUDY_CONSTRAINTS))
+def test_enumeration_order_on_case_study(name):
+    c = parse_case(name)
+    decls = {k: d.domain for k, d in CASE_STUDY_CONSTRAINTS[name][1].items()}
+    _check_enumeration(c.body, decls, c.param_domains())
+
+
+def test_enumeration_order_on_random_guards():
+    rng = random.Random(20)
+    for _ in range(300):
+        decls = {f"v{i}": rand_domain(rng) for i in range(rng.randint(0, 3))}
+        expr = rand_expr(rng, [ia.VariableDecl(n, d) for n, d in decls.items()], depth=3)
+        if rng.random() < 0.5:
+            expr = _with_old(expr, rng)
+        _check_enumeration(expr, decls)
