@@ -26,12 +26,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Optional
 
-from .domains import VariableDecl, is_identifier
+from .domains import VariableDecl, is_identifier, resolve_path
 from .exprs import (
     BinOp,
     ConstraintContext,
     NamedConstraint,
     ParamDecl,
+    decls_mapping,
 )
 
 
@@ -201,11 +202,11 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
         if t.post is not None and t.post not in a.postconditions:
             diags.append(Diagnostic("transition-post", f"unknown postcondition {t.post!r}", where))
 
+    table = decls_mapping(a.variables)
     for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition")):
         for name, c in reg.items():
             for path in sorted(c.free_variable_paths()):
-                head = path.split(".")
-                if not _path_declared(a.variables, head):
+                if resolve_path(table, tuple(path.split("."))) is None:
                     diags.append(
                         Diagnostic(
                             "constraint-variable",
@@ -213,16 +214,6 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
                         )
                     )
     return diags
-
-
-def _path_declared(variables: Mapping[str, VariableDecl], path: list[str]) -> bool:
-    from .domains import resolve_path
-
-    table = {n: d.domain for n, d in variables.items()}
-    try:
-        return resolve_path(table, tuple(path)) is not None
-    except ValueError:
-        return False
 
 
 def enabled_actions(a: InterfaceAutomaton, state: str, cls: ActionClass) -> set[ActionLabel]:

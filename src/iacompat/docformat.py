@@ -60,7 +60,7 @@ from .exprs import (
     infer_sort,
     to_text,
 )
-from .expr_parse import expression_from_tokens, parse_domain, parse_param_list
+from .expr_parse import KIND_WORDS, expression_from_tokens, parse_domain, parse_param_list
 from .lexer import ParseError, Token, TokenStream, tokenize
 
 
@@ -90,9 +90,6 @@ class ContractDocument:
             if a.name == name:
                 return a
         raise ValueError(f"no contract named {name!r} in document")
-
-
-_KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +173,12 @@ def _parse_contract(
     def parse_constraint_line(ctx: ConstraintContext) -> None:
         nonlocal unnamed
         kind_tok = ts.expect("ident", what="'pre', 'post' or 'inv'")
-        if kind_tok.text not in _KIND_WORDS:
+        if kind_tok.text not in KIND_WORDS:
             raise ParseError(
                 f"expected 'pre', 'post' or 'inv', found {kind_tok.text!r}",
                 kind_tok.line, kind_tok.col, ts.source,
             )
-        kind = _KIND_WORDS[kind_tok.text]
+        kind = KIND_WORDS[kind_tok.text]
         name = None
         nxt = ts.tokens[ts.pos + 1]
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
@@ -287,7 +284,7 @@ def _parse_contract(
             else:
                 # one-line qualified form: context Owner pre N: body;
                 parse_constraint_line(ConstraintContext(contract=ctx_name))
-        elif word in _KIND_WORDS:
+        elif word in KIND_WORDS:
             parse_constraint_line(ConstraintContext(contract=cname))
         elif word == "transitions":
             ts.advance()
@@ -416,11 +413,7 @@ def document_diagnostics(doc: ContractDocument) -> list[Diagnostic]:
             continue
         table = {n: d.domain for n, d in owner.variables.items()}
         for path in sorted(c.free_variable_paths()):
-            try:
-                hit = resolve_path(table, tuple(path.split(".")))
-            except ValueError:
-                hit = None
-            if hit is None:
+            if resolve_path(table, tuple(path.split("."))) is None:
                 diags.append(
                     Diagnostic(
                         "invariant-variable",

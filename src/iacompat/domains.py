@@ -1,18 +1,17 @@
 """Value domains for contract variables.
 
-A domain describes the set of values a variable may take. Domains drive three
-things: sort inference over constraint expressions, membership checking of
-valuations, and exhaustive enumeration in the falsity oracle. Enumeration is
-only available for bounded domains; an ``opaque`` domain (or an unbounded
-sequence) deliberately has no value set, which downstream analyses treat
-conservatively.
+A domain describes the set of values a variable may take. Domains drive two
+things: sort inference over constraint expressions, and exhaustive
+enumeration in the falsity oracle. Enumeration is only available for bounded
+domains; an ``opaque`` domain (or an unbounded sequence) deliberately has no
+value set, which downstream analyses treat conservatively.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 Value = Any  # bool | int | str (enum literal) | tuple | dict | frozenset
 
@@ -83,6 +82,14 @@ def sorts_compatible(a: Sort, b: Sort) -> bool:
     return True
 
 
+def is_hashable(s: Sort) -> bool:
+    """Whether values of a sort may be set elements or map keys: records and
+    maps evaluate to dicts, which cannot."""
+    if s.tag in ("record", "map"):
+        return False
+    return s.elem is None or is_hashable(s.elem)
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -103,9 +110,6 @@ class Domain:
         """Deterministic enumeration of every value of a bounded domain."""
         raise ValueError(f"domain {self.text()} is not enumerable")
 
-    def contains(self, v: Value) -> bool:
-        raise NotImplementedError
-
     def text(self) -> str:
         """Canonical concrete syntax of the domain."""
         raise NotImplementedError
@@ -122,9 +126,6 @@ class BoolDomain(Domain):
     def values(self) -> Iterator[Value]:
         yield False
         yield True
-
-    def contains(self, v: Value) -> bool:
-        return isinstance(v, bool)
 
     def text(self) -> str:
         return "bool"
@@ -147,9 +148,6 @@ class IntRangeDomain(Domain):
 
     def values(self) -> Iterator[Value]:
         return iter(range(self.lower, self.upper + 1))
-
-    def contains(self, v: Value) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and self.lower <= v <= self.upper
 
     def text(self) -> str:
         return f"int[{self.lower}..{self.upper}]"
@@ -176,9 +174,6 @@ class EnumDomain(Domain):
 
     def values(self) -> Iterator[Value]:
         return iter(self.literals)
-
-    def contains(self, v: Value) -> bool:
-        return isinstance(v, str) and v in self.literals
 
     def text(self) -> str:
         return "enum { " + ", ".join(self.literals) + " }"
@@ -214,13 +209,6 @@ class SeqDomain(Domain):
             for tup in itertools.product(elems, repeat=k):
                 yield tup
 
-    def contains(self, v: Value) -> bool:
-        if not isinstance(v, tuple):
-            return False
-        if self.max_len is not None and len(v) > self.max_len:
-            return False
-        return all(self.element.contains(x) for x in v)
-
     def text(self) -> str:
         base = f"seq of {self.element.text()}"
         return base if self.max_len is None else f"{base} maxlen {self.max_len}"
@@ -232,6 +220,10 @@ class MapDomain(Domain):
 
     key: Domain
     value: Domain
+
+    def __post_init__(self) -> None:
+        if not is_hashable(self.key.sort()):
+            raise ValueError(f"map key domain {self.key.text()} holds a record or a map")
 
     def sort(self) -> Sort:
         return Sort("map", key=self.key.sort(), value=self.value.sort())
@@ -250,11 +242,6 @@ class MapDomain(Domain):
         choices = [None] + vals  # None marks an absent key
         for combo in itertools.product(choices, repeat=len(keys)):
             yield {k: v for k, v in zip(keys, combo) if v is not None}
-
-    def contains(self, v: Value) -> bool:
-        if not isinstance(v, dict):
-            return False
-        return all(self.key.contains(k) and self.value.contains(x) for k, x in v.items())
 
     def text(self) -> str:
         return f"map {self.key.text()} to {self.value.text()}"
@@ -292,13 +279,6 @@ class RecordDomain(Domain):
         for combo in itertools.product(*pools):
             yield dict(zip(names, combo))
 
-    def contains(self, v: Value) -> bool:
-        if not isinstance(v, dict):
-            return False
-        if set(v.keys()) != {n for n, _ in self.fields}:
-            return False
-        return all(d.contains(v[n]) for n, d in self.fields)
-
     def text(self) -> str:
         inner = ", ".join(f"{n} : {d.text()}" for n, d in self.fields)
         return "record { " + inner + " }"
@@ -317,9 +297,6 @@ class OpaqueDomain(Domain):
     def sort(self) -> Sort:
         return OPAQUE
 
-    def contains(self, v: Value) -> bool:
-        return True
-
     def text(self) -> str:
         return "opaque"
 
@@ -336,12 +313,12 @@ class VariableDecl:
             raise ValueError(f"variable name is not a dotted identifier path: {self.name!r}")
 
 
-def resolve_path(decls: dict[str, Domain], path: tuple[str, ...]) -> Optional[tuple[str, Domain]]:
-    """Longest declared prefix of a dotted path, navigating record fields after it.
+def resolve_path(decls: Mapping[str, Domain], path: tuple[str, ...]) -> Optional[tuple[str, Domain]]:
+    """How a dotted path binds: its longest declared prefix, then record fields,
+    with an opaque domain absorbing the rest of the path.
 
-    Returns (declared name, domain of the full path) or None when the head does
-    not resolve. A missing record field raises ValueError: the prefix resolved,
-    so silence would hide a genuine typo.
+    Returns (declared name, domain of the full path), or None when no prefix is
+    declared or a field after it is missing.
     """
     for cut in range(len(path), 0, -1):
         declared = ".".join(path[:cut])
@@ -349,12 +326,9 @@ def resolve_path(decls: dict[str, Domain], path: tuple[str, ...]) -> Optional[tu
             dom = decls[declared]
             for seg in path[cut:]:
                 if isinstance(dom, OpaqueDomain):
-                    return declared, dom
-                if not isinstance(dom, RecordDomain):
-                    raise ValueError(f"{declared} has no field {seg!r}")
-                nxt = dom.field_domain(seg)
-                if nxt is None:
-                    raise ValueError(f"{declared} has no field {seg!r}")
-                dom = nxt
+                    break
+                dom = dom.field_domain(seg) if isinstance(dom, RecordDomain) else None
+                if dom is None:
+                    return None
             return declared, dom
     return None

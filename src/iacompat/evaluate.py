@@ -10,7 +10,8 @@ Evaluation is compile-once: ``compile_expr`` turns an expression into nested
 closures, with every variable reference resolved to an accessor, so the
 falsity enumeration walks each guard's tree once, not once per valuation. An
 ``and`` or ``or`` chain compiles to one n-ary closure, so evaluation depth
-does not grow with its length. ``evaluate`` compiles against a ``Valuation``.
+does not grow with its length. ``evaluate`` compiles through ``slot_access``
+over a ``Valuation``'s values, which is how the falsity enumeration binds too.
 """
 from __future__ import annotations
 
@@ -57,23 +58,13 @@ class Valuation:
     """Variable assignment; ``old`` carries the pre-state for postconditions.
 
     Keys are dotted variable paths. A key may bind a declared variable or a
-    sub-path of a record-valued one (``myCS.s``); lookup prefers the longest
-    bound prefix and navigates the remaining segments through record values.
+    sub-path of a record-valued one (``myCS.s``); a reference binds to its
+    longest bound prefix and navigates the remaining segments through record
+    values (see ``slot_access``).
     """
 
     values: Mapping[str, Value] = field(default_factory=dict)
     old: Optional[Mapping[str, Value]] = None
-
-    def lookup(self, path: tuple[str, ...], old: bool) -> Value:
-        table = self.old if old else self.values
-        if table is None:
-            raise EvalError("old-state reference evaluated without an old-state map")
-        for cut in range(len(path), 0, -1):
-            key = ".".join(path[:cut])
-            if key in table:
-                return _navigate(table[key], key, path[cut:])
-        marker = "@pre" if old else ""
-        raise MissingVariable(f"unbound variable: {'.'.join(path)}{marker}")
 
 
 def _navigate(v: Value, key: str, segs: tuple[str, ...]) -> Value:
@@ -118,23 +109,36 @@ Access = Callable[[VarRef], Compiled]
 
 def evaluate(e: Expr, val: Valuation) -> Value:
     """Value of an expression under a valuation; raises EvalError subclasses."""
-    return compile_expr(e, lambda ref: lambda v: v.lookup(ref.path, ref.old))(val)
+    old = None if val.old is None else list(val.old)
+    access = slot_access(list(val.values), old)
+    return compile_expr(e, access)((*val.values.values(), *(val.old or {}).values()))
 
 
-def slot_access(cur_names: Sequence[str], old_names: Sequence[str]) -> Access:
+def slot_access(cur_names: Sequence[str], old_names: Optional[Sequence[str]] = None) -> Access:
     """Accessors for a flat tuple environment: the values of ``cur_names``, then
-    the old-state values of ``old_names``; references bind as in ``Valuation.lookup``."""
+    the old-state values of ``old_names``, where None means no old state.
+
+    A reference binds to its longest bound prefix and navigates the remaining
+    segments through record values; an unbound one raises when it is read.
+    """
     slots = ({n: i for i, n in enumerate(cur_names)},
-             {n: i for i, n in enumerate(old_names, len(cur_names))})
+             None if old_names is None else {n: i for i, n in enumerate(old_names, len(cur_names))})
 
     def access(ref: VarRef) -> Compiled:
         table = slots[ref.old]
+        if table is None:
+            def no_old_state(env):
+                raise EvalError("old-state reference evaluated without an old-state map")
+            return no_old_state
         for cut in range(len(ref.path), 0, -1):
             key, segs = ".".join(ref.path[:cut]), ref.path[cut:]
             if key in table:
                 i = table[key]
                 return (lambda env: _navigate(env[i], key, segs)) if segs else operator.itemgetter(i)
-        return lambda env: Valuation({}, {}).lookup(ref.path, ref.old)  # raises MissingVariable
+        message = f"unbound variable: {ref.dotted}{'@pre' if ref.old else ''}"
+        def unbound(env):
+            raise MissingVariable(message)
+        return unbound
 
     return access
 
@@ -299,44 +303,34 @@ def eval_constraint(c: NamedConstraint, val: Valuation) -> bool:
 # ---------------------------------------------------------------------------
 # simplification
 
-def simplify(e: Expr, *, reflexivity: bool = False) -> Expr:
+def simplify(e: Expr) -> Expr:
     """Semantics-preserving rewrite to a canonical form.
 
     Constant folding, conjunction/disjunction identities and annihilators,
     double negation removal, implication unfolding against literals, and
-    sorting of commutative operands by their printed form. Idempotent. With
-    ``reflexivity`` enabled, ``x = x`` additionally folds to true (off by
-    default: it is not error-preserving for expressions that can fail).
+    sorting of commutative operands by their printed form. Idempotent.
+    ``x = x`` is not folded to true: that is not error-preserving for
+    expressions that can fail.
     """
     if isinstance(e, Not):
-        s = simplify(e.operand, reflexivity=reflexivity)
+        s = simplify(e.operand)
         if isinstance(s, BoolLit):
             return BoolLit(not s.value)
         if isinstance(s, Not):
             return s.operand
         return Not(s)
     if isinstance(e, BinOp):
-        return _simplify_binop(e, reflexivity)
+        return _simplify_binop(e)
     if isinstance(e, SetLit):
-        return SetLit(tuple(simplify(x, reflexivity=reflexivity) for x in e.items))
+        return SetLit(tuple(simplify(x) for x in e.items))
     if isinstance(e, Membership):
-        return Membership(
-            simplify(e.item, reflexivity=reflexivity),
-            simplify(e.collection, reflexivity=reflexivity),
-        )
+        return Membership(simplify(e.item), simplify(e.collection))
     if isinstance(e, Apply):
-        return Apply(
-            simplify(e.target, reflexivity=reflexivity),
-            simplify(e.key, reflexivity=reflexivity),
-        )
+        return Apply(simplify(e.target), simplify(e.key))
     if isinstance(e, FieldAccess):
-        return FieldAccess(simplify(e.target, reflexivity=reflexivity), e.name)
+        return FieldAccess(simplify(e.target), e.name)
     if isinstance(e, MethodCall):
-        return MethodCall(
-            simplify(e.target, reflexivity=reflexivity),
-            e.name,
-            tuple(simplify(a, reflexivity=reflexivity) for a in e.args),
-        )
+        return MethodCall(simplify(e.target), e.name, tuple(simplify(a) for a in e.args))
     return e
 
 
@@ -349,9 +343,9 @@ def _sorted_pair(left: Expr, right: Expr) -> tuple[Expr, Expr]:
 _LITERALS = (BoolLit, IntLit, EnumLit)
 
 
-def _simplify_binop(e: BinOp, reflexivity: bool) -> Expr:
-    l = simplify(e.left, reflexivity=reflexivity)
-    r = simplify(e.right, reflexivity=reflexivity)
+def _simplify_binop(e: BinOp) -> Expr:
+    l = simplify(e.left)
+    r = simplify(e.right)
     op = e.op
     if op == "and":
         if BoolLit(False) in (l, r):
@@ -385,8 +379,6 @@ def _simplify_binop(e: BinOp, reflexivity: bool) -> Expr:
         if type(l) is type(r) and isinstance(l, _LITERALS):
             eq = l == r
             return BoolLit(eq if op == "=" else not eq)
-        if reflexivity and op == "=" and l == r:
-            return BoolLit(True)
         return BinOp(op, l, r)
     if isinstance(l, IntLit) and isinstance(r, IntLit):
         a, b = l.value, r.value

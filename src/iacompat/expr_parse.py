@@ -40,7 +40,6 @@ from .exprs import (
     ParamDecl,
     SetLit,
     SortScope,
-    UnknownVariable,
     VarRef,
     decls_mapping,
     infer_sort,
@@ -245,7 +244,6 @@ def parse_expression(
     *,
     params: Optional[Mapping[str, Domain]] = None,
     open_world: bool = False,
-    check_sorts: bool = True,
     source: str = "<string>",
 ) -> Expr:
     """Parse a bare expression. With ``open_world`` unknown variables type as opaque."""
@@ -253,13 +251,12 @@ def parse_expression(
     e = _parse_implies(ts)
     if ts.current.kind != "eof":
         raise ts.error(f"unexpected trailing input {ts.current.text!r}")
-    if check_sorts:
-        scope = SortScope(
-            decls=decls_mapping(decls or {}),
-            params=dict(params or {}),
-            open_world=open_world or decls is None,
-        )
-        infer_sort(e, scope)
+    scope = SortScope(
+        decls=decls_mapping(decls or {}),
+        params=dict(params or {}),
+        open_world=open_world or decls is None,
+    )
+    infer_sort(e, scope)
     return e
 
 
@@ -268,7 +265,7 @@ def expression_from_tokens(ts: TokenStream) -> Expr:
     return _parse_implies(ts)
 
 
-_KINDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
+KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
 def parse_constraint(
@@ -294,21 +291,19 @@ def parse_constraint(
         while ts.accept_word("context"):
             pass  # tolerate a doubled keyword
         words = [ts.expect("ident", what="a contract name").text]
-        while ts.current.kind == "ident" and ts.current.text not in _KINDS and not ts.peek("punct", "::"):
-            if ts.tokens[ts.pos].text in _KINDS:
-                break
+        while ts.current.kind == "ident" and ts.current.text not in KIND_WORDS and not ts.peek("punct", "::"):
             words.append(ts.advance().text)
         contract = " ".join(words)
         if ts.accept("punct", "::"):
             operation = ts.expect("ident", what="an operation name").text
             params = parse_param_list(ts, type_env or {}, strict_types=False)
     kind_tok = ts.expect("ident", what="'pre', 'post' or 'inv'")
-    if kind_tok.text not in _KINDS:
+    if kind_tok.text not in KIND_WORDS:
         raise ParseError(
             f"expected 'pre', 'post' or 'inv', found {kind_tok.text!r}",
             kind_tok.line, kind_tok.col, source,
         )
-    kind = _KINDS[kind_tok.text]
+    kind = KIND_WORDS[kind_tok.text]
     name = ""
     if ts.current.kind == "ident":
         name = ts.advance().text
@@ -393,7 +388,10 @@ def parse_domain(
         key = parse_domain(ts, type_env, strict_types=strict_types)
         ts.expect_word("to")
         value = parse_domain(ts, type_env, strict_types=strict_types)
-        return MapDomain(key, value)
+        try:
+            return MapDomain(key, value)
+        except ValueError as exc:
+            raise ParseError(str(exc), t.line, t.col, ts.source) from None
     if ts.accept_word("record"):
         ts.expect("punct", "{")
         fields: list[tuple[str, Domain]] = []

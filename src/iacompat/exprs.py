@@ -22,9 +22,9 @@ from .domains import (
     INT,
     OPAQUE,
     Domain,
-    OpaqueDomain,
     Sort,
     VariableDecl,
+    is_hashable,
     resolve_path,
     sorts_compatible,
 )
@@ -300,24 +300,11 @@ class SortScope:
     open_world: bool = False
 
     def sort_of_path(self, path: tuple[str, ...]) -> Sort:
-        if path[0] in self.params:
-            dom = self.params[path[0]]
-            for seg in path[1:]:
-                from .domains import RecordDomain  # local, avoids import cycle at module load
-
-                if isinstance(dom, OpaqueDomain):
-                    return OPAQUE
-                if not isinstance(dom, RecordDomain) or dom.field_domain(seg) is None:
-                    raise UnknownVariable(".".join(path))
-                dom = dom.field_domain(seg)
-            return dom.sort()
-        try:
-            hit = resolve_path(dict(self.decls), path)
-        except ValueError:
-            hit = None
+        table = self.params if path[0] in self.params else self.decls
+        hit = resolve_path(table, path)
         if hit is not None:
             return hit[1].sort()
-        if self.open_world:
+        if self.open_world and table is self.decls:
             return OPAQUE
         raise UnknownVariable(".".join(path))
 
@@ -339,6 +326,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         elem: Sort = OPAQUE
         for item in e.items:
             s = infer_sort(item, scope)
+            _require(is_hashable(s), f"set element of sort {s} holds a record or a map", e)
             elem = s if elem.tag == "opaque" else elem
             _require(sorts_compatible(elem, s), "mixed element sorts in set literal", e)
         return Sort("set", elem=elem)
@@ -421,15 +409,6 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
             return t if t.tag == "seq" else OPAQUE
         raise SortError(f"unknown method {name!r}", e)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def check_constraint_sorts(c: NamedConstraint, decls: Mapping[str, Domain]) -> Sort:
-    """Infer the body sort of a named constraint and require it to be boolean."""
-    scope = SortScope(decls=decls, params=c.param_domains())
-    s = infer_sort(c.body, scope)
-    if s.tag not in ("bool", "opaque"):
-        raise SortError("constraint body must be boolean", c.body)
-    return s
 
 
 def decls_mapping(decls) -> dict[str, Domain]:

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .domains import Domain, VariableDecl, resolve_path
+from .domains import Domain, resolve_path
 from .evaluate import EvalError, Valuation, compile_expr, simplify, slot_access
 from .exprs import (
     BoolLit,
@@ -69,9 +69,8 @@ def falsity(
 ) -> FalsityResult:
     """Verdict for a bare boolean expression over the given declarations."""
     budget = default_budget() if budget is None else budget
-    table = dict(decls_mapping(decls))
-    if params:
-        table.update(params)
+    params = params or {}
+    table = {**decls_mapping(decls), **params}
 
     s = simplify(expr)
     if s == BoolLit(False):
@@ -79,13 +78,13 @@ def falsity(
     if s == BoolLit(True):
         return FalsityResult(Verdict.SATISFIABLE, witness=Valuation({}, old=None))
 
-    # the declared variables behind every free reference; enumerate each
-    # declared variable's own domain, not the leaf the path points at: the
-    # valuation binds whole variables
+    # the declared variables behind every free reference, parameters first as
+    # in sort checking; enumerate each declared variable's own domain, not
+    # the leaf the path points at: the valuation binds whole variables
     cur_names: set[str] = set()
     old_names: set[str] = set()
     for ref in variable_refs(s):
-        hit = _resolve(table, ref.path)
+        hit = resolve_path(params if ref.path[0] in params else table, ref.path)
         if hit is None:
             raise EvalError(f"free variable {'.'.join(ref.path)} does not resolve against the declarations")
         (old_names if ref.old else cur_names).add(hit[0])
@@ -116,13 +115,6 @@ def falsity(
         except EvalError:
             pass  # not-true outcome
     return FalsityResult(Verdict.FALSE, explored=explored)
-
-
-def _resolve(table: Mapping[str, Domain], path: tuple[str, ...]):
-    try:
-        return resolve_path(dict(table), path)
-    except ValueError:
-        return None
 
 
 def constraint_falsity(

@@ -63,6 +63,14 @@ def test_undeclared_constraint_name_diagnosed():
     assert any("noPre" in d.message for d in ia.validate(a))
 
 
+def test_missing_field_of_a_declared_record_diagnosed():
+    ld = _ld()
+    typo = ia.NamedConstraint("Typo", ia.ConstraintKind.PRE, ia.VarRef(("myCS", "nosuch")))
+    diags = ia.validate(replace(ld, preconditions={**ld.preconditions, "Typo": typo}))
+    assert [(d.code, d.message) for d in diags] == [
+        ("constraint-variable", "precondition Typo references undeclared variable myCS.nosuch")]
+
+
 def test_empty_automaton_is_legal():
     assert ia.validate(ia.empty_automaton()) == []
     assert ia.empty_automaton().is_empty()

@@ -258,6 +258,23 @@ def test_clashing_variable_domains_exit_2(tmp_path, capsys, command):
     assert err == "error: variable 'x' declared with different domains in both operands\n"
 
 
+@pytest.mark.parametrize("command", ["lint", "check"])
+@pytest.mark.parametrize("var, guard, where, message", [
+    ("r : record { a : bool }", "{r} = {r}", "10:12",
+     "constraint G: set element of sort record { a : bool } holds a record or a map in `{r}`"),
+    ("m : map record { a : bool } to bool", "m.size = 0", "8:11",
+     "map key domain record { a : bool } holds a record or a map"),
+], ids=["set-element", "map-key"])
+def test_unhashable_values_are_parse_errors(tmp_path, capsys, command, var, guard, where, message):
+    # records and maps evaluate to dicts, which cannot be set elements or map keys
+    a = _go_contract(tmp_path, "HA", True, var, (f"pre G: {guard}",), pre="G")
+    b = _go_contract(tmp_path, "HB", False, "y : bool")
+    code, out, err = run_cli(capsys, command, *([a] if command == "lint" else [a, b]))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {a}:{where}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # dot
 

@@ -180,6 +180,20 @@ def test_validation_diagnostics_carry_location():
     assert all(d.location for d in diags)
 
 
+def test_invariant_checked_against_its_owner():
+    # the body sort-checks against A, where r is a record; B declares r : bool
+    doc = ia.parse_document("""
+    contract A {
+      states s; initial s; inputs; outputs; hidden;
+      var r : record { a : bool };
+      context B inv I: r.a;
+    }
+    contract B { states s; initial s; inputs; outputs; hidden; var r : bool; }
+    """)
+    assert [(d.code, d.message, d.location) for d in ia.document_diagnostics(doc)] == [
+        ("invariant-variable", "invariant I references undeclared variable r.a", "B")]
+
+
 # ---------------------------------------------------------------------------
 # printing
 
