@@ -130,6 +130,50 @@ def test_parse_error_positions():
         assert needle.lower() in msg.lower()
 
 
+_GO = "contract A { states s; initial s; inputs; outputs; hidden go; "
+
+# (parser, text, exact error), positions counted in source characters
+PARSE_ERRORS = [
+    ("doc", "contract A @ { }", "case.ia:1:12: stray '@' (did you mean '@pre'?)"),
+    ("doc", "contract A { states s@pr; }", "case.ia:1:22: stray '@' (did you mean '@pre'?)"),
+    ("doc", 'document "abc;\ncontract A {}', "case.ia:1:10: unterminated string literal"),
+    ("expr", '"abc', "case.ia:1:1: unterminated string literal"),
+    ("doc", "contract A { states $; }", "case.ia:1:21: unexpected character '$'"),
+    ("doc", "contract A { states s, é; }", "case.ia:1:24: unexpected character 'é'"),
+    # the eof token after a trailing comment sits at the comment's start
+    ("doc", "contract A { states s // trailing",
+     "case.ia:1:23: expected ;, found 'end of input'"),
+    ("expr", "x = // note", "case.ia:1:5: expected an expression, found 'end of input'"),
+    ("doc", "\n\ncontract A {\n  states s;\n  initial s;\n  inputs; outputs; hidden go;\n"
+     "  transitions { s -[go pre P]-> s; }\n}",
+     "case.ia:7:28: unknown precondition 'P'"),
+    ("doc", "contract A { states s;\r\n  initial s;\r\n  inputs ~; }",
+     "case.ia:3:10: expected an action name, found '~'"),
+    ("doc", "type T = enum { a, b };\ntype T = bool;", "case.ia:2:6: duplicate type name 'T'"),
+    ("expr", "x\n  and\n  y $", "case.ia:3:5: unexpected character '$'"),
+    ("expr", "x\r\n = @", "case.ia:2:4: stray '@' (did you mean '@pre'?)"),
+    ("expr", "a@pre@pre", "case.ia:1:6: unexpected trailing input '@pre'"),
+    # an enum literal binds tighter than < and <=
+    ("expr", "x <<a> b", "case.ia:1:8: unexpected trailing input 'b'"),
+    ("expr", "x <= <a", "case.ia:1:6: expected an expression, found '<'"),
+    ("expr", "x<=<a>>", "case.ia:1:7: unexpected trailing input '>'"),
+    # ... beats .. beats .
+    ("doc", _GO + "var x : int[0...3]; }", "case.ia:1:76: expected .., found '...'"),
+    ("doc", _GO + "var x : int[0.3]; }", "case.ia:1:76: expected .., found '.'"),
+    ("expr", "q(1,..,2)", "case.ia:1:5: expected '...', found '..'"),
+    ("expr", "a....b", "case.ia:1:2: unexpected trailing input '...'"),
+    ("doc", "contract", "case.ia:1:9: expected a contract name, found 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("parser, text, expected", PARSE_ERRORS)
+def test_parse_error_text_is_pinned(parser, text, expected):
+    parse = ia.parse_document if parser == "doc" else ia.parse_expression
+    with pytest.raises(ia.ParseError) as exc:
+        parse(text, source="case.ia")
+    assert str(exc.value) == expected
+
+
 def test_missing_mandatory_section():
     with pytest.raises(ia.ParseError) as exc:
         ia.parse_document("contract C { states A; initial A; inputs; outputs; }")
