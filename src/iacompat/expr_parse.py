@@ -92,7 +92,7 @@ def _parse_comparison(ts: TokenStream) -> Expr:
         mark = ts.pos
         ts.advance()
         if not ts.accept_word("set"):
-            ts.pos = mark  # the word was something else, e.g. a parameter mode
+            ts.seek(mark)  # the word was something else, e.g. a parameter mode
             return left
         return Membership(left, _parse_set_expr(ts))
     for op in _CMP_OPS:

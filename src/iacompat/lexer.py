@@ -3,12 +3,17 @@
 Keywords are contextual: the lexer only distinguishes identifiers, integers,
 strings, enum literals like ``<off>``, punctuation, and the two old-state
 markers (``~`` and ``@pre``). ``//`` starts a line comment. The unicode arrow
-is folded into ``->``.
+``→`` is the punctuator ``->``.
+
+One master regex, walked with ``finditer``, matches every token kind and every
+error case; its alternatives are ordered so that the first match is the
+longest token. Columns count source characters, ``→`` included. The eof token
+after a trailing comment sits at the comment's start.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -20,95 +25,55 @@ class ParseError(Exception):
         super().__init__(f"{source}:{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident int string enumlit punct oldmark eof
     text: str
     line: int
     col: int
 
 
-_ENUMLIT = re.compile(r"<[A-Za-z_][A-Za-z0-9_]*>")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
-_STRING = re.compile(r'"[^"\n]*"')
-
-# longest first so maximal munch works with a plain loop
-_PUNCTS = (
-    "...", "->", "::", "<=", ">=", "<>", "..",
-    "(", ")", "[", "]", "{", "}", ",", ";", ":",
-    "=", "<", ">", "+", "-", ".",
-)
+_TOKEN = re.compile(r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<nl>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<oldmark>~|@pre)
+  | (?P<at>@)
+  | (?P<enumlit><[A-Za-z_][A-Za-z0-9_]*>)
+  | (?P<string>"[^"\n]*")
+  | (?P<unterminated>")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<punct>\.\.\.|->|→|::|<=|>=|<>|\.\.|[()\[\]{},;:=<>+\-.])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str, source: str = "<string>") -> list[Token]:
-    text = text.replace("→", "->")
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch == "~":
-            toks.append(Token("oldmark", "~", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "@":
-            if text.startswith("@pre", i):
-                toks.append(Token("oldmark", "@pre", line, col))
-                i += 4
-                col += 4
-                continue
+        tok = m.group()
+        col = m.start() - line_start + 1
+        if kind == "ident" or kind == "punct" or kind == "int" or kind == "oldmark":
+            toks.append(Token(kind, "->" if tok == "→" else tok, line, col))
+        elif kind == "enumlit" or kind == "string":
+            toks.append(Token(kind, tok[1:-1], line, col))
+        elif kind == "at":
             raise ParseError("stray '@' (did you mean '@pre'?)", line, col, source)
-        if ch == "<":
-            m = _ENUMLIT.match(text, i)
-            if m:
-                toks.append(Token("enumlit", m.group(0)[1:-1], line, col))
-                col += m.end() - i
-                i = m.end()
-                continue
-        if ch == '"':
-            m = _STRING.match(text, i)
-            if not m:
-                raise ParseError("unterminated string literal", line, col, source)
-            toks.append(Token("string", m.group(0)[1:-1], line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for p in _PUNCTS:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        elif kind == "unterminated":
+            raise ParseError("unterminated string literal", line, col, source)
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col, source)
-    toks.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {tok!r}", line, col, source)
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -117,38 +82,45 @@ class TokenStream:
 
     def __init__(self, tokens: list[Token], source: str = "<string>"):
         self.tokens = tokens
-        self.pos = 0
         self.source = source
+        self.seek(0)
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def seek(self, pos: int) -> None:
+        self.pos = pos
+        self.current = self.tokens[pos]
 
     def peek(self, kind: str, text: str | None = None) -> bool:
         t = self.current
         return t.kind == kind and (text is None or t.text == text)
 
     def peek_word(self, word: str) -> bool:
-        return self.peek("ident", word)
+        t = self.current
+        return t.kind == "ident" and t.text == word
 
     def advance(self) -> Token:
         t = self.current
         if t.kind != "eof":
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return t
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.peek(kind, text):
+        t = self.current
+        if t.kind == kind and (text is None or t.text == text):
             return self.advance()
         return None
 
     def accept_word(self, word: str) -> bool:
-        return self.accept("ident", word) is not None
+        t = self.current
+        if t.kind == "ident" and t.text == word:
+            self.advance()
+            return True
+        return False
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        if self.peek(kind, text):
-            return self.advance()
         t = self.current
+        if t.kind == kind and (text is None or t.text == text):
+            return self.advance()
         wanted = what or (text if text is not None else kind)
         found = t.text if t.kind != "eof" else "end of input"
         raise ParseError(f"expected {wanted}, found {found!r}", t.line, t.col, self.source)

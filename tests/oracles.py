@@ -2,7 +2,7 @@
 
 Everything here is written the slow, obvious way on purpose: full-grid
 products, per-state definition tests, fixpoint loops, and a tree-walking
-expression interpreter. Expression evaluation, enumeration, domain
+expression interpreter. Tokenising, expression evaluation, enumeration, domain
 resolution, illegality, closure, and pruning are all re-derived
 independently of the engine, so a shared bug cannot hide; only the data
 types, the expression printer and the exception classes are shared.
@@ -11,6 +11,7 @@ types, the expression printer and the exception classes are shared.
 from __future__ import annotations
 
 import itertools
+import re
 
 from iacompat import (
     ActionClass,
@@ -31,6 +32,99 @@ from iacompat import (
     VarRef,
     to_text,
 )
+from iacompat.lexer import ParseError, Token
+
+
+# ---------------------------------------------------------------------------
+# tokenising, one character at a time
+
+_ENUMLIT = re.compile(r"<[A-Za-z_][A-Za-z0-9_]*>")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"[0-9]+")
+_STRING = re.compile(r'"[^"\n]*"')
+
+# longest first so maximal munch works with a plain loop
+_PUNCTS = (
+    "...", "->", "::", "<=", ">=", "<>", "..",
+    "(", ")", "[", "]", "{", "}", ",", ";", ":",
+    "=", "<", ">", "+", "-", ".",
+)
+
+
+def oracle_tokenize(text, source="<string>"):
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            # col stays at the comment's start
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if ch == "~":
+            toks.append(Token("oldmark", "~", line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "@":
+            if text.startswith("@pre", i):
+                toks.append(Token("oldmark", "@pre", line, col))
+                i += 4
+                col += 4
+                continue
+            raise ParseError("stray '@' (did you mean '@pre'?)", line, col, source)
+        if ch == "→":
+            toks.append(Token("punct", "->", line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "<":
+            m = _ENUMLIT.match(text, i)
+            if m:
+                toks.append(Token("enumlit", m.group(0)[1:-1], line, col))
+                col += m.end() - i
+                i = m.end()
+                continue
+        if ch == '"':
+            m = _STRING.match(text, i)
+            if not m:
+                raise ParseError("unterminated string literal", line, col, source)
+            toks.append(Token("string", m.group(0)[1:-1], line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            toks.append(Token("ident", m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _INT.match(text, i)
+        if m:
+            toks.append(Token("int", m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        for p in _PUNCTS:
+            if text.startswith(p, i):
+                toks.append(Token("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col, source)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Document parsing, canonical printing, diagnostics, and DOT export."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
+from iacompat.fixtures import FIXTURE_NAMES, fixture_text
+from iacompat.lexer import tokenize
+from oracles import oracle_tokenize
 
 
 def _ld_doc():
@@ -163,6 +167,10 @@ PARSE_ERRORS = [
     ("expr", "q(1,..,2)", "case.ia:1:5: expected '...', found '..'"),
     ("expr", "a....b", "case.ia:1:2: unexpected trailing input '...'"),
     ("doc", "contract", "case.ia:1:9: expected a contract name, found 'end of input'"),
+    # → is one source character
+    ("expr", "a → b $", "case.ia:1:7: unexpected character '$'"),
+    ("doc", _GO + "transitions { s -[go]→ s $ } }", "case.ia:1:88: unexpected character '$'"),
+    ("doc", 'document "→" version 1;', "case.ia:1:22: expected a quoted version, found '1'"),
 ]
 
 
@@ -172,6 +180,42 @@ def test_parse_error_text_is_pinned(parser, text, expected):
     with pytest.raises(ia.ParseError) as exc:
         parse(text, source="case.ia")
     assert str(exc.value) == expected
+
+
+# fragments that exercise every lexer rule and the boundaries between them
+_LEX_FRAGMENTS = [
+    " ", "\t", "\n", "\r\n", "\r", "//", "// c", "/", "~", "@pre", "@pr", "@", "→",
+    "<x>", "<x", "x>", "<_1>", "<1>", '"', '"ab"', '""', "a", "x1", "_", "pre", "0", "12",
+    "$", "é", "#", "!", "\x00",
+    "...", "->", "::", "<=", ">=", "<>", "..",
+    "(", ")", "[", "]", "{", "}", ",", ";", ":", "=", "<", ">", "+", "-", ".",
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_FRAGMENTS), max_size=30).map("".join))
+def test_tokenize_agrees_with_character_loop(text):
+    def run(lex):
+        try:
+            return [tuple(t) for t in lex(text, "f.ia")]
+        except ia.ParseError as exc:
+            return str(exc)
+
+    assert run(tokenize) == run(oracle_tokenize)
+
+
+def test_tokenize_agrees_with_character_loop_on_fixtures():
+    for name in FIXTURE_NAMES:
+        text = fixture_text(name)
+        assert tokenize(text) == oracle_tokenize(text)
+
+
+def test_arrow_is_one_character_of_the_arrow_punctuator():
+    assert [tuple(t) for t in tokenize("a →b")] == [
+        ("ident", "a", 1, 1), ("punct", "->", 1, 3), ("ident", "b", 1, 4), ("eof", "", 1, 5),
+    ]
+    # a string literal keeps what it says
+    assert tokenize('"a→b"')[0].text == "a→b"
 
 
 def test_missing_mandatory_section():
