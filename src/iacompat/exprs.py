@@ -400,7 +400,9 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         if name == "range":
             _require(t.tag in ("map", "opaque"), "range needs a map", e)
             _require(not e.args, "range takes no arguments", e)
-            return Sort("set", elem=t.value if t.tag == "map" else OPAQUE)
+            elem = t.value if t.tag == "map" else OPAQUE
+            _require(is_hashable(elem), f"range element of sort {elem} holds a record or a map", e)
+            return Sort("set", elem=elem)
         if name == "front":
             _require(t.tag in ("seq", "opaque"), "front needs a sequence", e)
             _require(len(e.args) == 1, "front takes one argument", e)

@@ -264,7 +264,10 @@ def test_clashing_variable_domains_exit_2(tmp_path, capsys, command):
      "constraint G: set element of sort record { a : bool } holds a record or a map in `{r}`"),
     ("m : map record { a : bool } to bool", "m.size = 0", "8:11",
      "map key domain record { a : bool } holds a record or a map"),
-], ids=["set-element", "map-key"])
+    ("m : map bool to record { a : bool };\n  var r : record { a : bool }", "r in set m.range",
+     "11:12", "constraint G: range element of sort record { a : bool } holds a record or a map "
+     "in `m.range()`"),
+], ids=["set-element", "map-key", "map-range"])
 def test_unhashable_values_are_parse_errors(tmp_path, capsys, command, var, guard, where, message):
     # records and maps evaluate to dicts, which cannot be set elements or map keys
     a = _go_contract(tmp_path, "HA", True, var, (f"pre G: {guard}",), pre="G")

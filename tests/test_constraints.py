@@ -189,6 +189,15 @@ def test_sort_mismatch_rejected():
         ia.parse_constraint("pre P: queue->notEmpty + 1", TL_DECLS)
 
 
+def test_range_of_unhashable_values_rejected():
+    # the range of such a map can never evaluate, so falsity read every map as not-true
+    rec = ia.RecordDomain((("a", ia.BoolDomain()),))
+    decls = {"m": ia.MapDomain(ia.BoolDomain(), rec), "r": rec}
+    with pytest.raises(ia.SortError, match="range element of sort record { a : bool }"):
+        ia.parse_expression("r in set m.range", decls)
+    ia.parse_expression("m.domain = {true}", decls)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ia.ParseError) as exc:
         ia.parse_expression("1 +", source="snippet")
