@@ -18,12 +18,11 @@ the initial state instead, 2*(n-1) hidden steps away.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
@@ -66,10 +65,8 @@ def run_once(n: int) -> tuple[int, int, int, dict[str, float]]:
 
 
 def fit(name: str, xs: list[int], ys: list[float], unit: str, floor: float) -> bool:
-    x = np.array(xs, dtype=float)
-    y = np.array(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    r2 = float(np.corrcoef(x, y)[0, 1] ** 2)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = statistics.correlation(xs, ys) ** 2
     ok = r2 >= floor
     print(f"{name:<8} {unit} ~= {slope:.4g} * transitions + {intercept:.4g}   "
           f"(R^2 = {r2:.6f}) {'PASS' if ok else 'FAIL'}")
