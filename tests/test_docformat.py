@@ -192,12 +192,12 @@ _LEX_FRAGMENTS = [
 ]
 
 
-@settings(max_examples=2000, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_LEX_FRAGMENTS), max_size=30).map("".join))
 def test_tokenize_agrees_with_character_loop(text):
     def run(lex):
         try:
-            return [tuple(t) for t in lex(text, "f.ia")]
+            return lex(text, "f.ia")
         except ia.ParseError as exc:
             return str(exc)
 
@@ -211,7 +211,7 @@ def test_tokenize_agrees_with_character_loop_on_fixtures():
 
 
 def test_arrow_is_one_character_of_the_arrow_punctuator():
-    assert [tuple(t) for t in tokenize("a →b")] == [
+    assert tokenize("a →b") == [
         ("ident", "a", 1, 1), ("punct", "->", 1, 3), ("ident", "b", 1, 4), ("eof", "", 1, 5),
     ]
     # a string literal keeps what it says
