@@ -90,11 +90,7 @@ class Diagnostic:
 
 
 def _label_tuple(labels: Iterable[ActionLabel]) -> tuple[ActionLabel, ...]:
-    out: list[ActionLabel] = []
-    for l in labels:
-        if l not in out:
-            out.append(l)
-    return tuple(out)
+    return tuple(dict.fromkeys(labels))
 
 
 @dataclass(frozen=True)

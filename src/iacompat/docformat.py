@@ -60,7 +60,13 @@ from .exprs import (
     infer_sort,
     to_text,
 )
-from .expr_parse import KIND_WORDS, expression_from_tokens, parse_domain, parse_param_list
+from .expr_parse import (
+    KIND_WORDS,
+    expression_from_tokens,
+    parse_domain,
+    parse_kind_word,
+    parse_param_list,
+)
 from .lexer import ParseError, Token, TokenStream, tokenize
 
 
@@ -172,13 +178,8 @@ def _parse_contract(
 
     def parse_constraint_line(ctx: ConstraintContext) -> None:
         nonlocal unnamed
-        kind_tok = ts.expect("ident", what="'pre', 'post' or 'inv'")
-        if kind_tok.text not in KIND_WORDS:
-            raise ParseError(
-                f"expected 'pre', 'post' or 'inv', found {kind_tok.text!r}",
-                kind_tok.line, kind_tok.col, ts.source,
-            )
-        kind = KIND_WORDS[kind_tok.text]
+        kind_tok = ts.current
+        kind = parse_kind_word(ts)
         name = None
         nxt = ts.tokens[ts.pos + 1]
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":

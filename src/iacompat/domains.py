@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional
 
-Value = Any  # bool | int | str (enum literal) | tuple | dict | frozenset
+Value = Any  # bool | int | str (enum literal) | tuple | frozenset | FrozenMap (record or map)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
@@ -82,16 +82,18 @@ def sorts_compatible(a: Sort, b: Sort) -> bool:
     return True
 
 
-def is_hashable(s: Sort) -> bool:
-    """Whether values of a sort may be set elements or map keys: records and
-    maps evaluate to dicts, which cannot."""
-    if s.tag in ("record", "map"):
-        return False
-    return s.elem is None or is_hashable(s.elem)
-
-
 # ---------------------------------------------------------------------------
 # domains
+
+class FrozenMap(dict):
+    """A record or map value: a dict that hashes by its items, so that records
+    and maps may be set elements and map keys. Nothing mutates one."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
 
 class Domain:
     """Base class; concrete domains are frozen dataclasses below."""
@@ -221,10 +223,6 @@ class MapDomain(Domain):
     key: Domain
     value: Domain
 
-    def __post_init__(self) -> None:
-        if not is_hashable(self.key.sort()):
-            raise ValueError(f"map key domain {self.key.text()} holds a record or a map")
-
     def sort(self) -> Sort:
         return Sort("map", key=self.key.sort(), value=self.value.sort())
 
@@ -241,7 +239,7 @@ class MapDomain(Domain):
         vals = list(self.value.values())
         choices = [None] + vals  # None marks an absent key
         for combo in itertools.product(choices, repeat=len(keys)):
-            yield {k: v for k, v in zip(keys, combo) if v is not None}
+            yield FrozenMap({k: v for k, v in zip(keys, combo) if v is not None})
 
     def text(self) -> str:
         return f"map {self.key.text()} to {self.value.text()}"
@@ -277,7 +275,7 @@ class RecordDomain(Domain):
         names = [n for n, _ in self.fields]
         pools = [list(d.values()) for _, d in self.fields]
         for combo in itertools.product(*pools):
-            yield dict(zip(names, combo))
+            yield FrozenMap(zip(names, combo))
 
     def text(self) -> str:
         inner = ", ".join(f"{n} : {d.text()}" for n, d in self.fields)

@@ -60,7 +60,8 @@ class Valuation:
     Keys are dotted variable paths. A key may bind a declared variable or a
     sub-path of a record-valued one (``myCS.s``); a reference binds to its
     longest bound prefix and navigates the remaining segments through record
-    values (see ``slot_access``).
+    values (see ``slot_access``). Record and map values are ``FrozenMap``s,
+    the hashable dicts that domains enumerate, so that sets may hold them.
     """
 
     values: Mapping[str, Value] = field(default_factory=dict)
@@ -69,9 +70,10 @@ class Valuation:
 
 def _navigate(v: Value, key: str, segs: tuple[str, ...]) -> Value:
     for seg in segs:
-        if not isinstance(v, dict) or seg not in v:
-            raise EvalError(f"value of {key!r} has no field {seg!r}")
-        v = v[seg]
+        try:
+            v = v[seg]  # no other kind of value takes a string subscript
+        except (KeyError, TypeError):
+            raise EvalError(f"value of {key!r} has no field {seg!r}") from None
     return v
 
 
@@ -278,10 +280,7 @@ def _method(e: MethodCall, sub: list[Compiled], env: Any) -> Value:
         raise EvalError(f"domain of a non-map `{to_text(e.target)}`")
     if e.name == "range":
         if isinstance(v, dict):
-            try:
-                return frozenset(v.values())
-            except TypeError:
-                raise EvalError(f"range of `{to_text(e.target)}` holds unhashable values") from None
+            return frozenset(v.values())
         raise EvalError(f"range of a non-map `{to_text(e.target)}`")
     if e.name == "front":
         if not isinstance(v, tuple):

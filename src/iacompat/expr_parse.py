@@ -268,12 +268,19 @@ def expression_from_tokens(ts: TokenStream) -> Expr:
 KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
+def parse_kind_word(ts: TokenStream) -> ConstraintKind:
+    """Read the kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
+    t = ts.expect("ident", what="'pre', 'post' or 'inv'")
+    if t.text not in KIND_WORDS:
+        raise ParseError(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t.line, t.col, ts.source)
+    return KIND_WORDS[t.text]
+
+
 def parse_constraint(
     text: str,
     decls: DeclsArg = None,
     *,
     type_env: Optional[Mapping[str, Domain]] = None,
-    default_contract: Optional[str] = None,
     source: str = "<string>",
 ) -> NamedConstraint:
     """Parse ``[context Name::op(params)] pre|post|inv [NAME]: body``.
@@ -283,7 +290,7 @@ def parse_constraint(
     document parser resolves them against its alias table instead.
     """
     ts = TokenStream(tokenize(text, source), source)
-    contract = default_contract
+    contract = None
     operation = None
     params: tuple[ParamDecl, ...] = ()
     if ts.peek_word("context"):
@@ -297,13 +304,7 @@ def parse_constraint(
         if ts.accept("punct", "::"):
             operation = ts.expect("ident", what="an operation name").text
             params = parse_param_list(ts, type_env or {}, strict_types=False)
-    kind_tok = ts.expect("ident", what="'pre', 'post' or 'inv'")
-    if kind_tok.text not in KIND_WORDS:
-        raise ParseError(
-            f"expected 'pre', 'post' or 'inv', found {kind_tok.text!r}",
-            kind_tok.line, kind_tok.col, source,
-        )
-    kind = KIND_WORDS[kind_tok.text]
+    kind = parse_kind_word(ts)
     name = ""
     if ts.current.kind == "ident":
         name = ts.advance().text
@@ -388,10 +389,7 @@ def parse_domain(
         key = parse_domain(ts, type_env, strict_types=strict_types)
         ts.expect_word("to")
         value = parse_domain(ts, type_env, strict_types=strict_types)
-        try:
-            return MapDomain(key, value)
-        except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col, ts.source) from None
+        return MapDomain(key, value)
     if ts.accept_word("record"):
         ts.expect("punct", "{")
         fields: list[tuple[str, Domain]] = []

@@ -24,7 +24,6 @@ from .domains import (
     Domain,
     Sort,
     VariableDecl,
-    is_hashable,
     resolve_path,
     sorts_compatible,
 )
@@ -326,7 +325,6 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         elem: Sort = OPAQUE
         for item in e.items:
             s = infer_sort(item, scope)
-            _require(is_hashable(s), f"set element of sort {s} holds a record or a map", e)
             elem = s if elem.tag == "opaque" else elem
             _require(sorts_compatible(elem, s), "mixed element sorts in set literal", e)
         return Sort("set", elem=elem)
@@ -400,9 +398,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         if name == "range":
             _require(t.tag in ("map", "opaque"), "range needs a map", e)
             _require(not e.args, "range takes no arguments", e)
-            elem = t.value if t.tag == "map" else OPAQUE
-            _require(is_hashable(elem), f"range element of sort {elem} holds a record or a map", e)
-            return Sort("set", elem=elem)
+            return Sort("set", elem=t.value if t.tag == "map" else OPAQUE)
         if name == "front":
             _require(t.tag in ("seq", "opaque"), "front needs a sequence", e)
             _require(len(e.args) == 1, "front takes one argument", e)

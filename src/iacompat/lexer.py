@@ -7,8 +7,7 @@ markers (``~`` and ``@pre``). ``//`` starts a line comment. The unicode arrow
 
 One master regex, walked with ``finditer``, matches every token kind and every
 error case; its alternatives are ordered so that the first match is the
-longest token. Columns count source characters, ``→`` included. The eof token
-after a trailing comment sits at the comment's start.
+longest token. Columns count source characters, ``→`` included.
 """
 from __future__ import annotations
 
@@ -33,9 +32,8 @@ class Token(NamedTuple):
 
 
 _TOKEN = re.compile(r"""
-    (?P<ws>[ \t\r]+)
+    (?P<skip>[ \t\r]+|//[^\n]*)
   | (?P<nl>\n)
-  | (?P<comment>//[^\n]*)
   | (?P<oldmark>~|@pre)
   | (?P<at>@)
   | (?P<enumlit><[A-Za-z_][A-Za-z0-9_]*>)
@@ -51,10 +49,9 @@ _TOKEN = re.compile(r"""
 def tokenize(text: str, source: str = "<string>") -> list[Token]:
     toks: list[Token] = []
     line, line_start = 1, 0
-    m = None
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
+        if kind == "skip":  # whitespace or a comment
             continue
         if kind == "nl":
             line += 1
@@ -72,8 +69,7 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
             raise ParseError("unterminated string literal", line, col, source)
         else:
             raise ParseError(f"unexpected character {tok!r}", line, col, source)
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    toks.append(Token("eof", "", line, end - line_start + 1))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 

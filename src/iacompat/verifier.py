@@ -36,7 +36,6 @@ from .automata import (
     qualify_hidden,
     validate,
 )
-from .domains import VariableDecl
 from .exprs import NamedConstraint
 from .falsity import Verdict, constraint_falsity, default_budget
 
@@ -85,20 +84,18 @@ def illegal_states(
     prod: ProductResult,
     a1: InterfaceAutomaton,
     a2: InterfaceAutomaton,
-    decls: Optional[Mapping[str, VariableDecl]] = None,
     *,
     strict_deadlock: bool = False,
     budget: Optional[int] = None,
 ) -> IllegalStateSet:
     """Illegal product states with the reasons that condemn them.
 
-    ``decls`` defaults to the product's merged variable declarations.
+    Guards are judged over the product's merged variable declarations.
     ``strict_deadlock`` extends the all-guards-false clause to states with no
     outgoing transitions (the vacuous reading); by default deadlocks are not
     illegal. A falsity verdict of Unknown never disables a transition.
     """
     auto = prod.automaton
-    variables = dict(decls) if decls is not None else dict(auto.variables)
     budget = default_budget() if budget is None else budget
 
     # one verdict cache per registry, since a pre and a post may share a name
@@ -110,7 +107,7 @@ def illegal_states(
         if name is None:
             return False
         if name not in cache:
-            cache[name] = constraint_falsity(registry[name], variables, budget=budget).verdict
+            cache[name] = constraint_falsity(registry[name], auto.variables, budget=budget).verdict
         return cache[name] is Verdict.FALSE
 
     shared_sorted = sorted(prod.shared_actions, key=lambda l: l.sort_key)

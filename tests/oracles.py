@@ -67,9 +67,10 @@ def oracle_tokenize(text, source="<string>"):
             col += 1
             continue
         if text.startswith("//", i):
-            # col stays at the comment's start
             j = text.find("\n", i)
-            i = n if j < 0 else j
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         if ch == "~":
             toks.append(Token("oldmark", "~", line, col))
@@ -310,12 +311,7 @@ def _eval_method(e, val):
         raise EvalError(f"domain of a non-map `{to_text(e.target)}`")
     if e.name == "range":
         if isinstance(v, dict):
-            try:
-                return frozenset(v.values())
-            except TypeError:
-                raise EvalError(
-                    f"range of `{to_text(e.target)}` holds unhashable values"
-                ) from None
+            return frozenset(v.values())
         raise EvalError(f"range of a non-map `{to_text(e.target)}`")
     if e.name == "front":
         if not isinstance(v, tuple):

@@ -82,7 +82,8 @@ def rand_expr(rng: random.Random, decls, depth: int = 2):
 
 
 # rand_term ranges over one variable of each kind of domain that evaluation
-# navigates: records, maps and sequences besides the scalars
+# navigates: records, maps and sequences besides the scalars, and a map with
+# record keys and record values
 _TERM_ENUM = EnumDomain(("ea", "eb"))
 TERM_DECLS = (
     VariableDecl("b", BoolDomain()),
@@ -92,13 +93,14 @@ TERM_DECLS = (
         ("c", _TERM_ENUM), ("s", IntRangeDomain(0, 2)), ("t", RecordDomain((("b", BoolDomain()),))),
     ))),
     VariableDecl("m", MapDomain(_TERM_ENUM, IntRangeDomain(0, 1))),
+    VariableDecl("k", MapDomain(RecordDomain((("b", BoolDomain()),)), RecordDomain((("c", _TERM_ENUM),)))),
     VariableDecl("q", SeqDomain(BoolDomain(), 2)),
 )
 # scalar paths, missing fields and an undeclared variable; then the rest
-_SCALAR_PATHS = (
+_TERM_PATHS = (
     ("b",), ("n",), ("e",), ("r", "c"), ("r", "s"), ("r", "t", "b"), ("r", "x"), ("r", "t", "x"), ("u",),
+    ("r",), ("r", "t"), ("m",), ("k",), ("q",),
 )
-_TERM_PATHS = _SCALAR_PATHS + (("r",), ("r", "t"), ("m",), ("q",))
 _TERM_OPS = ("and", "or", "implies", "=", "<>", "<", "<=", ">", ">=", "+", "-")
 _TERM_METHODS = ("size", "lastItem", "domain", "range", "notEmpty", "front")
 
@@ -119,7 +121,6 @@ def rand_term(rng: random.Random, depth: int = 3):
 
     Every node kind occurs, with old-state references, missing variables and
     missing fields, so evaluators can be compared on values and on errors.
-    Set literals hold scalar leaves only, so they never hash a record.
     """
     if depth <= 0 or rng.random() < 0.25:
         return _term_leaf(rng, _TERM_PATHS)
@@ -130,7 +131,7 @@ def rand_term(rng: random.Random, depth: int = 3):
     if pick == 1:
         return BinOp(rng.choice(_TERM_OPS), sub(), sub())
     if pick == 2:
-        return SetLit(tuple(_term_leaf(rng, _SCALAR_PATHS) for _ in range(rng.randint(0, 2))))
+        return SetLit(tuple(sub() for _ in range(rng.randint(0, 2))))
     if pick == 3:
         return Membership(sub(), sub())
     if pick == 4:

@@ -258,24 +258,30 @@ def test_clashing_variable_domains_exit_2(tmp_path, capsys, command):
     assert err == "error: variable 'x' declared with different domains in both operands\n"
 
 
+_RECORD_KEYED_MAP = "m : map record { a : bool } to bool"
+_RECORD_VALUED_MAP = "m : map bool to record { a : bool };\n  var r : record { a : bool }"
+
+
 @pytest.mark.parametrize("command", ["lint", "check"])
-@pytest.mark.parametrize("var, guard, where, message", [
-    ("r : record { a : bool }", "{r} = {r}", "10:12",
-     "constraint G: set element of sort record { a : bool } holds a record or a map in `{r}`"),
-    ("m : map record { a : bool } to bool", "m.size = 0", "8:11",
-     "map key domain record { a : bool } holds a record or a map"),
-    ("m : map bool to record { a : bool };\n  var r : record { a : bool }", "r in set m.range",
-     "11:12", "constraint G: range element of sort record { a : bool } holds a record or a map "
-     "in `m.range()`"),
-], ids=["set-element", "map-key", "map-range"])
-def test_unhashable_values_are_parse_errors(tmp_path, capsys, command, var, guard, where, message):
-    # records and maps evaluate to dicts, which cannot be set elements or map keys
+@pytest.mark.parametrize("var, guard, verdict", [
+    ("r : record { a : bool }", "{r} = {r}", "compatible"),
+    (_RECORD_KEYED_MAP, "m.size = 0", "compatible"),
+    (_RECORD_VALUED_MAP, "r in set m.range", "compatible"),
+    ("r : record { a : bool }", "{r} = {}", "incompatible (empty_after_pruning)"),
+    (_RECORD_KEYED_MAP, "m.size > 2", "incompatible (empty_after_pruning)"),
+], ids=["set-element", "map-key", "map-range", "set-element-false", "map-key-false"])
+def test_records_and_maps_in_sets_and_map_keys(tmp_path, capsys, command, var, guard, verdict):
+    # records and maps are values like any other, as OCL tuples are; a guard
+    # that is false on every valuation condemns the only state
     a = _go_contract(tmp_path, "HA", True, var, (f"pre G: {guard}",), pre="G")
     b = _go_contract(tmp_path, "HB", False, "y : bool")
     code, out, err = run_cli(capsys, command, *([a] if command == "lint" else [a, b]))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {a}:{where}: {message}\n"
+    assert err == ""
+    if command == "lint":
+        assert (code, out) == (0, f"{a}: ok\n")
+    else:
+        assert code == (0 if verdict == "compatible" else 1)
+        assert out.endswith(f"verdict: {verdict}\n")
 
 
 # ---------------------------------------------------------------------------

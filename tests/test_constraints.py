@@ -189,13 +189,37 @@ def test_sort_mismatch_rejected():
         ia.parse_constraint("pre P: queue->notEmpty + 1", TL_DECLS)
 
 
-def test_range_of_unhashable_values_rejected():
-    # the range of such a map can never evaluate, so falsity read every map as not-true
-    rec = ia.RecordDomain((("a", ia.BoolDomain()),))
-    decls = {"m": ia.MapDomain(ia.BoolDomain(), rec), "r": rec}
-    with pytest.raises(ia.SortError, match="range element of sort record { a : bool }"):
-        ia.parse_expression("r in set m.range", decls)
-    ia.parse_expression("m.domain = {true}", decls)
+_REC = ia.RecordDomain((("a", ia.BoolDomain()),))
+RECORD_DECLS = {
+    "r": ia.VariableDecl("r", _REC),
+    "s": ia.VariableDecl("s", _REC),
+    "k": ia.VariableDecl("k", ia.MapDomain(_REC, ia.BoolDomain())),  # record-keyed
+    "m": ia.VariableDecl("m", ia.MapDomain(ia.BoolDomain(), _REC)),  # record-valued
+}
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("r in set m.range", ia.Verdict.SATISFIABLE),
+    ("{r} = {r}", ia.Verdict.SATISFIABLE),
+    ("{r} = {}", ia.Verdict.FALSE),
+    ("r in set {s} and r <> s", ia.Verdict.FALSE),
+    ("{r, s}.size = 1 and r.a <> s.a", ia.Verdict.FALSE),
+    ("{r, s}.size = 2", ia.Verdict.SATISFIABLE),
+    ("k(r) and not k(s)", ia.Verdict.SATISFIABLE),
+    ("k.size > 2", ia.Verdict.FALSE),
+    ("k.domain = {r, s} and k.size = 2 and r = s", ia.Verdict.FALSE),
+    ("m.range = {r} and m.size = 2", ia.Verdict.SATISFIABLE),
+    ("m.range.size > m.size", ia.Verdict.FALSE),
+    ("true in set m.domain and not (m(true) in set m.range)", ia.Verdict.FALSE),
+], ids=["range-member", "set-equal", "set-empty", "set-member", "set-size-1", "set-size-2",
+        "key-apply", "key-size", "key-domain", "range-equal", "range-size", "range-holds"])
+def test_falsity_on_records_in_sets_and_maps(text, verdict):
+    e = ia.parse_expression(text, RECORD_DECLS)
+    res = ia.falsity(e, RECORD_DECLS)
+    assert res.verdict is verdict
+    assert oracle_falsity(e, list(RECORD_DECLS.values())) is (verdict is ia.Verdict.FALSE)
+    if verdict is ia.Verdict.SATISFIABLE:
+        assert oracle_evaluate(e, res.witness) is True
 
 
 def test_parse_error_carries_position():

@@ -144,10 +144,10 @@ PARSE_ERRORS = [
     ("expr", '"abc', "case.ia:1:1: unterminated string literal"),
     ("doc", "contract A { states $; }", "case.ia:1:21: unexpected character '$'"),
     ("doc", "contract A { states s, é; }", "case.ia:1:24: unexpected character 'é'"),
-    # the eof token after a trailing comment sits at the comment's start
+    # the eof token sits at the end of the input, after a trailing comment too
     ("doc", "contract A { states s // trailing",
-     "case.ia:1:23: expected ;, found 'end of input'"),
-    ("expr", "x = // note", "case.ia:1:5: expected an expression, found 'end of input'"),
+     "case.ia:1:34: expected ;, found 'end of input'"),
+    ("expr", "x = // note", "case.ia:1:12: expected an expression, found 'end of input'"),
     ("doc", "\n\ncontract A {\n  states s;\n  initial s;\n  inputs; outputs; hidden go;\n"
      "  transitions { s -[go pre P]-> s; }\n}",
      "case.ia:7:28: unknown precondition 'P'"),
@@ -321,6 +321,22 @@ def test_product_document_round_trips():
     assert again.states == prod.automaton.states
     assert len(again.transitions) == len(prod.automaton.transitions)
     assert set(again.preconditions) == set(prod.automaton.preconditions)
+
+
+def test_record_keyed_map_declaration_round_trips():
+    doc = ia.parse_document("""
+    contract C {
+      states A; initial A; inputs; outputs; hidden go;
+      var k : map record { a : bool, n : int[0..1] } to record { b : bool };
+      var r : record { a : bool, n : int[0..1] };
+      context C::go() { pre P: r in set k.domain and k(r) in set k.range; }
+      transitions { A -[go pre P]-> A; }
+    }
+    """)
+    text, doc2 = _roundtrip(doc)
+    assert "var k : map record { a : bool, n : int[0..1] } to record { b : bool };" in text
+    assert ia.print_document(doc2) == text
+    assert doc2.automaton("C").variables == doc.automaton("C").variables
 
 
 def test_unnamed_constraint_prints_with_generated_name():
