@@ -78,12 +78,28 @@ def _navigate(v: Value, key: str, segs: tuple[str, ...]) -> Value:
 
 
 def _values_equal(a: Value, b: Value) -> bool:
-    # bool is an int in Python; keep the sorts apart
+    # bool is an int in Python, also inside containers; keep the sorts apart.
+    # Values Python finds unequal are unequal, so only equal containers need
+    # the deep look
+    if a != b or isinstance(a, bool) != isinstance(b, bool):
+        return False
+    return not isinstance(a, (tuple, frozenset, dict)) or _same_sorts(a, b)
+
+
+def _same_sorts(a: Value, b: Value) -> bool:
+    """Whether two values that Python finds equal agree on bool against int at
+    every depth: each part of ``a`` is matched with the part of ``b`` it equals."""
     if isinstance(a, bool) != isinstance(b, bool):
         return False
-    if isinstance(a, frozenset) != isinstance(b, frozenset):
-        return False
-    return a == b
+    if isinstance(a, tuple):
+        return all(map(_same_sorts, a, b))
+    if isinstance(a, frozenset):
+        twin = {x: x for x in b}
+        return all(_same_sorts(x, twin[x]) for x in a)
+    if isinstance(a, dict):
+        twin = {k: k for k in b}
+        return all(_same_sorts(k, twin[k]) and _same_sorts(v, b[k]) for k, v in a.items())
+    return True
 
 
 def _not_bool(e: Expr, v: Value) -> EvalError:
@@ -223,15 +239,9 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
 
 
 def _compile_chain(e: BinOp, access: Access) -> Compiled:
-    # the operands of the whole same-operator chain, left to right; an
-    # explicit stack keeps compilation and evaluation depth flat
-    parts, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinOp) and node.op == e.op:
-            stack += (node.right, node.left)
-        else:
-            parts.append((compile_expr(node, access), node))
+    # one closure over the whole same-operator chain keeps compilation and
+    # evaluation depth flat
+    parts = [(compile_expr(node, access), node) for node in chain_operands(e, e.op)]
     decisive = e.op == "or"  # the operand value that decides the chain
 
     def chain(env):
@@ -307,9 +317,9 @@ def simplify(e: Expr) -> Expr:
 
     Constant folding, conjunction/disjunction identities and annihilators,
     double negation removal, implication unfolding against literals, and
-    sorting of commutative operands by their printed form. Idempotent.
-    ``x = x`` is not folded to true: that is not error-preserving for
-    expressions that can fail.
+    flattening of each ``and``/``or`` chain into its operands, sorted by their
+    printed form and rebuilt left-deep. Idempotent. ``x = x`` is not folded
+    to true: that is not error-preserving for expressions that can fail.
     """
     if isinstance(e, Not):
         s = simplify(e.operand)
@@ -318,6 +328,8 @@ def simplify(e: Expr) -> Expr:
         if isinstance(s, Not):
             return s.operand
         return Not(s)
+    if isinstance(e, BinOp) and e.op in ("and", "or"):
+        return _simplify_chain(e)
     if isinstance(e, BinOp):
         return _simplify_binop(e)
     if isinstance(e, SetLit):
@@ -333,10 +345,38 @@ def simplify(e: Expr) -> Expr:
     return e
 
 
-def _sorted_pair(left: Expr, right: Expr) -> tuple[Expr, Expr]:
-    if to_text(right) < to_text(left):
-        return right, left
-    return left, right
+def chain_operands(e: Expr, op: str) -> list[Expr]:
+    """The operands of the ``op`` chain at ``e``, left to right, from an
+    explicit stack; ``[e]`` when ``e`` is no such chain."""
+    parts, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp) and node.op == op:
+            stack += (node.right, node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
+def _simplify_chain(e: BinOp) -> Expr:
+    # a chain is true (false) when all its operands are, whatever their
+    # grouping and order, so it flattens; each operand is printed once
+    op, unit = e.op, e.op == "and"
+    parts: list[Expr] = []
+    for part in chain_operands(e, op):
+        s = simplify(part)
+        if isinstance(s, BoolLit):
+            if s.value is not unit:
+                return s  # the annihilator
+            continue  # the identity
+        parts += chain_operands(s, op)  # a simplified operand may be a chain itself
+    if not parts:
+        return BoolLit(unit)
+    parts.sort(key=to_text)
+    out = parts[0]
+    for part in parts[1:]:
+        out = BinOp(op, out, part)
+    return out
 
 
 _LITERALS = (BoolLit, IntLit, EnumLit)
@@ -346,24 +386,6 @@ def _simplify_binop(e: BinOp) -> Expr:
     l = simplify(e.left)
     r = simplify(e.right)
     op = e.op
-    if op == "and":
-        if BoolLit(False) in (l, r):
-            return BoolLit(False)
-        if l == BoolLit(True):
-            return r
-        if r == BoolLit(True):
-            return l
-        l, r = _sorted_pair(l, r)
-        return BinOp("and", l, r)
-    if op == "or":
-        if BoolLit(True) in (l, r):
-            return BoolLit(True)
-        if l == BoolLit(False):
-            return r
-        if r == BoolLit(False):
-            return l
-        l, r = _sorted_pair(l, r)
-        return BinOp("or", l, r)
     if op == "implies":
         if l == BoolLit(False) or r == BoolLit(True):
             return BoolLit(True)

@@ -80,6 +80,20 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __eq__(self, other):
+        # structural, as the generated one; a loop down the left spines keeps
+        # long chains off the call stack
+        if other.__class__ is not BinOp:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is BinOp and b.__class__ is BinOp:
+            if a is b:
+                return True
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
 
 @dataclass(frozen=True)
 class Membership(Expr):
@@ -160,7 +174,16 @@ def to_text(e: Expr) -> str:
         if e.op == "implies":
             # right associative: parenthesize a left child at the same level
             return f"{wrap(e.left, lvl + 1)} implies {wrap(e.right, lvl)}"
-        return f"{wrap(e.left, lvl)} {e.op} {wrap(e.right, lvl + 1)}"
+        # a left child at the same level prints bare; a loop down that spine
+        # keeps long chains off the call stack
+        spine = []
+        while isinstance(e, BinOp) and _LEVEL[e.op] == lvl:
+            spine.append(e)
+            e = e.left
+        parts = [wrap(e, lvl)]
+        for node in reversed(spine):
+            parts += (node.op, wrap(node.right, lvl + 1))
+        return " ".join(parts)
     if isinstance(e, Membership):
         return f"{wrap(e.item, 6)} in set {wrap(e.collection, 6)}"
     if isinstance(e, Apply):
@@ -178,31 +201,30 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # structural walks
 
-def children(e: Expr) -> Iterator[Expr]:
-    if isinstance(e, SetLit):
-        yield from e.items
-    elif isinstance(e, Not):
-        yield e.operand
-    elif isinstance(e, BinOp):
-        yield e.left
-        yield e.right
-    elif isinstance(e, Membership):
-        yield e.item
-        yield e.collection
-    elif isinstance(e, Apply):
-        yield e.target
-        yield e.key
-    elif isinstance(e, FieldAccess):
-        yield e.target
-    elif isinstance(e, MethodCall):
-        yield e.target
-        yield from e.args
+_CHILDREN = {
+    SetLit: lambda e: e.items,
+    Not: lambda e: (e.operand,),
+    BinOp: lambda e: (e.left, e.right),
+    Membership: lambda e: (e.item, e.collection),
+    Apply: lambda e: (e.target, e.key),
+    FieldAccess: lambda e: (e.target,),
+    MethodCall: lambda e: (e.target, *e.args),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions, left to right."""
+    get = _CHILDREN.get(type(e))
+    return () if get is None else get(e)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """Every node, pre-order and left to right, from an explicit stack."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
 
 
 def variable_refs(e: Expr) -> Iterator[VarRef]:
@@ -308,6 +330,9 @@ class SortScope:
         raise UnknownVariable(".".join(path))
 
 
+_CONNECTIVES = ("and", "or", "implies")
+
+
 def _require(cond: bool, message: str, e: Expr) -> None:
     if not cond:
         raise SortError(message, e)
@@ -333,12 +358,22 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
     if isinstance(e, Not):
         _require(infer_sort(e.operand, scope).tag in ("bool", "opaque"), "not needs a boolean", e)
         return BOOL
+    if isinstance(e, BinOp) and e.op in _CONNECTIVES:
+        # down the left spine of connectives with a loop, then each link after
+        # both its operands, in the order the recursive definition takes
+        spine = []
+        while isinstance(e, BinOp) and e.op in _CONNECTIVES:
+            spine.append(e)
+            e = e.left
+        ls = infer_sort(e, scope)
+        for node in reversed(spine):
+            rs = infer_sort(node.right, scope)
+            _require(ls.tag in ("bool", "opaque"), f"{node.op} needs boolean operands", node)
+            _require(rs.tag in ("bool", "opaque"), f"{node.op} needs boolean operands", node)
+            ls = BOOL
+        return BOOL
     if isinstance(e, BinOp):
         ls, rs = infer_sort(e.left, scope), infer_sort(e.right, scope)
-        if e.op in ("and", "or", "implies"):
-            _require(ls.tag in ("bool", "opaque"), f"{e.op} needs boolean operands", e)
-            _require(rs.tag in ("bool", "opaque"), f"{e.op} needs boolean operands", e)
-            return BOOL
         if e.op in ("=", "<>"):
             _require(sorts_compatible(ls, rs), f"cannot compare {ls} with {rs}", e)
             return BOOL

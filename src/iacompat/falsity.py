@@ -1,9 +1,19 @@
 """Deciding whether a constraint is equivalent to false.
 
-Three tiers: syntactic simplification, then exhaustive enumeration over the
-declared finite domains under a valuation budget, then Unknown. Unknown is
-the conservative outcome for opaque or unbounded domains and for blown
-budgets; callers treat it as "possibly satisfiable".
+Four tiers, in order:
+
+1. Syntactic simplification, which may fold the guard to a literal.
+2. Intervals: every int term gets bounds from the declared ``int[lo..hi]``
+   domain it reads, through ``+`` and ``-``. A comparison that no pair of
+   values in its bounds makes true is false, and so is a conjunction with
+   such an operand, or a disjunction of nothing else. This tier only ever
+   proves FALSE, without a valuation, and does not look inside ``not`` or
+   ``implies``; it runs before the budget is counted, so a guard too big to
+   enumerate may still be refuted.
+3. Exhaustive enumeration over the declared finite domains under a valuation
+   budget.
+4. Unknown: the conservative outcome for opaque or unbounded domains and for
+   blown budgets; callers treat it as "possibly satisfiable".
 
 For postconditions the relation ranges over pairs of states: every variable
 referenced with an old-state marker is enumerated twice, once for the old
@@ -13,6 +23,8 @@ Each query compiles its simplified guard once and calls it on the raw value
 tuples of the enumeration, in a fixed order: the referenced variables by
 sorted name, every old assignment inside each current one. Only a satisfying
 witness becomes a ``Valuation``; ``explored`` counts up to and including it.
+A caller that runs many queries may pass one ``pools`` dict to all of them,
+so that each domain's values are listed once.
 """
 from __future__ import annotations
 
@@ -22,12 +34,17 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .domains import Domain, resolve_path
-from .evaluate import EvalError, Valuation, compile_expr, simplify, slot_access
+from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
+from .evaluate import EvalError, Valuation, chain_operands, compile_expr, simplify, slot_access
 from .exprs import (
+    Apply,
+    BinOp,
     BoolLit,
     Expr,
+    FieldAccess,
+    IntLit,
     NamedConstraint,
+    VarRef,
     decls_mapping,
     variable_refs,
 )
@@ -60,14 +77,22 @@ class FalsityResult:
     explored: int = 0
 
 
+Pools = dict[Domain, list[Value]]  # each domain's values, listed once
+
+
 def falsity(
     expr: Expr,
     decls,
     *,
     params: Optional[Mapping[str, Domain]] = None,
     budget: Optional[int] = None,
+    pools: Optional[Pools] = None,
 ) -> FalsityResult:
-    """Verdict for a bare boolean expression over the given declarations."""
+    """Verdict for a bare boolean expression over the given declarations.
+
+    ``pools`` caches domain values across the queries that share it; without
+    it, each query lists its own.
+    """
     budget = default_budget() if budget is None else budget
     params = params or {}
     table = {**decls_mapping(decls), **params}
@@ -83,13 +108,18 @@ def falsity(
     # the leaf the path points at: the valuation binds whole variables
     cur_names: set[str] = set()
     old_names: set[str] = set()
+    leaves: dict[VarRef, Domain] = {}  # the domain of each path's full length
     for ref in variable_refs(s):
         hit = resolve_path(params if ref.path[0] in params else table, ref.path)
         if hit is None:
             raise EvalError(f"free variable {'.'.join(ref.path)} does not resolve against the declarations")
         (old_names if ref.old else cur_names).add(hit[0])
+        leaves[ref] = hit[1]
     cur_names, old_names = sorted(cur_names), sorted(old_names)
     names = cur_names + old_names
+
+    if _never_true(s, leaves):
+        return FalsityResult(Verdict.FALSE)
 
     total = 1
     for name in names:
@@ -100,11 +130,17 @@ def falsity(
         if total > budget:
             return FalsityResult(Verdict.UNKNOWN)
 
-    pools = [list(table[name].values()) for name in names]
+    pools = {} if pools is None else pools
+    lists = []
+    for name in names:
+        dom = table[name]
+        if dom not in pools:
+            pools[dom] = list(dom.values())
+        lists.append(pools[dom])
     run = compile_expr(s, slot_access(cur_names, old_names))
 
     explored = 0
-    for explored, env in enumerate(itertools.product(*pools), 1):
+    for explored, env in enumerate(itertools.product(*lists), 1):
         try:
             if run(env) is True:
                 witness = Valuation(
@@ -122,6 +158,66 @@ def constraint_falsity(
     variables,
     *,
     budget: Optional[int] = None,
+    pools: Optional[Pools] = None,
 ) -> FalsityResult:
     """Falsity of a named constraint; operation parameters enumerate too."""
-    return falsity(c.body, variables, params=c.param_domains(), budget=budget)
+    return falsity(c.body, variables, params=c.param_domains(), budget=budget, pools=pools)
+
+
+# ---------------------------------------------------------------------------
+# the interval tier
+
+_REFUTED = {  # op -> whether no a in [al, ah], b in [bl, bh] makes `a op b` true
+    "=": lambda al, ah, bl, bh: ah < bl or bh < al,
+    "<>": lambda al, ah, bl, bh: al == ah == bl == bh,
+    "<": lambda al, ah, bl, bh: al >= bh,
+    "<=": lambda al, ah, bl, bh: al > bh,
+    ">": lambda al, ah, bl, bh: ah <= bl,
+    ">=": lambda al, ah, bl, bh: ah < bl,
+}
+
+
+Leaves = Mapping[VarRef, Domain]
+
+
+def _domain_of(t: Expr, leaves: Leaves) -> Optional[Domain]:
+    """The declared domain that every value of a path term lies in."""
+    if isinstance(t, VarRef):
+        return leaves[t]
+    if isinstance(t, FieldAccess):
+        d = _domain_of(t.target, leaves)
+        return d.field_domain(t.name) if isinstance(d, RecordDomain) else None
+    if isinstance(t, Apply):
+        d = _domain_of(t.target, leaves)
+        return d.value if isinstance(d, MapDomain) else None
+    return None
+
+
+def _bounds(t: Expr, leaves: Leaves) -> Optional[tuple[int, int]]:
+    """Bounds on every int value ``t`` can take, or None if it has none."""
+    if isinstance(t, IntLit):
+        return t.value, t.value
+    if isinstance(t, BinOp) and t.op in ("+", "-"):
+        a, b = _bounds(t.left, leaves), _bounds(t.right, leaves)
+        if a is None or b is None:
+            return None
+        if t.op == "+":
+            return a[0] + b[0], a[1] + b[1]
+        return a[0] - b[1], a[1] - b[0]
+    d = _domain_of(t, leaves)
+    return (d.lower, d.upper) if isinstance(d, IntRangeDomain) else None
+
+
+def _never_true(e: Expr, leaves: Leaves) -> bool:
+    """Whether bounds alone show that no valuation makes ``e`` true.
+
+    An error counts as not-true, so a term that fails to evaluate (a map
+    applied outside its domain) cannot break a refutation.
+    """
+    if isinstance(e, BinOp) and e.op in ("and", "or"):
+        settle = any if e.op == "and" else all
+        return settle(_never_true(part, leaves) for part in chain_operands(e, e.op))
+    if isinstance(e, BinOp) and e.op in _REFUTED:
+        a, b = _bounds(e.left, leaves), _bounds(e.right, leaves)
+        return a is not None and b is not None and _REFUTED[e.op](*a, *b)
+    return False

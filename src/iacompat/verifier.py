@@ -37,7 +37,7 @@ from .automata import (
     validate,
 )
 from .exprs import NamedConstraint
-from .falsity import Verdict, constraint_falsity, default_budget
+from .falsity import Pools, Verdict, constraint_falsity, default_budget
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,20 @@ def illegal_states(
     auto = prod.automaton
     budget = default_budget() if budget is None else budget
 
-    # one verdict cache per registry, since a pre and a post may share a name
+    # one verdict cache per registry, since a pre and a post may share a name;
+    # the queries share their domains' value lists, for this call only
     pre_cache: dict[str, Verdict] = {}
     post_cache: dict[str, Verdict] = {}
+    pools: Pools = {}
 
     def is_false(name: Optional[str], registry: Mapping[str, NamedConstraint],
                  cache: dict[str, Verdict]) -> bool:
         if name is None:
             return False
         if name not in cache:
-            cache[name] = constraint_falsity(registry[name], auto.variables, budget=budget).verdict
+            cache[name] = constraint_falsity(
+                registry[name], auto.variables, budget=budget, pools=pools
+            ).verdict
         return cache[name] is Verdict.FALSE
 
     shared_sorted = sorted(prod.shared_actions, key=lambda l: l.sort_key)

@@ -150,11 +150,22 @@ def _lookup(val, path, old):
 
 
 def _values_equal(a, b):
-    # bool is an int in Python; keep the sorts apart
+    # bool is an int in Python; keep the sorts apart, at every depth
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     if isinstance(a, frozenset) != isinstance(b, frozenset):
         return False
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_values_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, frozenset):
+        # no two elements of a set are equal, so a match for every element
+        # and equal sizes make a one-to-one match
+        return len(a) == len(b) and all(any(_values_equal(x, y) for y in b) for x in a)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(
+            any(_values_equal(k, k2) and _values_equal(v, v2) for k2, v2 in b.items())
+            for k, v in a.items()
+        )
     return a == b
 
 

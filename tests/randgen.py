@@ -142,6 +142,67 @@ def rand_term(rng: random.Random, depth: int = 3):
     return MethodCall(sub(), name, (sub(),) if name == "front" else ())
 
 
+# rand_int_guard compares int terms whose bounds come from every kind of
+# declared leaf: a variable, a record field (as a path and as a field
+# access), a map's value domain (its keys are ints of another range), an
+# old-state copy and an operation parameter. The parameter ``x`` shadows
+# the variable of that name when it is passed
+INT_DECLS = (
+    VariableDecl("x", IntRangeDomain(0, 3)),
+    VariableDecl("r", RecordDomain((("s", IntRangeDomain(-1, 1)),))),
+    VariableDecl("m", MapDomain(IntRangeDomain(0, 1), IntRangeDomain(2, 3))),
+)
+INT_PARAMS = {"p": IntRangeDomain(-2, 0), "x": IntRangeDomain(2, 4)}
+_INT_CMP = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def _int_term(rng: random.Random, depth: int, leaves: str):
+    if depth <= 0 or rng.random() < 0.5:
+        pick = rng.choice(leaves)
+        old = rng.random() < 0.3
+        if pick == "k":
+            return IntLit(rng.randint(-3, 6))
+        if pick == "x":
+            return VarRef(("x",), old=old)
+        if pick == "p":
+            return VarRef(("p",))
+        if pick == "r":
+            if rng.random() < 0.5:
+                return VarRef(("r", "s"), old=old)
+            return FieldAccess(VarRef(("r",), old=old), "s")
+        # keys outside [0..1] make the application fail, which is not-true
+        key = VarRef(("x",)) if rng.random() < 0.3 else IntLit(rng.randint(-1, 2))
+        return Apply(VarRef(("m",)), key)
+    return BinOp(rng.choice("+-"), _int_term(rng, depth - 1, leaves), _int_term(rng, depth - 1, leaves))
+
+
+def rand_int_atom(rng: random.Random, depth: int = 1, leaves: str = "kxprm"):
+    """A comparison of two int terms over INT_DECLS and INT_PARAMS."""
+    return BinOp(rng.choice(_INT_CMP), _int_term(rng, depth, leaves), _int_term(rng, depth, leaves))
+
+
+def rand_int_guard(rng: random.Random, depth: int = 3):
+    """Comparisons of int terms under and, or, not and implies."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rand_int_atom(rng)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return Not(rand_int_guard(rng, depth - 1))
+    op = ("and", "and", "or", "or", "implies")[pick - 1]
+    return BinOp(op, rand_int_guard(rng, depth - 1), rand_int_guard(rng, depth - 1))
+
+
+def rand_int_chain(rng: random.Random, links: int):
+    """A left-deep ``and`` or ``or`` chain of ``links`` links that cycles
+    through one to three atoms over ``x``, ``x~`` and ``p``."""
+    atoms = [rand_int_atom(rng, 0, "kxp") for _ in range(rng.randint(1, 3))]
+    op = rng.choice(("and", "or"))
+    out = atoms[0]
+    for i in range(1, links + 1):
+        out = BinOp(op, out, atoms[i % len(atoms)])
+    return out
+
+
 def _with_old(expr, rng: random.Random):
     # flip one reference to an old-state read, used for postconditions
     if isinstance(expr, VarRef) and not expr.old and rng.random() < 0.5:

@@ -258,6 +258,22 @@ def test_clashing_variable_domains_exit_2(tmp_path, capsys, command):
     assert err == "error: variable 'x' declared with different domains in both operands\n"
 
 
+@pytest.mark.parametrize("modulus, code", [(10, 0), (11, 1)])
+def test_check_deep_guard_gets_a_verdict(tmp_path, capsys, modulus, code):
+    # 2000 conjuncts on both sides, under one name that the product shares;
+    # x <> 0 .. x <> 9 leaves x = 10, x <> 0 .. x <> 10 leaves nothing
+    guard = " and ".join(f"x <> {k % modulus}" for k in range(2000))
+    a = _go_contract(tmp_path, "DA", True, "x : int[0..10]", (f"pre: {guard}",), pre="pre_unnamed_1")
+    b = _go_contract(tmp_path, "DB", False, "x : int[0..10]", (f"pre: {guard}",), pre="pre_unnamed_1")
+    assert run_cli(capsys, "lint", a, b)[0] == 0
+    got, out, err = run_cli(capsys, "check", a, b, "--witness")
+    assert (got, err) == (code, "")
+    assert "verdict: " + ("compatible" if code == 0 else "incompatible") in out
+    got, out, err = run_cli(capsys, "product", a, b)
+    assert (got, err) == (0, "")
+    assert f"pre pre_unnamed_1: {guard};" in out
+
+
 _RECORD_KEYED_MAP = "m : map record { a : bool } to bool"
 _RECORD_VALUED_MAP = "m : map bool to record { a : bool };\n  var r : record { a : bool }"
 
@@ -377,6 +393,18 @@ def test_eval_old_binding(capsys):
 def test_eval_error_messages(capsys, argv, message):
     code, out, err = run_cli(capsys, "eval", *argv)
     assert (code, out, err) == (1, f"evaluation error: {message}\n", "")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["{x} = {true}", "--bind", "x=1"], "false"),
+    (["{x} <> {true}", "--bind", "x=1"], "true"),
+    (["{{x}} = {{false}}", "--bind", "x=0"], "false"),
+    (["{x} = {1}", "--bind", "x=1"], "true"),
+])
+def test_eval_keeps_bool_and_int_apart_inside_sets(capsys, argv, value):
+    # Python's True == 1 holds inside sets too; the dialect's equality does not
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert (code, out, err) == (0, f"{value}\n", "")
 
 
 # ---------------------------------------------------------------------------

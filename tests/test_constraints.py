@@ -6,13 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
-from iacompat.domains import resolve_path
+from iacompat.domains import FrozenMap as FM, resolve_path
 from iacompat.evaluate import compile_expr, slot_access
+from iacompat.exprs import SortScope, infer_sort
 from oracles import collect_paths, oracle_evaluate, oracle_falsity
-from randgen import TERM_DECLS, _with_old, rand_domain, rand_expr, rand_term, rand_valuation
+from randgen import (
+    INT_DECLS,
+    INT_PARAMS,
+    TERM_DECLS,
+    _with_old,
+    rand_domain,
+    rand_expr,
+    rand_int_chain,
+    rand_int_guard,
+    rand_term,
+    rand_valuation,
+)
 
+import contextlib
 import itertools
 import random
+import sys
 
 
 CLAIM = ia.EnumDomain(("undecided", "leader", "follower", "off"))
@@ -321,6 +335,72 @@ def test_cross_sort_equality_is_false():
     assert ia.evaluate(e, ia.Valuation({"x": True, "y": 1})) is False
 
 
+@pytest.mark.parametrize("a, b", [
+    (frozenset({1}), frozenset({True})),
+    (frozenset({frozenset({0})}), frozenset({frozenset({False})})),
+    ((1, 2), (True, 2)),
+    (FM({"a": 1}), FM({"a": True})),
+    (FM({1: "ea"}), FM({True: "ea"})),
+    (FM({"k": (FM({"a": 0}),)}), FM({"k": (FM({"a": False}),)})),
+])
+def test_equality_keeps_bool_and_int_apart_at_depth(a, b):
+    # Python finds each pair equal, since True == 1; the dialect does not
+    opaque = {n: ia.VariableDecl(n, ia.OpaqueDomain()) for n in ("a", "b")}
+    for text, want in (("a = b", False), ("a <> b", True), ("a in set {b}", False)):
+        e = ia.parse_expression(text, opaque)
+        assert ia.evaluate(e, ia.Valuation({"a": a, "b": b})) is want
+        assert oracle_evaluate(e, ia.Valuation({"a": a, "b": b})) is want
+    same = ia.parse_expression("a = b", opaque)
+    assert ia.evaluate(same, ia.Valuation({"a": a, "b": a})) is True
+    assert ia.evaluate(same, ia.Valuation({"a": b, "b": b})) is True
+
+
+def test_map_application_keeps_bool_and_int_keys_apart():
+    decls = {n: ia.VariableDecl(n, ia.OpaqueDomain()) for n in ("m", "k")}
+    e = ia.parse_expression("m(k) = 1", decls)
+    with pytest.raises(ia.UndefinedApplication):
+        ia.evaluate(e, ia.Valuation({"m": FM({(True,): 1}), "k": (1,)}))
+    assert ia.evaluate(e, ia.Valuation({"m": FM({(1,): 1}), "k": (1,)})) is True
+
+
+def _chain(op, atoms):
+    out = atoms[0]
+    for a in atoms[1:]:
+        out = ia.BinOp(op, out, a)
+    return out
+
+
+def test_deep_chains_walk_print_sort_and_simplify():
+    # 2000 links: every one of these recursed once per link
+    x = ia.VarRef(("x",))
+    atoms = [ia.BinOp("<>", x, ia.IntLit(k % 10)) for k in range(2001)]
+    e = _chain("and", atoms)
+    assert sum(1 for _ in ia.walk(e)) == 2000 + 3 * 2001
+    text = ia.to_text(e)
+    assert text == " and ".join(f"x <> {k % 10}" for k in range(2001))
+    assert ia.parse_expression(text, X_DECLS) == e  # sort inference on the way
+    s = ia.simplify(e)
+    assert ia.simplify(s) == s
+    assert ia.to_text(s) == " and ".join(sorted(f"x <> {k % 10}" for k in range(2001)))
+    # a bad operand deep in the chain is named, with the link that holds it
+    bad = _chain("and", atoms[:1000] + [ia.IntLit(1)] + atoms[1000:])
+    with pytest.raises(ia.SortError, match="and needs boolean operands") as exc:
+        infer_sort(bad, SortScope(decls={"x": ia.IntRangeDomain(0, 10)}))
+    assert exc.value.expr_text.endswith("x <> 9 and 1")
+
+
+def test_simplify_flattens_chains_canonically():
+    decls = {n: ia.VariableDecl(n, ia.BoolDomain()) for n in "pqrs"}
+    forms = ("p and (q and r)", "(r and q) and p", "q and true and (p and r)",
+             "r and not not (q and p)", "(true implies r) and (q and (p and true))")
+    assert {ia.to_text(ia.simplify(ia.parse_expression(f, decls))) for f in forms} == {"p and q and r"}
+    mixed = ia.simplify(ia.parse_expression("s or (r and (q or p))", decls))
+    assert ia.to_text(mixed) == "(p or q) and r or s"
+    assert ia.simplify(mixed) == mixed
+    assert ia.to_text(ia.simplify(ia.parse_expression("p and (false or q and false)", decls))) == "false"
+    assert ia.to_text(ia.simplify(ia.parse_expression("p or (q or true)", decls))) == "true"
+
+
 def test_parallel_conjunction_absorbs_errors():
     decls = {"x": ia.VariableDecl("x", ia.BoolDomain())}
     e = ia.parse_expression("x and missing", decls, open_world=True)
@@ -413,7 +493,9 @@ def test_falsity_unknown_on_opaque():
 
 
 def test_falsity_budget_forces_unknown():
-    e = ia.parse_expression("myCS.s < 0", LD_DECLS)
+    # bounds cannot refute it (myCS.s + myCS.s ranges over [0, 20]); only
+    # enumeration can, and 3 valuations are too few
+    e = ia.parse_expression("myCS.s + myCS.s = 1", LD_DECLS)
     res = ia.falsity(e, LD_DECLS, budget=3)
     assert res.verdict is ia.Verdict.UNKNOWN
 
@@ -451,6 +533,154 @@ def test_falsity_rejects_a_missing_field():
 def test_simplify_preserves_falsity_example():
     e = ia.parse_expression("(myCS.s < 0) and true", LD_DECLS)
     assert ia.falsity(e, LD_DECLS).verdict is ia.Verdict.FALSE
+
+
+# ---------------------------------------------------------------------------
+# the interval tier
+
+X_DECLS = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
+
+
+@pytest.mark.parametrize("text, refuted", [
+    # each comparison at both sides of its boundary, x in [0, 10]
+    ("x < 0", True), ("x < 1", False),
+    ("x <= -1", True), ("x <= 0", False),
+    ("x > 10", True), ("x > 9", False),
+    ("x >= 11", True), ("x >= 10", False),
+    ("x = 11", True), ("x = 10", False), ("-1 = x", True),
+    ("x <> 3", False),
+    # bounds go through + and -: x + 5 in [5, 15], x - x in [-10, 10], 3 - x in [-7, 3]
+    ("x + 5 < 5", True), ("x + 5 < 6", False),
+    ("x - x > 10", True), ("x - x >= 10", False),
+    ("3 - x > 3", True), ("3 - x >= 3", False),
+    # a conjunction needs one refuted operand, a disjunction all of them
+    ("x > 2 and x < 0", True), ("x < 0 or x > 10", True),
+    ("x < 0 or x > 9", False), ("x < 0 or x > 10 or x = 5", False),
+    ("(x < 0 or x > 10) and x = 3", True), ("(x < 0 and x = 1) or x > 12", True),
+    # not and implies are left to enumeration
+    ("not (x >= 0)", False), ("x >= 0 implies x < 0", False),
+])
+def test_interval_tier_refutes_by_bounds(text, refuted):
+    e = ia.parse_expression(text, X_DECLS)
+    res = ia.falsity(e, X_DECLS)
+    want = oracle_falsity(e, list(X_DECLS.values()))
+    assert (res.verdict is ia.Verdict.FALSE) is want
+    assert (res.verdict is ia.Verdict.FALSE and res.explored == 0) is refuted
+
+
+def test_interval_tier_reads_every_kind_of_leaf():
+    # a record field, a map's value domain (not its keys), an old-state copy
+    # and a parameter, which binds before a variable of the same name
+    decls = {
+        "r": ia.VariableDecl("r", ia.RecordDomain((("s", ia.IntRangeDomain(0, 2)),))),
+        "m": ia.VariableDecl("m", ia.MapDomain(ia.IntRangeDomain(0, 1), ia.IntRangeDomain(5, 6))),
+        "x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10)),
+    }
+    params = {"x": ia.IntRangeDomain(20, 21), "p": ia.IntRangeDomain(3, 3)}
+    for text, refuted in (
+        ("r.s > 2", True), ("r.s > 1", False),
+        ("m(0) < 5", True), ("m(1) >= 5", False), ("m(0) > 6", True),
+        ("r.s > r@pre.s + 2", True), ("r.s > r@pre.s + 1", False),
+        ("x < 20", True), ("x > 19", False), ("x@pre < 20", True),
+        ("p <> 3", True), ("p = 3", False),
+    ):
+        e = ia.parse_expression(text, decls, params=params)
+        res = ia.falsity(e, decls, params=params)
+        assert (res.verdict is ia.Verdict.FALSE and res.explored == 0) is refuted, text
+        if not refuted:
+            assert res.verdict is ia.Verdict.SATISFIABLE, text
+
+
+def test_interval_tier_runs_before_the_budget():
+    # the guard-stress shapes: mem, id, myCS and highest_strength together are
+    # 1.96M valuations, beyond the default budget; bounds refute both
+    # disjuncts of the first two, and cannot refute the last two
+    for text, verdict in (
+        ("mem(id).s = 11 or myCS.s > highest_strength + 10", ia.Verdict.FALSE),
+        ("myCS.c = <leader> and myCS.s > highest_strength + 10", ia.Verdict.FALSE),
+        ("mem(id).s < 3 and myCS.s > highest_strength", ia.Verdict.UNKNOWN),
+        ("mem(id).c = <off> implies myCS.s >= highest_strength + 4", ia.Verdict.UNKNOWN),
+    ):
+        e = ia.parse_expression(text, LD_DECLS)
+        res = ia.falsity(e, LD_DECLS)
+        assert (res.verdict, res.explored) == (verdict, 0), text
+    e = ia.parse_expression("myCS.s < 0", LD_DECLS)
+    assert ia.falsity(e, LD_DECLS, budget=1) == ia.FalsityResult(ia.Verdict.FALSE)
+
+
+def test_shared_pools_change_no_result():
+    pools = {}
+    for name in sorted(CASE_STUDY_CONSTRAINTS):
+        c = parse_case(name)
+        decls = CASE_STUDY_CONSTRAINTS[name][1]
+        assert ia.constraint_falsity(c, decls, pools=pools) == ia.constraint_falsity(c, decls)
+    # keyed by domain: myCS and mem's values share no list, LE_Id's is listed once
+    assert pools[LE_ID] == ["dev1", "dev2"]
+    assert len(pools) == len(set(pools))
+
+
+@contextlib.contextmanager
+def _deep_recursion(limit: int = 20_000):
+    # the oracle interprets by recursion, three frames per link of a chain
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _check_refutation(expr, decls, params=None):
+    """Every FALSE decided without a valuation agrees with the oracle."""
+    table = {**{d.name: d.domain for d in decls}, **(params or {})}
+    if any(resolve_path(table, r.path) is None for r in ia.variable_refs(expr)):
+        return None  # a reference that binds nothing
+    # a budget of one valuation leaves only what needs none
+    res = ia.falsity(expr, decls, params=params, budget=1)
+    if res.verdict is ia.Verdict.FALSE and res.explored == 0:
+        ps = [ia.ParamDecl(n, d) for n, d in (params or {}).items()]
+        with _deep_recursion():
+            assert oracle_falsity(expr, decls, ps) is True
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_refutations_without_valuations_match_the_oracle(seed):
+    rng = random.Random(seed)
+    # a random term of any sort, alone or next to an int comparison, which
+    # may refute the whole even where the term fails to evaluate
+    term = rand_term(rng, depth=rng.randint(1, 3))
+    if rng.random() < 0.7:
+        atom = ia.BinOp(rng.choice(("<", "<=", ">", ">=", "=", "<>")),
+                        rng.choice((ia.VarRef(("n",)), ia.VarRef(("r", "s")),
+                                    ia.Apply(ia.VarRef(("m",)), ia.EnumLit("ea")))),
+                        ia.IntLit(rng.randint(-2, 4)))
+        term = ia.BinOp(rng.choice(("and", "or")), term, atom)
+    _check_refutation(term, TERM_DECLS)
+    # int guards over every kind of bounded leaf, with or without parameters
+    params = INT_PARAMS if rng.random() < 0.5 else {"p": INT_PARAMS["p"]}
+    _check_refutation(rand_int_guard(rng), INT_DECLS, params)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_refutations_of_long_chains_match_the_oracle(seed):
+    rng = random.Random(seed)
+    params = INT_PARAMS if rng.random() < 0.5 else {"p": INT_PARAMS["p"]}
+    _check_refutation(rand_int_chain(rng, 2000), INT_DECLS, params)
+
+
+def test_int_guards_get_refuted_often():
+    # the property tests above judge something: the generators produce
+    # refutations at a fair rate, also of 2000-link chains
+    rng = random.Random(8)
+    hits = [_check_refutation(rand_int_guard(rng), INT_DECLS, INT_PARAMS) for _ in range(300)]
+    assert hits.count(True) >= 30
+    chains = [_check_refutation(rand_int_chain(rng, 2000), INT_DECLS, {"p": INT_PARAMS["p"]})
+              for _ in range(4)]
+    assert True in chains
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +796,12 @@ def _check_enumeration(expr, decl_map, params=None):
     simple = ia.simplify(expr)
     if isinstance(simple, ia.BoolLit):
         assert res.explored == 0
+        return
+    if res.verdict is ia.Verdict.FALSE and res.explored == 0:
+        # refuted by intervals, without a valuation: only the oracle can judge
+        decls = [ia.VariableDecl(n, d) for n, d in decl_map.items()]
+        ps = [ia.ParamDecl(n, d) for n, d in (params or {}).items()]
+        assert oracle_falsity(expr, decls, ps) is True
         return
     table = {**decl_map, **(params or {})}
     explored, witness = _first_satisfying(simple, table)

@@ -291,9 +291,10 @@ def test_invalid_automaton_rejected():
 
 
 def test_enum_budget_option_flows_to_falsity():
-    # a budget of 1 cannot refute the dead guard, so the state stays legal
+    # a budget of 1 cannot refute the dead guard, so the state stays legal;
+    # x + x ranges over [0, 20], so bounds alone cannot refute it either
     x_decl = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
-    dead = ia.parse_constraint("context A::go() pre Dead: x < 0", x_decl)
+    dead = ia.parse_constraint("context A::go() pre Dead: x + x = 1", x_decl)
     go = _lab("go")
     a = _auto("A", ["s0", "s1"], ["s0"], hidden=[go],
               variables=x_decl, pres={"Dead": dead},
