@@ -28,7 +28,7 @@ from typing import Container, Iterable, Mapping, Optional
 
 from .domains import VariableDecl, is_identifier, resolve_path
 from .exprs import (
-    BinOp,
+    Chain,
     ConstraintContext,
     NamedConstraint,
     ParamDecl,
@@ -336,7 +336,7 @@ def conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str)
     return NamedConstraint(
         name=f"{first.name}_and_{second.name}",
         kind=first.kind,
-        body=BinOp("and", first.body, second.body),
+        body=Chain(("and",), (first.body, second.body)),
         context=ConstraintContext(
             contract=contract,
             operation="_and_".join(ops) if ops else None,

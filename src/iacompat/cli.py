@@ -201,11 +201,7 @@ def _collect_bindings(items) -> dict[str, object]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        expr = parse_expression(args.expression, None, open_world=True)
-    except (SortError, UnknownVariable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    expr = parse_expression(args.expression, None, open_world=True)
     values = _collect_bindings(args.bind)
     old = _collect_bindings(args.bind_old) if args.bind_old else None
     val = Valuation(values=values, old=old)
@@ -295,8 +291,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         for d in exc.diagnostics:
             print(f"invalid: {d}", file=sys.stderr)
         return 1
-    except (ParseError, ProductError, _UsageError, OSError) as exc:
+    except (ParseError, SortError, UnknownVariable, ProductError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # runs of one operator are flat; only nesting goes this deep
+        print("error: expression nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -8,9 +8,9 @@ relies on when it sorts commutative operands and applies annihilators.
 
 Evaluation is compile-once: ``compile_expr`` turns an expression into nested
 closures, with every variable reference resolved to an accessor, so the
-falsity enumeration walks each guard's tree once, not once per valuation. An
-``and`` or ``or`` chain compiles to one n-ary closure, so evaluation depth
-does not grow with its length. ``evaluate`` compiles through ``slot_access``
+falsity enumeration walks each guard's tree once, not once per valuation. A
+``Chain`` compiles to one closure that loops over its operands, so evaluation
+depth does not grow with its length. ``evaluate`` compiles through ``slot_access``
 over a ``Valuation``'s values, which is how the falsity enumeration binds too.
 """
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .exprs import (
     Apply,
     BinOp,
     BoolLit,
+    Chain,
     ConstraintKind,
     EnumLit,
     Expr,
@@ -161,8 +162,7 @@ def slot_access(cur_names: Sequence[str], old_names: Optional[Sequence[str]] = N
     return access
 
 
-_INT_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-            "+": operator.add, "-": operator.sub}
+_INT_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def compile_expr(e: Expr, access: Access) -> Compiled:
@@ -177,11 +177,11 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
         return lambda env: v
     if isinstance(e, VarRef):
         return access(e)
-    if isinstance(e, BinOp) and e.op in ("and", "or"):
-        return _compile_chain(e, access)
+    if isinstance(e, Chain):
+        return _compile_logic(e, access) if e.ops[0] in ("and", "or") else _compile_sum(e, access)
     if isinstance(e, BinOp) and e.op == "implies":
         # same truth table and same errors, left operand first
-        return _compile_chain(BinOp("or", Not(e.left), e.right), access)
+        return _compile_logic(Chain(("or",), (Not(e.left), e.right)), access)
     sub = [compile_expr(c, access) for c in children(e)]
     if isinstance(e, SetLit):
         return lambda env: frozenset([f(env) for f in sub])
@@ -238,13 +238,12 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _compile_chain(e: BinOp, access: Access) -> Compiled:
-    # one closure over the whole same-operator chain keeps compilation and
-    # evaluation depth flat
-    parts = [(compile_expr(node, access), node) for node in chain_operands(e, e.op)]
-    decisive = e.op == "or"  # the operand value that decides the chain
+def _compile_logic(e: Chain, access: Access) -> Compiled:
+    # one closure over the whole run keeps evaluation depth flat
+    parts = [(compile_expr(node, access), node) for node in e.operands]
+    decisive = e.ops[0] == "or"  # the operand value that decides the run
 
-    def chain(env):
+    def run(env):
         # a decisive operand wins over any error; otherwise the leftmost
         # failing operand's error is raised, as the binary definition does
         failed = None
@@ -261,7 +260,24 @@ def _compile_chain(e: BinOp, access: Access) -> Compiled:
             raise failed
         return not decisive
 
-    return chain
+    return run
+
+
+def _compile_sum(e: Chain, access: Access) -> Compiled:
+    # 0 + a - b ..., each operand read and checked before the next one
+    parts = [(operator.add if op == "+" else operator.sub, compile_expr(node, access), node)
+             for op, node in zip(("+",) + e.ops, e.operands)]
+
+    def run(env):
+        acc = 0
+        for op, f, node in parts:
+            v = f(env)
+            if v.__class__ is not int:  # an int passes without a call
+                v = _as_int(node, v)
+            acc = op(acc, v)
+        return acc
+
+    return run
 
 
 def _method(e: MethodCall, sub: list[Compiled], env: Any) -> Value:
@@ -328,8 +344,8 @@ def simplify(e: Expr) -> Expr:
         if isinstance(s, Not):
             return s.operand
         return Not(s)
-    if isinstance(e, BinOp) and e.op in ("and", "or"):
-        return _simplify_chain(e)
+    if isinstance(e, Chain):
+        return _simplify_logic(e) if e.ops[0] in ("and", "or") else _simplify_sum(e)
     if isinstance(e, BinOp):
         return _simplify_binop(e)
     if isinstance(e, SetLit):
@@ -345,41 +361,33 @@ def simplify(e: Expr) -> Expr:
     return e
 
 
-def chain_operands(e: Expr, op: str) -> list[Expr]:
-    """The operands of the ``op`` chain at ``e``, left to right, from an
-    explicit stack; ``[e]`` when ``e`` is no such chain."""
-    parts, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinOp) and node.op == op:
-            stack += (node.right, node.left)
-        else:
-            parts.append(node)
-    return parts
-
-
-def _simplify_chain(e: BinOp) -> Expr:
-    # a chain is true (false) when all its operands are, whatever their
+def _simplify_logic(e: Chain) -> Expr:
+    # a run is true (false) when all its operands are, whatever their
     # grouping and order, so it flattens; each operand is printed once
-    op, unit = e.op, e.op == "and"
+    op, unit = e.ops[0], e.ops[0] == "and"
     parts: list[Expr] = []
-    for part in chain_operands(e, op):
+    for part in e.operands:
         s = simplify(part)
         if isinstance(s, BoolLit):
             if s.value is not unit:
                 return s  # the annihilator
             continue  # the identity
-        parts += chain_operands(s, op)  # a simplified operand may be a chain itself
-    if not parts:
-        return BoolLit(unit)
+        # a simplified operand may be a run of the same operator itself
+        parts += s.operands if isinstance(s, Chain) and s.ops[0] == op else (s,)
+    if len(parts) < 2:
+        return parts[0] if parts else BoolLit(unit)
     parts.sort(key=to_text)
-    out = parts[0]
-    for part in parts[1:]:
-        out = BinOp(op, out, part)
-    return out
+    return Chain((op,) * (len(parts) - 1), tuple(parts))
 
 
-_LITERALS = (BoolLit, IntLit, EnumLit)
+def _simplify_sum(e: Chain) -> Expr:
+    # literals fold from the left, as the binary definition does, until the
+    # first operand that is not one
+    ops, parts = list(e.ops), [simplify(x) for x in e.operands]
+    while ops and isinstance(parts[0], IntLit) and isinstance(parts[1], IntLit):
+        a, b = parts[0].value, parts[1].value
+        parts[:2] = [IntLit(a + b if ops.pop(0) == "+" else a - b)]
+    return Chain(tuple(ops), tuple(parts)) if ops else parts[0]
 
 
 def _simplify_binop(e: BinOp) -> Expr:
@@ -397,22 +405,9 @@ def _simplify_binop(e: BinOp) -> Expr:
             return Not(l)
         return BinOp("implies", l, r)
     if op in ("=", "<>"):
-        if type(l) is type(r) and isinstance(l, _LITERALS):
+        if type(l) is type(r) and isinstance(l, (BoolLit, IntLit, EnumLit)):
             eq = l == r
             return BoolLit(eq if op == "=" else not eq)
-        return BinOp(op, l, r)
-    if isinstance(l, IntLit) and isinstance(r, IntLit):
-        a, b = l.value, r.value
-        if op == "<":
-            return BoolLit(a < b)
-        if op == "<=":
-            return BoolLit(a <= b)
-        if op == ">":
-            return BoolLit(a > b)
-        if op == ">=":
-            return BoolLit(a >= b)
-        if op == "+":
-            return IntLit(a + b)
-        if op == "-":
-            return IntLit(a - b)
+    elif isinstance(l, IntLit) and isinstance(r, IntLit):
+        return BoolLit(_INT_OPS[op](l.value, r.value))
     return BinOp(op, l, r)

@@ -2,7 +2,8 @@
 
 Operator precedence, loosest first: ``implies`` (right associative), ``or``,
 ``and``, ``not``, comparisons together with ``in set`` membership, ``+``/``-``,
-then postfix application/field/method suffixes.
+then postfix application/field/method suffixes. A run of ``or``, of ``and``
+or of ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
 
 Reserved words inside expressions: ``and or implies not in set dom true false``.
 Everything else, including the document keywords, stays usable as a name.
@@ -27,6 +28,7 @@ from .exprs import (
     Apply,
     BinOp,
     BoolLit,
+    Chain,
     ConstraintContext,
     ConstraintKind,
     EnumLit,
@@ -67,17 +69,17 @@ def _parse_implies(ts: TokenStream) -> Expr:
 
 
 def _parse_or(ts: TokenStream) -> Expr:
-    e = _parse_and(ts)
+    operands = [_parse_and(ts)]
     while ts.accept_word("or"):
-        e = BinOp("or", e, _parse_and(ts))
-    return e
+        operands.append(_parse_and(ts))
+    return Chain(("or",) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
 
 
 def _parse_and(ts: TokenStream) -> Expr:
-    e = _parse_not(ts)
+    operands = [_parse_not(ts)]
     while ts.accept_word("and"):
-        e = BinOp("and", e, _parse_not(ts))
-    return e
+        operands.append(_parse_not(ts))
+    return Chain(("and",) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
 
 
 def _parse_not(ts: TokenStream) -> Expr:
@@ -109,16 +111,11 @@ def _parse_set_expr(ts: TokenStream) -> Expr:
 
 
 def _parse_additive(ts: TokenStream) -> Expr:
-    e = _parse_postfix(ts)
-    while True:
-        if ts.peek("punct", "+"):
-            ts.advance()
-            e = BinOp("+", e, _parse_postfix(ts))
-        elif ts.peek("punct", "-"):
-            ts.advance()
-            e = BinOp("-", e, _parse_postfix(ts))
-        else:
-            return e
+    ops, operands = [], [_parse_postfix(ts)]
+    while ts.current.kind == "punct" and ts.current.text in ("+", "-"):
+        ops.append(ts.advance().text)
+        operands.append(_parse_postfix(ts))
+    return Chain(tuple(ops), tuple(operands)) if ops else operands[0]
 
 
 def _parse_postfix(ts: TokenStream) -> Expr:

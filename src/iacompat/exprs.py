@@ -8,7 +8,9 @@ record field access ``.c``, collection built-ins ``size``, ``lastItem``,
 literals ``{false}``, and the boolean/integer connectives.
 
 Nodes are frozen dataclasses; structural equality is the canonical notion of
-expression identity used everywhere (round-trips, conjunction sharing).
+expression identity used everywhere (round-trips, conjunction sharing). A run
+of ``and``s, of ``or``s or of ``+``/``-`` is one ``Chain``, so every walker
+takes it in one loop; ``BinOp`` holds the comparisons and ``implies``.
 """
 from __future__ import annotations
 
@@ -76,23 +78,28 @@ class Not(Expr):
 
 @dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # and or implies = <> < <= > >= + -
+    op: str  # implies = <> < <= > >=
     left: Expr
     right: Expr
 
-    def __eq__(self, other):
-        # structural, as the generated one; a loop down the left spines keeps
-        # long chains off the call stack
-        if other.__class__ is not BinOp:
-            return NotImplemented
-        a, b = self, other
-        while a.__class__ is BinOp and b.__class__ is BinOp:
-            if a is b:
-                return True
-            if a.op != b.op or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
+
+@dataclass(frozen=True)
+class Chain(Expr):
+    """A left-associative run of one precedence level: ``and``s, ``or``s, or
+    ``+`` and ``-``. ``ops[i]`` joins ``operands[i]`` and ``operands[i + 1]``.
+
+    A first operand that is a run of the same level is spliced in, so a run
+    has one node however it was built, and prints and parses back as one.
+    """
+
+    ops: tuple[str, ...]
+    operands: tuple[Expr, ...]
+
+    def __post_init__(self) -> None:
+        first = self.operands[0]
+        if first.__class__ is Chain and _LEVEL[first.ops[0]] == _LEVEL[self.ops[0]]:
+            object.__setattr__(self, "ops", first.ops + self.ops)
+            object.__setattr__(self, "operands", first.operands + self.operands[1:])
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,8 @@ _POSTFIX_LEVEL = 7
 def _level(e: Expr) -> int:
     if isinstance(e, BinOp):
         return _LEVEL[e.op]
+    if isinstance(e, Chain):
+        return _LEVEL[e.ops[0]]
     if isinstance(e, Not):
         return 4
     if isinstance(e, Membership):
@@ -170,19 +179,18 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Not):
         return "not " + wrap(e.operand, 4)
     if isinstance(e, BinOp):
+        # a child at the same level is parenthesized, except on the right of
+        # implies, which is right associative; comparisons do not associate
         lvl = _LEVEL[e.op]
-        if e.op == "implies":
-            # right associative: parenthesize a left child at the same level
-            return f"{wrap(e.left, lvl + 1)} implies {wrap(e.right, lvl)}"
-        # a left child at the same level prints bare; a loop down that spine
-        # keeps long chains off the call stack
-        spine = []
-        while isinstance(e, BinOp) and _LEVEL[e.op] == lvl:
-            spine.append(e)
-            e = e.left
-        parts = [wrap(e, lvl)]
-        for node in reversed(spine):
-            parts += (node.op, wrap(node.right, lvl + 1))
+        right = lvl if e.op == "implies" else lvl + 1
+        return f"{wrap(e.left, lvl + 1)} {e.op} {wrap(e.right, right)}"
+    if isinstance(e, Chain):
+        # the first operand is never a run of the same level; a later one is
+        # parenthesized so that it parses back as one operand
+        lvl = _LEVEL[e.ops[0]]
+        parts = [wrap(e.operands[0], lvl)]
+        for op, x in zip(e.ops, e.operands[1:]):
+            parts += (op, wrap(x, lvl + 1))
         return " ".join(parts)
     if isinstance(e, Membership):
         return f"{wrap(e.item, 6)} in set {wrap(e.collection, 6)}"
@@ -205,6 +213,7 @@ _CHILDREN = {
     SetLit: lambda e: e.items,
     Not: lambda e: (e.operand,),
     BinOp: lambda e: (e.left, e.right),
+    Chain: lambda e: e.operands,
     Membership: lambda e: (e.item, e.collection),
     Apply: lambda e: (e.target, e.key),
     FieldAccess: lambda e: (e.target,),
@@ -330,9 +339,6 @@ class SortScope:
         raise UnknownVariable(".".join(path))
 
 
-_CONNECTIVES = ("and", "or", "implies")
-
-
 def _require(cond: bool, message: str, e: Expr) -> None:
     if not cond:
         raise SortError(message, e)
@@ -358,33 +364,31 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
     if isinstance(e, Not):
         _require(infer_sort(e.operand, scope).tag in ("bool", "opaque"), "not needs a boolean", e)
         return BOOL
-    if isinstance(e, BinOp) and e.op in _CONNECTIVES:
-        # down the left spine of connectives with a loop, then each link after
-        # both its operands, in the order the recursive definition takes
-        spine = []
-        while isinstance(e, BinOp) and e.op in _CONNECTIVES:
-            spine.append(e)
-            e = e.left
-        ls = infer_sort(e, scope)
-        for node in reversed(spine):
-            rs = infer_sort(node.right, scope)
-            _require(ls.tag in ("bool", "opaque"), f"{node.op} needs boolean operands", node)
-            _require(rs.tag in ("bool", "opaque"), f"{node.op} needs boolean operands", node)
-            ls = BOOL
-        return BOOL
+    if isinstance(e, Chain):
+        # each link after both its operands, in the order the recursive
+        # definition takes; an error names the run up to the bad operand
+        logic = e.ops[0] in ("and", "or")
+        want = ("bool", "opaque") if logic else ("int", "opaque")
+        left = infer_sort(e.operands[0], scope)
+        for k in range(1, len(e.operands)):
+            right = infer_sort(e.operands[k], scope)
+            if left.tag not in want or right.tag not in want:
+                raise SortError(f"{e.ops[k - 1]} needs {'boolean' if logic else 'integer'} operands",
+                                Chain(e.ops[:k], e.operands[:k + 1]))
+            left = right
+        return BOOL if logic else INT
     if isinstance(e, BinOp):
         ls, rs = infer_sort(e.left, scope), infer_sort(e.right, scope)
+        if e.op == "implies":
+            _require(ls.tag in ("bool", "opaque") and rs.tag in ("bool", "opaque"),
+                     "implies needs boolean operands", e)
+            return BOOL
         if e.op in ("=", "<>"):
             _require(sorts_compatible(ls, rs), f"cannot compare {ls} with {rs}", e)
             return BOOL
-        if e.op in ("<", "<=", ">", ">="):
-            _require(ls.tag in ("int", "opaque") and rs.tag in ("int", "opaque"),
-                     f"{e.op} needs integer operands", e)
-            return BOOL
-        # + -
         _require(ls.tag in ("int", "opaque") and rs.tag in ("int", "opaque"),
                  f"{e.op} needs integer operands", e)
-        return INT
+        return BOOL
     if isinstance(e, Membership):
         item = infer_sort(e.item, scope)
         coll = infer_sort(e.collection, scope)

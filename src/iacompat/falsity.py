@@ -35,11 +35,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
-from .evaluate import EvalError, Valuation, chain_operands, compile_expr, simplify, slot_access
+from .evaluate import EvalError, Valuation, compile_expr, simplify, slot_access
 from .exprs import (
     Apply,
     BinOp,
     BoolLit,
+    Chain,
     Expr,
     FieldAccess,
     IntLit,
@@ -197,13 +198,14 @@ def _bounds(t: Expr, leaves: Leaves) -> Optional[tuple[int, int]]:
     """Bounds on every int value ``t`` can take, or None if it has none."""
     if isinstance(t, IntLit):
         return t.value, t.value
-    if isinstance(t, BinOp) and t.op in ("+", "-"):
-        a, b = _bounds(t.left, leaves), _bounds(t.right, leaves)
-        if a is None or b is None:
-            return None
-        if t.op == "+":
-            return a[0] + b[0], a[1] + b[1]
-        return a[0] - b[1], a[1] - b[0]
+    if isinstance(t, Chain) and t.ops[0] in ("+", "-"):
+        lo = hi = 0
+        for op, x in zip(("+",) + t.ops, t.operands):
+            b = _bounds(x, leaves)
+            if b is None:
+                return None
+            lo, hi = (lo + b[0], hi + b[1]) if op == "+" else (lo - b[1], hi - b[0])
+        return lo, hi
     d = _domain_of(t, leaves)
     return (d.lower, d.upper) if isinstance(d, IntRangeDomain) else None
 
@@ -214,9 +216,9 @@ def _never_true(e: Expr, leaves: Leaves) -> bool:
     An error counts as not-true, so a term that fails to evaluate (a map
     applied outside its domain) cannot break a refutation.
     """
-    if isinstance(e, BinOp) and e.op in ("and", "or"):
-        settle = any if e.op == "and" else all
-        return settle(_never_true(part, leaves) for part in chain_operands(e, e.op))
+    if isinstance(e, Chain) and e.ops[0] in ("and", "or"):
+        settle = any if e.ops[0] == "and" else all
+        return settle(_never_true(part, leaves) for part in e.operands)
     if isinstance(e, BinOp) and e.op in _REFUTED:
         a, b = _bounds(e.left, leaves), _bounds(e.right, leaves)
         return a is not None and b is not None and _REFUTED[e.op](*a, *b)

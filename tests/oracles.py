@@ -18,6 +18,7 @@ from iacompat import (
     Apply,
     BinOp,
     BoolLit,
+    Chain,
     EnumLit,
     EvalError,
     FieldAccess,
@@ -208,6 +209,8 @@ def oracle_evaluate(e, val):
         return not _as_bool(e.operand, oracle_evaluate(e.operand, val))
     if isinstance(e, BinOp):
         return _eval_binop(e, val)
+    if isinstance(e, Chain):
+        return _eval_chain(e, val)
     if isinstance(e, Membership):
         coll = oracle_evaluate(e.collection, val)
         if not isinstance(coll, frozenset):
@@ -238,38 +241,44 @@ def oracle_evaluate(e, val):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _bool_link(op, left, right):
+    """The binary rule of ``and``, ``or`` or ``implies`` on two outcomes
+    ``(value, error)`` of ``_try_bool``; the result is such an outcome."""
+    (lv, le), (rv, re_) = left, right
+    if op == "and" and (lv is False or rv is False):
+        return False, None
+    if op == "or" and (lv is True or rv is True):
+        return True, None
+    if op == "implies" and (lv is False or rv is True):
+        return True, None
+    if le or re_:
+        return None, le or re_
+    return {"and": True, "or": False, "implies": rv}[op], None  # rv is False here
+
+
+def _eval_chain(e, val):
+    # link by link from the left, each by its binary rule
+    if e.ops[0] in ("and", "or"):
+        out = _try_bool(e.operands[0], val)
+        for op, x in zip(e.ops, e.operands[1:]):
+            out = _bool_link(op, out, _try_bool(x, val))
+        if out[1]:
+            raise out[1]
+        return out[0]
+    acc = _as_int(e.operands[0], oracle_evaluate(e.operands[0], val))
+    for op, x in zip(e.ops, e.operands[1:]):
+        rv = _as_int(x, oracle_evaluate(x, val))
+        acc = acc + rv if op == "+" else acc - rv
+    return acc
+
+
 def _eval_binop(e, val):
     op = e.op
-    if op == "and":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is False or rv is False:
-            return False
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return True
-    if op == "or":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is True or rv is True:
-            return True
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return False
     if op == "implies":
-        lv, le = _try_bool(e.left, val)
-        rv, re_ = _try_bool(e.right, val)
-        if lv is False or rv is True:
-            return True
-        if le:
-            raise le
-        if re_:
-            raise re_
-        return rv  # lv is True here
+        v, err = _bool_link(op, _try_bool(e.left, val), _try_bool(e.right, val))
+        if err:
+            raise err
+        return v
     if op in ("=", "<>"):
         lv = oracle_evaluate(e.left, val)
         rv = oracle_evaluate(e.right, val)
@@ -285,10 +294,6 @@ def _eval_binop(e, val):
         return lv > rv
     if op == ">=":
         return lv >= rv
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
     raise TypeError(f"unknown operator {op!r}")
 
 
@@ -347,6 +352,9 @@ def collect_paths(expr, into):
     elif isinstance(expr, BinOp):
         collect_paths(expr.left, into)
         collect_paths(expr.right, into)
+    elif isinstance(expr, Chain):
+        for x in expr.operands:
+            collect_paths(x, into)
     elif isinstance(expr, Membership):
         collect_paths(expr.item, into)
         collect_paths(expr.collection, into)

@@ -18,6 +18,7 @@ from iacompat import (
     BinOp,
     BoolDomain,
     BoolLit,
+    Chain,
     ConstraintContext,
     ConstraintKind,
     EnumDomain,
@@ -71,6 +72,14 @@ def _atom(rng: random.Random, decls):
     return BinOp("=", ref, EnumLit(rng.choice(lits)))
 
 
+def join(op, left, right):
+    """``left op right``; a run operator (``and``, ``or``, ``+``, ``-``)
+    makes a ``Chain``, which splices a left operand of its own level."""
+    if op in ("and", "or", "+", "-"):
+        return Chain((op,), (left, right))
+    return BinOp(op, left, right)
+
+
 def rand_expr(rng: random.Random, decls, depth: int = 2):
     if depth <= 0 or rng.random() < 0.4:
         return _atom(rng, decls)
@@ -78,7 +87,7 @@ def rand_expr(rng: random.Random, decls, depth: int = 2):
     if pick == 0:
         return Not(rand_expr(rng, decls, depth - 1))
     op = ("and", "or", "implies")[pick - 1]
-    return BinOp(op, rand_expr(rng, decls, depth - 1), rand_expr(rng, decls, depth - 1))
+    return join(op, rand_expr(rng, decls, depth - 1), rand_expr(rng, decls, depth - 1))
 
 
 # rand_term ranges over one variable of each kind of domain that evaluation
@@ -129,7 +138,7 @@ def rand_term(rng: random.Random, depth: int = 3):
     if pick == 0:
         return Not(sub())
     if pick == 1:
-        return BinOp(rng.choice(_TERM_OPS), sub(), sub())
+        return join(rng.choice(_TERM_OPS), sub(), sub())
     if pick == 2:
         return SetLit(tuple(sub() for _ in range(rng.randint(0, 2))))
     if pick == 3:
@@ -173,7 +182,7 @@ def _int_term(rng: random.Random, depth: int, leaves: str):
         # keys outside [0..1] make the application fail, which is not-true
         key = VarRef(("x",)) if rng.random() < 0.3 else IntLit(rng.randint(-1, 2))
         return Apply(VarRef(("m",)), key)
-    return BinOp(rng.choice("+-"), _int_term(rng, depth - 1, leaves), _int_term(rng, depth - 1, leaves))
+    return join(rng.choice("+-"), _int_term(rng, depth - 1, leaves), _int_term(rng, depth - 1, leaves))
 
 
 def rand_int_atom(rng: random.Random, depth: int = 1, leaves: str = "kxprm"):
@@ -189,18 +198,15 @@ def rand_int_guard(rng: random.Random, depth: int = 3):
     if pick == 0:
         return Not(rand_int_guard(rng, depth - 1))
     op = ("and", "and", "or", "or", "implies")[pick - 1]
-    return BinOp(op, rand_int_guard(rng, depth - 1), rand_int_guard(rng, depth - 1))
+    return join(op, rand_int_guard(rng, depth - 1), rand_int_guard(rng, depth - 1))
 
 
 def rand_int_chain(rng: random.Random, links: int):
-    """A left-deep ``and`` or ``or`` chain of ``links`` links that cycles
-    through one to three atoms over ``x``, ``x~`` and ``p``."""
+    """An ``and`` or ``or`` run of ``links`` links that cycles through one to
+    three atoms over ``x``, ``x~`` and ``p``."""
     atoms = [rand_int_atom(rng, 0, "kxp") for _ in range(rng.randint(1, 3))]
     op = rng.choice(("and", "or"))
-    out = atoms[0]
-    for i in range(1, links + 1):
-        out = BinOp(op, out, atoms[i % len(atoms)])
-    return out
+    return Chain((op,) * links, tuple(atoms[i % len(atoms)] for i in range(links + 1)))
 
 
 def _with_old(expr, rng: random.Random):
@@ -211,6 +217,8 @@ def _with_old(expr, rng: random.Random):
         return Not(_with_old(expr.operand, rng))
     if isinstance(expr, BinOp):
         return BinOp(expr.op, _with_old(expr.left, rng), _with_old(expr.right, rng))
+    if isinstance(expr, Chain):
+        return Chain(expr.ops, tuple(_with_old(x, rng) for x in expr.operands))
     return expr
 
 

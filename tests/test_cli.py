@@ -274,6 +274,52 @@ def test_check_deep_guard_gets_a_verdict(tmp_path, capsys, modulus, code):
     assert f"pre pre_unnamed_1: {guard};" in out
 
 
+def test_product_keeps_parentheses_around_a_compared_comparison(tmp_path, capsys):
+    # the written product is read back by lint, so its guards must parse
+    a = _go_contract(tmp_path, "PA", True, "x : int[0..2];\n  var b : bool",
+                     ("pre P: (x = 1) = b",), pre="P")
+    b = _go_contract(tmp_path, "PB", False, "y : bool")
+    out = str(tmp_path / "product.ia")
+    assert run_cli(capsys, "product", a, b, "-o", out) == (0, "", "")
+    assert "pre P: (x = 1) = b;" in Path(out).read_text()
+    assert run_cli(capsys, "lint", out) == (0, f"{out}: ok\n", "")
+
+
+def test_sum_of_1200_terms_is_refuted_by_bounds(tmp_path, capsys):
+    # one run of 1200 terms, which lint and check walk in loops
+    a = _go_contract(tmp_path, "SA", True, "x : int[0..10]",
+                     ("pre G: x" + " + 1" * 1199 + " > 5000",), pre="G")
+    b = _go_contract(tmp_path, "SB", False, "y : bool")
+    assert run_cli(capsys, "lint", a) == (0, f"{a}: ok\n", "")
+    code, out, err = run_cli(capsys, "check", a, b)
+    assert (code, err) == (1, "")
+    assert out.endswith("verdict: incompatible (empty_after_pruning)\n")
+    # the bounds decide it, with no valuation
+    auto = iacompat.parse_document(Path(a).read_text()).automaton()
+    res = iacompat.constraint_falsity(auto.preconditions["G"], auto.variables, budget=1)
+    assert (res.verdict, res.explored) == (iacompat.Verdict.FALSE, 0)
+
+
+def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
+    nests = (2, "", "error: expression nests too deeply\n")
+    assert run_cli(capsys, "eval", "(" * 130 + "1" + ")" * 130) == nests
+    b = _go_contract(tmp_path, "NB", False, "y : bool")
+    for name, guard, lint, check in (
+        ("Parens", "(" * 150 + "x > 1" + ")" * 150, 2, 2),
+        ("Implies", " implies ".join(f"x <> {k % 10}" for k in range(401)), 0, 2),
+        ("And", " and ".join(f"x <> {k % 10}" for k in range(2000)), 0, 0),
+        ("Sum", "x" + " + 1" * 1199 + " > 0", 0, 0),
+    ):
+        a = _go_contract(tmp_path, name, True, "x : int[0..10]", (f"pre G: {guard}",), pre="G")
+        code, out, err = run_cli(capsys, "lint", a)
+        assert (code, out, err) == ((0, f"{a}: ok\n", "") if lint == 0 else nests), name
+        code, out, err = run_cli(capsys, "check", a, b)
+        if check == 2:
+            assert (code, out, err) == nests, name
+        else:
+            assert (code, err) == (0, "") and out.endswith("verdict: compatible\n"), name
+
+
 _RECORD_KEYED_MAP = "m : map record { a : bool } to bool"
 _RECORD_VALUED_MAP = "m : map bool to record { a : bool };\n  var r : record { a : bool }"
 
@@ -389,6 +435,10 @@ def test_eval_old_binding(capsys):
     (["x.front(1) = y", "--bind", "x=1", "--bind", "y=1"], "front of a non-sequence `x`"),
     (["x.domain = y", "--bind", "x=1", "--bind", "y=1"], "domain of a non-map `x`"),
     (["x.range = y", "--bind", "x=1", "--bind", "y=1"], "range of a non-map `x`"),
+    # a sum reads and checks its operands from the left
+    (["x + y - z < 1", "--bind", "x=1", "--bind", "y=true", "--bind", "z=<off>"],
+     "expected an integer from `y`, got True"),
+    (["x - y < 1", "--bind", "x=<off>", "--bind", "y=true"], "expected an integer from `x`, got 'off'"),
 ])
 def test_eval_error_messages(capsys, argv, message):
     code, out, err = run_cli(capsys, "eval", *argv)

@@ -15,6 +15,7 @@ from randgen import (
     INT_PARAMS,
     TERM_DECLS,
     _with_old,
+    join,
     rand_domain,
     rand_expr,
     rand_int_chain,
@@ -23,10 +24,8 @@ from randgen import (
     rand_valuation,
 )
 
-import contextlib
 import itertools
 import random
-import sys
 
 
 CLAIM = ia.EnumDomain(("undecided", "leader", "follower", "off"))
@@ -250,6 +249,14 @@ def test_round_trip_all_case_study_bodies():
         again = ia.parse_expression(printed, decls, params=dict(c.param_domains()),
                                     source=name)
         assert ia.to_text(again) == printed
+    # comparisons do not associate, so a comparison or membership operand of
+    # one keeps its parentheses on either side
+    decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 2)),
+             "y": ia.VariableDecl("y", ia.BoolDomain())}
+    for text in ("(x = 1) = true", "(x in set {1}) = true", "(x < 1) = (y = true)"):
+        e = ia.parse_expression(text, decls)
+        assert ia.to_text(e) == text
+        assert ia.parse_expression(ia.to_text(e), decls) == e
 
 
 def test_slice_is_front_sugar():
@@ -363,27 +370,20 @@ def test_map_application_keeps_bool_and_int_keys_apart():
     assert ia.evaluate(e, ia.Valuation({"m": FM({(1,): 1}), "k": (1,)})) is True
 
 
-def _chain(op, atoms):
-    out = atoms[0]
-    for a in atoms[1:]:
-        out = ia.BinOp(op, out, a)
-    return out
-
-
 def test_deep_chains_walk_print_sort_and_simplify():
-    # 2000 links: every one of these recursed once per link
+    # 2000 links, each walker taking them in one loop
     x = ia.VarRef(("x",))
     atoms = [ia.BinOp("<>", x, ia.IntLit(k % 10)) for k in range(2001)]
-    e = _chain("and", atoms)
-    assert sum(1 for _ in ia.walk(e)) == 2000 + 3 * 2001
+    e = ia.Chain(("and",) * 2000, tuple(atoms))
+    assert sum(1 for _ in ia.walk(e)) == 1 + 3 * 2001
     text = ia.to_text(e)
     assert text == " and ".join(f"x <> {k % 10}" for k in range(2001))
     assert ia.parse_expression(text, X_DECLS) == e  # sort inference on the way
     s = ia.simplify(e)
     assert ia.simplify(s) == s
     assert ia.to_text(s) == " and ".join(sorted(f"x <> {k % 10}" for k in range(2001)))
-    # a bad operand deep in the chain is named, with the link that holds it
-    bad = _chain("and", atoms[:1000] + [ia.IntLit(1)] + atoms[1000:])
+    # a bad operand deep in the run is named with the run up to it
+    bad = ia.Chain(("and",) * 2001, (*atoms[:1000], ia.IntLit(1), *atoms[1000:]))
     with pytest.raises(ia.SortError, match="and needs boolean operands") as exc:
         infer_sort(bad, SortScope(decls={"x": ia.IntRangeDomain(0, 10)}))
     assert exc.value.expr_text.endswith("x <> 9 and 1")
@@ -399,6 +399,31 @@ def test_simplify_flattens_chains_canonically():
     assert ia.simplify(mixed) == mixed
     assert ia.to_text(ia.simplify(ia.parse_expression("p and (false or q and false)", decls))) == "false"
     assert ia.to_text(ia.simplify(ia.parse_expression("p or (q or true)", decls))) == "true"
+
+
+def test_a_run_is_one_node():
+    decls = {n: ia.VariableDecl(n, ia.BoolDomain()) for n in "pqr"}
+    p, q, r = (ia.VarRef((n,)) for n in "pqr")
+    run = ia.Chain(("and", "and"), (p, q, r))
+    # a first operand of the same level is spliced in, however it was built
+    assert ia.Chain(("and",), (ia.Chain(("and",), (p, q)), r)) == run
+    assert ia.parse_expression("(p and q) and r", decls) == run
+    assert ia.to_text(run) == "p and q and r"
+    # a later one, or one of another level, stays one operand
+    nested = ia.parse_expression("p and (q and r)", decls)
+    assert nested == ia.Chain(("and",), (p, ia.Chain(("and",), (q, r))))
+    assert ia.to_text(nested) == "p and (q and r)"
+    assert ia.to_text(ia.Chain(("and",), (ia.Chain(("or",), (p, q)), r))) == "(p or q) and r"
+    x = ia.VarRef(("x",))
+    assert ia.parse_expression("(x - 1) + 2", X_DECLS) == ia.Chain(("-", "+"), (x, ia.IntLit(1), ia.IntLit(2)))
+
+
+def test_simplify_folds_the_leading_literals_of_a_sum():
+    # literals fold from the left until the first operand that is not one,
+    # which is what folding a left-deep tree of binary sums gives
+    for text, want in (("1 + 2 - 4 + x < 5", "-1 + x < 5"), ("x + 1 + 2 < 5", "x + 1 + 2 < 5"),
+                       ("1 - 2 < 0", "true"), ("x - (1 - 3) > 0", "x - -2 > 0")):
+        assert ia.to_text(ia.simplify(ia.parse_expression(text, X_DECLS))) == want
 
 
 def test_parallel_conjunction_absorbs_errors():
@@ -417,9 +442,8 @@ def test_deep_conjunction_gets_a_verdict():
     x = ia.VarRef(("x",))
     decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 9))}
     for modulus, verdict in ((9, ia.Verdict.SATISFIABLE), (10, ia.Verdict.FALSE)):
-        e = ia.BinOp("<>", x, ia.IntLit(0))
-        for k in range(1, 400):
-            e = ia.BinOp("and", e, ia.BinOp("<>", x, ia.IntLit(k % modulus)))
+        atoms = tuple(ia.BinOp("<>", x, ia.IntLit(k % modulus)) for k in range(400))
+        e = ia.Chain(("and",) * 399, atoms)
         res = ia.falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, 10)
         if verdict is ia.Verdict.SATISFIABLE:
@@ -619,17 +643,6 @@ def test_shared_pools_change_no_result():
     assert len(pools) == len(set(pools))
 
 
-@contextlib.contextmanager
-def _deep_recursion(limit: int = 20_000):
-    # the oracle interprets by recursion, three frames per link of a chain
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def _check_refutation(expr, decls, params=None):
     """Every FALSE decided without a valuation agrees with the oracle."""
     table = {**{d.name: d.domain for d in decls}, **(params or {})}
@@ -639,8 +652,7 @@ def _check_refutation(expr, decls, params=None):
     res = ia.falsity(expr, decls, params=params, budget=1)
     if res.verdict is ia.Verdict.FALSE and res.explored == 0:
         ps = [ia.ParamDecl(n, d) for n, d in (params or {}).items()]
-        with _deep_recursion():
-            assert oracle_falsity(expr, decls, ps) is True
+        assert oracle_falsity(expr, decls, ps) is True
         return True
     return False
 
@@ -657,7 +669,7 @@ def test_refutations_without_valuations_match_the_oracle(seed):
                         rng.choice((ia.VarRef(("n",)), ia.VarRef(("r", "s")),
                                     ia.Apply(ia.VarRef(("m",)), ia.EnumLit("ea")))),
                         ia.IntLit(rng.randint(-2, 4)))
-        term = ia.BinOp(rng.choice(("and", "or")), term, atom)
+        term = join(rng.choice(("and", "or")), term, atom)
     _check_refutation(term, TERM_DECLS)
     # int guards over every kind of bounded leaf, with or without parameters
     params = INT_PARAMS if rng.random() < 0.5 else {"p": INT_PARAMS["p"]}
