@@ -25,6 +25,68 @@ def _tl():
 
 
 # ---------------------------------------------------------------------------
+# label and transition values
+
+
+def test_action_label_rejects_non_identifiers():
+    with pytest.raises(ValueError, match=r"^action name is not an identifier: '1x'$"):
+        ia.ActionLabel("1x")
+    with pytest.raises(ValueError, match=r"^namespace is not an identifier: '9'$"):
+        ia.ActionLabel("a", "9")
+
+
+def test_action_label_text_and_order():
+    plain, qualified = ia.ActionLabel("a"), ia.ActionLabel("a", "N")
+    assert (str(plain), str(qualified)) == ("a", "N::a")
+    assert repr(plain) == "ActionLabel(name='a', namespace=None)"
+    assert repr(qualified) == "ActionLabel(name='a', namespace='N')"
+    assert (plain.sort_key, qualified.sort_key) == (("", "a"), ("N", "a"))
+    assert sorted([ia.ActionLabel("b"), ia.ActionLabel("a", "Z"), ia.ActionLabel("a", "N")],
+                  key=lambda l: l.sort_key) == [ia.ActionLabel("b"), qualified,
+                                                ia.ActionLabel("a", "Z")]
+    # the natural order compares name first, then namespace
+    assert sorted([ia.ActionLabel("b"), ia.ActionLabel("a", "Z"), qualified]) == [
+        qualified, ia.ActionLabel("a", "Z"), ia.ActionLabel("b")]
+
+
+def test_labels_parsed_apart_are_equal_and_hash_equal():
+    text = ia.fixture_text("ping.ia")
+    (ping1,) = ia.parse_document(text).automaton("Ping").outputs
+    (ping2,) = ia.parse_document(text).automaton("Ping").outputs
+    assert ping1 is not ping2
+    assert ping1 == ping2 == ia.ActionLabel("ping")
+    assert hash(ping1) == hash(ping2)
+    assert ping2 in {ping1} and {ping1: 1}[ping2] == 1
+
+
+def test_product_keeps_the_order_of_repeated_shared_steps():
+    pre_p = ia.parse_constraint("context A::go() pre P: true")
+    pre_q = ia.parse_constraint("context B::go() pre Q: true")
+    go, k, h = ia.ActionLabel("go"), ia.ActionLabel("k"), ia.ActionLabel("h")
+    a = ia.InterfaceAutomaton(name="A", states=("s", "s1"), initials=("s",),
+                              inputs=(), outputs=(go,), hidden=(k,),
+                              preconditions={"P": pre_p},
+                              transitions=(ia.Transition("s", "P", go, None, "s1"),
+                                           ia.Transition("s", None, k, None, "s")))
+    # t has two steps on the shared go, with a hidden step between them
+    b = ia.InterfaceAutomaton(name="B", states=("t", "t1", "t2"), initials=("t",),
+                              inputs=(go,), outputs=(), hidden=(h,),
+                              preconditions={"Q": pre_q},
+                              transitions=(ia.Transition("t", "Q", go, None, "t1"),
+                                           ia.Transition("t", None, h, None, "t2"),
+                                           ia.Transition("t", None, go, None, "t2")))
+    auto = ia.product(a, b).automaton
+    assert auto.transitions == (
+        ia.Transition("s__t", "P_and_Q", go, None, "s1__t1"),
+        ia.Transition("s__t", "P", go, None, "s1__t2"),
+        ia.Transition("s__t", None, k, None, "s__t"),
+        ia.Transition("s__t", None, h, None, "s__t2"),
+        ia.Transition("s__t2", None, k, None, "s__t2"),
+    )
+    assert auto.states == ("s__t", "s1__t1", "s1__t2", "s__t2")
+
+
+# ---------------------------------------------------------------------------
 # structural validation
 
 
