@@ -17,6 +17,13 @@ stages read indexes each automaton builds once, on first use (``classes``,
 construction visits reachable state pairs only, which is a worst case of
 O(|transitions1| * |transitions2|) work; membership in the larger full grid
 is never materialized.
+
+``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so the graph
+stages build, hash, compare and order them as C-level tuples. They compare
+and hash equal to plain tuples of their fields (``ActionLabel("b", "a") ==
+("b", "a")``), so no dict or set here may hold labels beside the
+``(state, state)`` pairs or constraint-name pairs of ``product``; none
+does. Derive a changed step with ``t._replace(...)``.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .domains import VariableDecl, is_identifier, resolve_path
 from .exprs import (
@@ -36,18 +43,22 @@ from .exprs import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class ActionLabel:
-    """Action name with an optional namespace, printed ``namespace::name``."""
-
+class _Label(NamedTuple):
     name: str
     namespace: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.name):
-            raise ValueError(f"action name is not an identifier: {self.name!r}")
-        if self.namespace is not None and not is_identifier(self.namespace):
-            raise ValueError(f"namespace is not an identifier: {self.namespace!r}")
+
+class ActionLabel(_Label):
+    """Action name with an optional namespace, printed ``namespace::name``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, namespace: Optional[str] = None) -> ActionLabel:
+        if not is_identifier(name):
+            raise ValueError(f"action name is not an identifier: {name!r}")
+        if namespace is not None and not is_identifier(namespace):
+            raise ValueError(f"namespace is not an identifier: {namespace!r}")
+        return super().__new__(cls, name, namespace)
 
     def __str__(self) -> str:
         return self.name if self.namespace is None else f"{self.namespace}::{self.name}"
@@ -67,8 +78,7 @@ class ActionClass(enum.Enum):
         return {"input": "?", "output": "!", "hidden": ";"}[self.value]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One step: source, optional named pre, action, optional named post, target."""
 
     source: str
@@ -284,14 +294,9 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
     composable. Inputs and outputs are left untouched.
     """
     mapping = {h: ActionLabel(h.name, a.name) for h in a.hidden}
-    new_transitions = tuple(
-        replace(t, action=mapping.get(t.action, t.action)) for t in a.transitions
-    )
-    return replace(
-        a,
-        hidden=tuple(mapping[h] for h in a.hidden),
-        transitions=new_transitions,
-    )
+    return replace(a, hidden=tuple(mapping.values()), transitions=tuple(
+        t._replace(action=mapping.get(t.action, t.action)) for t in a.transitions
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +422,7 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
 
     if pres.rename or posts.rename:
         a2 = replace(a2, transitions=tuple(
-            replace(t, pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
+            t._replace(pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
             for t in a2.transitions
         ))
     out1, out2 = a1.outgoing, a2.outgoing
@@ -440,23 +445,20 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
 
     steps: dict[Transition, None] = {}  # insertion-ordered set
 
-    def emit(src: str, pre: Optional[str], action: ActionLabel, post: Optional[str], dst: str) -> None:
-        steps[Transition(src, pre, action, post, dst)] = None
-
     while worklist:
         s1, s2 = worklist.popleft()
         pid = pair_id[s1, s2]
         for t in out1.get(s1, ()):
             if t.action not in shared_set:
-                emit(pid, t.pre, t.action, t.post, intern((t.target, s2)))
+                steps[Transition(pid, t.pre, t.action, t.post, intern((t.target, s2)))] = None
                 continue
             for u in out2.get(s2, ()):
                 if u.action == t.action:
                     pre, post = pres.conjoin(t.pre, u.pre), posts.conjoin(t.post, u.post)
-                    emit(pid, pre, t.action, post, intern((t.target, u.target)))
+                    steps[Transition(pid, pre, t.action, post, intern((t.target, u.target)))] = None
         for u in out2.get(s2, ()):
             if u.action not in shared_set:  # shared ones were synchronized above
-                emit(pid, u.pre, u.action, u.post, intern((s1, u.target)))
+                steps[Transition(pid, u.pre, u.action, u.post, intern((s1, u.target)))] = None
 
     automaton = InterfaceAutomaton(
         name=name,

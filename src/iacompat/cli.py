@@ -45,6 +45,10 @@ class _UsageError(Exception):
     pass
 
 
+# runs of one operator are flat; only nesting raises RecursionError
+_TOO_DEEP = "expression nests too deeply"
+
+
 def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomaton:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -78,16 +82,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     worst = 0
     for path in args.files:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"{path}: error: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        try:
-            doc = parse_document(text, source=path)
-        except ParseError as exc:
+            doc = parse_document(Path(path).read_text(encoding="utf-8"), source=path)
+        except ParseError as exc:  # its text names the path
             print(f"error: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
+            worst = 2
+            continue
+        except (OSError, RecursionError) as exc:
+            reason = _TOO_DEEP if isinstance(exc, RecursionError) else exc
+            print(f"{path}: error: {reason}", file=sys.stderr)
+            worst = 2
             continue
         diags = document_diagnostics(doc)
         if diags:
@@ -295,8 +298,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # runs of one operator are flat; only nesting goes this deep
-        print("error: expression nests too deeply", file=sys.stderr)
+        print(f"error: {_TOO_DEEP}", file=sys.stderr)
         return 2
 
 

@@ -341,15 +341,8 @@ def _parse_contract(
             raise ParseError(
                 f"unknown postcondition {raw.post.text!r}", raw.post.line, raw.post.col, ts.source
             )
-        transitions.append(
-            Transition(
-                source=raw.source.text,
-                pre=raw.pre.text if raw.pre else None,
-                action=raw.action,
-                post=raw.post.text if raw.post else None,
-                target=raw.target.text,
-            )
-        )
+        transitions.append(Transition(raw.source.text, raw.pre.text if raw.pre else None, raw.action,
+                                      raw.post.text if raw.post else None, raw.target.text))
 
     decl_domains = {n: d.domain for n, d in variables.items()}
     for c, body_tok in deferred_checks:

@@ -312,12 +312,20 @@ def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
     ):
         a = _go_contract(tmp_path, name, True, "x : int[0..10]", (f"pre G: {guard}",), pre="G")
         code, out, err = run_cli(capsys, "lint", a)
-        assert (code, out, err) == ((0, f"{a}: ok\n", "") if lint == 0 else nests), name
+        assert (code, out, err) == ((0, f"{a}: ok\n", "") if lint == 0
+                                    else (2, "", f"{a}: error: expression nests too deeply\n")), name
         code, out, err = run_cli(capsys, "check", a, b)
         if check == 2:
             assert (code, out, err) == nests, name
         else:
             assert (code, err) == (0, "") and out.endswith("verdict: compatible\n"), name
+
+
+def test_lint_goes_on_after_a_file_that_nests_too_deeply(tmp_path, capsys):
+    deep = _go_contract(tmp_path, "Deep", True, "x : int[0..10]",
+                        ("pre G: " + "(" * 150 + "x > 1" + ")" * 150,), pre="G")
+    code, out, err = run_cli(capsys, "lint", deep, PING)
+    assert (code, out, err) == (2, f"{PING}: ok\n", f"{deep}: error: expression nests too deeply\n")
 
 
 _RECORD_KEYED_MAP = "m : map record { a : bool } to bool"
