@@ -49,11 +49,18 @@ class _UsageError(Exception):
 _TOO_DEEP = "expression nests too deeply"
 
 
+def _reason(exc: Exception) -> object:
+    """What to print for an input file that cannot be read, decoded or nested that deep."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not valid UTF-8 at byte offset {exc.start}"
+    return _TOO_DEEP if isinstance(exc, RecursionError) else exc
+
+
 def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomaton:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"{path}: {_reason(exc)}") from None
     doc = parse_document(text, source=path)
     if contract is not None:
         try:
@@ -87,9 +94,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             worst = 2
             continue
-        except (OSError, RecursionError) as exc:
-            reason = _TOO_DEEP if isinstance(exc, RecursionError) else exc
-            print(f"{path}: error: {reason}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            print(f"{path}: error: {_reason(exc)}", file=sys.stderr)
             worst = 2
             continue
         diags = document_diagnostics(doc)

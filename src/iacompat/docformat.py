@@ -67,7 +67,7 @@ from .expr_parse import (
     parse_kind_word,
     parse_param_list,
 )
-from .lexer import ParseError, Token, TokenStream, tokenize
+from .lexer import Token, TokenStream
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ContractDocument:
 
 def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     """Parse a full document; raises ParseError with line/column on any fault."""
-    ts = TokenStream(tokenize(text, source), source)
+    ts = TokenStream(text, source)
     meta = DocumentMeta()
     if ts.peek_word("document"):
         ts.advance()
@@ -123,10 +123,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             ts.advance()
             name_tok = ts.expect("ident", what="a type name")
             if name_tok.text in type_env:
-                raise ParseError(
-                    f"duplicate type name {name_tok.text!r}",
-                    name_tok.line, name_tok.col, source,
-                )
+                raise ts.error(f"duplicate type name {name_tok.text!r}", name_tok)
             ts.expect("punct", "=")
             dom = parse_domain(ts, type_env, strict_types=True)
             ts.expect("punct", ";")
@@ -138,10 +135,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             automata.append(automaton)
             constraints.extend(owned)
         else:
-            t = ts.current
-            raise ts.error(
-                f"expected 'type' or 'contract', found {t.text or 'end of input'!r}"
-            )
+            raise ts.error(f"expected 'type' or 'contract', found {ts.current.text or 'end of input'!r}")
     return ContractDocument(tuple(automata), tuple(constraints), meta)
 
 
@@ -186,9 +180,7 @@ def _parse_contract(
             name_t = ts.advance()
             name = name_t.text
             if name in names_used:
-                raise ParseError(
-                    f"duplicate constraint name {name!r}", name_t.line, name_t.col, ts.source
-                )
+                raise ts.error(f"duplicate constraint name {name!r}", name_t)
         ts.expect("punct", ":")
         body_tok = ts.current
         body = expression_from_tokens(ts)
@@ -202,7 +194,7 @@ def _parse_contract(
         try:
             c = NamedConstraint(name=name, kind=kind, body=body, context=ctx)
         except ValueError as exc:  # old-state reference outside a postcondition
-            raise ParseError(str(exc), kind_tok.line, kind_tok.col, ts.source) from None
+            raise ts.error(str(exc), kind_tok) from None
         names_used.add(name)
         owned.append(c)
         if kind is ConstraintKind.PRE:
@@ -222,9 +214,7 @@ def _parse_contract(
                 while True:
                     t = ts.expect("ident", what="a state name")
                     if t.text in states:
-                        raise ParseError(
-                            f"duplicate state {t.text!r}", t.line, t.col, ts.source
-                        )
+                        raise ts.error(f"duplicate state {t.text!r}", t)
                     states.append(t.text)
                     if not ts.accept("punct", ","):
                         break
@@ -240,16 +230,13 @@ def _parse_contract(
         elif word in sections:
             tok = ts.advance()
             if word in sections_seen:
-                raise ParseError(f"duplicate section {word!r}", tok.line, tok.col, ts.source)
+                raise ts.error(f"duplicate section {word!r}", tok)
             sections_seen.add(word)
             if not ts.peek("punct", ";"):
                 while True:
                     label, label_tok = _parse_label(ts)
                     if label in sections[word]:
-                        raise ParseError(
-                            f"action {label} declared twice under {word!r}",
-                            label_tok.line, label_tok.col, ts.source,
-                        )
+                        raise ts.error(f"action {label} declared twice under {word!r}", label_tok)
                     sections[word].append(label)
                     if not ts.accept("punct", ","):
                         break
@@ -261,9 +248,7 @@ def _parse_contract(
             while ts.accept("punct", "."):
                 vname += "." + ts.expect("ident", what="a path segment").text
             if vname in variables:
-                raise ParseError(
-                    f"duplicate variable {vname!r}", vname_tok.line, vname_tok.col, ts.source
-                )
+                raise ts.error(f"duplicate variable {vname!r}", vname_tok)
             ts.expect("punct", ":")
             dom = parse_domain(ts, type_env, strict_types=True)
             ts.expect("punct", ";")
@@ -305,42 +290,29 @@ def _parse_contract(
                 ts.expect("punct", ";")
                 raw_transitions.append(_RawTransition(src, action, action_tok, pre_tok, post_tok, tgt))
         else:
-            t = ts.current
-            raise ts.error(f"unexpected {t.text or 'end of input'!r} in contract {cname!r}")
+            raise ts.error(f"unexpected {ts.current.text or 'end of input'!r} in contract {cname!r}")
 
     for section in ("states", "inputs", "outputs", "hidden"):
         if section not in sections_seen:
-            raise ParseError(
-                f"contract {cname!r} is missing its {section!r} section",
-                name_tok.line, name_tok.col, ts.source,
-            )
+            raise ts.error(f"contract {cname!r} is missing its {section!r} section", name_tok)
 
     state_set = set(states)
     for t in initials:
         if t.text not in state_set:
-            raise ParseError(f"initial state {t.text!r} is not a state", t.line, t.col, ts.source)
+            raise ts.error(f"initial state {t.text!r} is not a state", t)
     alphabet = set(sections["inputs"]) | set(sections["outputs"]) | set(sections["hidden"])
 
     transitions: list[Transition] = []
     for raw in raw_transitions:
         for endpoint in (raw.source, raw.target):
             if endpoint.text not in state_set:
-                raise ParseError(
-                    f"unknown state {endpoint.text!r}", endpoint.line, endpoint.col, ts.source
-                )
+                raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
         if raw.action not in alphabet:
-            raise ParseError(
-                f"undeclared action {raw.action}",
-                raw.action_tok.line, raw.action_tok.col, ts.source,
-            )
+            raise ts.error(f"undeclared action {raw.action}", raw.action_tok)
         if raw.pre is not None and raw.pre.text not in pres:
-            raise ParseError(
-                f"unknown precondition {raw.pre.text!r}", raw.pre.line, raw.pre.col, ts.source
-            )
+            raise ts.error(f"unknown precondition {raw.pre.text!r}", raw.pre)
         if raw.post is not None and raw.post.text not in posts:
-            raise ParseError(
-                f"unknown postcondition {raw.post.text!r}", raw.post.line, raw.post.col, ts.source
-            )
+            raise ts.error(f"unknown postcondition {raw.post.text!r}", raw.post)
         transitions.append(Transition(raw.source.text, raw.pre.text if raw.pre else None, raw.action,
                                       raw.post.text if raw.post else None, raw.target.text))
 
@@ -350,14 +322,9 @@ def _parse_contract(
         try:
             s = infer_sort(c.body, scope)
         except (SortError, UnknownVariable) as exc:
-            raise ParseError(
-                f"constraint {c.name}: {exc}", body_tok.line, body_tok.col, ts.source
-            ) from None
+            raise ts.error(f"constraint {c.name}: {exc}", body_tok) from None
         if s.tag not in ("bool", "opaque"):
-            raise ParseError(
-                f"constraint {c.name}: body has sort {s}, expected boolean",
-                body_tok.line, body_tok.col, ts.source,
-            )
+            raise ts.error(f"constraint {c.name}: body has sort {s}, expected boolean", body_tok)
 
     automaton = InterfaceAutomaton(
         name=cname,

@@ -46,7 +46,7 @@ from .exprs import (
     decls_mapping,
     infer_sort,
 )
-from .lexer import ParseError, Token, TokenStream, tokenize
+from .lexer import TokenStream
 
 _EXPR_RESERVED = frozenset(
     ["and", "or", "implies", "not", "in", "set", "dom", "true", "false"]
@@ -244,7 +244,7 @@ def parse_expression(
     source: str = "<string>",
 ) -> Expr:
     """Parse a bare expression. With ``open_world`` unknown variables type as opaque."""
-    ts = TokenStream(tokenize(text, source), source)
+    ts = TokenStream(text, source)
     e = _parse_implies(ts)
     if ts.current.kind != "eof":
         raise ts.error(f"unexpected trailing input {ts.current.text!r}")
@@ -269,7 +269,7 @@ def parse_kind_word(ts: TokenStream) -> ConstraintKind:
     """Read the kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
     t = ts.expect("ident", what="'pre', 'post' or 'inv'")
     if t.text not in KIND_WORDS:
-        raise ParseError(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t.line, t.col, ts.source)
+        raise ts.error(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t)
     return KIND_WORDS[t.text]
 
 
@@ -286,7 +286,7 @@ def parse_constraint(
     the kind keyword). Unknown parameter types fall back to opaque here; the
     document parser resolves them against its alias table instead.
     """
-    ts = TokenStream(tokenize(text, source), source)
+    ts = TokenStream(text, source)
     contract = None
     operation = None
     params: tuple[ParamDecl, ...] = ()
@@ -364,7 +364,7 @@ def parse_domain(
         try:
             return IntRangeDomain(lo, hi)
         except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col, ts.source) from None
+            raise ts.error(str(exc), t) from None
     if ts.accept_word("enum"):
         ts.expect("punct", "{")
         lits = [ts.expect("ident", what="an enum literal").text]
@@ -374,7 +374,7 @@ def parse_domain(
         try:
             return EnumDomain(tuple(lits))
         except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col, ts.source) from None
+            raise ts.error(str(exc), t) from None
     if ts.accept_word("seq"):
         ts.expect_word("of")
         elem = parse_domain(ts, type_env, strict_types=strict_types)
@@ -400,13 +400,13 @@ def parse_domain(
         try:
             return RecordDomain(tuple(fields))
         except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col, ts.source) from None
+            raise ts.error(str(exc), t) from None
     if t.kind == "ident":
         ts.advance()
         if t.text in type_env:
             return type_env[t.text]
         if strict_types:
-            raise ParseError(f"unknown type name {t.text!r}", t.line, t.col, ts.source)
+            raise ts.error(f"unknown type name {t.text!r}", t)
         return OpaqueDomain()
     raise ts.error(f"expected a domain, found {t.text or 'end of input'!r}")
 

@@ -7,7 +7,8 @@ markers (``~`` and ``@pre``). ``//`` starts a line comment. The unicode arrow
 
 One master regex, walked with ``finditer``, matches every token kind and every
 error case; its alternatives are ordered so that the first match is the
-longest token. Columns count source characters, ``→`` included.
+longest token. A token carries the offset of its first character. Only an
+error needs a line and a column, and ``position`` is the one rule for them.
 """
 from __future__ import annotations
 
@@ -27,13 +28,16 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # ident int string enumlit punct oldmark eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the first character in the source text
+
+
+def position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column of offset ``pos`` in ``text``, both from 1; columns count characters."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r]+|//[^\n]*)
-  | (?P<nl>\n)
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
   | (?P<oldmark>~|@pre)
   | (?P<at>@)
   | (?P<enumlit><[A-Za-z_][A-Za-z0-9_]*>)
@@ -48,37 +52,32 @@ _TOKEN = re.compile(r"""
 
 def tokenize(text: str, source: str = "<string>") -> list[Token]:
     toks: list[Token] = []
-    line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":  # whitespace or a comment
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
+        if kind == "skip":  # whitespace, newlines or a comment
             continue
         tok = m.group()
-        col = m.start() - line_start + 1
         if kind == "ident" or kind == "punct" or kind == "int" or kind == "oldmark":
-            toks.append(Token(kind, "->" if tok == "→" else tok, line, col))
+            toks.append(Token(kind, "->" if tok == "→" else tok, m.start()))
         elif kind == "enumlit" or kind == "string":
-            toks.append(Token(kind, tok[1:-1], line, col))
+            toks.append(Token(kind, tok[1:-1], m.start()))
         elif kind == "at":
-            raise ParseError("stray '@' (did you mean '@pre'?)", line, col, source)
+            raise ParseError("stray '@' (did you mean '@pre'?)", *position(text, m.start()), source)
         elif kind == "unterminated":
-            raise ParseError("unterminated string literal", line, col, source)
+            raise ParseError("unterminated string literal", *position(text, m.start()), source)
         else:
-            raise ParseError(f"unexpected character {tok!r}", line, col, source)
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
+            raise ParseError(f"unexpected character {tok!r}", *position(text, m.start()), source)
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over the tokens of one text with the usual peek/expect helpers."""
 
-    def __init__(self, tokens: list[Token], source: str = "<string>"):
-        self.tokens = tokens
+    def __init__(self, text: str, source: str = "<string>"):
+        self.text = text
         self.source = source
+        self.tokens = tokenize(text, source)
         self.seek(0)
 
     def seek(self, pos: int) -> None:
@@ -119,11 +118,12 @@ class TokenStream:
             return self.advance()
         wanted = what or (text if text is not None else kind)
         found = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(f"expected {wanted}, found {found!r}", t.line, t.col, self.source)
+        raise self.error(f"expected {wanted}, found {found!r}")
 
     def expect_word(self, word: str) -> Token:
         return self.expect("ident", word, what=f"'{word}'")
 
-    def error(self, message: str) -> ParseError:
-        t = self.current
-        return ParseError(message, t.line, t.col, self.source)
+    def error(self, message: str, at: Token | None = None) -> ParseError:
+        """A ParseError located at token ``at``, by default the current one."""
+        pos = (self.current if at is None else at).pos
+        return ParseError(message, *position(self.text, pos), self.source)

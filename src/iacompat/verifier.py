@@ -18,7 +18,6 @@ elementary operation count for measurement.
 from __future__ import annotations
 
 import enum
-import json
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
@@ -444,4 +443,5 @@ def report_to_dict(report: CompatReport) -> dict:
 
 
 def report_to_json(report: CompatReport) -> str:
+    import json  # on first use: only a report needs it
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"

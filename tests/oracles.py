@@ -53,6 +53,7 @@ _PUNCTS = (
 
 
 def oracle_tokenize(text, source="<string>"):
+    """Tokens as ``(Token(kind, text, offset), line, col)``, counted one character at a time."""
     toks = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -74,26 +75,26 @@ def oracle_tokenize(text, source="<string>"):
             i = j
             continue
         if ch == "~":
-            toks.append(Token("oldmark", "~", line, col))
+            toks.append((Token("oldmark", "~", i), line, col))
             i += 1
             col += 1
             continue
         if ch == "@":
             if text.startswith("@pre", i):
-                toks.append(Token("oldmark", "@pre", line, col))
+                toks.append((Token("oldmark", "@pre", i), line, col))
                 i += 4
                 col += 4
                 continue
             raise ParseError("stray '@' (did you mean '@pre'?)", line, col, source)
         if ch == "→":
-            toks.append(Token("punct", "->", line, col))
+            toks.append((Token("punct", "->", i), line, col))
             i += 1
             col += 1
             continue
         if ch == "<":
             m = _ENUMLIT.match(text, i)
             if m:
-                toks.append(Token("enumlit", m.group(0)[1:-1], line, col))
+                toks.append((Token("enumlit", m.group(0)[1:-1], i), line, col))
                 col += m.end() - i
                 i = m.end()
                 continue
@@ -101,31 +102,31 @@ def oracle_tokenize(text, source="<string>"):
             m = _STRING.match(text, i)
             if not m:
                 raise ParseError("unterminated string literal", line, col, source)
-            toks.append(Token("string", m.group(0)[1:-1], line, col))
+            toks.append((Token("string", m.group(0)[1:-1], i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         m = _IDENT.match(text, i)
         if m:
-            toks.append(Token("ident", m.group(0), line, col))
+            toks.append((Token("ident", m.group(0), i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         m = _INT.match(text, i)
         if m:
-            toks.append(Token("int", m.group(0), line, col))
+            toks.append((Token("int", m.group(0), i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         for p in _PUNCTS:
             if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
+                toks.append((Token("punct", p, i), line, col))
                 i += len(p)
                 col += len(p)
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col, source)
-    toks.append(Token("eof", "", line, col))
+    toks.append((Token("eof", "", i), line, col))
     return toks
 
 

@@ -1,15 +1,22 @@
 """Command-line interface: exit codes, output formats, report files."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iacompat
 from iacompat.cli import main
+from iacompat.fixtures import fixture_text
+from iacompat.lexer import position
+from test_docformat import _LEX_FRAGMENTS
 
 FIXTURES = Path(iacompat.__file__).parent / "fixtures"
 LD = str(FIXTURES / "le_device.ia")
@@ -326,6 +333,68 @@ def test_lint_goes_on_after_a_file_that_nests_too_deeply(tmp_path, capsys):
                         ("pre G: " + "(" * 150 + "x > 1" + ")" * 150,), pre="G")
     code, out, err = run_cli(capsys, "lint", deep, PING)
     assert (code, out, err) == (2, f"{PING}: ok\n", f"{deep}: error: expression nests too deeply\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["lint", "BAD", PING], "BAD: error: not valid UTF-8 at byte offset 12\n"),
+    (["check", "BAD", PONG], "error: BAD: not valid UTF-8 at byte offset 12\n"),
+    (["product", PING, "BAD"], "error: BAD: not valid UTF-8 at byte offset 12\n"),
+    (["dot", "BAD"], "error: BAD: not valid UTF-8 at byte offset 12\n"),
+])
+def test_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv, err):
+    bad = tmp_path / "bad.ia"
+    bad.write_bytes(b"contract A {\xff\xfe")
+    code, out, got = run_cli(capsys, *(str(bad) if a == "BAD" else a for a in argv))
+    assert (code, got) == (2, err.replace("BAD", str(bad)))
+    assert out == (f"{PING}: ok\n" if argv[0] == "lint" else "")  # lint goes on
+
+
+_PARTNER = {"le_device.ia": TL, "transport_layer.ia": LD, "ping.ia": PONG, "pong.ia": PING}
+_LOCATED = re.compile(r"error: (.+?):(\d+):(\d+): ")
+
+
+@st.composite
+def _mutant(draw):
+    """A fixture name and the bytes of a mutated copy of that fixture."""
+    name = draw(st.sampled_from(sorted(_PARTNER)))
+    text = fixture_text(name)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+        if op == "truncate":
+            text = text[:i]
+            continue
+        j = i if op == "insert" else i + draw(st.integers(1, 8))
+        text = text[:i] + ("" if op == "delete" else draw(st.sampled_from(_LEX_FRAGMENTS))) + text[j:]
+    tail = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80abc", b"\xed\xa0\x80"]))
+    return name, text.encode() + (tail if draw(st.integers(0, 3)) == 0 else b"")
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.ia"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutant())
+def test_mutated_documents_exit_cleanly_with_located_errors(mutant_path, mutant):
+    name, data = mutant
+    mutant_path.write_bytes(data)
+    m, partner = str(mutant_path), _PARTNER[name]
+    for argv in (["lint", m], ["check", m, partner, "--qualify-hidden"],
+                 ["product", m, partner, "--qualify-hidden"], ["dot", m]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        for src, line, col in _LOCATED.findall(out.getvalue() + err.getvalue()):
+            assert src == m, argv
+            text = data.decode("utf-8")  # a located error names a decoded text
+            starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
+            line, col = int(line), int(col)
+            assert line <= len(starts), argv
+            p = starts[line - 1] + col - 1
+            assert p <= len(text) and position(text, p) == (line, col), argv
 
 
 _RECORD_KEYED_MAP = "m : map record { a : bool } to bool"
