@@ -6,6 +6,8 @@ compatibility: composability of the alphabets, the synchronized product,
 illegal states (unreceivable shared outputs, or guards equivalent to false),
 the backward bad-state closure under a helpful environment, and pruning.
 """
+from types import ModuleType as _ModuleType
+
 from .automata import (
     ActionClass,
     ActionLabel,
@@ -104,95 +106,5 @@ from .verifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionClass",
-    "ActionLabel",
-    "AllGuardsFalse",
-    "Apply",
-    "BinOp",
-    "BoolDomain",
-    "BoolLit",
-    "Chain",
-    "ClauseConflict",
-    "CompatOptions",
-    "CompatReport",
-    "CompatVerdict",
-    "ComposabilityReport",
-    "ConstraintContext",
-    "ConstraintKind",
-    "ContractDocument",
-    "Domain",
-    "DocumentMeta",
-    "EnumDomain",
-    "EnumLit",
-    "EvalError",
-    "Expr",
-    "FIXTURE_NAMES",
-    "FalsityResult",
-    "FieldAccess",
-    "IllegalStateSet",
-    "IncompatibilityCause",
-    "IntLit",
-    "IntRangeDomain",
-    "InterfaceAutomaton",
-    "InvalidAutomaton",
-    "MapDomain",
-    "Membership",
-    "MethodCall",
-    "MissingVariable",
-    "NamedConstraint",
-    "Not",
-    "NotComposableError",
-    "OpCounter",
-    "OpaqueDomain",
-    "ParamDecl",
-    "ParseError",
-    "ProductError",
-    "ProductResult",
-    "RecordDomain",
-    "SeqDomain",
-    "SetLit",
-    "SortError",
-    "Trace",
-    "Transition",
-    "UndefinedApplication",
-    "UnknownVariable",
-    "UnreceivedOutput",
-    "Valuation",
-    "VarRef",
-    "VariableDecl",
-    "Verdict",
-    "bad_states",
-    "check_compatibility",
-    "composable",
-    "conjoin_constraints",
-    "constraint_falsity",
-    "default_budget",
-    "document_diagnostics",
-    "document_from_automaton",
-    "empty_automaton",
-    "enabled_actions",
-    "eval_constraint",
-    "evaluate",
-    "export_dot",
-    "falsity",
-    "fixture_text",
-    "illegal_states",
-    "load_fixture",
-    "parse_constraint",
-    "parse_document",
-    "parse_expression",
-    "print_document",
-    "product",
-    "prune",
-    "qualify_hidden",
-    "report_to_dict",
-    "report_to_json",
-    "shared",
-    "shortest_witness",
-    "simplify",
-    "to_text",
-    "validate",
-    "variable_refs",
-    "walk",
-]
+# every name imported above, and no submodule
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

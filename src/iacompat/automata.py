@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
@@ -41,6 +40,7 @@ from .exprs import (
     ParamDecl,
     decls_mapping,
 )
+from .frozen import Frozen, factory
 
 
 class _Label(NamedTuple):
@@ -88,8 +88,7 @@ class Transition(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     code: str
     message: str
     location: Optional[str] = None
@@ -103,11 +102,10 @@ def _label_tuple(labels: Iterable[ActionLabel]) -> tuple[ActionLabel, ...]:
     return tuple(dict.fromkeys(labels))
 
 
-@dataclass(frozen=True)
-class InterfaceAutomaton:
+class InterfaceAutomaton(Frozen):
     """Immutable automaton value. Structural equality; never hash one.
 
-    The cached indexes are not fields, so equality, ``replace`` and ``repr``
+    The cached indexes are not fields, so equality, ``_replace`` and ``repr``
     never see them; every caller shares them, so treat them as read-only."""
 
     name: str
@@ -116,23 +114,17 @@ class InterfaceAutomaton:
     inputs: tuple[ActionLabel, ...]
     outputs: tuple[ActionLabel, ...]
     hidden: tuple[ActionLabel, ...]
-    variables: Mapping[str, VariableDecl] = field(default_factory=dict)
-    preconditions: Mapping[str, NamedConstraint] = field(default_factory=dict)
-    postconditions: Mapping[str, NamedConstraint] = field(default_factory=dict)
+    variables: Mapping[str, VariableDecl] = factory(dict)
+    preconditions: Mapping[str, NamedConstraint] = factory(dict)
+    postconditions: Mapping[str, NamedConstraint] = factory(dict)
     transitions: tuple[Transition, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self):
         if not is_identifier(self.name):
             raise ValueError(f"automaton name is not an identifier: {self.name!r}")
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "initials", tuple(self.initials))
-        object.__setattr__(self, "inputs", _label_tuple(self.inputs))
-        object.__setattr__(self, "outputs", _label_tuple(self.outputs))
-        object.__setattr__(self, "hidden", _label_tuple(self.hidden))
-        object.__setattr__(self, "variables", dict(self.variables))
-        object.__setattr__(self, "preconditions", dict(self.preconditions))
-        object.__setattr__(self, "postconditions", dict(self.postconditions))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+        return (self.name, tuple(self.states), tuple(self.initials), _label_tuple(self.inputs),
+                _label_tuple(self.outputs), _label_tuple(self.hidden), dict(self.variables),
+                dict(self.preconditions), dict(self.postconditions), tuple(self.transitions))
 
     @property
     def alphabet(self) -> tuple[ActionLabel, ...]:
@@ -235,14 +227,12 @@ def enabled_actions(a: InterfaceAutomaton, state: str, cls: ActionClass) -> set[
 CLAUSE_NAMES = ("input_input", "output_output", "hidden1_sigma2", "sigma1_hidden2")
 
 
-@dataclass(frozen=True)
-class ClauseConflict:
+class ClauseConflict(Frozen):
     clause: str
     actions: tuple[ActionLabel, ...]
 
 
-@dataclass(frozen=True)
-class ComposabilityReport:
+class ComposabilityReport(Frozen):
     ok: bool
     conflicts: tuple[ClauseConflict, ...] = ()
 
@@ -294,7 +284,7 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
     composable. Inputs and outputs are left untouched.
     """
     mapping = {h: ActionLabel(h.name, a.name) for h in a.hidden}
-    return replace(a, hidden=tuple(mapping.values()), transitions=tuple(
+    return a._replace(hidden=tuple(mapping.values()), transitions=tuple(
         t._replace(action=mapping.get(t.action, t.action)) for t in a.transitions
     ))
 
@@ -302,14 +292,13 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
 # ---------------------------------------------------------------------------
 # synchronized product
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(Frozen):
     automaton: InterfaceAutomaton
     pair_of: Mapping[str, tuple[str, str]]
     shared_actions: tuple[ActionLabel, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pair_of", dict(self.pair_of))
+    def __post_init__(self):
+        return self.automaton, dict(self.pair_of), self.shared_actions
 
 
 class ProductError(ValueError):
@@ -383,7 +372,7 @@ class _GuardRegistry:
             return c.name
         name = _fresh_name(c.name, self.taken)
         self.taken.add(name)
-        self.entries[name] = c if name == c.name else replace(c, name=name)
+        self.entries[name] = c if name == c.name else c._replace(name=name)
         return name
 
     def conjoin(self, n1: Optional[str], n2: Optional[str]) -> Optional[str]:
@@ -421,7 +410,7 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)
 
     if pres.rename or posts.rename:
-        a2 = replace(a2, transitions=tuple(
+        a2 = a2._replace(transitions=tuple(
             t._replace(pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
             for t in a2.transitions
         ))

@@ -25,7 +25,7 @@ from .docformat import (
     parse_document,
     print_document,
 )
-from .evaluate import EvalError, MissingVariable, Valuation, evaluate
+from .evaluate import EvalError, MissingVariable, MixedSorts, Valuation, evaluate
 from .expr_parse import parse_expression
 from .exprs import SortError, UnknownVariable
 from .falsity import ENUM_BUDGET_ENV, default_budget
@@ -216,7 +216,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     val = Valuation(values=values, old=old)
     try:
         result = evaluate(expr, val)
-    except MissingVariable as exc:
+    except (MissingVariable, MixedSorts) as exc:  # an unbound name, or a sort error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvalError as exc:

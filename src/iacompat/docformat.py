@@ -37,7 +37,6 @@ parses back to a structurally equal document.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .automata import (
@@ -67,22 +66,21 @@ from .expr_parse import (
     parse_kind_word,
     parse_param_list,
 )
+from .frozen import Frozen
 from .lexer import Token, TokenStream
 
 
-@dataclass(frozen=True)
-class DocumentMeta:
+class DocumentMeta(Frozen):
     name: Optional[str] = None
     version: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ContractDocument:
+class ContractDocument(Frozen):
     """Automata plus every named constraint of a parsed ``.ia`` document."""
 
     automata: tuple[InterfaceAutomaton, ...] = ()
     constraints: tuple[NamedConstraint, ...] = ()
-    meta: DocumentMeta = field(default_factory=DocumentMeta)
+    meta: DocumentMeta = DocumentMeta()
 
     def automaton(self, name: Optional[str] = None) -> InterfaceAutomaton:
         """The named automaton, or the only one when no name is given."""
@@ -139,16 +137,6 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     return ContractDocument(tuple(automata), tuple(constraints), meta)
 
 
-@dataclass
-class _RawTransition:
-    source: Token
-    action: ActionLabel
-    action_tok: Token
-    pre: Optional[Token]
-    post: Optional[Token]
-    target: Token
-
-
 def _parse_contract(
     ts: TokenStream, type_env: dict[str, Domain]
 ) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
@@ -167,7 +155,7 @@ def _parse_contract(
     posts: dict[str, NamedConstraint] = {}
     names_used: set[str] = set()
     unnamed = 0
-    raw_transitions: list[_RawTransition] = []
+    raw_transitions: list[tuple] = []  # (source, action, action token, pre, post, target)
     deferred_checks: list[tuple[NamedConstraint, Token]] = []
 
     def parse_constraint_line(ctx: ConstraintContext) -> None:
@@ -175,7 +163,7 @@ def _parse_contract(
         kind_tok = ts.current
         kind = parse_kind_word(ts)
         name = None
-        nxt = ts.tokens[ts.pos + 1]
+        nxt = ts.tokens[min(ts.pos + 1, len(ts.tokens) - 1)]  # eof is last, and follows itself
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
             name_t = ts.advance()
             name = name_t.text
@@ -288,7 +276,7 @@ def _parse_contract(
                 ts.expect("punct", "->")
                 tgt = ts.expect("ident", what="a target state")
                 ts.expect("punct", ";")
-                raw_transitions.append(_RawTransition(src, action, action_tok, pre_tok, post_tok, tgt))
+                raw_transitions.append((src, action, action_tok, pre_tok, post_tok, tgt))
         else:
             raise ts.error(f"unexpected {ts.current.text or 'end of input'!r} in contract {cname!r}")
 
@@ -303,18 +291,18 @@ def _parse_contract(
     alphabet = set(sections["inputs"]) | set(sections["outputs"]) | set(sections["hidden"])
 
     transitions: list[Transition] = []
-    for raw in raw_transitions:
-        for endpoint in (raw.source, raw.target):
+    for source, action, action_tok, pre, post, target in raw_transitions:
+        for endpoint in (source, target):
             if endpoint.text not in state_set:
                 raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
-        if raw.action not in alphabet:
-            raise ts.error(f"undeclared action {raw.action}", raw.action_tok)
-        if raw.pre is not None and raw.pre.text not in pres:
-            raise ts.error(f"unknown precondition {raw.pre.text!r}", raw.pre)
-        if raw.post is not None and raw.post.text not in posts:
-            raise ts.error(f"unknown postcondition {raw.post.text!r}", raw.post)
-        transitions.append(Transition(raw.source.text, raw.pre.text if raw.pre else None, raw.action,
-                                      raw.post.text if raw.post else None, raw.target.text))
+        if action not in alphabet:
+            raise ts.error(f"undeclared action {action}", action_tok)
+        if pre is not None and pre.text not in pres:
+            raise ts.error(f"unknown precondition {pre.text!r}", pre)
+        if post is not None and post.text not in posts:
+            raise ts.error(f"unknown postcondition {post.text!r}", post)
+        transitions.append(Transition(source.text, pre.text if pre else None, action,
+                                      post.text if post else None, target.text))
 
     decl_domains = {n: d.domain for n, d in variables.items()}
     for c, body_tok in deferred_checks:

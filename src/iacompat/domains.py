@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional
+
+from .frozen import Frozen
 
 Value = Any  # bool | int | str (enum literal) | tuple | frozenset | FrozenMap (record or map)
 
@@ -31,8 +32,7 @@ def is_variable_path(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # sorts (static types of expressions)
 
-@dataclass(frozen=True)
-class Sort:
+class Sort(Frozen):
     """Structural type of an expression: a tag plus optional components."""
 
     tag: str  # bool | int | enum | opaque | seq | set | map | record
@@ -95,8 +95,8 @@ class FrozenMap(dict):
         return hash(frozenset(self.items()))
 
 
-class Domain:
-    """Base class; concrete domains are frozen dataclasses below."""
+class Domain(Frozen):
+    """Base class; concrete domains are the immutable ``Frozen`` values below."""
 
     def sort(self) -> Sort:
         raise NotImplementedError
@@ -117,7 +117,6 @@ class Domain:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class BoolDomain(Domain):
     def sort(self) -> Sort:
         return BOOL
@@ -133,7 +132,6 @@ class BoolDomain(Domain):
         return "bool"
 
 
-@dataclass(frozen=True)
 class IntRangeDomain(Domain):
     lower: int
     upper: int
@@ -155,7 +153,6 @@ class IntRangeDomain(Domain):
         return f"int[{self.lower}..{self.upper}]"
 
 
-@dataclass(frozen=True)
 class EnumDomain(Domain):
     literals: tuple[str, ...]
 
@@ -181,7 +178,6 @@ class EnumDomain(Domain):
         return "enum { " + ", ".join(self.literals) + " }"
 
 
-@dataclass(frozen=True)
 class SeqDomain(Domain):
     """Sequences over an element domain; bounded only when max_len is given."""
 
@@ -216,7 +212,6 @@ class SeqDomain(Domain):
         return base if self.max_len is None else f"{base} maxlen {self.max_len}"
 
 
-@dataclass(frozen=True)
 class MapDomain(Domain):
     """Partial maps: every key of the key domain is either absent or mapped."""
 
@@ -245,7 +240,6 @@ class MapDomain(Domain):
         return f"map {self.key.text()} to {self.value.text()}"
 
 
-@dataclass(frozen=True)
 class RecordDomain(Domain):
     fields: tuple[tuple[str, Domain], ...]
 
@@ -288,7 +282,6 @@ class RecordDomain(Domain):
         return None
 
 
-@dataclass(frozen=True)
 class OpaqueDomain(Domain):
     """A domain with no known structure. Never enumerable."""
 
@@ -299,8 +292,7 @@ class OpaqueDomain(Domain):
         return "opaque"
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(Frozen):
     """A declared contract variable. Names are dotted identifier paths."""
 
     name: str

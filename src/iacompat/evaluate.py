@@ -16,7 +16,6 @@ over a ``Valuation``'s values, which is how the falsity enumeration binds too.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .domains import Value
@@ -40,6 +39,7 @@ from .exprs import (
     has_old_refs,
     to_text,
 )
+from .frozen import Frozen, factory
 
 
 class EvalError(Exception):
@@ -54,8 +54,11 @@ class MissingVariable(EvalError):
     """The valuation does not cover a referenced variable."""
 
 
-@dataclass
-class Valuation:
+class MixedSorts(EvalError):
+    """A set literal holds a boolean and an integer that Python finds equal."""
+
+
+class Valuation(Frozen):
     """Variable assignment; ``old`` carries the pre-state for postconditions.
 
     Keys are dotted variable paths. A key may bind a declared variable or a
@@ -65,7 +68,7 @@ class Valuation:
     the hashable dicts that domains enumerate, so that sets may hold them.
     """
 
-    values: Mapping[str, Value] = field(default_factory=dict)
+    values: Mapping[str, Value] = factory(dict)
     old: Optional[Mapping[str, Value]] = None
 
 
@@ -180,13 +183,26 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
     if isinstance(e, Chain):
         return _compile_logic(e, access) if e.ops[0] in ("and", "or") else _compile_sum(e, access)
     if isinstance(e, BinOp) and e.op == "implies":
-        # same truth table and same errors, left operand first
-        return _compile_logic(Chain(("or",), (Not(e.left), e.right)), access)
+        # a right-nested run `a implies (b implies z)` is `not a or not b or z`:
+        # the same truth table and the same errors, left operand first
+        lefts = []
+        while isinstance(e, BinOp) and e.op == "implies":
+            lefts.append(Not(e.left))
+            e = e.right
+        return _compile_logic(Chain(("or",) * len(lefts), (*lefts, e)), access)
     sub = [compile_expr(c, access) for c in children(e)]
     if isinstance(e, SetLit):
-        return lambda env: frozenset([f(env) for f in sub])
+        def set_lit(env):
+            items = [f(env) for f in sub]
+            out = frozenset(items)  # of the members Python finds equal, the first stays
+            kept = {x: x for x in out} if len(out) < len(items) else {}
+            if kept and not all(_same_sorts(x, kept[x]) for x in items):
+                raise MixedSorts(f"mixed element sorts in set literal in `{to_text(e)}`")
+            return out
+        return set_lit
     if isinstance(e, Not):
-        return lambda env: not _as_bool(e.operand, sub[0](env))
+        operand, f = e.operand, sub[0]  # read once: a field read costs more than a local
+        return lambda env: not _as_bool(operand, f(env))
     if isinstance(e, BinOp):
         left, right = sub
         if e.op == "=":
@@ -227,14 +243,16 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
             raise EvalError(f"`{to_text(e.target)}` is neither a map nor a sequence")
         return apply
     if isinstance(e, FieldAccess):
+        name = e.name
         def field_access(env):
             target = sub[0](env)
-            if isinstance(target, dict) and e.name in target:
-                return target[e.name]
-            raise EvalError(f"`{to_text(e.target)}` has no field {e.name!r}")
+            if isinstance(target, dict) and name in target:
+                return target[name]
+            raise EvalError(f"`{to_text(e.target)}` has no field {name!r}")
         return field_access
     if isinstance(e, MethodCall):
-        return lambda env: _method(e, sub, env)
+        name = e.name
+        return lambda env: _method(e, name, sub, env)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -280,8 +298,8 @@ def _compile_sum(e: Chain, access: Access) -> Compiled:
     return run
 
 
-def _method(e: MethodCall, sub: list[Compiled], env: Any) -> Value:
-    if e.name == "notEmpty":
+def _method(e: MethodCall, name: str, sub: list[Compiled], env: Any) -> Value:
+    if name == "notEmpty":
         # Arrow operations wrap scalars as singletons; an undefined
         # application yields the empty collection, hence false.
         try:
@@ -290,32 +308,32 @@ def _method(e: MethodCall, sub: list[Compiled], env: Any) -> Value:
             return False
         return len(v) > 0 if isinstance(v, (tuple, frozenset, dict)) else True
     v = sub[0](env)
-    if e.name == "size":
+    if name == "size":
         if isinstance(v, (tuple, frozenset, dict)):
             return len(v)
         raise EvalError(f"size of a non-collection `{to_text(e.target)}`")
-    if e.name == "lastItem":
+    if name == "lastItem":
         if isinstance(v, tuple):
             if v:
                 return v[-1]
             raise UndefinedApplication(f"lastItem of the empty sequence `{to_text(e.target)}`")
         raise EvalError(f"lastItem of a non-sequence `{to_text(e.target)}`")
-    if e.name == "domain":
+    if name == "domain":
         if isinstance(v, dict):
             return frozenset(v.keys())
         raise EvalError(f"domain of a non-map `{to_text(e.target)}`")
-    if e.name == "range":
+    if name == "range":
         if isinstance(v, dict):
             return frozenset(v.values())
         raise EvalError(f"range of a non-map `{to_text(e.target)}`")
-    if e.name == "front":
+    if name == "front":
         if not isinstance(v, tuple):
             raise EvalError(f"front of a non-sequence `{to_text(e.target)}`")
         k = _as_int(e.args[0], sub[1](env))
         if k < 0:
             raise EvalError("front with a negative length")
         return v[: min(k, len(v))]
-    raise EvalError(f"unknown method {e.name!r}")
+    raise EvalError(f"unknown method {name!r}")
 
 
 def eval_constraint(c: NamedConstraint, val: Valuation) -> bool:
@@ -391,19 +409,27 @@ def _simplify_sum(e: Chain) -> Expr:
 
 
 def _simplify_binop(e: BinOp) -> Expr:
+    if e.op == "implies":
+        # a right-nested run `a implies (b implies z)` folds from its last link
+        # back, in a loop, to the tree that folding link by link gives
+        lefts = []
+        while isinstance(e, BinOp) and e.op == "implies":
+            lefts.append(e.left)
+            e = e.right
+        r = simplify(e)
+        for l in map(simplify, reversed(lefts)):
+            if l == BoolLit(False) or r == BoolLit(True):
+                r = BoolLit(True)
+            elif l == BoolLit(True):
+                continue  # `true implies r` is r
+            elif r == BoolLit(False):
+                r = l.operand if isinstance(l, Not) else Not(l)
+            else:
+                r = BinOp("implies", l, r)
+        return r
     l = simplify(e.left)
     r = simplify(e.right)
     op = e.op
-    if op == "implies":
-        if l == BoolLit(False) or r == BoolLit(True):
-            return BoolLit(True)
-        if l == BoolLit(True):
-            return r
-        if r == BoolLit(False):
-            if isinstance(l, Not):
-                return l.operand
-            return Not(l)
-        return BinOp("implies", l, r)
     if op in ("=", "<>"):
         if type(l) is type(r) and isinstance(l, (BoolLit, IntLit, EnumLit)):
             eq = l == r

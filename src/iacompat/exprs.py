@@ -7,15 +7,16 @@ record field access ``.c``, collection built-ins ``size``, ``lastItem``,
 ``domain``, ``range``, ``front``, ``notEmpty`` (dotted or arrow form), set
 literals ``{false}``, and the boolean/integer connectives.
 
-Nodes are frozen dataclasses; structural equality is the canonical notion of
-expression identity used everywhere (round-trips, conjunction sharing). A run
-of ``and``s, of ``or``s or of ``+``/``-`` is one ``Chain``, so every walker
-takes it in one loop; ``BinOp`` holds the comparisons and ``implies``.
+Nodes are immutable ``Frozen`` values; their equality, which tells node kinds
+apart, is the canonical notion of expression identity used everywhere
+(round-trips, conjunction sharing). A run of ``and``s, of ``or``s or of
+``+``/``-`` is one ``Chain``, so every walker takes it in one loop; ``BinOp``
+holds the comparisons and ``implies``.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .domains import (
@@ -29,37 +30,31 @@ from .domains import (
     resolve_path,
     sorts_compatible,
 )
+from .frozen import Frozen, factory
 
 BUILTIN_METHODS = ("size", "lastItem", "domain", "range", "front", "notEmpty")
 
 
-class Expr:
+class Expr(Frozen):
     """Base class for expression nodes."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
 class EnumLit(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class SetLit(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class VarRef(Expr):
     """Dotted variable path. ``old`` marks a pre-state reference (~ / @pre)."""
 
@@ -71,19 +66,16 @@ class VarRef(Expr):
         return ".".join(self.path)
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # implies = <> < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Chain(Expr):
     """A left-associative run of one precedence level: ``and``s, ``or``s, or
     ``+`` and ``-``. ``ops[i]`` joins ``operands[i]`` and ``operands[i + 1]``.
@@ -95,14 +87,12 @@ class Chain(Expr):
     ops: tuple[str, ...]
     operands: tuple[Expr, ...]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self):
         first = self.operands[0]
         if first.__class__ is Chain and _LEVEL[first.ops[0]] == _LEVEL[self.ops[0]]:
-            object.__setattr__(self, "ops", first.ops + self.ops)
-            object.__setattr__(self, "operands", first.operands + self.operands[1:])
+            return first.ops + self.ops, first.operands + self.operands[1:]
 
 
-@dataclass(frozen=True)
 class Membership(Expr):
     """``item in set collection``."""
 
@@ -110,7 +100,6 @@ class Membership(Expr):
     collection: Expr
 
 
-@dataclass(frozen=True)
 class Apply(Expr):
     """Map or sequence application, written ``m(k)`` or ``m[k]``."""
 
@@ -118,7 +107,6 @@ class Apply(Expr):
     key: Expr
 
 
-@dataclass(frozen=True)
 class FieldAccess(Expr):
     """Record field access on a non-path target, e.g. ``mem(n).c``."""
 
@@ -126,7 +114,6 @@ class FieldAccess(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class MethodCall(Expr):
     target: Expr
     name: str
@@ -209,14 +196,15 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # structural walks
 
+# a node's fields are a tuple, so a run of subexpression fields is a slice
 _CHILDREN = {
-    SetLit: lambda e: e.items,
-    Not: lambda e: (e.operand,),
-    BinOp: lambda e: (e.left, e.right),
-    Chain: lambda e: e.operands,
-    Membership: lambda e: (e.item, e.collection),
-    Apply: lambda e: (e.target, e.key),
-    FieldAccess: lambda e: (e.target,),
+    SetLit: itemgetter(0),  # items
+    Not: tuple,  # (operand,)
+    BinOp: itemgetter(slice(1, None)),  # (left, right) after op
+    Chain: itemgetter(1),  # operands
+    Membership: tuple,  # (item, collection)
+    Apply: tuple,  # (target, key)
+    FieldAccess: itemgetter(slice(1)),  # (target,) before name
     MethodCall: lambda e: (e.target, *e.args),
 }
 
@@ -233,7 +221,9 @@ def walk(e: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         yield node
-        stack += reversed(children(node))
+        get = _CHILDREN.get(node.__class__)  # children(), without a call per node
+        if get is not None:
+            stack += reversed(get(node))
 
 
 def variable_refs(e: Expr) -> Iterator[VarRef]:
@@ -255,8 +245,7 @@ class ConstraintKind(enum.Enum):
     POST = "post"
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(Frozen):
     """Typed operation parameter; ``mode`` keeps an optional ``in`` marker."""
 
     name: str
@@ -264,8 +253,7 @@ class ParamDecl:
     mode: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ConstraintContext:
+class ConstraintContext(Frozen):
     """Owning contract plus the operation signature the constraint annotates."""
 
     contract: Optional[str] = None
@@ -273,12 +261,11 @@ class ConstraintContext:
     params: tuple[ParamDecl, ...] = ()
 
 
-@dataclass(frozen=True)
-class NamedConstraint:
+class NamedConstraint(Frozen):
     name: str
     kind: ConstraintKind
     body: Expr
-    context: ConstraintContext = field(default_factory=ConstraintContext)
+    context: ConstraintContext = ConstraintContext()
 
     def __post_init__(self) -> None:
         if self.kind is not ConstraintKind.POST and has_old_refs(self.body):
@@ -316,8 +303,7 @@ class UnknownVariable(ValueError):
         super().__init__(f"unknown variable: {path}")
 
 
-@dataclass
-class SortScope:
+class SortScope(Frozen):
     """Resolution environment for sort inference.
 
     ``decls`` maps declared variable names (dotted paths allowed) to domains;
@@ -326,7 +312,7 @@ class SortScope:
     """
 
     decls: Mapping[str, Domain]
-    params: Mapping[str, Domain] = field(default_factory=dict)
+    params: Mapping[str, Domain] = factory(dict)
     open_world: bool = False
 
     def sort_of_path(self, path: tuple[str, ...]) -> Sort:
@@ -384,7 +370,8 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
                      "implies needs boolean operands", e)
             return BOOL
         if e.op in ("=", "<>"):
-            _require(sorts_compatible(ls, rs), f"cannot compare {ls} with {rs}", e)
+            if not sorts_compatible(ls, rs):  # the message prints both sorts, so only on failure
+                raise SortError(f"cannot compare {ls} with {rs}", e)
             return BOOL
         _require(ls.tag in ("int", "opaque") and rs.tag in ("int", "opaque"),
                  f"{e.op} needs integer operands", e)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
@@ -49,6 +48,7 @@ from .exprs import (
     decls_mapping,
     variable_refs,
 )
+from .frozen import Frozen
 
 ENUM_BUDGET_ENV = "IACOMPAT_ENUM_BUDGET"
 DEFAULT_ENUM_BUDGET = 10**6
@@ -71,8 +71,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class FalsityResult:
+class FalsityResult(Frozen):
     verdict: Verdict
     witness: Optional[Valuation] = None  # satisfying valuation when SATISFIABLE
     explored: int = 0
@@ -99,9 +98,9 @@ def falsity(
     table = {**decls_mapping(decls), **params}
 
     s = simplify(expr)
-    if s == BoolLit(False):
+    if isinstance(s, BoolLit) and not s.value:  # tested by class: no literal built per query
         return FalsityResult(Verdict.FALSE)
-    if s == BoolLit(True):
+    if isinstance(s, BoolLit):
         return FalsityResult(Verdict.SATISFIABLE, witness=Valuation({}, old=None))
 
     # the declared variables behind every free reference, parameters first as

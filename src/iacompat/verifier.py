@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .automata import (
@@ -37,18 +36,17 @@ from .automata import (
 )
 from .exprs import NamedConstraint
 from .falsity import Pools, Verdict, constraint_falsity, default_budget
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class UnreceivedOutput:
+class UnreceivedOutput(Frozen):
     """A shared action one side offers as output where the other side cannot take it."""
 
     action: ActionLabel
     sender: str  # "left" | "right"
 
 
-@dataclass(frozen=True)
-class AllGuardsFalse:
+class AllGuardsFalse(Frozen):
     """Every outgoing transition is disabled by a pre or post equivalent to false."""
 
     transitions: tuple[Transition, ...]
@@ -60,20 +58,18 @@ IllegalReason = Union[UnreceivedOutput, AllGuardsFalse]
 _AUTONOMOUS = frozenset({ActionClass.OUTPUT, ActionClass.HIDDEN})
 
 
-@dataclass(frozen=True)
-class IllegalStateSet:
+class IllegalStateSet(Frozen):
     states: frozenset[str]
     reasons: Mapping[str, tuple[IllegalReason, ...]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reasons", dict(self.reasons))
+    def __post_init__(self):
+        return self.states, dict(self.reasons)
 
 
-@dataclass
 class OpCounter:
     """Tally of elementary closure operations (index builds, dequeues, scans)."""
 
-    ops: int = 0
+    ops = 0  # an instance's own count from its first tick
 
     def tick(self, n: int = 1) -> None:
         self.ops += n
@@ -198,8 +194,7 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
                 reachable.add(t.target)
                 queue.append(t.target)
 
-    return replace(
-        auto,
+    return auto._replace(
         states=tuple(s for s in auto.states if s in reachable),
         initials=tuple(initials),
         transitions=tuple(
@@ -212,8 +207,7 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
 # ---------------------------------------------------------------------------
 # witness traces
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     """Alternating path: states[0] -steps[0]-> states[1] -> ... """
 
     states: tuple[str, ...]
@@ -264,15 +258,13 @@ class IncompatibilityCause(enum.Enum):
     EMPTY_AFTER_PRUNING = "empty_after_pruning"
 
 
-@dataclass(frozen=True)
-class CompatOptions:
+class CompatOptions(Frozen):
     qualify_hidden: bool = False
     strict_deadlock: bool = False
     enum_budget: Optional[int] = None  # None picks up the environment default
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(Frozen):
     left: str
     right: str
     options: CompatOptions

@@ -33,6 +33,7 @@ from iacompat import (
     VarRef,
     to_text,
 )
+from iacompat.evaluate import MixedSorts
 from iacompat.lexer import ParseError, Token
 
 
@@ -203,7 +204,11 @@ def oracle_evaluate(e, val):
     if isinstance(e, EnumLit):
         return e.name
     if isinstance(e, SetLit):
-        return frozenset(oracle_evaluate(x, val) for x in e.items)
+        items = [oracle_evaluate(x, val) for x in e.items]
+        # Python merges members it finds equal; True and 1 are not equal members
+        if any(x == y and not _values_equal(x, y) for x in items for y in items):
+            raise MixedSorts(f"mixed element sorts in set literal in `{to_text(e)}`")
+        return frozenset(items)
     if isinstance(e, VarRef):
         return _lookup(val, e.path, e.old)
     if isinstance(e, Not):

@@ -2,7 +2,6 @@
 qualification, synchronized product."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,7 +127,7 @@ def test_undeclared_constraint_name_diagnosed():
 def test_missing_field_of_a_declared_record_diagnosed():
     ld = _ld()
     typo = ia.NamedConstraint("Typo", ia.ConstraintKind.PRE, ia.VarRef(("myCS", "nosuch")))
-    diags = ia.validate(replace(ld, preconditions={**ld.preconditions, "Typo": typo}))
+    diags = ia.validate(ld._replace(preconditions={**ld.preconditions, "Typo": typo}))
     assert [(d.code, d.message) for d in diags] == [
         ("constraint-variable", "precondition Typo references undeclared variable myCS.nosuch")]
 
@@ -177,7 +176,7 @@ def test_cached_indexes_stay_out_of_the_value():
     assert repr(ld) == text
     assert ld == _ld()
     first = ld.transitions[0]
-    moved = replace(ld, transitions=(first,))
+    moved = ld._replace(transitions=(first,))
     assert moved.outgoing[first.source] == [first]
     assert sum(map(len, moved.outgoing.values())) == 1
 

@@ -451,6 +451,67 @@ def test_deep_conjunction_gets_a_verdict():
             assert ia.evaluate(e, res.witness) is True
 
 
+def _implies_run(operands):
+    """``a implies (b implies (... implies z))``, right-nested as the parser builds it."""
+    e = operands[-1]
+    for a in reversed(operands[:-1]):
+        e = ia.BinOp("implies", a, e)
+    return e
+
+
+def _simplify_implies_by_recursion(e):
+    # each link folded after the run to its right, by recursion over the tree
+    if not (isinstance(e, ia.BinOp) and e.op == "implies"):
+        return ia.simplify(e)
+    l, r = ia.simplify(e.left), _simplify_implies_by_recursion(e.right)
+    if l == ia.BoolLit(False) or r == ia.BoolLit(True):
+        return ia.BoolLit(True)
+    if l == ia.BoolLit(True):
+        return r
+    if r == ia.BoolLit(False):
+        return l.operand if isinstance(l, ia.Not) else ia.Not(l)
+    return ia.BinOp("implies", l, r)
+
+
+def test_simplify_folds_an_implies_run_link_by_link():
+    p, q = ia.VarRef(("p",)), ia.VarRef(("q",))
+    leaves = (ia.BoolLit(True), ia.BoolLit(False), p, ia.Not(q), ia.Not(ia.BoolLit(True)),
+              ia.Chain(("and",), (p, q)), _implies_run([q, p]))
+    rng = random.Random(12)
+    for _ in range(500):
+        e = _implies_run([rng.choice(leaves) for _ in range(rng.randint(2, 7))])
+        assert ia.simplify(e) == _simplify_implies_by_recursion(e), ia.to_text(e)
+
+
+def test_an_implies_run_evaluates_left_to_right():
+    # `a implies b implies z` is `not a or not b or z`: a false antecedent or a
+    # true conclusion wins over any error, else the leftmost error is raised
+    p, q, r = (ia.VarRef((n,)) for n in "pqr")
+    e = _implies_run([p, ia.IntLit(3), q, r])
+    for values in ({"p": False}, {"p": True, "q": True}, {"p": 5}, {"p": True, "r": True},
+                   {"q": False}, {"p": True, "q": True, "r": False}, {"p": True, "q": 2, "r": 1}):
+        val = ia.Valuation(values)
+        assert _outcome(ia.evaluate, e, val) == _outcome(oracle_evaluate, e, val)
+    assert ia.evaluate(e, ia.Valuation({"p": False})) is True
+    with pytest.raises(ia.EvalError, match="expected a boolean from `3`"):
+        ia.evaluate(e, ia.Valuation({"p": True, "q": True, "r": False}))
+
+
+def test_a_long_implies_run_gets_a_verdict():
+    # 3000 links, which simplify and compile_expr take in one loop
+    x = ia.VarRef(("x",))
+    decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 9))}
+    antecedents = [ia.BinOp(">=", x, ia.IntLit(k % 10 - 10)) for k in range(3000)]
+    for last, verdict, explored in ((ia.BinOp(">", x, ia.IntLit(9)), ia.Verdict.FALSE, 10),
+                                    (ia.BinOp("=", x, ia.IntLit(4)), ia.Verdict.SATISFIABLE, 5)):
+        e = _implies_run(antecedents + [last])
+        s = ia.simplify(e)  # the same run: nothing folds
+        assert [type(n) for n in ia.walk(s)] == [type(n) for n in ia.walk(e)]
+        res = ia.falsity(e, decls)
+        assert (res.verdict, res.explored) == (verdict, explored)
+        assert ia.evaluate(e, ia.Valuation({"x": 4})) is (verdict is ia.Verdict.SATISFIABLE)
+
+
 def test_constant_fold_example():
     e = ia.parse_expression("true and false")
     assert ia.evaluate(e, ia.Valuation()) is False

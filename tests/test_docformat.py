@@ -171,6 +171,8 @@ PARSE_ERRORS = [
     ("expr", "a → b $", "case.ia:1:7: unexpected character '$'"),
     ("doc", _GO + "transitions { s -[go]→ s $ } }", "case.ia:1:88: unexpected character '$'"),
     ("doc", 'document "→" version 1;', "case.ia:1:22: expected a quoted version, found '1'"),
+    # a kind word as the last token: the name lookahead stops at eof
+    ("doc", _GO + "pre", "case.ia:1:66: expected :, found 'end of input'"),
 ]
 
 

@@ -402,8 +402,7 @@ def test_monotone_environment(seed):
     fresh = _lab("envOnly")
     src = rng.choice(a1.states)
     tgt = rng.choice(a1.states)
-    from dataclasses import replace
-    widened = replace(a1, inputs=a1.inputs + (fresh,),
-                      transitions=a1.transitions + (ia.Transition(src, None, fresh, None, tgt),))
+    widened = a1._replace(inputs=a1.inputs + (fresh,),
+                         transitions=a1.transitions + (ia.Transition(src, None, fresh, None, tgt),))
     rep2 = ia.check_compatibility(widened, a2)
     assert rep2.verdict is ia.CompatVerdict.COMPATIBLE
