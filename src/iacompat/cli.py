@@ -28,7 +28,7 @@ from .docformat import (
 from .evaluate import EvalError, MissingVariable, MixedSorts, Valuation, evaluate
 from .expr_parse import parse_expression
 from .exprs import SortError, UnknownVariable
-from .falsity import ENUM_BUDGET_ENV, default_budget
+from .falsity import ENUM_BUDGET_ENV, default_budget, positive_int
 from .lexer import ParseError
 from .verifier import (
     CompatOptions,
@@ -47,6 +47,12 @@ class _UsageError(Exception):
 
 # runs of one operator are flat; only nesting raises RecursionError
 _TOO_DEEP = "expression nests too deeply"
+
+
+def _positive_int(text: str) -> int:
+    if positive_int(text) is None:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
 def _reason(exc: Exception) -> object:
@@ -259,9 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="namespace hidden actions by contract before checking")
     p.add_argument("--strict-deadlock", action="store_true",
                    help="treat states without outgoing transitions as illegal")
-    p.add_argument("--enum-budget", type=int, default=None, metavar="N",
-                   help=f"max valuations per falsity query (default {default_budget()}, "
-                        f"or ${ENUM_BUDGET_ENV})")
+    p.add_argument("--enum-budget", type=_positive_int, default=None, metavar="N",
+                   help=f"max valuations per falsity query, a positive integer "
+                        f"(default {default_budget()}, or ${ENUM_BUDGET_ENV})")
     p.add_argument("--report", metavar="PATH", help="write the structured JSON report here")
     p.add_argument("--witness", action="store_true", help="print a path into the illegal set")
     p.set_defaults(func=_cmd_check)

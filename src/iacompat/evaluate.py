@@ -181,15 +181,10 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
     if isinstance(e, VarRef):
         return access(e)
     if isinstance(e, Chain):
+        if e.ops[0] == "implies":
+            # `a implies b implies z` is `not a or not b or z`, errors and all
+            e = Chain(("or",) * len(e.ops), (*map(Not, e.operands[:-1]), e.operands[-1]))
         return _compile_logic(e, access) if e.ops[0] in ("and", "or") else _compile_sum(e, access)
-    if isinstance(e, BinOp) and e.op == "implies":
-        # a right-nested run `a implies (b implies z)` is `not a or not b or z`:
-        # the same truth table and the same errors, left operand first
-        lefts = []
-        while isinstance(e, BinOp) and e.op == "implies":
-            lefts.append(Not(e.left))
-            e = e.right
-        return _compile_logic(Chain(("or",) * len(lefts), (*lefts, e)), access)
     sub = [compile_expr(c, access) for c in children(e)]
     if isinstance(e, SetLit):
         def set_lit(env):
@@ -350,10 +345,11 @@ def simplify(e: Expr) -> Expr:
     """Semantics-preserving rewrite to a canonical form.
 
     Constant folding, conjunction/disjunction identities and annihilators,
-    double negation removal, implication unfolding against literals, and
-    flattening of each ``and``/``or`` chain into its operands, sorted by their
-    printed form and rebuilt left-deep. Idempotent. ``x = x`` is not folded
-    to true: that is not error-preserving for expressions that can fail.
+    double negation removal, implication unfolding against literals from the
+    last link back, and flattening of each ``and``/``or`` run into one
+    ``Chain`` of its operands, sorted by their printed form. Idempotent.
+    ``x = x`` is not folded to true: that is not error-preserving for
+    expressions that can fail.
     """
     if isinstance(e, Not):
         s = simplify(e.operand)
@@ -363,6 +359,8 @@ def simplify(e: Expr) -> Expr:
             return s.operand
         return Not(s)
     if isinstance(e, Chain):
+        if e.ops[0] == "implies":
+            return _simplify_implies(e)
         return _simplify_logic(e) if e.ops[0] in ("and", "or") else _simplify_sum(e)
     if isinstance(e, BinOp):
         return _simplify_binop(e)
@@ -408,32 +406,26 @@ def _simplify_sum(e: Chain) -> Expr:
     return Chain(tuple(ops), tuple(parts)) if ops else parts[0]
 
 
+def _simplify_implies(e: Chain) -> Expr:
+    # fold from the last link back; `kept` holds the antecedents before `r`, last first
+    kept, r = [], simplify(e.operands[-1])
+    for l in map(simplify, reversed(e.operands[:-1])):
+        if l == BoolLit(False) or (not kept and r == BoolLit(True)):
+            kept, r = [], BoolLit(True)
+        elif l == BoolLit(True):
+            continue  # `true implies r` is r
+        elif not kept and r == BoolLit(False):
+            r = l.operand if isinstance(l, Not) else Not(l)
+        else:
+            kept.append(l)
+    return Chain(("implies",) * len(kept), (*reversed(kept), r)) if kept else r
+
+
 def _simplify_binop(e: BinOp) -> Expr:
-    if e.op == "implies":
-        # a right-nested run `a implies (b implies z)` folds from its last link
-        # back, in a loop, to the tree that folding link by link gives
-        lefts = []
-        while isinstance(e, BinOp) and e.op == "implies":
-            lefts.append(e.left)
-            e = e.right
-        r = simplify(e)
-        for l in map(simplify, reversed(lefts)):
-            if l == BoolLit(False) or r == BoolLit(True):
-                r = BoolLit(True)
-            elif l == BoolLit(True):
-                continue  # `true implies r` is r
-            elif r == BoolLit(False):
-                r = l.operand if isinstance(l, Not) else Not(l)
-            else:
-                r = BinOp("implies", l, r)
-        return r
-    l = simplify(e.left)
-    r = simplify(e.right)
-    op = e.op
+    l, r, op = simplify(e.left), simplify(e.right), e.op
     if op in ("=", "<>"):
         if type(l) is type(r) and isinstance(l, (BoolLit, IntLit, EnumLit)):
-            eq = l == r
-            return BoolLit(eq if op == "=" else not eq)
+            return BoolLit((l == r) == (op == "="))
     elif isinstance(l, IntLit) and isinstance(r, IntLit):
         return BoolLit(_INT_OPS[op](l.value, r.value))
     return BinOp(op, l, r)

@@ -2,15 +2,15 @@
 
 Operator precedence, loosest first: ``implies`` (right associative), ``or``,
 ``and``, ``not``, comparisons together with ``in set`` membership, ``+``/``-``,
-then postfix application/field/method suffixes. A run of ``or``, of ``and``
-or of ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
+then postfix application/field/method suffixes. A run of ``implies``, ``or``,
+``and`` or ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
 
 Reserved words inside expressions: ``and or implies not in set dom true false``.
 Everything else, including the document keywords, stays usable as a name.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .domains import (
     BoolDomain,
@@ -60,26 +60,24 @@ DeclsArg = Union[Mapping[str, Domain], Iterable[VariableDecl], None]
 # ---------------------------------------------------------------------------
 # expression grammar
 
+def _parse_run(ts: TokenStream, word: str, operand: Callable[[TokenStream], Expr]) -> Expr:
+    """Operands that ``operand`` parses, joined by ``word``: one ``Chain`` if two or more."""
+    operands = [operand(ts)]
+    while ts.accept_word(word):
+        operands.append(operand(ts))
+    return Chain((word,) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
+
+
 def _parse_implies(ts: TokenStream) -> Expr:
-    left = _parse_or(ts)
-    if ts.accept_word("implies"):
-        right = _parse_implies(ts)  # right associative
-        return BinOp("implies", left, right)
-    return left
+    return _parse_run(ts, "implies", _parse_or)
 
 
 def _parse_or(ts: TokenStream) -> Expr:
-    operands = [_parse_and(ts)]
-    while ts.accept_word("or"):
-        operands.append(_parse_and(ts))
-    return Chain(("or",) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
+    return _parse_run(ts, "or", _parse_and)
 
 
 def _parse_and(ts: TokenStream) -> Expr:
-    operands = [_parse_not(ts)]
-    while ts.accept_word("and"):
-        operands.append(_parse_not(ts))
-    return Chain(("and",) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
+    return _parse_run(ts, "and", _parse_not)
 
 
 def _parse_not(ts: TokenStream) -> Expr:

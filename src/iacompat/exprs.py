@@ -9,9 +9,9 @@ literals ``{false}``, and the boolean/integer connectives.
 
 Nodes are immutable ``Frozen`` values; their equality, which tells node kinds
 apart, is the canonical notion of expression identity used everywhere
-(round-trips, conjunction sharing). A run of ``and``s, of ``or``s or of
-``+``/``-`` is one ``Chain``, so every walker takes it in one loop; ``BinOp``
-holds the comparisons and ``implies``.
+(round-trips, conjunction sharing). A run of ``implies``, of ``or``, of
+``and`` or of ``+``/``-`` is one ``Chain``, so every walker takes it in one
+loop and depth comes only from nesting; ``BinOp`` holds the comparisons.
 """
 from __future__ import annotations
 
@@ -71,25 +71,29 @@ class Not(Expr):
 
 
 class BinOp(Expr):
-    op: str  # implies = <> < <= > >=
+    op: str  # = <> < <= > >=
     left: Expr
     right: Expr
 
 
 class Chain(Expr):
-    """A left-associative run of one precedence level: ``and``s, ``or``s, or
+    """A run of one precedence level: ``implies``s, ``or``s, ``and``s, or
     ``+`` and ``-``. ``ops[i]`` joins ``operands[i]`` and ``operands[i + 1]``.
 
-    A first operand that is a run of the same level is spliced in, so a run
-    has one node however it was built, and prints and parses back as one.
+    An operand that is a run of the same level is spliced in on the side the
+    run associates to: the right for ``implies``, else the left. So a run has
+    one node however it was built, and prints and parses back as one.
     """
 
     ops: tuple[str, ...]
     operands: tuple[Expr, ...]
 
     def __post_init__(self):
-        first = self.operands[0]
-        if first.__class__ is Chain and _LEVEL[first.ops[0]] == _LEVEL[self.ops[0]]:
+        first, last = self.operands[0], self.operands[-1]
+        if self.ops[0] == "implies":
+            if last.__class__ is Chain and last.ops[0] == "implies":
+                return self.ops + last.ops, self.operands[:-1] + last.operands
+        elif first.__class__ is Chain and _LEVEL[first.ops[0]] == _LEVEL[self.ops[0]]:
             return first.ops + self.ops, first.operands + self.operands[1:]
 
 
@@ -123,26 +127,23 @@ class MethodCall(Expr):
 # ---------------------------------------------------------------------------
 # printing
 
-_LEVEL = {
+_LEVEL = {  # of the run operators
     "implies": 1,
     "or": 2,
     "and": 3,
-    # not = 4
-    "=": 5, "<>": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
+    # not = 4, comparisons and membership = 5
     "+": 6, "-": 6,
 }
 _POSTFIX_LEVEL = 7
 
 
 def _level(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _LEVEL[e.op]
+    if isinstance(e, (BinOp, Membership)):
+        return 5
     if isinstance(e, Chain):
         return _LEVEL[e.ops[0]]
     if isinstance(e, Not):
         return 4
-    if isinstance(e, Membership):
-        return 5
     return _POSTFIX_LEVEL + 1
 
 
@@ -166,16 +167,12 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Not):
         return "not " + wrap(e.operand, 4)
     if isinstance(e, BinOp):
-        # a child at the same level is parenthesized, except on the right of
-        # implies, which is right associative; comparisons do not associate
-        lvl = _LEVEL[e.op]
-        right = lvl if e.op == "implies" else lvl + 1
-        return f"{wrap(e.left, lvl + 1)} {e.op} {wrap(e.right, right)}"
+        # comparisons do not associate: an operand at their level is parenthesized
+        return f"{wrap(e.left, 6)} {e.op} {wrap(e.right, 6)}"
     if isinstance(e, Chain):
-        # the first operand is never a run of the same level; a later one is
-        # parenthesized so that it parses back as one operand
+        # a run of the same level is an operand only if it was grouped
         lvl = _LEVEL[e.ops[0]]
-        parts = [wrap(e.operands[0], lvl)]
+        parts = [wrap(e.operands[0], lvl + 1)]
         for op, x in zip(e.ops, e.operands[1:]):
             parts += (op, wrap(x, lvl + 1))
         return " ".join(parts)
@@ -350,6 +347,14 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
     if isinstance(e, Not):
         _require(infer_sort(e.operand, scope).tag in ("bool", "opaque"), "not needs a boolean", e)
         return BOOL
+    if isinstance(e, Chain) and e.ops[0] == "implies":
+        # the operands, then each link from the last one back, as the nested
+        # definition takes them; an error names the run from the bad link on
+        bad = [k for k, x in enumerate(e.operands) if infer_sort(x, scope).tag not in ("bool", "opaque")]
+        if bad:
+            k = min(bad[-1], len(e.ops) - 1)  # the last link takes both its operands
+            raise SortError("implies needs boolean operands", Chain(e.ops[k:], e.operands[k:]))
+        return BOOL
     if isinstance(e, Chain):
         # each link after both its operands, in the order the recursive
         # definition takes; an error names the run up to the bad operand
@@ -365,10 +370,6 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         return BOOL if logic else INT
     if isinstance(e, BinOp):
         ls, rs = infer_sort(e.left, scope), infer_sort(e.right, scope)
-        if e.op == "implies":
-            _require(ls.tag in ("bool", "opaque") and rs.tag in ("bool", "opaque"),
-                     "implies needs boolean operands", e)
-            return BOOL
         if e.op in ("=", "<>"):
             if not sorts_compatible(ls, rs):  # the message prints both sorts, so only on failure
                 raise SortError(f"cannot compare {ls} with {rs}", e)

@@ -7,11 +7,11 @@ Four tiers, in order:
    domain it reads, through ``+`` and ``-``. A comparison that no pair of
    values in its bounds makes true is false, and so is a conjunction with
    such an operand, or a disjunction of nothing else. This tier only ever
-   proves FALSE, without a valuation, and does not look inside ``not`` or
-   ``implies``; it runs before the budget is counted, so a guard too big to
-   enumerate may still be refuted.
+   proves FALSE, without a valuation, and does not look inside ``not`` or an
+   ``implies`` run; it runs before the budget is counted, so a guard too big
+   to enumerate may still be refuted.
 3. Exhaustive enumeration over the declared finite domains under a valuation
-   budget.
+   budget, a positive integer.
 4. Unknown: the conservative outcome for opaque or unbounded domains and for
    blown budgets; callers treat it as "possibly satisfiable".
 
@@ -54,15 +54,17 @@ ENUM_BUDGET_ENV = "IACOMPAT_ENUM_BUDGET"
 DEFAULT_ENUM_BUDGET = 10**6
 
 
-def default_budget() -> int:
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BUDGET
+def positive_int(text: Optional[str]) -> Optional[int]:
+    """``text`` read as a positive integer; None if it is not one."""
     try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_ENUM_BUDGET
-    return value if value > 0 else DEFAULT_ENUM_BUDGET
+        value = int(text)
+    except (TypeError, ValueError):
+        return None
+    return value if value > 0 else None
+
+
+def default_budget() -> int:
+    return positive_int(os.environ.get(ENUM_BUDGET_ENV)) or DEFAULT_ENUM_BUDGET
 
 
 class Verdict(enum.Enum):

@@ -263,11 +263,17 @@ def _bool_link(op, left, right):
 
 
 def _eval_chain(e, val):
-    # link by link from the left, each by its binary rule
-    if e.ops[0] in ("and", "or"):
-        out = _try_bool(e.operands[0], val)
-        for op, x in zip(e.ops, e.operands[1:]):
-            out = _bool_link(op, out, _try_bool(x, val))
+    # link by link, each by its binary rule: from the right for implies,
+    # which associates to the right, and from the left for and and or
+    if e.ops[0] in ("and", "or", "implies"):
+        if e.ops[0] == "implies":
+            out = _try_bool(e.operands[-1], val)
+            for x in reversed(e.operands[:-1]):
+                out = _bool_link("implies", _try_bool(x, val), out)
+        else:
+            out = _try_bool(e.operands[0], val)
+            for op, x in zip(e.ops, e.operands[1:]):
+                out = _bool_link(op, out, _try_bool(x, val))
         if out[1]:
             raise out[1]
         return out[0]
@@ -280,11 +286,6 @@ def _eval_chain(e, val):
 
 def _eval_binop(e, val):
     op = e.op
-    if op == "implies":
-        v, err = _bool_link(op, _try_bool(e.left, val), _try_bool(e.right, val))
-        if err:
-            raise err
-        return v
     if op in ("=", "<>"):
         lv = oracle_evaluate(e.left, val)
         rv = oracle_evaluate(e.right, val)

@@ -73,9 +73,10 @@ def _atom(rng: random.Random, decls):
 
 
 def join(op, left, right):
-    """``left op right``; a run operator (``and``, ``or``, ``+``, ``-``)
-    makes a ``Chain``, which splices a left operand of its own level."""
-    if op in ("and", "or", "+", "-"):
+    """``left op right``; a run operator (``implies``, ``and``, ``or``, ``+``,
+    ``-``) makes a ``Chain``, which splices a left operand of its own level, or
+    for ``implies`` a right one."""
+    if op in ("implies", "and", "or", "+", "-"):
         return Chain((op,), (left, right))
     return BinOp(op, left, right)
 

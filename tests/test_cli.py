@@ -24,6 +24,7 @@ TL = str(FIXTURES / "transport_layer.ia")
 PING = str(FIXTURES / "ping.ia")
 PONG = str(FIXTURES / "pong.ia")
 BROKEN = str(Path(__file__).parent / "data" / "broken.ia")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "compat-report.schema.json").read_text())
 
@@ -121,6 +122,16 @@ def test_check_enum_budget_flag(capsys):
     assert code == 1  # verdict driven by unreceived outputs, not guard falsity
 
 
+@pytest.mark.parametrize("budget", ["0", "-3", "many", ""])
+def test_check_enum_budget_below_one_is_a_usage_error(capsys, budget):
+    # a budget of 0 would make every enumerated guard Unknown, read as satisfiable
+    with pytest.raises(SystemExit) as exc:
+        main(["check", PING, PONG, "--enum-budget", budget])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"argument --enum-budget: not a positive integer: {budget!r}" in err
+
+
 def test_check_missing_file(capsys):
     code, out, err = run_cli(capsys, "check", LD, "/no/such/file.ia")
     assert code == 2
@@ -171,6 +182,23 @@ def test_check_stdout_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "check", LD, TL, "--qualify-hidden", "--witness")
     code2, out2, _ = run_cli(capsys, "check", LD, TL, "--qualify-hidden", "--witness")
     assert (code1, out1) == (code2, out2)
+
+
+def test_case_study_outputs_match_the_goldens(tmp_path, capsys):
+    # the product, the check summary with its witness, the report and the dot
+    # graph of the case study, byte for byte; a change to any of them must be
+    # deliberate, and comes with new files in tests/data/golden
+    report = tmp_path / "report.json"
+    for argv, code, golden in (
+        (["product", "--qualify-hidden", LD, TL], 0, "le_device_x_transport_layer.ia"),
+        (["check", "--qualify-hidden", "--witness", "--report", str(report), LD, TL], 1,
+         "check_witness.txt"),
+        (["dot", LD], 0, "le_device.dot"),
+    ):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, ""), golden
+        assert out.encode() == (GOLDEN / golden).read_bytes(), golden
+    assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +341,7 @@ def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
     b = _go_contract(tmp_path, "NB", False, "y : bool")
     for name, guard, lint, check in (
         ("Parens", "(" * 150 + "x > 1" + ")" * 150, 2, 2),
-        ("Implies", " implies ".join(f"x <> {k % 10}" for k in range(401)), 0, 0),
+        ("Implies", " implies ".join(f"x <> {k % 10}" for k in range(2000)), 0, 0),
         ("And", " and ".join(f"x <> {k % 10}" for k in range(2000)), 0, 0),
         ("Sum", "x" + " + 1" * 1199 + " > 0", 0, 0),
     ):
@@ -326,6 +354,17 @@ def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
             assert (code, out, err) == nests, name
         else:
             assert (code, err) == (0, "") and out.endswith("verdict: compatible\n"), name
+
+
+def test_same_named_guards_over_a_long_implies_run_get_a_verdict(tmp_path, capsys):
+    # both operands declare one guard name over the same 2000-link run, so the
+    # product's guard registry compares the two bodies
+    guard = " implies ".join(f"x <> {k % 10}" for k in range(2000))
+    a, b = (_go_contract(tmp_path, name, sends, "x : int[0..10]", (f"pre G: {guard}",), pre="G")
+            for name, sends in (("IA", True), ("IB", False)))
+    assert run_cli(capsys, "lint", a, b) == (0, f"{a}: ok\n{b}: ok\n", "")
+    code, out, err = run_cli(capsys, "check", a, b)
+    assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
 
 
 def test_lint_goes_on_after_a_file_that_nests_too_deeply(tmp_path, capsys):

@@ -452,25 +452,23 @@ def test_deep_conjunction_gets_a_verdict():
 
 
 def _implies_run(operands):
-    """``a implies (b implies (... implies z))``, right-nested as the parser builds it."""
-    e = operands[-1]
-    for a in reversed(operands[:-1]):
-        e = ia.BinOp("implies", a, e)
-    return e
+    """``a implies b implies ... implies z``, one ``Chain`` as the parser builds it."""
+    return ia.Chain(("implies",) * (len(operands) - 1), tuple(operands))
 
 
 def _simplify_implies_by_recursion(e):
-    # each link folded after the run to its right, by recursion over the tree
-    if not (isinstance(e, ia.BinOp) and e.op == "implies"):
+    # each link folded after the run to its right, by recursion over the links
+    if not (isinstance(e, ia.Chain) and e.ops[0] == "implies"):
         return ia.simplify(e)
-    l, r = ia.simplify(e.left), _simplify_implies_by_recursion(e.right)
+    rest = e.operands[1] if len(e.ops) == 1 else _implies_run(e.operands[1:])
+    l, r = ia.simplify(e.operands[0]), _simplify_implies_by_recursion(rest)
     if l == ia.BoolLit(False) or r == ia.BoolLit(True):
         return ia.BoolLit(True)
     if l == ia.BoolLit(True):
         return r
     if r == ia.BoolLit(False):
         return l.operand if isinstance(l, ia.Not) else ia.Not(l)
-    return ia.BinOp("implies", l, r)
+    return _implies_run([l, r])
 
 
 def test_simplify_folds_an_implies_run_link_by_link():
@@ -510,6 +508,20 @@ def test_a_long_implies_run_gets_a_verdict():
         res = ia.falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, explored)
         assert ia.evaluate(e, ia.Valuation({"x": 4})) is (verdict is ia.Verdict.SATISFIABLE)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("p implies q implies 3", "q implies 3"),
+    ("1 implies q implies r", "1 implies q implies r"),
+    ("(1 implies q) implies r", "1 implies q"),
+    ("p implies 2 implies q implies r", "2 implies q implies r"),
+])
+def test_an_implies_sort_error_names_the_run_from_the_bad_link(text, named):
+    decls = {n: ia.VariableDecl(n, ia.BoolDomain()) for n in "pqr"}
+    with pytest.raises(ia.SortError) as exc:
+        ia.parse_expression(text, decls)
+    assert str(exc.value) == f"implies needs boolean operands in `{named}`"
+    assert exc.value.expr_text == named
 
 
 def test_constant_fold_example():

@@ -137,6 +137,16 @@ def test_post_init_checks_and_normalises():
         ia.EnumDomain(("a", "a"))
     # a run built from a run is one node
     assert ia.Chain(("or",), (ia.Chain(("or",), (X, X)), X)).ops == ("or", "or")
+    # implies associates to the right: a last operand that is a run is
+    # spliced in, a first one stays one operand, and both print and parse back
+    p, q, r = (ia.VarRef((n,)) for n in "pqr")
+    right = ia.Chain(("implies",), (p, ia.Chain(("implies",), (q, r))))
+    assert right == ia.Chain(("implies", "implies"), (p, q, r))
+    left = ia.Chain(("implies",), (ia.Chain(("implies",), (p, q)), r))
+    assert left.ops == ("implies",) and left.operands[0] == ia.Chain(("implies",), (p, q))
+    assert [ia.to_text(e) for e in (right, left)] == ["p implies q implies r", "(p implies q) implies r"]
+    for e in (right, left):
+        assert ia.parse_expression(ia.to_text(e)) == e
     pairs = {"p": ("a", "b")}
     prod = ia.ProductResult(ia.empty_automaton(), pairs, ())
     assert prod.pair_of == pairs and prod.pair_of is not pairs
