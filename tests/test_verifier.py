@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
 from oracles import oracle_reachable, oracle_verdict
-from randgen import rand_composable_pair
+from randgen import cycle_pair, rand_composable_pair
 
 
 def _lab(name):
@@ -165,6 +165,18 @@ def test_bad_states_counter_ticks():
     ia.bad_states(prod, ill, counter=ctr)
     # at least one tick per transition during the index build
     assert ctr.ops >= len(prod.automaton.transitions)
+
+
+def test_bad_states_counter_counts_exact_closure_work():
+    # one op per product transition, per dequeued state and per predecessor scanned
+    prod, ill = _chain_product()
+    ctr = ia.OpCounter()
+    ia.bad_states(prod, ill, counter=ctr)
+    assert ctr.ops == 2 + 3 + 2
+    a, b = cycle_pair(3, 2)
+    prod = ia.product(a, b)
+    ia.bad_states(prod, ia.illegal_states(prod, a, b), counter=ctr)
+    assert ctr.ops == 7 + (12 + 6 + 12)  # a counter passed again adds to its count
 
 
 def test_fixture_bad_states_against_oracle():
