@@ -32,10 +32,11 @@ from collections import deque
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
-from .domains import VariableDecl, is_identifier, resolve_path
+from .domains import VariableDecl, is_identifier
 from .exprs import (
     Chain,
     ConstraintContext,
+    ConstraintKind,
     NamedConstraint,
     ParamDecl,
     decls_mapping,
@@ -122,6 +123,16 @@ class InterfaceAutomaton(Frozen):
     def __post_init__(self):
         if not is_identifier(self.name):
             raise ValueError(f"automaton name is not an identifier: {self.name!r}")
+        for key, decl in self.variables.items():
+            if key != decl.name:
+                raise ValueError(f"variable {key!r} is declared as {decl.name!r}")
+        for registry, kind in ((self.preconditions, ConstraintKind.PRE),
+                               (self.postconditions, ConstraintKind.POST)):
+            for key, c in registry.items():
+                if key != c.name:
+                    raise ValueError(f"constraint {c.name!r} is registered under {key!r}")
+                if c.kind is not kind:
+                    raise ValueError(f"constraint {c.name!r} is a {c.kind.value}, registered as a {kind.value}")
         return (self.name, tuple(self.states), tuple(self.initials), _label_tuple(self.inputs),
                 _label_tuple(self.outputs), _label_tuple(self.hidden), dict(self.variables),
                 dict(self.preconditions), dict(self.postconditions), tuple(self.transitions))
@@ -203,14 +214,9 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
     table = decls_mapping(a.variables)
     for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition")):
         for name, c in reg.items():
-            for path in sorted(c.free_variable_paths()):
-                if resolve_path(table, tuple(path.split("."))) is None:
-                    diags.append(
-                        Diagnostic(
-                            "constraint-variable",
-                            f"{which} {name} references undeclared variable {path}",
-                        )
-                    )
+            for path in c.undeclared_paths(table):
+                diags.append(Diagnostic("constraint-variable",
+                                        f"{which} {name} references undeclared variable {path}"))
     return diags
 
 

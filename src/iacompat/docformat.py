@@ -37,7 +37,8 @@ parses back to a structurally equal document.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from functools import partial
+from typing import Any, Callable, Optional, Union
 
 from .automata import (
     ActionLabel,
@@ -47,7 +48,7 @@ from .automata import (
     Transition,
     validate,
 )
-from .domains import Domain, VariableDecl, is_identifier, resolve_path
+from .domains import Domain, VariableDecl, is_identifier
 from .exprs import (
     ConstraintContext,
     ConstraintKind,
@@ -56,6 +57,7 @@ from .exprs import (
     SortError,
     SortScope,
     UnknownVariable,
+    decls_mapping,
     infer_sort,
     to_text,
 )
@@ -145,9 +147,10 @@ def _parse_contract(
     cname = name_tok.text
     ts.expect("punct", "{")
 
-    states: list[str] = []
-    initials: list[Token] = []
-    sections: dict[str, list[ActionLabel]] = {"inputs": [], "outputs": [], "hidden": []}
+    # each list maps its names to the token of their first mention
+    states: dict[str, Token] = {}
+    initials: dict[str, Token] = {}
+    sections: dict[str, dict[ActionLabel, Token]] = {"inputs": {}, "outputs": {}, "hidden": {}}
     sections_seen: set[str] = set()
     variables: dict[str, VariableDecl] = {}
     owned: list[NamedConstraint] = []  # declaration order, invariants included
@@ -163,7 +166,7 @@ def _parse_contract(
         kind_tok = ts.current
         kind = parse_kind_word(ts)
         name = None
-        nxt = ts.tokens[min(ts.pos + 1, len(ts.tokens) - 1)]  # eof is last, and follows itself
+        nxt = ts.lookahead
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
             name_t = ts.advance()
             name = name_t.text
@@ -198,37 +201,16 @@ def _parse_contract(
         if word == "states":
             ts.advance()
             sections_seen.add("states")
-            if not ts.peek("punct", ";"):
-                while True:
-                    t = ts.expect("ident", what="a state name")
-                    if t.text in states:
-                        raise ts.error(f"duplicate state {t.text!r}", t)
-                    states.append(t.text)
-                    if not ts.accept("punct", ","):
-                        break
-            ts.expect("punct", ";")
+            _parse_list(ts, partial(_parse_name, what="a state name"), states, "duplicate state {!r}")
         elif word == "initial":
             ts.advance()
-            if not ts.peek("punct", ";"):
-                while True:
-                    initials.append(ts.expect("ident", what="an initial state"))
-                    if not ts.accept("punct", ","):
-                        break
-            ts.expect("punct", ";")
+            _parse_list(ts, partial(_parse_name, what="an initial state"), initials)
         elif word in sections:
             tok = ts.advance()
             if word in sections_seen:
                 raise ts.error(f"duplicate section {word!r}", tok)
             sections_seen.add(word)
-            if not ts.peek("punct", ";"):
-                while True:
-                    label, label_tok = _parse_label(ts)
-                    if label in sections[word]:
-                        raise ts.error(f"action {label} declared twice under {word!r}", label_tok)
-                    sections[word].append(label)
-                    if not ts.accept("punct", ","):
-                        break
-            ts.expect("punct", ";")
+            _parse_list(ts, _parse_label, sections[word], f"action {{}} declared twice under {word!r}")
         elif word == "var":
             ts.advance()
             vname_tok = ts.expect("ident", what="a variable name")
@@ -284,16 +266,15 @@ def _parse_contract(
         if section not in sections_seen:
             raise ts.error(f"contract {cname!r} is missing its {section!r} section", name_tok)
 
-    state_set = set(states)
-    for t in initials:
-        if t.text not in state_set:
+    for t in initials.values():
+        if t.text not in states:
             raise ts.error(f"initial state {t.text!r} is not a state", t)
     alphabet = set(sections["inputs"]) | set(sections["outputs"]) | set(sections["hidden"])
 
     transitions: list[Transition] = []
     for source, action, action_tok, pre, post, target in raw_transitions:
         for endpoint in (source, target):
-            if endpoint.text not in state_set:
+            if endpoint.text not in states:
                 raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
         if action not in alphabet:
             raise ts.error(f"undeclared action {action}", action_tok)
@@ -304,7 +285,7 @@ def _parse_contract(
         transitions.append(Transition(source.text, pre.text if pre else None, action,
                                       post.text if post else None, target.text))
 
-    decl_domains = {n: d.domain for n, d in variables.items()}
+    decl_domains = decls_mapping(variables)
     for c, body_tok in deferred_checks:
         scope = SortScope(decls=decl_domains, params=c.param_domains())
         try:
@@ -317,7 +298,7 @@ def _parse_contract(
     automaton = InterfaceAutomaton(
         name=cname,
         states=tuple(states),
-        initials=tuple(dict.fromkeys(t.text for t in initials)),
+        initials=tuple(initials),
         inputs=tuple(sections["inputs"]),
         outputs=tuple(sections["outputs"]),
         hidden=tuple(sections["hidden"]),
@@ -327,6 +308,29 @@ def _parse_contract(
         transitions=tuple(transitions),
     )
     return automaton, owned
+
+
+def _parse_list(ts: TokenStream, read: Callable[[TokenStream], tuple[Any, Token]],
+                into: dict, duplicate: Optional[str] = None) -> None:
+    """``[item {"," item}] ";"``: adds each value ``read`` gives to ``into`` with its token.
+
+    A value already in ``into`` is the error ``duplicate.format(value)`` at its
+    token or, with no ``duplicate``, keeps its first token.
+    """
+    if not ts.peek("punct", ";"):
+        while True:
+            value, tok = read(ts)
+            if value in into and duplicate is not None:
+                raise ts.error(duplicate.format(value), tok)
+            into.setdefault(value, tok)
+            if not ts.accept("punct", ","):
+                break
+    ts.expect("punct", ";")
+
+
+def _parse_name(ts: TokenStream, what: str) -> tuple[str, Token]:
+    tok = ts.expect("ident", what=what)
+    return tok.text, tok
 
 
 def _parse_label(ts: TokenStream) -> tuple[ActionLabel, Token]:
@@ -360,16 +364,10 @@ def document_diagnostics(doc: ContractDocument) -> list[Diagnostic]:
                 )
             )
             continue
-        table = {n: d.domain for n, d in owner.variables.items()}
-        for path in sorted(c.free_variable_paths()):
-            if resolve_path(table, tuple(path.split("."))) is None:
-                diags.append(
-                    Diagnostic(
-                        "invariant-variable",
-                        f"invariant {c.name} references undeclared variable {path}",
-                        owner.name,
-                    )
-                )
+        for path in c.undeclared_paths(decls_mapping(owner.variables)):
+            diags.append(Diagnostic("invariant-variable",
+                                    f"invariant {c.name} references undeclared variable {path}",
+                                    owner.name))
     return diags
 
 

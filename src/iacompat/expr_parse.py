@@ -1,8 +1,7 @@
 """Parser for the constraint dialect and for domain descriptors.
 
-Operator precedence, loosest first: ``implies`` (right associative), ``or``,
-``and``, ``not``, comparisons together with ``in set`` membership, ``+``/``-``,
-then postfix application/field/method suffixes. A run of ``implies``, ``or``,
+Operator precedence is the ``exprs.PRECEDENCE`` table, which the printer reads
+too; ``_parse_expr`` walks down its levels. A run of ``implies``, ``or``,
 ``and`` or ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
 
 Reserved words inside expressions: ``and or implies not in set dom true false``.
@@ -10,7 +9,7 @@ Everything else, including the document keywords, stays usable as a name.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .domains import (
     BoolDomain,
@@ -39,6 +38,7 @@ from .exprs import (
     MethodCall,
     NamedConstraint,
     Not,
+    PRECEDENCE,
     ParamDecl,
     SetLit,
     SortScope,
@@ -52,7 +52,8 @@ _EXPR_RESERVED = frozenset(
     ["and", "or", "implies", "not", "in", "set", "dom", "true", "false"]
 )
 
-_CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
+# word operators are identifiers and symbols punctuators, never strings or enum literals
+_OPERATOR_KINDS = ("ident", "punct")
 
 DeclsArg = Union[Mapping[str, Domain], Iterable[VariableDecl], None]
 
@@ -60,60 +61,39 @@ DeclsArg = Union[Mapping[str, Domain], Iterable[VariableDecl], None]
 # ---------------------------------------------------------------------------
 # expression grammar
 
-def _parse_run(ts: TokenStream, word: str, operand: Callable[[TokenStream], Expr]) -> Expr:
-    """Operands that ``operand`` parses, joined by ``word``: one ``Chain`` if two or more."""
-    operands = [operand(ts)]
-    while ts.accept_word(word):
-        operands.append(operand(ts))
-    return Chain((word,) * (len(operands) - 1), tuple(operands)) if len(operands) > 1 else operands[0]
-
-
-def _parse_implies(ts: TokenStream) -> Expr:
-    return _parse_run(ts, "implies", _parse_or)
-
-
-def _parse_or(ts: TokenStream) -> Expr:
-    return _parse_run(ts, "or", _parse_and)
-
-
-def _parse_and(ts: TokenStream) -> Expr:
-    return _parse_run(ts, "and", _parse_not)
-
-
-def _parse_not(ts: TokenStream) -> Expr:
-    if ts.accept_word("not"):
-        return Not(_parse_not(ts))
-    return _parse_comparison(ts)
-
-
-def _parse_comparison(ts: TokenStream) -> Expr:
-    left = _parse_additive(ts)
-    if ts.peek_word("in"):
-        mark = ts.pos
-        ts.advance()
-        if not ts.accept_word("set"):
-            ts.seek(mark)  # the word was something else, e.g. a parameter mode
-            return left
-        return Membership(left, _parse_set_expr(ts))
-    for op in _CMP_OPS:
-        if ts.peek("punct", op):
+def _parse_expr(ts: TokenStream, level: int = 0) -> Expr:
+    """An expression whose operators are all at ``PRECEDENCE[level]`` or tighter."""
+    form, ops = PRECEDENCE[level]
+    if form == "postfix":
+        return _parse_postfix(ts)
+    if form == "prefix":
+        if ts.accept_word(ops[0]):
+            return Not(_parse_expr(ts, level))
+        return _parse_expr(ts, level + 1)
+    left = _parse_expr(ts, level + 1)
+    t = ts.current
+    if t.text not in ops or t.kind not in _OPERATOR_KINDS:
+        return left
+    if form == "run":
+        links, operands = [], [left]
+        while t.text in ops and t.kind in _OPERATOR_KINDS:
             ts.advance()
-            return BinOp(op, left, _parse_additive(ts))
-    return left
-
-
-def _parse_set_expr(ts: TokenStream) -> Expr:
+            links.append(t.text)
+            operands.append(_parse_expr(ts, level + 1))
+            t = ts.current
+        return Chain(tuple(links), tuple(operands))
+    # a comparison or a membership takes one right operand
+    if t.text != "in":
+        ts.advance()
+        return BinOp(t.text, left, _parse_expr(ts, level + 1))
+    nxt = ts.lookahead
+    if nxt.kind != "ident" or nxt.text != "set":
+        return left  # the word was something else, e.g. a parameter mode
+    ts.advance()
+    ts.advance()
     if ts.accept_word("dom"):
-        return MethodCall(_parse_postfix(ts), "domain")
-    return _parse_additive(ts)
-
-
-def _parse_additive(ts: TokenStream) -> Expr:
-    ops, operands = [], [_parse_postfix(ts)]
-    while ts.current.kind == "punct" and ts.current.text in ("+", "-"):
-        ops.append(ts.advance().text)
-        operands.append(_parse_postfix(ts))
-    return Chain(tuple(ops), tuple(operands)) if ops else operands[0]
+        return Membership(left, MethodCall(_parse_postfix(ts), "domain"))
+    return Membership(left, _parse_expr(ts, level + 1))
 
 
 def _parse_postfix(ts: TokenStream) -> Expr:
@@ -121,12 +101,12 @@ def _parse_postfix(ts: TokenStream) -> Expr:
     while True:
         if ts.peek("punct", "("):
             ts.advance()
-            first = _parse_implies(ts)
+            first = _parse_expr(ts)
             if ts.accept("punct", ","):
                 # sequence prefix slice: m(1,...,k) is sugar for m.front(k)
                 ts.expect("punct", "...", what="'...'")
                 ts.expect("punct", ",")
-                hi = _parse_implies(ts)
+                hi = _parse_expr(ts)
                 ts.expect("punct", ")")
                 if first != IntLit(1):
                     raise ts.error("sequence slices must start at 1")
@@ -136,7 +116,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
                 e = Apply(e, first)
         elif ts.peek("punct", "["):
             ts.advance()
-            key = _parse_implies(ts)
+            key = _parse_expr(ts)
             ts.expect("punct", "]")
             e = Apply(e, key)
         elif ts.peek("punct", "."):
@@ -161,9 +141,9 @@ def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
         return ()
     if ts.accept("punct", ")"):
         return ()
-    args = [_parse_implies(ts)]
+    args = [_parse_expr(ts)]
     while ts.accept("punct", ","):
-        args.append(_parse_implies(ts))
+        args.append(_parse_expr(ts))
     ts.expect("punct", ")")
     return tuple(args)
 
@@ -182,16 +162,16 @@ def _parse_primary(ts: TokenStream) -> Expr:
         return IntLit(-int(num.text))
     if ts.peek("punct", "("):
         ts.advance()
-        e = _parse_implies(ts)
+        e = _parse_expr(ts)
         ts.expect("punct", ")")
         return e
     if ts.peek("punct", "{"):
         ts.advance()
         items: list[Expr] = []
         if not ts.peek("punct", "}"):
-            items.append(_parse_implies(ts))
+            items.append(_parse_expr(ts))
             while ts.accept("punct", ","):
-                items.append(_parse_implies(ts))
+                items.append(_parse_expr(ts))
         ts.expect("punct", "}")
         return SetLit(tuple(items))
     if t.kind == "ident":
@@ -221,7 +201,7 @@ def _parse_path(ts: TokenStream) -> VarRef:
             old = True
             continue
         if ts.peek("punct", "."):
-            nxt = ts.tokens[ts.pos + 1]
+            nxt = ts.lookahead
             if nxt.kind == "ident" and nxt.text not in BUILTIN_METHODS:
                 ts.advance()
                 parts.append(ts.advance().text)
@@ -243,7 +223,7 @@ def parse_expression(
 ) -> Expr:
     """Parse a bare expression. With ``open_world`` unknown variables type as opaque."""
     ts = TokenStream(text, source)
-    e = _parse_implies(ts)
+    e = _parse_expr(ts)
     if ts.current.kind != "eof":
         raise ts.error(f"unexpected trailing input {ts.current.text!r}")
     scope = SortScope(
@@ -257,7 +237,7 @@ def parse_expression(
 
 def expression_from_tokens(ts: TokenStream) -> Expr:
     """Parse one expression from an existing stream (document parser hook)."""
-    return _parse_implies(ts)
+    return _parse_expr(ts)
 
 
 KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
@@ -304,7 +284,7 @@ def parse_constraint(
     if ts.current.kind == "ident":
         name = ts.advance().text
     ts.expect("punct", ":")
-    body = _parse_implies(ts)
+    body = _parse_expr(ts)
     if ts.current.kind != "eof":
         raise ts.error(f"unexpected trailing input {ts.current.text!r}")
     ctx = ConstraintContext(contract=contract, operation=operation, params=params)

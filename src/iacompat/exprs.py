@@ -93,7 +93,7 @@ class Chain(Expr):
         if self.ops[0] == "implies":
             if last.__class__ is Chain and last.ops[0] == "implies":
                 return self.ops + last.ops, self.operands[:-1] + last.operands
-        elif first.__class__ is Chain and _LEVEL[first.ops[0]] == _LEVEL[self.ops[0]]:
+        elif first.__class__ is Chain and LEVEL[first.ops[0]] == LEVEL[self.ops[0]]:
             return first.ops + self.ops, first.operands + self.operands[1:]
 
 
@@ -125,27 +125,41 @@ class MethodCall(Expr):
 
 
 # ---------------------------------------------------------------------------
-# printing
+# precedence
 
-_LEVEL = {  # of the run operators
-    "implies": 1,
-    "or": 2,
-    "and": 3,
-    # not = 4, comparisons and membership = 5
-    "+": 6, "-": 6,
-}
-_POSTFIX_LEVEL = 7
+# The one statement of operator precedence, loosest level first; the parser
+# and ``to_text`` both read it. A "run" level parses into one ``Chain``, the
+# "prefix" ``not`` applies to an operand of its own level, a "single"
+# comparison or ``in set`` takes one right operand, and "postfix" suffixes
+# (application, field, method) bind tightest.
+PRECEDENCE = (
+    ("run", ("implies",)),
+    ("run", ("or",)),
+    ("run", ("and",)),
+    ("prefix", ("not",)),
+    ("single", ("=", "<>", "<", "<=", ">", ">=", "in")),
+    ("run", ("+", "-")),
+    ("postfix", ()),
+)
+LEVEL = {op: k for k, (_, ops) in enumerate(PRECEDENCE) for op in ops}
+POSTFIX_LEVEL = len(PRECEDENCE) - 1
 
 
 def _level(e: Expr) -> int:
-    if isinstance(e, (BinOp, Membership)):
-        return 5
-    if isinstance(e, Chain):
-        return _LEVEL[e.ops[0]]
-    if isinstance(e, Not):
-        return 4
-    return _POSTFIX_LEVEL + 1
+    cls = e.__class__
+    if cls is Chain:
+        return LEVEL[e.ops[0]]
+    if cls is BinOp:
+        return LEVEL[e.op]
+    if cls is Membership:
+        return LEVEL["in"]
+    if cls is Not:
+        return LEVEL["not"]
+    return POSTFIX_LEVEL + 1
 
+
+# ---------------------------------------------------------------------------
+# printing
 
 def to_text(e: Expr) -> str:
     """Canonical concrete syntax. parse(to_text(e)) reproduces e exactly."""
@@ -165,29 +179,29 @@ def to_text(e: Expr) -> str:
     if isinstance(e, VarRef):
         return e.dotted + ("@pre" if e.old else "")
     if isinstance(e, Not):
-        return "not " + wrap(e.operand, 4)
-    if isinstance(e, BinOp):
-        # comparisons do not associate: an operand at their level is parenthesized
-        return f"{wrap(e.left, 6)} {e.op} {wrap(e.right, 6)}"
-    if isinstance(e, Chain):
-        # a run of the same level is an operand only if it was grouped
-        lvl = _LEVEL[e.ops[0]]
-        parts = [wrap(e.operands[0], lvl + 1)]
-        for op, x in zip(e.ops, e.operands[1:]):
-            parts += (op, wrap(x, lvl + 1))
-        return " ".join(parts)
-    if isinstance(e, Membership):
-        return f"{wrap(e.item, 6)} in set {wrap(e.collection, 6)}"
+        return "not " + wrap(e.operand, LEVEL["not"])
     if isinstance(e, Apply):
-        return f"{wrap(e.target, _POSTFIX_LEVEL)}({to_text(e.key)})"
+        return f"{wrap(e.target, POSTFIX_LEVEL)}({to_text(e.key)})"
     if isinstance(e, FieldAccess):
-        return f"{wrap(e.target, _POSTFIX_LEVEL)}.{e.name}"
+        return f"{wrap(e.target, POSTFIX_LEVEL)}.{e.name}"
     if isinstance(e, MethodCall):
-        base = wrap(e.target, _POSTFIX_LEVEL)
+        base = wrap(e.target, POSTFIX_LEVEL)
         if e.name == "notEmpty":
             return f"{base}->notEmpty"
         return f"{base}.{e.name}(" + ", ".join(to_text(a) for a in e.args) + ")"
-    raise TypeError(f"not an expression node: {e!r}")
+    if not isinstance(e, (BinOp, Chain, Membership)):
+        raise TypeError(f"not an expression node: {e!r}")
+    # an operand at the node's own level or looser is parenthesized: a run
+    # operand of the same level was grouped, and comparisons do not chain
+    tighter = _level(e) + 1
+    if isinstance(e, BinOp):
+        return f"{wrap(e.left, tighter)} {e.op} {wrap(e.right, tighter)}"
+    if isinstance(e, Membership):
+        return f"{wrap(e.item, tighter)} in set {wrap(e.collection, tighter)}"
+    parts = [wrap(e.operands[0], tighter)]
+    for op, x in zip(e.ops, e.operands[1:]):
+        parts += (op, wrap(x, tighter))
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +287,12 @@ class NamedConstraint(Frozen):
     def param_domains(self) -> dict[str, Domain]:
         return {p.name: p.domain for p in self.context.params}
 
-    def free_variable_paths(self) -> set[str]:
-        """Dotted paths of referenced variables, operation parameters excluded."""
+    def undeclared_paths(self, decls: Mapping[str, Domain]) -> list[str]:
+        """Dotted paths, sorted, of the referenced variables that ``decls`` does
+        not declare; a path that starts with an operation parameter is no variable."""
         params = {p.name for p in self.context.params}
-        out = set()
-        for r in variable_refs(self.body):
-            if r.path[0] not in params:
-                out.add(r.dotted)
-        return out
+        paths = {r.path for r in variable_refs(self.body) if r.path[0] not in params}
+        return sorted(".".join(p) for p in paths if resolve_path(decls, p) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,13 @@ class TokenStream:
         self.text = text
         self.source = source
         self.tokens = tokenize(text, source)
-        self.seek(0)
+        self.pos = 0
+        self.current = self.tokens[0]
 
-    def seek(self, pos: int) -> None:
-        self.pos = pos
-        self.current = self.tokens[pos]
+    @property
+    def lookahead(self) -> Token:
+        """The token after the current one; the end-of-input token follows itself."""
+        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
 
     def peek(self, kind: str, text: str | None = None) -> bool:
         t = self.current

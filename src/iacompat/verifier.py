@@ -67,12 +67,10 @@ class IllegalStateSet(Frozen):
 
 
 class OpCounter:
-    """Tally of elementary closure operations (index builds, dequeues, scans)."""
+    """Tally of elementary closure operations (index builds, dequeues, scans);
+    ``bad_states`` adds its count to ``ops``."""
 
-    ops = 0  # an instance's own count from its first tick
-
-    def tick(self, n: int = 1) -> None:
-        self.ops += n
+    ops = 0
 
 
 def illegal_states(
@@ -153,25 +151,24 @@ def bad_states(
     own (outputs and internal actions); the environment controls inputs, so
     those edges do not spread badness.
     """
-    tick = counter.tick if counter is not None else (lambda n=1: None)
     auto = prod.automaton
 
     reverse: dict[str, list[str]] = {}
     for t in auto.transitions:
-        tick()
         if auto.classes.get(t.action) in _AUTONOMOUS:
             reverse.setdefault(t.target, []).append(t.source)
 
     bad = set(illegal.states)
     queue = deque(sorted(bad))
     while queue:
-        s = queue.popleft()
-        tick()
-        for p in reverse.get(s, ()):
-            tick()
+        for p in reverse.get(queue.popleft(), ()):
             if p not in bad:
                 bad.add(p)
                 queue.append(p)
+    if counter is not None:
+        # one op per transition indexed, and each bad state is dequeued once
+        # and scans its predecessors
+        counter.ops += len(auto.transitions) + sum(1 + len(reverse.get(s, ())) for s in bad)
     return frozenset(bad)
 
 

@@ -132,6 +132,30 @@ def test_missing_field_of_a_declared_record_diagnosed():
         ("constraint-variable", "precondition Typo references undeclared variable myCS.nosuch")]
 
 
+def test_undeclared_paths_are_sorted_once_and_skip_parameters():
+    c = ia.parse_constraint("context A::op(p : int[0..3]) pre G: "
+                            "z.b = 1 and p.q = 2 and y = 1 and a = 1 and z.b = 2")
+    assert c.undeclared_paths({"y": ia.IntRangeDomain(0, 2)}) == ["a", "z.b"]
+
+
+_X_AS_Y = {"x": ia.VariableDecl("y", ia.IntRangeDomain(0, 2))}
+_PRE_Q = ia.parse_constraint("pre Q: true")
+_POST_P = ia.parse_constraint("post P: true")
+
+
+@pytest.mark.parametrize("fields, message", [
+    # each would print a document that does not parse back
+    (dict(variables=_X_AS_Y), "variable 'x' is declared as 'y'"),
+    (dict(preconditions={"P": _PRE_Q}), "constraint 'Q' is registered under 'P'"),
+    (dict(preconditions={"P": _POST_P}), "constraint 'P' is a post, registered as a pre"),
+    (dict(postconditions={"Q": _PRE_Q}), "constraint 'Q' is a pre, registered as a post"),
+])
+def test_registries_agree_with_their_values(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ia.InterfaceAutomaton(name="A", states=("s",), initials=("s",),
+                              inputs=(), outputs=(), hidden=(), **fields)
+
+
 def test_empty_automaton_is_legal():
     assert ia.validate(ia.empty_automaton()) == []
     assert ia.empty_automaton().is_empty()

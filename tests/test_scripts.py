@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         # a line through two points fits exactly, so timing noise cannot fail it
         ("closure_scaling.py", ["--sizes", "3", "5", "--repeats", "1"], 0),
         ("case_study_demo.py", [], 1),  # the case study is incompatible
+        ("parse_digest.py", ["--strings", "200"], 0),
     ],
 )
 def test_script_runs_without_pythonpath(script, args, code, tmp_path):
