@@ -13,10 +13,11 @@ Collections are stored as tuples in declaration order. Transition tuples may
 repeat a declaration (a contract listing is free to state the same step
 twice); every algorithm here applies set semantics regardless. The graph
 stages read indexes each automaton builds once, on first use (``classes``,
-``outgoing``, ``enabled``), instead of rescanning the tuples. The product
-construction visits reachable state pairs only, which is a worst case of
-O(|transitions1| * |transitions2|) work; membership in the larger full grid
-is never materialized.
+``autonomous``, ``outgoing``, ``enabled``), instead of rescanning the tuples;
+a product's ``outgoing`` comes from ``product``, which builds it state by
+state. The product construction visits reachable state pairs only, which is a
+worst case of O(|transitions1| * |transitions2|) work; membership in the
+larger full grid is never materialized.
 
 ``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so the graph
 stages build, hash, compare and order them as C-level tuples. They compare
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from functools import cached_property
+from itertools import chain
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .domains import VariableDecl, is_identifier
@@ -42,6 +44,8 @@ from .exprs import (
     decls_mapping,
 )
 from .frozen import Frozen, factory
+
+_new = tuple.__new__  # a value built without its class's Python-level __new__ or check
 
 
 class _Label(NamedTuple):
@@ -150,6 +154,11 @@ class InterfaceAutomaton(Frozen):
         return index
 
     @cached_property
+    def autonomous(self) -> frozenset[ActionLabel]:
+        """Output and hidden labels: the steps a component takes on its own."""
+        return frozenset(l for l, c in self.classes.items() if c is not ActionClass.INPUT)
+
+    @cached_property
     def outgoing(self) -> dict[str, list[Transition]]:
         """Transitions out of each state, and of any undeclared source, in order."""
         index: dict[str, list[Transition]] = {s: [] for s in self.states}
@@ -160,9 +169,9 @@ class InterfaceAutomaton(Frozen):
     @cached_property
     def enabled(self) -> dict[ActionClass, dict[str, frozenset[ActionLabel]]]:
         """Labels of each class on the transitions out of each ``outgoing`` key."""
-        return {cls: {s: frozenset(t.action for t in out if self.classes.get(t.action) is cls)
-                      for s, out in self.outgoing.items()}
-                for cls in ActionClass}
+        labels = {s: frozenset(t.action for t in out) for s, out in self.outgoing.items()}
+        members = {cls: frozenset(l for l, c in self.classes.items() if c is cls) for cls in ActionClass}
+        return {cls: {s: here & of_cls for s, here in labels.items()} for cls, of_cls in members.items()}
 
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
         return self.classes.get(label)
@@ -199,17 +208,18 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
 
     alphabet = ins | outs | hid
     for i, t in enumerate(a.transitions):
-        where = f"transition {i + 1}: {t.source} -[{t.action}]-> {t.target}"
-        if t.source not in states:
-            diags.append(Diagnostic("transition-source", f"unknown source state {t.source!r}", where))
-        if t.target not in states:
-            diags.append(Diagnostic("transition-target", f"unknown target state {t.target!r}", where))
-        if t.action not in alphabet:
-            diags.append(Diagnostic("transition-action", f"undeclared action {t.action}", where))
-        if t.pre is not None and t.pre not in a.preconditions:
-            diags.append(Diagnostic("transition-pre", f"unknown precondition {t.pre!r}", where))
-        if t.post is not None and t.post not in a.postconditions:
-            diags.append(Diagnostic("transition-post", f"unknown postcondition {t.post!r}", where))
+        faults = [f for f in (
+            t.source not in states and ("transition-source", f"unknown source state {t.source!r}"),
+            t.target not in states and ("transition-target", f"unknown target state {t.target!r}"),
+            t.action not in alphabet and ("transition-action", f"undeclared action {t.action}"),
+            t.pre is not None and t.pre not in a.preconditions
+            and ("transition-pre", f"unknown precondition {t.pre!r}"),
+            t.post is not None and t.post not in a.postconditions
+            and ("transition-post", f"unknown postcondition {t.post!r}"),
+        ) if f]
+        if faults:  # the location text only for a step that has a fault
+            where = f"transition {i + 1}: {t.source} -[{t.action}]-> {t.target}"
+            diags += (Diagnostic(code, message, where) for code, message in faults)
 
     table = decls_mapping(a.variables)
     for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition")):
@@ -229,8 +239,6 @@ def enabled_actions(a: InterfaceAutomaton, state: str, cls: ActionClass) -> set[
 
 # ---------------------------------------------------------------------------
 # composability
-
-CLAUSE_NAMES = ("input_input", "output_output", "hidden1_sigma2", "sigma1_hidden2")
 
 
 class ClauseConflict(Frozen):
@@ -289,6 +297,8 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
     the same internal operation name (``init`` being the classic case) become
     composable. Inputs and outputs are left untouched.
     """
+    if not a.hidden:
+        return a
     mapping = {h: ActionLabel(h.name, a.name) for h in a.hidden}
     return a._replace(hidden=tuple(mapping.values()), transitions=tuple(
         t._replace(action=mapping.get(t.action, t.action)) for t in a.transitions
@@ -333,16 +343,12 @@ def conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str)
     """Canonical conjunction of two same-kind constraints, sorted by name."""
     first, second = sorted((c1, c2), key=lambda c: c.name)
     ops = [c.context.operation for c in (first, second) if c.context.operation]
-    return NamedConstraint(
-        name=f"{first.name}_and_{second.name}",
-        kind=first.kind,
-        body=Chain(("and",), (first.body, second.body)),
-        context=ConstraintContext(
-            contract=contract,
-            operation="_and_".join(ops) if ops else None,
-            params=_merge_params(first.context.params, second.context.params),
-        ),
-    )
+    context = ConstraintContext(contract, "_and_".join(ops) if ops else None,
+                                _merge_params(first.context.params, second.context.params))
+    # NamedConstraint's check is skipped: both bodies passed it, and a
+    # conjunction adds no old-state reference to a pre
+    return _new(NamedConstraint, (f"{first.name}_and_{second.name}", first.kind,
+                                  Chain(("and",), (first.body, second.body)), context))
 
 
 def _fresh_name(base: str, taken: Container[str]) -> str:
@@ -378,13 +384,11 @@ class _GuardRegistry:
             return c.name
         name = _fresh_name(c.name, self.taken)
         self.taken.add(name)
-        self.entries[name] = c if name == c.name else c._replace(name=name)
+        # a new name leaves the checked body as it was, so the copy skips the check
+        self.entries[name] = c if name == c.name else _new(NamedConstraint, (name, c.kind, c.body, c.context))
         return name
 
-    def conjoin(self, n1: Optional[str], n2: Optional[str]) -> Optional[str]:
-        """Name of ``n1 and n2``; a missing side is true, which conjunction absorbs."""
-        if n1 is None or n2 is None:
-            return n2 if n1 is None else n1
+    def conjoin(self, n1: str, n2: str) -> str:
         if (n1, n2) not in self.conjunctions:
             conj = conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
             self.conjunctions[n1, n2] = self.intern(conj)
@@ -420,7 +424,12 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
             t._replace(pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
             for t in a2.transitions
         ))
-    out1, out2 = a1.outgoing, a2.outgoing
+    # the right side's steps by state: its own ones, and the shared ones by action
+    own2 = {s: [u for u in out if u.action not in shared_set] for s, out in a2.outgoing.items()}
+    sync2: dict[str, dict[ActionLabel, list[Transition]]] = {}
+    for u in a2.transitions:
+        if u.action in shared_set:
+            sync2.setdefault(u.source, {}).setdefault(u.action, []).append(u)
 
     pair_id: dict[tuple[str, str], str] = {}
     pair_of: dict[str, tuple[str, str]] = {}
@@ -428,32 +437,34 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
 
     def intern(pair: tuple[str, str]) -> str:
         """Name of a pair state; a pair is queued for expansion when first named."""
-        if pair not in pair_id:
+        pid = pair_id.get(pair)
+        if pid is None:
             # a distinct pair may collide on the joined name
-            pid = _fresh_name(f"{pair[0]}__{pair[1]}", pair_of)
-            pair_id[pair] = pid
+            pid = pair_id[pair] = _fresh_name(f"{pair[0]}__{pair[1]}", pair_of)
             pair_of[pid] = pair
             worklist.append(pair)
-        return pair_id[pair]
+        return pid
 
     initials = tuple(dict.fromkeys(intern((i1, i2)) for i1 in a1.initials for i2 in a2.initials))
 
-    steps: dict[Transition, None] = {}  # insertion-ordered set
+    outgoing: dict[str, list[Transition]] = {}  # handed over as the product's index
 
     while worklist:
         s1, s2 = worklist.popleft()
-        pid = pair_id[s1, s2]
-        for t in out1.get(s1, ()):
+        pid, sync = pair_id[s1, s2], sync2.get(s2, {})
+        steps: dict[Transition, None] = {}  # insertion-ordered set
+        for t in a1.outgoing.get(s1, ()):
             if t.action not in shared_set:
-                steps[Transition(pid, t.pre, t.action, t.post, intern((t.target, s2)))] = None
+                steps[_new(Transition, (pid, t.pre, t.action, t.post, intern((t.target, s2))))] = None
                 continue
-            for u in out2.get(s2, ()):
-                if u.action == t.action:
-                    pre, post = pres.conjoin(t.pre, u.pre), posts.conjoin(t.post, u.post)
-                    steps[Transition(pid, pre, t.action, post, intern((t.target, u.target)))] = None
-        for u in out2.get(s2, ()):
-            if u.action not in shared_set:  # shared ones were synchronized above
-                steps[Transition(pid, u.pre, u.action, u.post, intern((s1, u.target)))] = None
+            for u in sync.get(t.action, ()):
+                # a missing guard is true, which conjunction absorbs
+                pre = u.pre if t.pre is None else t.pre if u.pre is None else pres.conjoin(t.pre, u.pre)
+                post = u.post if t.post is None else t.post if u.post is None else posts.conjoin(t.post, u.post)
+                steps[_new(Transition, (pid, pre, t.action, post, intern((t.target, u.target))))] = None
+        for u in own2.get(s2, ()):
+            steps[_new(Transition, (pid, u.pre, u.action, u.post, intern((s1, u.target))))] = None
+        outgoing[pid] = list(steps)
 
     automaton = InterfaceAutomaton(
         name=name,
@@ -465,8 +476,9 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
         variables=variables,
         preconditions=pres.entries,
         postconditions=posts.entries,
-        transitions=tuple(steps),
+        transitions=tuple(chain.from_iterable(outgoing.values())),
     )
+    automaton.__dict__["outgoing"] = outgoing  # the cached index, built already
     return ProductResult(
         automaton=automaton,
         pair_of=pair_of,

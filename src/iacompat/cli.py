@@ -13,6 +13,7 @@ deterministic; running the same invocation twice gives byte-identical results.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -81,11 +82,20 @@ def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomato
     return doc.automata[0]
 
 
+def _emit(text: str) -> None:
+    """Write to stdout; once the reader has gone, write to the null device (the Python docs' SIGPIPE advice)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write_or_print(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        _emit(text)
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +116,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             continue
         diags = document_diagnostics(doc)
         if diags:
-            for d in diags:
-                print(f"{path}: {d}")
+            _emit("".join(f"{path}: {d}\n" for d in diags))
             worst = max(worst, 1)
         else:
-            print(f"{path}: ok")
+            _emit(f"{path}: ok\n")
     return worst
 
 
@@ -148,19 +157,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         enum_budget=args.enum_budget,
     )
     report = check_compatibility(a, b, options)
-    for line in _summary_lines(report):
-        print(line)
+    lines = _summary_lines(report)
     if args.witness:
         if report.witness is None:
-            print("witness: (none)")
+            lines.append("witness: (none)")
         else:
-            print(f"witness ({len(report.witness.steps)} steps):")
-            print(f"  {report.witness.states[0]}")
+            lines.append(f"witness ({len(report.witness.steps)} steps):")
+            lines.append(f"  {report.witness.states[0]}")
             prod = report.product.automaton
             for t in report.witness.steps:
                 cls = prod.action_class(t.action)
                 deco = cls.decoration if cls else ""
-                print(f"  -[{t.action}{deco}]-> {t.target}")
+                lines.append(f"  -[{t.action}{deco}]-> {t.target}")
+    _emit("".join(f"{line}\n" for line in lines))
     if args.report:
         Path(args.report).write_text(report_to_json(report), encoding="utf-8")
     return 0 if report.verdict is CompatVerdict.COMPATIBLE else 1
@@ -226,9 +235,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvalError as exc:
-        print(f"evaluation error: {exc}")
+        _emit(f"evaluation error: {exc}\n")
         return 1
-    print(_value_text(result))
+    _emit(_value_text(result) + "\n")
     return 0
 
 

@@ -9,11 +9,12 @@ to false. The backward closure follows output and hidden steps only: a
 helpful environment can steer inputs away from trouble, so input steps do
 not propagate badness.
 
-Every stage reads the automata's cached indexes and is linear in the product:
-the illegal-state pass makes O(|P| * |shared|) lookups plus one falsity query
-per distinct guard; the closure and the witness search are breadth-first
-sweeps in O(states + transitions). ``OpCounter`` exposes the closure's
-elementary operation count for measurement.
+Every stage reads cached indexes (``product`` hands over the product's
+``outgoing``) and is linear in the product: the illegal-state pass makes
+O(|P|) set tests, O(|shared|) lookups where an output goes unreceived, and one
+falsity query per distinct guard; the closure and the witness search are
+breadth-first sweeps in O(states + transitions). ``OpCounter`` exposes the
+closure's elementary operation count for measurement.
 """
 from __future__ import annotations
 
@@ -54,9 +55,6 @@ class AllGuardsFalse(Frozen):
 
 IllegalReason = Union[UnreceivedOutput, AllGuardsFalse]
 
-# steps the component pair takes on its own; the environment controls inputs
-_AUTONOMOUS = frozenset({ActionClass.OUTPUT, ActionClass.HIDDEN})
-
 
 class IllegalStateSet(Frozen):
     states: frozenset[str]
@@ -68,7 +66,7 @@ class IllegalStateSet(Frozen):
 
 class OpCounter:
     """Tally of elementary closure operations (index builds, dequeues, scans);
-    ``bad_states`` adds its count to ``ops``."""
+    ``bad_states`` adds its count to ``ops``, and nothing for an empty illegal set."""
 
     ops = 0
 
@@ -97,41 +95,41 @@ def illegal_states(
     post_cache: dict[str, Verdict] = {}
     pools: Pools = {}
 
-    def is_false(name: Optional[str], registry: Mapping[str, NamedConstraint],
-                 cache: dict[str, Verdict]) -> bool:
-        if name is None:
-            return False
+    def is_false(name: str, registry: Mapping[str, NamedConstraint], cache: dict[str, Verdict]) -> bool:
         if name not in cache:
             cache[name] = constraint_falsity(
                 registry[name], auto.variables, budget=budget, pools=pools
             ).verdict
         return cache[name] is Verdict.FALSE
 
-    shared_sorted = sorted(prod.shared_actions, key=lambda l: l.sort_key)
-    out1, in1 = a1.enabled[ActionClass.OUTPUT], a1.enabled[ActionClass.INPUT]
-    out2, in2 = a2.enabled[ActionClass.OUTPUT], a2.enabled[ActionClass.INPUT]
+    shared = frozenset(prod.shared_actions)
+    shared_sorted = sorted(shared, key=lambda l: l.sort_key)
+    out1 = {s: sends & shared for s, sends in a1.enabled[ActionClass.OUTPUT].items()}
+    out2 = {s: sends & shared for s, sends in a2.enabled[ActionClass.OUTPUT].items()}
+    in1, in2 = a1.enabled[ActionClass.INPUT], a2.enabled[ActionClass.INPUT]
 
+    guarded = auto.preconditions or auto.postconditions  # else no step has a guard
     reasons: dict[str, list[IllegalReason]] = {}
 
     for pid in auto.states:
         s1, s2 = prod.pair_of[pid]
         sends1, takes1, sends2, takes2 = out1[s1], in1[s1], out2[s2], in2[s2]
-        for action in shared_sorted:
-            if action in sends1 and action not in takes2:
-                reasons.setdefault(pid, []).append(UnreceivedOutput(action, "left"))
-            if action in sends2 and action not in takes1:
-                reasons.setdefault(pid, []).append(UnreceivedOutput(action, "right"))
+        if not (sends1 <= takes2 and sends2 <= takes1):  # reasons in the order of shared_sorted
+            for action in shared_sorted:
+                if action in sends1 and action not in takes2:
+                    reasons.setdefault(pid, []).append(UnreceivedOutput(action, "left"))
+                if action in sends2 and action not in takes1:
+                    reasons.setdefault(pid, []).append(UnreceivedOutput(action, "right"))
 
         out = auto.outgoing[pid]
-        if out:
-            disabled = [
-                t for t in out if is_false(t.pre, auto.preconditions, pre_cache)
-                or is_false(t.post, auto.postconditions, post_cache)
-            ]
-            if len(disabled) == len(out):
-                reasons.setdefault(pid, []).append(AllGuardsFalse(tuple(disabled)))
-        elif strict_deadlock:  # the vacuous reading: no step at all
-            reasons.setdefault(pid, []).append(AllGuardsFalse(()))
+        disabled = [
+            t for t in out
+            if t.pre is not None and is_false(t.pre, auto.preconditions, pre_cache)
+            or t.post is not None and is_false(t.post, auto.postconditions, post_cache)
+        ] if guarded else []
+        # with no step at all, only the vacuous reading condemns the state
+        if len(disabled) == len(out) and (out or strict_deadlock):
+            reasons.setdefault(pid, []).append(AllGuardsFalse(tuple(disabled)))
 
     return IllegalStateSet(
         states=frozenset(reasons),
@@ -151,11 +149,14 @@ def bad_states(
     own (outputs and internal actions); the environment controls inputs, so
     those edges do not spread badness.
     """
+    if not illegal.states:
+        return frozenset()
     auto = prod.automaton
+    autonomous = auto.autonomous
 
     reverse: dict[str, list[str]] = {}
     for t in auto.transitions:
-        if auto.classes.get(t.action) in _AUTONOMOUS:
+        if t.action in autonomous:
             reverse.setdefault(t.target, []).append(t.source)
 
     bad = set(illegal.states)
@@ -175,7 +176,7 @@ def bad_states(
 def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     """Remove the given states, then keep only what the initials still reach.
 
-    Returns the canonical empty automaton when nothing survives.
+    Returns the canonical empty automaton when nothing survives, the product's own when all does.
     """
     auto = prod.automaton
     initials = [s for s in auto.initials if s not in remove]
@@ -191,6 +192,8 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
                 reachable.add(t.target)
                 queue.append(t.target)
 
+    if len(reachable) == len(auto.states):  # a product's states are distinct
+        return auto
     return auto._replace(
         states=tuple(s for s in auto.states if s in reachable),
         initials=tuple(initials),
@@ -218,14 +221,14 @@ def shortest_witness(prod: ProductResult, illegal: IllegalStateSet) -> Optional[
     an illegal state autonomously.
     """
     auto = prod.automaton
-    classes, outgoing, targets = auto.classes, auto.outgoing, illegal.states
+    autonomous, outgoing, targets = auto.autonomous, auto.outgoing, illegal.states
 
     parent: dict[str, Optional[Transition]] = dict.fromkeys(auto.initials)  # also the seen set
     found = next((s for s in auto.initials if s in targets), None)
     queue = deque(auto.initials)
     while queue and found is None:
         for t in outgoing[queue.popleft()]:
-            if t.target in parent or classes.get(t.action) not in _AUTONOMOUS:
+            if t.target in parent or t.action not in autonomous:
                 continue
             parent[t.target] = t
             if t.target in targets:

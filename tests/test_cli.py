@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -198,6 +199,25 @@ def test_case_study_outputs_match_the_goldens(tmp_path, capsys):
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, ""), golden
         assert out.encode() == (GOLDEN / golden).read_bytes(), golden
+    assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_check_into_a_closed_pipe_keeps_its_exit_code_and_report(tmp_path, unbuffered):
+    # `check ... | head -1`, with the reader gone before the first write:
+    # the output ends there, the verdict's exit code and the report do not
+    read, write = os.pipe()
+    os.close(read)
+    report = tmp_path / "report.json"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "iacompat", "check", "--qualify-hidden", "--witness",
+             "--report", str(report), LD, TL],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
     assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
 
 

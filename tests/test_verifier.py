@@ -1,5 +1,6 @@
 """Illegal states, bad-state closure, pruning, and the end-to-end check."""
 
+import json
 import random
 
 import pytest
@@ -222,6 +223,51 @@ def test_prune_matches_reachability_oracle():
         assert all(t.source in want and t.target in want for t in pruned.transitions)
 
 
+def _replaced_prune(prod, remove):
+    """The reachable part as a fresh ``_replace`` of the product automaton."""
+    auto = prod.automaton
+    initials = tuple(s for s in auto.initials if s not in remove)
+    if not initials:
+        return ia.empty_automaton(auto.name)
+    keep = oracle_reachable(initials, [(t.source, t.target) for t in auto.transitions], remove)
+    return auto._replace(
+        states=tuple(s for s in auto.states if s in keep), initials=initials,
+        transitions=tuple(t for t in auto.transitions if t.source in keep and t.target in keep))
+
+
+def _with_a_step_twice(a, rng):
+    if not a.transitions:
+        return a
+    steps = list(a.transitions)
+    steps.insert(rng.randrange(len(steps) + 1), rng.choice(steps))
+    return a._replace(transitions=tuple(steps))
+
+
+def test_handed_over_indexes_agree_with_rebuilt_ones():
+    rng = random.Random(16)
+    for i in range(200):
+        a1, a2 = rand_composable_pair(rng)
+        if i % 2:  # one side lists a step twice; the product keeps it once
+            a1, a2 = _with_a_step_twice(a1, rng), _with_a_step_twice(a2, rng)
+        prod = ia.product(a1, a2)
+        auto = prod.automaton
+        rebuilt = auto._replace()  # a fresh value indexes its own transitions
+        assert list(auto.outgoing.items()) == list(rebuilt.outgoing.items())
+        assert len(set(auto.transitions)) == len(auto.transitions)
+        for a in (a1, a2, auto):
+            assert a.autonomous == (set(a.outputs) | set(a.hidden)) - set(a.inputs)
+            for cls in ia.ActionClass:
+                assert a.enabled[cls] == {
+                    s: {t.action for t in out if a.classes.get(t.action) is cls}
+                    for s, out in a.outgoing.items()}
+        for p in (0.0, 0.2, 0.6, 1.0):
+            remove = frozenset(s for s in auto.states if rng.random() < p)
+            assert ia.prune(prod, remove) == _replaced_prune(prod, remove)
+        ctr = ia.OpCounter()
+        assert ia.bad_states(prod, ia.IllegalStateSet(frozenset(), {}), counter=ctr) == frozenset()
+        assert ctr.ops == 0  # nothing to close, nothing counted
+
+
 # ---------------------------------------------------------------------------
 # end-to-end check
 
@@ -259,6 +305,28 @@ def test_qualify_option_equivalent_to_prequalified():
     direct = ia.check_compatibility(ld2, tl2)
     assert via_option.verdict == direct.verdict
     assert via_option.illegal.states == direct.illegal.states
+
+
+@pytest.mark.parametrize("empty_left", [True, False])
+def test_an_empty_operand_prunes_to_the_canonical_empty_automaton(empty_left):
+    # the product keeps the other side's alphabet; the pruned automaton does not
+    ping, empty = ia.load_fixture("ping.ia").automaton(), ia.empty_automaton("E")
+    left, right = (empty, ping) if empty_left else (ping, empty)
+    rep = ia.check_compatibility(left, right)
+    name = f"{left.name}_x_{right.name}"
+    assert rep.pruned == ia.empty_automaton(name)
+
+    def summary(outputs):
+        return {"name": name, "states": 0, "transitions": 0, "initials": [],
+                "inputs": [], "outputs": outputs, "hidden": []}
+    want = {
+        "schema": "compat-report@1", "left": left.name, "right": right.name,
+        "options": {"qualify_hidden": False, "strict_deadlock": False, "enum_budget": 10**6},
+        "composable": {"ok": True, "conflicts": []}, "shared": [],
+        "product": summary(["ping"]), "illegal": [], "bad": [], "pruned": summary([]),
+        "verdict": "incompatible", "cause": "empty_after_pruning", "witness": None,
+    }
+    assert ia.report_to_json(rep) == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_minimal_compatible_pair():
