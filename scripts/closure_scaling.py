@@ -6,7 +6,8 @@ state is bad, and fits a straight line through (transitions, cost) for four
 stages: the closure's operation count, and the best-of-``--repeats`` wall
 time of ``product``, ``illegal_states`` and ``shortest_witness``. Each is a
 single pass over the graph, so every fit should be near-perfectly linear;
-anything superlinear here would point at a regression in a stage.
+anything superlinear here would point at a regression in a stage. The
+repeats run as rounds, each over all sizes in turn.
 
 Every repeat starts from freshly built operands, so each stage pays for the
 automaton indexes it builds first, as it does inside a check. The real
@@ -79,8 +80,10 @@ def measure(cfg: ScalingConfig) -> int:
     best: dict[str, list[float]] = {name: [] for name in TIMED}
     print(f"{'n':>4} {'states':>7} {'trans':>7} {'ops':>8} {'ops/trans':>9} "
           + " ".join(f"{name + '_s':>10}" for name in ("closure",) + TIMED))
-    for n in cfg.sizes:
-        runs = [run_once(n) for _ in range(cfg.repeats)]
+    # whole rounds over every size, so a noisy stretch of the host slows one
+    # repeat of each size rather than every repeat of the last sizes
+    rounds = [[run_once(n) for n in cfg.sizes] for _ in range(cfg.repeats)]
+    for n, runs in zip(cfg.sizes, zip(*rounds)):
         states, n_trans, n_ops, _ = runs[0]
         low = {name: min(r[3][name] for r in runs) for name in ("closure",) + TIMED}
         trans.append(n_trans)

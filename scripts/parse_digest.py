@@ -49,8 +49,9 @@ def expression(text: str) -> str:
 
 def document(text: str) -> str:
     """The sections of a contract that opens with ``text``, one section word and a list."""
+    states = "" if text.startswith("states") else "states a;"
     rest = " ".join(f"{w} ;" for w in ("inputs", "outputs", "hidden") if not text.startswith(w))
-    a = ia.parse_document(f"contract C {{ {text} states a; {rest} }}").automaton()
+    a = ia.parse_document(f"contract C {{ {text} {states} {rest} }}").automaton()
     return f"{a.states} {a.initials} {a.inputs} {a.outputs} {a.hidden}"
 
 

@@ -448,10 +448,11 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     initials = tuple(dict.fromkeys(intern((i1, i2)) for i1 in a1.initials for i2 in a2.initials))
 
     outgoing: dict[str, list[Transition]] = {}  # handed over as the product's index
+    no_sync: dict[ActionLabel, list[Transition]] = {}  # shared by the states without shared steps
 
     while worklist:
         s1, s2 = worklist.popleft()
-        pid, sync = pair_id[s1, s2], sync2.get(s2, {})
+        pid, sync = pair_id[s1, s2], sync2.get(s2, no_sync)
         steps: dict[Transition, None] = {}  # insertion-ordered set
         for t in a1.outgoing.get(s1, ()):
             if t.action not in shared_set:

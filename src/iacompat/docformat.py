@@ -1,9 +1,9 @@
 """The ``.ia`` contract document format, plus a DOT graph exporter.
 
-A document declares type aliases and contract blocks. Each contract separates
-its alphabet into mandatory ``inputs``/``outputs``/``hidden`` sections,
-declares typed variables, attaches named constraints to operations via
-``context`` blocks, and lists guarded transitions:
+A document declares type aliases and contract blocks. A contract's sections
+(states, alphabet, typed variables, named constraints attached to operations
+via ``context`` blocks, guarded transitions) follow ``SECTIONS``, the one
+table of how often each may appear and how it reads and prints:
 
     document "demo" version "1";
 
@@ -37,7 +37,11 @@ parses back to a structurally equal document.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
+from itertools import groupby
+from math import inf
+from operator import attrgetter
 from typing import Any, Callable, Optional, Union
 
 from .automata import (
@@ -139,193 +143,155 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     return ContractDocument(tuple(automata), tuple(constraints), meta)
 
 
-def _parse_contract(
-    ts: TokenStream, type_env: dict[str, Domain]
-) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
+def _parse_contract(ts: TokenStream,
+                    type_env: dict[str, Domain]) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
     ts.expect_word("contract")
     name_tok = ts.expect("ident", what="a contract name")
-    cname = name_tok.text
     ts.expect("punct", "{")
+    c = _Contract(ts, type_env, name_tok.text)
+    seen: dict[str, int] = {}
+    while not ts.accept("punct", "}"):
+        tok = ts.current
+        section = SECTIONS.get(tok.text) if tok.kind == "ident" else None
+        if section is None:
+            if tok.kind == "eof":
+                raise ts.error(f"unterminated contract {c.name!r}")
+            raise ts.error(f"unexpected {tok.text!r} in contract {c.name!r}")
+        seen[tok.text] = count = seen.get(tok.text, 0) + 1
+        if count > section.most:
+            raise ts.error(f"duplicate section {tok.text!r}", tok)
+        ts.advance()
+        section.read(c, tok)
+    for word, section in SECTIONS.items():
+        if seen.get(word, 0) < section.least:
+            raise ts.error(f"contract {c.name!r} is missing its {word!r} section", name_tok)
+    return c.finish()
 
-    # each list maps its names to the token of their first mention
-    states: dict[str, Token] = {}
-    initials: dict[str, Token] = {}
-    sections: dict[str, dict[ActionLabel, Token]] = {"inputs": {}, "outputs": {}, "hidden": {}}
-    sections_seen: set[str] = set()
-    variables: dict[str, VariableDecl] = {}
-    owned: list[NamedConstraint] = []  # declaration order, invariants included
-    pres: dict[str, NamedConstraint] = {}
-    posts: dict[str, NamedConstraint] = {}
-    names_used: set[str] = set()
-    unnamed = 0
-    raw_transitions: list[tuple] = []  # (source, action, action token, pre, post, target)
-    deferred_checks: list[tuple[NamedConstraint, Token]] = []
 
-    def parse_constraint_line(ctx: ConstraintContext) -> None:
-        nonlocal unnamed
-        kind_tok = ts.current
-        kind = parse_kind_word(ts)
+class _Contract:
+    """What the sections of one contract have read so far."""
+
+    def __init__(self, ts: TokenStream, type_env: dict[str, Domain], name: str):
+        self.ts, self.type_env, self.name = ts, type_env, name
+        # each list section's names by automaton field, each with its token
+        self.lists: dict[str, dict[Any, Token]] = defaultdict(dict)
+        self.variables: dict[str, VariableDecl] = {}
+        # every constraint by name in declaration order, with its body's first token
+        self.constraints: dict[str, tuple[NamedConstraint, Token]] = {}
+        self.unnamed = 0
+        self.steps: list[tuple] = []  # (source, action, action token, pre, post, target)
+
+    def read_var(self, _: Token) -> None:
+        ts = self.ts
+        name_tok = ts.expect("ident", what="a variable name")
+        vname = name_tok.text
+        while ts.accept("punct", "."):
+            vname += "." + ts.expect("ident", what="a path segment").text
+        if vname in self.variables:
+            raise ts.error(f"duplicate variable {vname!r}", name_tok)
+        ts.expect("punct", ":")
+        dom = parse_domain(ts, self.type_env, strict_types=True)
+        ts.expect("punct", ";")
+        self.variables[vname] = VariableDecl(vname, dom)
+
+    def read_context(self, _: Token) -> None:
+        ts = self.ts
+        owner = ts.expect("ident", what="a contract name").text
+        if not ts.accept("punct", "::"):  # the one-line form: context Owner pre N: body;
+            return self.read_constraint(parse_kind_word(ts), ConstraintContext(owner))
+        op = ts.expect("ident", what="an operation name").text
+        ctx = ConstraintContext(owner, op, parse_param_list(ts, self.type_env, strict_types=True))
+        if not ts.accept("punct", "{"):
+            return self.read_constraint(parse_kind_word(ts), ctx)
+        while not ts.accept("punct", "}"):
+            if ts.current.kind == "eof":
+                raise ts.error("unterminated context block")
+            self.read_constraint(parse_kind_word(ts), ctx)
+
+    def read_constraint(self, kind_tok: Token, ctx: Optional[ConstraintContext] = None) -> None:
+        """``[IDENT] ":" expr ";"`` after the kind word ``kind_tok``; the contract owns it by default."""
+        ts, constraints = self.ts, self.constraints
+        kind = KIND_WORDS[kind_tok.text]
         name = None
         nxt = ts.lookahead
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
             name_t = ts.advance()
             name = name_t.text
-            if name in names_used:
+            if name in constraints:
                 raise ts.error(f"duplicate constraint name {name!r}", name_t)
         ts.expect("punct", ":")
         body_tok = ts.current
         body = expression_from_tokens(ts)
         ts.expect("punct", ";")
-        if name is None:
-            unnamed += 1
-            name = f"{kind.value}_unnamed_{unnamed}"
-            while name in names_used:
-                unnamed += 1
-                name = f"{kind.value}_unnamed_{unnamed}"
+        while name is None or name in constraints:
+            self.unnamed += 1
+            name = f"{kind.value}_unnamed_{self.unnamed}"
         try:
-            c = NamedConstraint(name=name, kind=kind, body=body, context=ctx)
+            c = NamedConstraint(name, kind, body, ctx or ConstraintContext(self.name))
         except ValueError as exc:  # old-state reference outside a postcondition
             raise ts.error(str(exc), kind_tok) from None
-        names_used.add(name)
-        owned.append(c)
-        if kind is ConstraintKind.PRE:
-            pres[name] = c
-        elif kind is ConstraintKind.POST:
-            posts[name] = c
-        deferred_checks.append((c, body_tok))
+        constraints[name] = c, body_tok
 
-    while not ts.accept("punct", "}"):
-        if ts.current.kind == "eof":
-            raise ts.error(f"unterminated contract {cname!r}")
-        word = ts.current.text if ts.current.kind == "ident" else ""
-        if word == "states":
-            ts.advance()
-            sections_seen.add("states")
-            _parse_list(ts, partial(_parse_name, what="a state name"), states, "duplicate state {!r}")
-        elif word == "initial":
-            ts.advance()
-            _parse_list(ts, partial(_parse_name, what="an initial state"), initials)
-        elif word in sections:
-            tok = ts.advance()
-            if word in sections_seen:
-                raise ts.error(f"duplicate section {word!r}", tok)
-            sections_seen.add(word)
-            _parse_list(ts, _parse_label, sections[word], f"action {{}} declared twice under {word!r}")
-        elif word == "var":
-            ts.advance()
-            vname_tok = ts.expect("ident", what="a variable name")
-            vname = vname_tok.text
-            while ts.accept("punct", "."):
-                vname += "." + ts.expect("ident", what="a path segment").text
-            if vname in variables:
-                raise ts.error(f"duplicate variable {vname!r}", vname_tok)
-            ts.expect("punct", ":")
-            dom = parse_domain(ts, type_env, strict_types=True)
+    def read_transitions(self, _: Token) -> None:
+        ts, steps = self.ts, self.steps
+        ts.expect("punct", "{")
+        while not ts.accept("punct", "}"):
+            if ts.current.kind == "eof":
+                raise ts.error("unterminated transitions block")
+            src = ts.expect("ident", what="a source state")
+            ts.expect("punct", "-")
+            ts.expect("punct", "[")
+            action, action_tok = _parse_label(ts)
+            pre_tok = ts.expect("ident", what="a precondition name") if ts.accept_word("pre") else None
+            post_tok = ts.expect("ident", what="a postcondition name") if ts.accept_word("post") else None
+            ts.expect("punct", "]")
+            ts.expect("punct", "->")
+            tgt = ts.expect("ident", what="a target state")
             ts.expect("punct", ";")
-            variables[vname] = VariableDecl(vname, dom)
-        elif word == "context":
-            ts.advance()
-            ctx_name = ts.expect("ident", what="a contract name").text
-            if ts.accept("punct", "::"):
-                op = ts.expect("ident", what="an operation name").text
-                params = parse_param_list(ts, type_env, strict_types=True)
-                ctx = ConstraintContext(contract=ctx_name, operation=op, params=params)
-                if ts.accept("punct", "{"):
-                    while not ts.accept("punct", "}"):
-                        if ts.current.kind == "eof":
-                            raise ts.error("unterminated context block")
-                        parse_constraint_line(ctx)
-                else:
-                    parse_constraint_line(ctx)
-            else:
-                # one-line qualified form: context Owner pre N: body;
-                parse_constraint_line(ConstraintContext(contract=ctx_name))
-        elif word in KIND_WORDS:
-            parse_constraint_line(ConstraintContext(contract=cname))
-        elif word == "transitions":
-            ts.advance()
-            ts.expect("punct", "{")
-            while not ts.accept("punct", "}"):
-                if ts.current.kind == "eof":
-                    raise ts.error("unterminated transitions block")
-                src = ts.expect("ident", what="a source state")
-                ts.expect("punct", "-")
-                ts.expect("punct", "[")
-                action, action_tok = _parse_label(ts)
-                pre_tok = ts.expect("ident", what="a precondition name") if ts.accept_word("pre") else None
-                post_tok = ts.expect("ident", what="a postcondition name") if ts.accept_word("post") else None
-                ts.expect("punct", "]")
-                ts.expect("punct", "->")
-                tgt = ts.expect("ident", what="a target state")
-                ts.expect("punct", ";")
-                raw_transitions.append((src, action, action_tok, pre_tok, post_tok, tgt))
-        else:
-            raise ts.error(f"unexpected {ts.current.text or 'end of input'!r} in contract {cname!r}")
+            steps.append((src, action, action_tok, pre_tok, post_tok, tgt))
 
-    for section in ("states", "inputs", "outputs", "hidden"):
-        if section not in sections_seen:
-            raise ts.error(f"contract {cname!r} is missing its {section!r} section", name_tok)
+    def finish(self) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
+        """Resolve the names the sections use and sort-check every constraint body."""
+        ts, lists = self.ts, self.lists
+        states = lists["states"]
+        for t in lists["initials"].values():
+            if t.text not in states:
+                raise ts.error(f"initial state {t.text!r} is not a state", t)
+        alphabet = lists["inputs"].keys() | lists["outputs"].keys() | lists["hidden"].keys()
+        owned = [c for c, _ in self.constraints.values()]
+        pres = {c.name: c for c in owned if c.kind is ConstraintKind.PRE}
+        posts = {c.name: c for c in owned if c.kind is ConstraintKind.POST}
 
-    for t in initials.values():
-        if t.text not in states:
-            raise ts.error(f"initial state {t.text!r} is not a state", t)
-    alphabet = set(sections["inputs"]) | set(sections["outputs"]) | set(sections["hidden"])
+        transitions: list[Transition] = []
+        for source, action, action_tok, pre, post, target in self.steps:
+            for endpoint in (source, target):
+                if endpoint.text not in states:
+                    raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
+            if action not in alphabet:
+                raise ts.error(f"undeclared action {action}", action_tok)
+            if pre is not None and pre.text not in pres:
+                raise ts.error(f"unknown precondition {pre.text!r}", pre)
+            if post is not None and post.text not in posts:
+                raise ts.error(f"unknown postcondition {post.text!r}", post)
+            transitions.append(Transition(source.text, pre.text if pre else None, action,
+                                          post.text if post else None, target.text))
 
-    transitions: list[Transition] = []
-    for source, action, action_tok, pre, post, target in raw_transitions:
-        for endpoint in (source, target):
-            if endpoint.text not in states:
-                raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
-        if action not in alphabet:
-            raise ts.error(f"undeclared action {action}", action_tok)
-        if pre is not None and pre.text not in pres:
-            raise ts.error(f"unknown precondition {pre.text!r}", pre)
-        if post is not None and post.text not in posts:
-            raise ts.error(f"unknown postcondition {post.text!r}", post)
-        transitions.append(Transition(source.text, pre.text if pre else None, action,
-                                      post.text if post else None, target.text))
+        decl_domains = decls_mapping(self.variables)
+        for c, body_tok in self.constraints.values():
+            scope = SortScope(decls=decl_domains, params=c.param_domains())
+            try:
+                s = infer_sort(c.body, scope)
+            except (SortError, UnknownVariable) as exc:
+                raise ts.error(f"constraint {c.name}: {exc}", body_tok) from None
+            if s.tag not in ("bool", "opaque"):
+                raise ts.error(f"constraint {c.name}: body has sort {s}, expected boolean", body_tok)
 
-    decl_domains = decls_mapping(variables)
-    for c, body_tok in deferred_checks:
-        scope = SortScope(decls=decl_domains, params=c.param_domains())
-        try:
-            s = infer_sort(c.body, scope)
-        except (SortError, UnknownVariable) as exc:
-            raise ts.error(f"constraint {c.name}: {exc}", body_tok) from None
-        if s.tag not in ("bool", "opaque"):
-            raise ts.error(f"constraint {c.name}: body has sort {s}, expected boolean", body_tok)
-
-    automaton = InterfaceAutomaton(
-        name=cname,
-        states=tuple(states),
-        initials=tuple(initials),
-        inputs=tuple(sections["inputs"]),
-        outputs=tuple(sections["outputs"]),
-        hidden=tuple(sections["hidden"]),
-        variables=variables,
-        preconditions=pres,
-        postconditions=posts,
-        transitions=tuple(transitions),
-    )
-    return automaton, owned
-
-
-def _parse_list(ts: TokenStream, read: Callable[[TokenStream], tuple[Any, Token]],
-                into: dict, duplicate: Optional[str] = None) -> None:
-    """``[item {"," item}] ";"``: adds each value ``read`` gives to ``into`` with its token.
-
-    A value already in ``into`` is the error ``duplicate.format(value)`` at its
-    token or, with no ``duplicate``, keeps its first token.
-    """
-    if not ts.peek("punct", ";"):
-        while True:
-            value, tok = read(ts)
-            if value in into and duplicate is not None:
-                raise ts.error(duplicate.format(value), tok)
-            into.setdefault(value, tok)
-            if not ts.accept("punct", ","):
-                break
-    ts.expect("punct", ";")
+        automaton = InterfaceAutomaton(
+            name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
+            inputs=tuple(lists["inputs"]), outputs=tuple(lists["outputs"]), hidden=tuple(lists["hidden"]),
+            variables=self.variables, preconditions=pres, postconditions=posts,
+            transitions=tuple(transitions))
+        return automaton, owned
 
 
 def _parse_name(ts: TokenStream, what: str) -> tuple[str, Token]:
@@ -397,17 +363,13 @@ def print_document(doc: ContractDocument) -> str:
 
 
 def _owned(doc: ContractDocument, a: InterfaceAutomaton, taken: set[int]) -> list[NamedConstraint]:
+    """The constraints of ``doc`` that ``a`` registers or, for invariants, names, not taken yet."""
+    registries = {ConstraintKind.PRE: a.preconditions, ConstraintKind.POST: a.postconditions}
     owned = []
     for idx, c in enumerate(doc.constraints):
-        if idx in taken:
-            continue
-        if c.kind is ConstraintKind.PRE:
-            mine = a.preconditions.get(c.name) == c
-        elif c.kind is ConstraintKind.POST:
-            mine = a.postconditions.get(c.name) == c
-        else:
-            mine = c.context.contract == a.name
-        if mine:
+        registry = registries.get(c.kind)
+        if idx not in taken and (c.context.contract == a.name if registry is None
+                                 else registry.get(c.name) == c):
             owned.append(c)
             taken.add(idx)
     return owned
@@ -415,62 +377,50 @@ def _owned(doc: ContractDocument, a: InterfaceAutomaton, taken: set[int]) -> lis
 
 def _print_contract(out: list[str], a: InterfaceAutomaton, owned: list[NamedConstraint]) -> None:
     out.append(f"contract {a.name} {{")
-    out.append(f"  states {', '.join(a.states)};" if a.states else "  states;")
-    if a.initials:
-        out.append(f"  initial {', '.join(a.initials)};")
-    for section, labels in (("inputs", a.inputs), ("outputs", a.outputs), ("hidden", a.hidden)):
-        body = ", ".join(str(l) for l in labels)
-        out.append(f"  {section} {body};" if body else f"  {section};")
-    if a.variables:
-        out.append("")
-        for decl in a.variables.values():
-            out.append(f"  var {decl.name} : {decl.domain.text()};")
-    if owned:
-        out.append("")
-        _print_constraints(out, a, owned)
-    if a.transitions:
-        out.append("")
-        out.append("  transitions {")
-        for t in a.transitions:
-            inner = str(t.action)
-            if t.pre:
-                inner += f" pre {t.pre}"
-            if t.post:
-                inner += f" post {t.post}"
-            out.append(f"    {t.source} -[{inner}]-> {t.target};")
-        out.append("  }")
+    for word, section in SECTIONS.items():
+        if section.show is not None:
+            # an empty section prints as its bare keyword only when it is mandatory
+            out.extend(section.show(word, a, owned) or ([f"  {word};"] if section.least else []))
     out.append("}")
 
 
-def _print_constraints(out: list[str], a: InterfaceAutomaton, owned: list[NamedConstraint]) -> None:
-    i = 0
-    while i < len(owned):
-        c = owned[i]
-        ctx = c.context
-        if ctx.operation is None:
-            if ctx.params:
-                raise ValueError(
-                    f"constraint {c.name} has parameters but no operation; not printable"
-                )
-            qualifier = "" if ctx.contract in (None, a.name) else f"context {ctx.contract} "
-            out.append(f"  {qualifier}{c.kind.value} {c.name}: {to_text(c.body)};")
-            i += 1
+def _block(lines: list[str]) -> list[str]:
+    """A section of several lines, after a blank line; nothing when it has none."""
+    return ["", *lines] if lines else []
+
+
+def _show_variables(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
+    return _block([f"  var {decl.name} : {decl.domain.text()};" for decl in a.variables.values()])
+
+
+def _show_transitions(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
+    steps = [f"    {t.source} -[{t.action}{_guards_text(t)}]-> {t.target};" for t in a.transitions]
+    return _block(["  transitions {", *steps, "  }"] if steps else [])
+
+
+def _show_constraints(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
+    """Every owned constraint; a run of one operation's constraints is one context block."""
+    lines: list[str] = []
+    for ctx, run in groupby(owned, key=attrgetter("context")):
+        if ctx.operation is not None:
+            lines.append(f"  context {ctx.contract or a.name}::{ctx.operation}({_params_text(ctx.params)}) {{")
+            lines.extend(f"    {c.kind.value} {c.name}: {to_text(c.body)};" for c in run)
+            lines.append("  }")
             continue
-        header = f"  context {ctx.contract or a.name}::{ctx.operation}({_params_text(ctx.params)}) {{"
-        out.append(header)
-        while i < len(owned) and owned[i].context == ctx:
-            cc = owned[i]
-            out.append(f"    {cc.kind.value} {cc.name}: {to_text(cc.body)};")
-            i += 1
-        out.append("  }")
+        if ctx.params:
+            raise ValueError(f"constraint {next(run).name} has parameters but no operation; not printable")
+        qualifier = "" if ctx.contract in (None, a.name) else f"context {ctx.contract} "
+        lines.extend(f"  {qualifier}{c.kind.value} {c.name}: {to_text(c.body)};" for c in run)
+    return _block(lines)
+
+
+def _guards_text(t: Transition) -> str:
+    """`` pre P post Q`` for a step's guards, each only when it has one."""
+    return (f" pre {t.pre}" if t.pre else "") + (f" post {t.post}" if t.post else "")
 
 
 def _params_text(params: tuple[ParamDecl, ...]) -> str:
-    parts = []
-    for p in params:
-        mode = f"{p.mode} " if p.mode else ""
-        parts.append(f"{mode}{p.name} : {p.domain.text()}")
-    return ", ".join(parts)
+    return ", ".join(f"{p.mode + ' ' if p.mode else ''}{p.name} : {p.domain.text()}" for p in params)
 
 
 def document_from_automaton(
@@ -479,6 +429,60 @@ def document_from_automaton(
     """Wrap a standalone automaton (e.g. a product) as a printable document."""
     cs = tuple(a.preconditions.values()) + tuple(a.postconditions.values())
     return ContractDocument((a,), cs, meta)
+
+
+# ---------------------------------------------------------------------------
+# the section table
+
+
+class Section(Frozen):
+    """One row of ``SECTIONS``. ``read`` reads the section after its keyword; ``show`` gives
+    its printed lines, none when it is empty, or is None when another row prints it."""
+
+    least: int  # the section must appear at least this often
+    most: float  # and at most this often
+    read: Callable[[_Contract, Token], None]
+    show: Optional[Callable[[str, InterfaceAutomaton, list[NamedConstraint]], list[str]]] = None
+
+
+def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tuple[Any, Token]],
+                  duplicate: str) -> Section:
+    """``keyword [item {"," item}] ";"``, at most once, held in the automaton's ``field``;
+    an item read twice is the error ``duplicate.format(item)`` at its token."""
+    def read(c: _Contract, _: Token) -> None:
+        ts, into = c.ts, c.lists[field]
+        more = not ts.peek("punct", ";")
+        while more:
+            value, tok = read_item(ts)
+            if value in into:
+                raise ts.error(duplicate.format(value), tok)
+            into[value] = tok
+            more = ts.accept("punct", ",")
+        ts.expect("punct", ";")
+
+    def show(word: str, a: InterfaceAutomaton, _: list[NamedConstraint]) -> list[str]:
+        items = getattr(a, field)
+        return [f"  {word} {', '.join(map(str, items))};"] if items else []
+
+    return Section(least, 1, read, show)
+
+
+# Every rule of a contract's sections, by keyword, in printing order.
+SECTIONS: dict[str, Section] = {
+    "states": _list_section(1, "states", partial(_parse_name, what="a state name"),
+                            "duplicate state {!r}"),
+    "initial": _list_section(0, "initials", partial(_parse_name, what="an initial state"),
+                             "duplicate initial state {!r}"),
+    "inputs": _list_section(1, "inputs", _parse_label, "action {} declared twice under 'inputs'"),
+    "outputs": _list_section(1, "outputs", _parse_label, "action {} declared twice under 'outputs'"),
+    "hidden": _list_section(1, "hidden", _parse_label, "action {} declared twice under 'hidden'"),
+    "var": Section(0, inf, _Contract.read_var, _show_variables),
+    "context": Section(0, inf, _Contract.read_context, _show_constraints),
+    "pre": Section(0, inf, _Contract.read_constraint),
+    "post": Section(0, inf, _Contract.read_constraint),
+    "inv": Section(0, inf, _Contract.read_constraint),
+    "transitions": Section(0, 1, _Contract.read_transitions, _show_transitions),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +497,12 @@ def export_dot(item: Union[InterfaceAutomaton, ProductResult]) -> str:
     """
     a = item.automaton if isinstance(item, ProductResult) else item
     lines = [f"digraph {_dot_id(a.name)} {{"]
-    for i in range(len(a.initials)):
-        lines.append(f'  __start{i} [shape=point, label=""];')
-    for s in a.states:
-        lines.append(f"  {_dot_id(s)};")
-    for i, s in enumerate(a.initials):
-        lines.append(f"  __start{i} -> {_dot_id(s)};")
+    lines += [f'  __start{i} [shape=point, label=""];' for i in range(len(a.initials))]
+    lines += [f"  {_dot_id(s)};" for s in a.states]
+    lines += [f"  __start{i} -> {_dot_id(s)};" for i, s in enumerate(a.initials)]
     for t in a.transitions:
         cls = a.action_class(t.action)
-        label = f"{t.action}{cls.decoration if cls else ''}"
-        if t.pre:
-            label += f" pre {t.pre}"
-        if t.post:
-            label += f" post {t.post}"
+        label = f"{t.action}{cls.decoration if cls else ''}{_guards_text(t)}"
         lines.append(f'  {_dot_id(t.source)} -> {_dot_id(t.target)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -46,7 +46,7 @@ from .exprs import (
     decls_mapping,
     infer_sort,
 )
-from .lexer import TokenStream
+from .lexer import Token, TokenStream
 
 _EXPR_RESERVED = frozenset(
     ["and", "or", "implies", "not", "in", "set", "dom", "true", "false"]
@@ -243,12 +243,12 @@ def expression_from_tokens(ts: TokenStream) -> Expr:
 KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
-def parse_kind_word(ts: TokenStream) -> ConstraintKind:
-    """Read the kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
+def parse_kind_word(ts: TokenStream) -> Token:
+    """Read the kind word ``pre``, ``post`` or ``inv`` that opens a constraint; its token."""
     t = ts.expect("ident", what="'pre', 'post' or 'inv'")
     if t.text not in KIND_WORDS:
         raise ts.error(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t)
-    return KIND_WORDS[t.text]
+    return t
 
 
 def parse_constraint(
@@ -279,7 +279,7 @@ def parse_constraint(
         if ts.accept("punct", "::"):
             operation = ts.expect("ident", what="an operation name").text
             params = parse_param_list(ts, type_env or {}, strict_types=False)
-    kind = parse_kind_word(ts)
+    kind = KIND_WORDS[parse_kind_word(ts).text]
     name = ""
     if ts.current.kind == "ident":
         name = ts.advance().text

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
+from iacompat.docformat import SECTIONS
 from iacompat.fixtures import FIXTURE_NAMES, fixture_text
 from iacompat.lexer import position, tokenize
 from oracles import oracle_tokenize
@@ -173,6 +174,17 @@ PARSE_ERRORS = [
     ("doc", 'document "→" version 1;', "case.ia:1:22: expected a quoted version, found '1'"),
     # a kind word as the last token: the name lookahead stops at eof
     ("doc", _GO + "pre", "case.ia:1:66: expected :, found 'end of input'"),
+    # a section read at most once is a duplicate at its second keyword
+    ("doc", "contract A { states s; states t; }", "case.ia:1:24: duplicate section 'states'"),
+    ("doc", _GO + "initial s; }", "case.ia:1:63: duplicate section 'initial'"),
+    ("doc", _GO + "transitions { } transitions { } }", "case.ia:1:79: duplicate section 'transitions'"),
+    ("doc", _GO + "inputs; }", "case.ia:1:63: duplicate section 'inputs'"),
+    # every name list rejects a repeat
+    ("doc", "contract A { states s; initial s, s; }", "case.ia:1:35: duplicate initial state 's'"),
+    # a context owner is one name, and an unnamed constraint still has its colon
+    ("doc", "contract A { states s; context Le Device::op() { pre P: true; } }",
+     "case.ia:1:35: expected 'pre', 'post' or 'inv', found 'Device'"),
+    ("doc", _GO + "pre true; }", "case.ia:1:67: expected :, found 'true'"),
 ]
 
 
@@ -221,6 +233,49 @@ def test_arrow_is_one_character_of_the_arrow_punctuator():
     assert tokenize("a →b") == [("ident", "a", 0), ("punct", "->", 2), ("ident", "b", 3), ("eof", "", 4)]
     # a string literal keeps what it says
     assert tokenize('"a→b"')[0].text == "a→b"
+
+
+# one section of each keyword; ``{k}`` keeps the names of a second copy apart
+_SECTION_SAMPLES = {
+    "states": "states s;",
+    "initial": "initial s;",
+    "inputs": "inputs;",
+    "outputs": "outputs;",
+    "hidden": "hidden go;",
+    "var": "var x{k} : bool;",
+    "context": "context A::go() {{ pre P{k}: true; }}",
+    "pre": "pre Q{k}: true;",
+    "post": "post R{k}: true;",
+    "inv": "inv I{k}: true;",
+    "transitions": "transitions {{ s -[go]-> s; }}",
+}
+
+
+def test_section_table_rules_are_enforced():
+    """A mandatory section left out is missing; one repeated past its most is a duplicate."""
+    assert list(SECTIONS) == list(_SECTION_SAMPLES)
+
+    def contract(parts):
+        return "contract A { " + " ".join(parts) + " }"
+
+    ia.parse_document(contract(s.format(k=1) for s in _SECTION_SAMPLES.values()))
+    for word, section in SECTIONS.items():
+        left_out = contract(s.format(k=1) for w, s in _SECTION_SAMPLES.items() if w != word)
+        twice = contract(s.format(k=1) + (" " + s.format(k=2) if w == word else "")
+                         for w, s in _SECTION_SAMPLES.items())
+        for text, broken, error in ((left_out, section.least > 0, f"is missing its {word!r} section"),
+                                    (twice, section.most < 2, f"duplicate section {word!r}")):
+            if broken:
+                with pytest.raises(ia.ParseError, match=error):
+                    ia.parse_document(text)
+            else:
+                ia.parse_document(text)
+
+
+def test_only_mandatory_sections_print_when_empty():
+    a = ia.parse_document("contract A { states; inputs; outputs; hidden; }").automaton()
+    assert ia.print_document(ia.document_from_automaton(a)) == (
+        "contract A {\n  states;\n  inputs;\n  outputs;\n  hidden;\n}\n")
 
 
 def test_missing_mandatory_section():

@@ -28,3 +28,14 @@ def test_script_runs_without_pythonpath(script, args, code, tmp_path):
     )
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_parse_digest_is_pinned():
+    """What the front end makes of 2000 seeded strings; the digest moves when any outcome does."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "parse_digest.py"), "--strings", "2000", "--seed", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == (
+        "2000 strings, 69 expressions and 43 contract heads parse, sha256 "
+        "edb17f3fb87b61713392715b260282b259c2d118b7dd7901d7170886c8ac16aa")
