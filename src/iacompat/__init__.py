@@ -21,7 +21,6 @@ from .automata import (
     composable,
     conjoin_constraints,
     empty_automaton,
-    enabled_actions,
     product,
     qualify_hidden,
     shared,
@@ -33,6 +32,7 @@ from .docformat import (
     document_diagnostics,
     document_from_automaton,
     export_dot,
+    parse_constraint,
     parse_document,
     print_document,
 )
@@ -56,7 +56,7 @@ from .evaluate import (
     evaluate,
     simplify,
 )
-from .expr_parse import parse_constraint, parse_expression
+from .expr_parse import parse_expression
 from .exprs import (
     Apply,
     BinOp,

@@ -230,13 +230,6 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
     return diags
 
 
-def enabled_actions(a: InterfaceAutomaton, state: str, cls: ActionClass) -> set[ActionLabel]:
-    """Actions of the given class labelling transitions out of ``state``."""
-    if state not in a.outgoing:
-        raise ValueError(f"state not found: {state}")
-    return set(a.enabled[cls][state])
-
-
 # ---------------------------------------------------------------------------
 # composability
 

@@ -225,7 +225,7 @@ def _collect_bindings(items) -> dict[str, object]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    expr = parse_expression(args.expression, None, open_world=True)
+    expr = parse_expression(args.expression)
     values = _collect_bindings(args.bind)
     old = _collect_bindings(args.bind_old) if args.bind_old else None
     val = Valuation(values=values, old=old)

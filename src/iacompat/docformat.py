@@ -34,6 +34,12 @@ parsed document is internally consistent; structural well-formedness beyond
 that (alphabet disjointness, non-empty initial set) is reported separately by
 ``document_diagnostics``. ``print_document`` emits a canonical form that
 parses back to a structurally equal document.
+
+Constraint syntax lives here alone. ``parse_constraint`` reads one
+constraint on its own, ``context Device::step() pre CanStep: myCS.s < 10``,
+through the same ``context``, ``pre``, ``post`` and ``inv`` rows of
+``SECTIONS``, with the end of its text in place of the ``;``; ``expr_parse``
+reads only the expressions and the domains inside it.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from functools import partial
 from itertools import groupby
 from math import inf
 from operator import attrgetter
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .automata import (
     ActionLabel,
@@ -65,13 +71,7 @@ from .exprs import (
     infer_sort,
     to_text,
 )
-from .expr_parse import (
-    KIND_WORDS,
-    expression_from_tokens,
-    parse_domain,
-    parse_kind_word,
-    parse_param_list,
-)
+from .expr_parse import DeclsArg, parse_domain, parse_expr
 from .frozen import Frozen
 from .lexer import Token, TokenStream
 
@@ -129,7 +129,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             if name_tok.text in type_env:
                 raise ts.error(f"duplicate type name {name_tok.text!r}", name_tok)
             ts.expect("punct", "=")
-            dom = parse_domain(ts, type_env, strict_types=True)
+            dom = parse_domain(ts, type_env)
             ts.expect("punct", ";")
             type_env[name_tok.text] = dom
         elif ts.peek_word("contract"):
@@ -141,6 +141,35 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
         else:
             raise ts.error(f"expected 'type' or 'contract', found {ts.current.text or 'end of input'!r}")
     return ContractDocument(tuple(automata), tuple(constraints), meta)
+
+
+def parse_constraint(
+    text: str,
+    decls: DeclsArg = None,
+    *,
+    type_env: Optional[Mapping[str, Domain]] = None,
+    source: str = "<string>",
+) -> NamedConstraint:
+    """One constraint, ``[context Owner[::op(params)]] kind [Name]: body``: what the
+    ``context``, ``pre``, ``post`` or ``inv`` row of ``SECTIONS`` reads in a contract, with
+    the end of the text in place of its ``;``. A block or a second constraint is an error.
+
+    Parameter types name ``type_env``'s aliases. Without ``context`` the constraint has no
+    owner. With ``decls``, the body is sort-checked against them and the parameters.
+    """
+    ts = TokenStream(text, source)
+    c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
+    tok = ts.advance()
+    if tok.kind != "ident" or tok.text not in ("context", *_KINDS):
+        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {tok.text or 'end of input'!r}", tok)
+    SECTIONS[tok.text].read(c, tok)
+    if not c.constraints:
+        raise ts.error("expected a constraint, found an empty context block", tok)
+    (constraint, _), = c.constraints.values()
+    if decls is not None:
+        infer_sort(constraint.body, SortScope(decls=decls_mapping(decls),
+                                              params=constraint.param_domains()))
+    return constraint
 
 
 def _parse_contract(ts: TokenStream,
@@ -169,10 +198,12 @@ def _parse_contract(ts: TokenStream,
 
 
 class _Contract:
-    """What the sections of one contract have read so far."""
+    """What the sections of one contract have read so far. ``end`` is what ends a
+    constraint, as ``TokenStream.expect`` arguments: its ``;`` in a document."""
 
-    def __init__(self, ts: TokenStream, type_env: dict[str, Domain], name: str):
-        self.ts, self.type_env, self.name = ts, type_env, name
+    def __init__(self, ts: TokenStream, type_env: Mapping[str, Domain], name: Optional[str],
+                 end: tuple[str, Optional[str], Optional[str]] = ("punct", ";", None)):
+        self.ts, self.type_env, self.name, self.end = ts, type_env, name, end
         # each list section's names by automaton field, each with its token
         self.lists: dict[str, dict[Any, Token]] = defaultdict(dict)
         self.variables: dict[str, VariableDecl] = {}
@@ -190,7 +221,7 @@ class _Contract:
         if vname in self.variables:
             raise ts.error(f"duplicate variable {vname!r}", name_tok)
         ts.expect("punct", ":")
-        dom = parse_domain(ts, self.type_env, strict_types=True)
+        dom = parse_domain(ts, self.type_env)
         ts.expect("punct", ";")
         self.variables[vname] = VariableDecl(vname, dom)
 
@@ -198,20 +229,20 @@ class _Contract:
         ts = self.ts
         owner = ts.expect("ident", what="a contract name").text
         if not ts.accept("punct", "::"):  # the one-line form: context Owner pre N: body;
-            return self.read_constraint(parse_kind_word(ts), ConstraintContext(owner))
+            return self.read_constraint(_parse_kind_word(ts), ConstraintContext(owner))
         op = ts.expect("ident", what="an operation name").text
-        ctx = ConstraintContext(owner, op, parse_param_list(ts, self.type_env, strict_types=True))
+        ctx = ConstraintContext(owner, op, _parse_params(ts, self.type_env))
         if not ts.accept("punct", "{"):
-            return self.read_constraint(parse_kind_word(ts), ctx)
+            return self.read_constraint(_parse_kind_word(ts), ctx)
         while not ts.accept("punct", "}"):
             if ts.current.kind == "eof":
                 raise ts.error("unterminated context block")
-            self.read_constraint(parse_kind_word(ts), ctx)
+            self.read_constraint(_parse_kind_word(ts), ctx)
 
     def read_constraint(self, kind_tok: Token, ctx: Optional[ConstraintContext] = None) -> None:
         """``[IDENT] ":" expr ";"`` after the kind word ``kind_tok``; the contract owns it by default."""
         ts, constraints = self.ts, self.constraints
-        kind = KIND_WORDS[kind_tok.text]
+        kind = _KINDS[kind_tok.text]
         name = None
         nxt = ts.lookahead
         if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
@@ -221,8 +252,8 @@ class _Contract:
                 raise ts.error(f"duplicate constraint name {name!r}", name_t)
         ts.expect("punct", ":")
         body_tok = ts.current
-        body = expression_from_tokens(ts)
-        ts.expect("punct", ";")
+        body = parse_expr(ts)
+        ts.expect(*self.end)
         while name is None or name in constraints:
             self.unnamed += 1
             name = f"{kind.value}_unnamed_{self.unnamed}"
@@ -292,6 +323,35 @@ class _Contract:
             variables=self.variables, preconditions=pres, postconditions=posts,
             transitions=tuple(transitions))
         return automaton, owned
+
+
+_KINDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
+
+
+def _parse_kind_word(ts: TokenStream) -> Token:
+    """The kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
+    t = ts.expect("ident", what="'pre', 'post' or 'inv'")
+    if t.text not in _KINDS:
+        raise ts.error(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t)
+    return t
+
+
+def _parse_params(ts: TokenStream, type_env: Mapping[str, Domain]) -> tuple[ParamDecl, ...]:
+    """``( [in|out] name : domain, ... )``, the parentheses included."""
+    ts.expect("punct", "(")
+    params: list[ParamDecl] = []
+    if not ts.peek("punct", ")"):
+        while True:
+            mode = None
+            if ts.peek_word("in") or ts.peek_word("out"):
+                mode = ts.advance().text
+            pname = ts.expect("ident", what="a parameter name").text
+            ts.expect("punct", ":")
+            params.append(ParamDecl(pname, parse_domain(ts, type_env), mode))
+            if not ts.accept("punct", ","):
+                break
+    ts.expect("punct", ")")
+    return tuple(params)
 
 
 def _parse_name(ts: TokenStream, what: str) -> tuple[str, Token]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import inf
 from typing import Any, Iterator, Mapping, Optional
 
 from .frozen import Frozen
@@ -101,12 +102,10 @@ class Domain(Frozen):
     def sort(self) -> Sort:
         raise NotImplementedError
 
-    def count(self) -> Optional[int]:
-        """Number of values, or None when the domain is not enumerable."""
+    def count(self, cap: float = inf) -> Optional[int]:
+        """Number of values, or None when the domain is not enumerable. Counting stops
+        once it passes ``cap``: past it, the result is some number above ``cap``."""
         return None
-
-    def is_enumerable(self) -> bool:
-        return self.count() is not None
 
     def values(self) -> Iterator[Value]:
         """Deterministic enumeration of every value of a bounded domain."""
@@ -121,7 +120,7 @@ class BoolDomain(Domain):
     def sort(self) -> Sort:
         return BOOL
 
-    def count(self) -> Optional[int]:
+    def count(self, cap: float = inf) -> Optional[int]:
         return 2
 
     def values(self) -> Iterator[Value]:
@@ -143,7 +142,7 @@ class IntRangeDomain(Domain):
     def sort(self) -> Sort:
         return INT
 
-    def count(self) -> Optional[int]:
+    def count(self, cap: float = inf) -> Optional[int]:
         return self.upper - self.lower + 1
 
     def values(self) -> Iterator[Value]:
@@ -168,7 +167,7 @@ class EnumDomain(Domain):
     def sort(self) -> Sort:
         return ENUM
 
-    def count(self) -> Optional[int]:
+    def count(self, cap: float = inf) -> Optional[int]:
         return len(self.literals)
 
     def values(self) -> Iterator[Value]:
@@ -191,16 +190,20 @@ class SeqDomain(Domain):
     def sort(self) -> Sort:
         return Sort("seq", elem=self.element.sort())
 
-    def count(self) -> Optional[int]:
-        if self.max_len is None:
-            return None
-        n = self.element.count()
+    def count(self, cap: float = inf) -> Optional[int]:
+        n = None if self.max_len is None else self.element.count(cap)
         if n is None:
             return None
-        return sum(n ** k for k in range(self.max_len + 1))
+        total = term = 1  # the sum of n ** k over the lengths k, up to the first past cap
+        for _ in range(self.max_len):
+            if total > cap:
+                break
+            term *= n
+            total += term
+        return total
 
     def values(self) -> Iterator[Value]:
-        if self.count() is None:
+        if self.count(0) is None:
             return super().values()
         elems = list(self.element.values())
         for k in range(self.max_len + 1):
@@ -221,14 +224,19 @@ class MapDomain(Domain):
     def sort(self) -> Sort:
         return Sort("map", key=self.key.sort(), value=self.value.sort())
 
-    def count(self) -> Optional[int]:
-        kn, vn = self.key.count(), self.value.count()
+    def count(self, cap: float = inf) -> Optional[int]:
+        kn, vn = self.key.count(cap), self.value.count(cap)
         if kn is None or vn is None:
             return None
-        return (vn + 1) ** kn
+        total = 1  # (vn + 1) ** kn, one key at a time up to the first past cap
+        for _ in range(kn):
+            if total > cap:
+                break
+            total *= vn + 1
+        return total
 
     def values(self) -> Iterator[Value]:
-        if self.count() is None:
+        if self.count(0) is None:
             return super().values()
         keys = list(self.key.values())
         vals = list(self.value.values())
@@ -254,17 +262,17 @@ class RecordDomain(Domain):
     def sort(self) -> Sort:
         return Sort("record", fields=tuple((n, d.sort()) for n, d in self.fields))
 
-    def count(self) -> Optional[int]:
+    def count(self, cap: float = inf) -> Optional[int]:
         total = 1
         for _, d in self.fields:
-            n = d.count()
+            n = d.count(cap)
             if n is None:
                 return None
             total *= n
         return total
 
     def values(self) -> Iterator[Value]:
-        if self.count() is None:
+        if self.count(0) is None:
             return super().values()
         names = [n for n, _ in self.fields]
         pools = [list(d.values()) for _, d in self.fields]

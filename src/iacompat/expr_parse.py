@@ -1,7 +1,11 @@
-"""Parser for the constraint dialect and for domain descriptors.
+"""Parser for constraint expressions and for domain descriptors.
+
+The contract rule that wraps an expression, ``context Owner::op(params) kind
+Name: body``, is the document's, in ``docformat``; it reads the body with
+``parse_expr`` and each domain with ``parse_domain``.
 
 Operator precedence is the ``exprs.PRECEDENCE`` table, which the printer reads
-too; ``_parse_expr`` walks down its levels. A run of ``implies``, ``or``,
+too; ``parse_expr`` walks down its levels. A run of ``implies``, ``or``,
 ``and`` or ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
 
 Reserved words inside expressions: ``and or implies not in set dom true false``.
@@ -28,25 +32,21 @@ from .exprs import (
     BinOp,
     BoolLit,
     Chain,
-    ConstraintContext,
-    ConstraintKind,
     EnumLit,
     Expr,
     FieldAccess,
     IntLit,
     Membership,
     MethodCall,
-    NamedConstraint,
     Not,
     PRECEDENCE,
-    ParamDecl,
     SetLit,
     SortScope,
     VarRef,
     decls_mapping,
     infer_sort,
 )
-from .lexer import Token, TokenStream
+from .lexer import TokenStream
 
 _EXPR_RESERVED = frozenset(
     ["and", "or", "implies", "not", "in", "set", "dom", "true", "false"]
@@ -61,16 +61,16 @@ DeclsArg = Union[Mapping[str, Domain], Iterable[VariableDecl], None]
 # ---------------------------------------------------------------------------
 # expression grammar
 
-def _parse_expr(ts: TokenStream, level: int = 0) -> Expr:
+def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
     """An expression whose operators are all at ``PRECEDENCE[level]`` or tighter."""
     form, ops = PRECEDENCE[level]
     if form == "postfix":
         return _parse_postfix(ts)
     if form == "prefix":
         if ts.accept_word(ops[0]):
-            return Not(_parse_expr(ts, level))
-        return _parse_expr(ts, level + 1)
-    left = _parse_expr(ts, level + 1)
+            return Not(parse_expr(ts, level))
+        return parse_expr(ts, level + 1)
+    left = parse_expr(ts, level + 1)
     t = ts.current
     if t.text not in ops or t.kind not in _OPERATOR_KINDS:
         return left
@@ -79,13 +79,13 @@ def _parse_expr(ts: TokenStream, level: int = 0) -> Expr:
         while t.text in ops and t.kind in _OPERATOR_KINDS:
             ts.advance()
             links.append(t.text)
-            operands.append(_parse_expr(ts, level + 1))
+            operands.append(parse_expr(ts, level + 1))
             t = ts.current
         return Chain(tuple(links), tuple(operands))
     # a comparison or a membership takes one right operand
     if t.text != "in":
         ts.advance()
-        return BinOp(t.text, left, _parse_expr(ts, level + 1))
+        return BinOp(t.text, left, parse_expr(ts, level + 1))
     nxt = ts.lookahead
     if nxt.kind != "ident" or nxt.text != "set":
         return left  # the word was something else, e.g. a parameter mode
@@ -93,7 +93,7 @@ def _parse_expr(ts: TokenStream, level: int = 0) -> Expr:
     ts.advance()
     if ts.accept_word("dom"):
         return Membership(left, MethodCall(_parse_postfix(ts), "domain"))
-    return Membership(left, _parse_expr(ts, level + 1))
+    return Membership(left, parse_expr(ts, level + 1))
 
 
 def _parse_postfix(ts: TokenStream) -> Expr:
@@ -101,12 +101,12 @@ def _parse_postfix(ts: TokenStream) -> Expr:
     while True:
         if ts.peek("punct", "("):
             ts.advance()
-            first = _parse_expr(ts)
+            first = parse_expr(ts)
             if ts.accept("punct", ","):
                 # sequence prefix slice: m(1,...,k) is sugar for m.front(k)
                 ts.expect("punct", "...", what="'...'")
                 ts.expect("punct", ",")
-                hi = _parse_expr(ts)
+                hi = parse_expr(ts)
                 ts.expect("punct", ")")
                 if first != IntLit(1):
                     raise ts.error("sequence slices must start at 1")
@@ -116,7 +116,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
                 e = Apply(e, first)
         elif ts.peek("punct", "["):
             ts.advance()
-            key = _parse_expr(ts)
+            key = parse_expr(ts)
             ts.expect("punct", "]")
             e = Apply(e, key)
         elif ts.peek("punct", "."):
@@ -141,9 +141,9 @@ def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
         return ()
     if ts.accept("punct", ")"):
         return ()
-    args = [_parse_expr(ts)]
+    args = [parse_expr(ts)]
     while ts.accept("punct", ","):
-        args.append(_parse_expr(ts))
+        args.append(parse_expr(ts))
     ts.expect("punct", ")")
     return tuple(args)
 
@@ -162,16 +162,16 @@ def _parse_primary(ts: TokenStream) -> Expr:
         return IntLit(-int(num.text))
     if ts.peek("punct", "("):
         ts.advance()
-        e = _parse_expr(ts)
+        e = parse_expr(ts)
         ts.expect("punct", ")")
         return e
     if ts.peek("punct", "{"):
         ts.advance()
         items: list[Expr] = []
         if not ts.peek("punct", "}"):
-            items.append(_parse_expr(ts))
+            items.append(parse_expr(ts))
             while ts.accept("punct", ","):
-                items.append(_parse_expr(ts))
+                items.append(parse_expr(ts))
         ts.expect("punct", "}")
         return SetLit(tuple(items))
     if t.kind == "ident":
@@ -211,123 +211,31 @@ def _parse_path(ts: TokenStream) -> VarRef:
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# the string entry point
 
 def parse_expression(
     text: str,
     decls: DeclsArg = None,
     *,
     params: Optional[Mapping[str, Domain]] = None,
-    open_world: bool = False,
     source: str = "<string>",
 ) -> Expr:
-    """Parse a bare expression. With ``open_world`` unknown variables type as opaque."""
+    """Parse and sort-check a bare expression. Without ``decls`` the world is open:
+    an undeclared variable has the opaque sort."""
     ts = TokenStream(text, source)
-    e = _parse_expr(ts)
+    e = parse_expr(ts)
     if ts.current.kind != "eof":
         raise ts.error(f"unexpected trailing input {ts.current.text!r}")
-    scope = SortScope(
-        decls=decls_mapping(decls or {}),
-        params=dict(params or {}),
-        open_world=open_world or decls is None,
-    )
-    infer_sort(e, scope)
+    infer_sort(e, SortScope(decls=decls_mapping(decls or {}), params=dict(params or {}),
+                            open_world=decls is None))
     return e
-
-
-def expression_from_tokens(ts: TokenStream) -> Expr:
-    """Parse one expression from an existing stream (document parser hook)."""
-    return _parse_expr(ts)
-
-
-KIND_WORDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
-
-
-def parse_kind_word(ts: TokenStream) -> Token:
-    """Read the kind word ``pre``, ``post`` or ``inv`` that opens a constraint; its token."""
-    t = ts.expect("ident", what="'pre', 'post' or 'inv'")
-    if t.text not in KIND_WORDS:
-        raise ts.error(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t)
-    return t
-
-
-def parse_constraint(
-    text: str,
-    decls: DeclsArg = None,
-    *,
-    type_env: Optional[Mapping[str, Domain]] = None,
-    source: str = "<string>",
-) -> NamedConstraint:
-    """Parse ``[context Name::op(params)] pre|post|inv [NAME]: body``.
-
-    The context contract name may contain spaces (word sequence up to ``::`` or
-    the kind keyword). Unknown parameter types fall back to opaque here; the
-    document parser resolves them against its alias table instead.
-    """
-    ts = TokenStream(text, source)
-    contract = None
-    operation = None
-    params: tuple[ParamDecl, ...] = ()
-    if ts.peek_word("context"):
-        ts.advance()
-        while ts.accept_word("context"):
-            pass  # tolerate a doubled keyword
-        words = [ts.expect("ident", what="a contract name").text]
-        while ts.current.kind == "ident" and ts.current.text not in KIND_WORDS and not ts.peek("punct", "::"):
-            words.append(ts.advance().text)
-        contract = " ".join(words)
-        if ts.accept("punct", "::"):
-            operation = ts.expect("ident", what="an operation name").text
-            params = parse_param_list(ts, type_env or {}, strict_types=False)
-    kind = KIND_WORDS[parse_kind_word(ts).text]
-    name = ""
-    if ts.current.kind == "ident":
-        name = ts.advance().text
-    ts.expect("punct", ":")
-    body = _parse_expr(ts)
-    if ts.current.kind != "eof":
-        raise ts.error(f"unexpected trailing input {ts.current.text!r}")
-    ctx = ConstraintContext(contract=contract, operation=operation, params=params)
-    c = NamedConstraint(name=name or f"{kind.value}_unnamed", kind=kind, body=body, context=ctx)
-    if decls is not None:
-        scope = SortScope(decls=decls_mapping(decls), params=c.param_domains())
-        infer_sort(body, scope)
-    return c
-
-
-def parse_param_list(
-    ts: TokenStream,
-    type_env: Mapping[str, Domain],
-    *,
-    strict_types: bool,
-) -> tuple[ParamDecl, ...]:
-    """Parse ``( [in] name : domain, ... )`` including the parentheses."""
-    ts.expect("punct", "(")
-    params: list[ParamDecl] = []
-    if not ts.peek("punct", ")"):
-        while True:
-            mode = None
-            if ts.peek_word("in") or ts.peek_word("out"):
-                mode = ts.advance().text
-            pname = ts.expect("ident", what="a parameter name").text
-            ts.expect("punct", ":")
-            dom = parse_domain(ts, type_env, strict_types=strict_types)
-            params.append(ParamDecl(pname, dom, mode))
-            if not ts.accept("punct", ","):
-                break
-    ts.expect("punct", ")")
-    return tuple(params)
 
 
 # ---------------------------------------------------------------------------
 # domain descriptors
 
-def parse_domain(
-    ts: TokenStream,
-    type_env: Mapping[str, Domain],
-    *,
-    strict_types: bool = True,
-) -> Domain:
+def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
+    """A domain descriptor; a name must be one of ``type_env``'s aliases."""
     t = ts.current
     if ts.accept_word("bool"):
         return BoolDomain()
@@ -355,15 +263,15 @@ def parse_domain(
             raise ts.error(str(exc), t) from None
     if ts.accept_word("seq"):
         ts.expect_word("of")
-        elem = parse_domain(ts, type_env, strict_types=strict_types)
+        elem = parse_domain(ts, type_env)
         max_len = None
         if ts.accept_word("maxlen"):
             max_len = int(ts.expect("int", what="a length bound").text)
         return SeqDomain(elem, max_len)
     if ts.accept_word("map"):
-        key = parse_domain(ts, type_env, strict_types=strict_types)
+        key = parse_domain(ts, type_env)
         ts.expect_word("to")
-        value = parse_domain(ts, type_env, strict_types=strict_types)
+        value = parse_domain(ts, type_env)
         return MapDomain(key, value)
     if ts.accept_word("record"):
         ts.expect("punct", "{")
@@ -371,7 +279,7 @@ def parse_domain(
         while True:
             fname = ts.expect("ident", what="a field name").text
             ts.expect("punct", ":")
-            fields.append((fname, parse_domain(ts, type_env, strict_types=strict_types)))
+            fields.append((fname, parse_domain(ts, type_env)))
             if not ts.accept("punct", ","):
                 break
         ts.expect("punct", "}")
@@ -383,9 +291,7 @@ def parse_domain(
         ts.advance()
         if t.text in type_env:
             return type_env[t.text]
-        if strict_types:
-            raise ts.error(f"unknown type name {t.text!r}", t)
-        return OpaqueDomain()
+        raise ts.error(f"unknown type name {t.text!r}", t)
     raise ts.error(f"expected a domain, found {t.text or 'end of input'!r}")
 
 

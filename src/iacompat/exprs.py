@@ -317,7 +317,7 @@ class SortScope(Frozen):
 
     ``decls`` maps declared variable names (dotted paths allowed) to domains;
     ``params`` holds operation parameters; ``open_world`` lets undeclared
-    variables type as opaque (used by the CLI evaluator).
+    variables type as opaque (``parse_expression`` without declarations).
     """
 
     decls: Mapping[str, Domain]

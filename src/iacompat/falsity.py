@@ -125,7 +125,7 @@ def falsity(
 
     total = 1
     for name in names:
-        n = table[name].count()
+        n = table[name].count(budget)
         if n is None:
             return FalsityResult(Verdict.UNKNOWN)
         total *= n

@@ -410,7 +410,7 @@ def oracle_falsity(expr, decls, params=()):
     roots_cur |= roots_old  # old roots also need a current value
     names = sorted(roots_cur)
     domains = [decl_map[n] for n in names]
-    if any(not d.is_enumerable() for d in domains):
+    if any(d.count() is None for d in domains):
         return None
     old_names = sorted(roots_old)
     old_domains = [decl_map[n] for n in old_names]

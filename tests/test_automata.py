@@ -167,8 +167,8 @@ def test_empty_automaton_is_legal():
 
 def test_enabled_actions_fixture_examples():
     ld = _ld()
-    assert ia.enabled_actions(ld, "OnReady", ia.ActionClass.INPUT) == {ia.ActionLabel("receiveMessages")}
-    assert ia.enabled_actions(ld, "Off", ia.ActionClass.OUTPUT) == set()
+    assert ld.enabled[ia.ActionClass.INPUT]["OnReady"] == {ia.ActionLabel("receiveMessages")}
+    assert ld.enabled[ia.ActionClass.OUTPUT]["Off"] == set()
 
 
 def test_enabled_actions_terminal_state():
@@ -176,12 +176,12 @@ def test_enabled_actions_terminal_state():
                               inputs=_lab("go"), outputs=(), hidden=(),
                               transitions=(ia.Transition("s", None, ia.ActionLabel("go"), None, "t"),))
     for cls in ia.ActionClass:
-        assert ia.enabled_actions(a, "t", cls) == set()
+        assert a.enabled[cls]["t"] == set()
 
 
 def test_enabled_actions_unknown_state():
-    with pytest.raises(ValueError):
-        ia.enabled_actions(_ld(), "NoSuchState", ia.ActionClass.INPUT)
+    with pytest.raises(KeyError):
+        _ld().enabled[ia.ActionClass.INPUT]["NoSuchState"]
 
 
 def test_action_class_precedence_on_overlap():

@@ -133,6 +133,27 @@ def test_check_enum_budget_below_one_is_a_usage_error(capsys, budget):
     assert f"argument --enum-budget: not a positive integer: {budget!r}" in err
 
 
+@pytest.mark.parametrize("var, guard", [
+    ("q : seq of int[0..3] maxlen 100000", "q.size() > 0"),
+    ("m : map int[0..100000000] to bool", "m(1) = true"),
+], ids=["seq", "map"])
+def test_check_with_a_huge_bounded_domain_stays_within_its_budget(tmp_path, var, guard):
+    # counting the domain's 4 ** 100000 or 3 ** 100000001 values exactly took
+    # 35 s for the sequence and over a minute for the map
+    a, b = tmp_path / "a.ia", tmp_path / "b.ia"
+    a.write_text(f"contract A {{ states s0, s1; initial s0; inputs; outputs go; hidden; var {var}; "
+                 f"context A::go() {{ pre G: {guard}; }} transitions {{ s0 -[go pre G]-> s1; }} }}")
+    b.write_text("contract B { states t0; initial t0; inputs go; outputs; hidden; "
+                 "transitions { t0 -[go]-> t0; } }")
+    proc = subprocess.run([sys.executable, "-m", "iacompat", "check", str(a), str(b)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "verdict: compatible"
+    sender = iacompat.parse_document(a.read_text()).automaton()
+    res = iacompat.constraint_falsity(sender.preconditions["G"], sender.variables)
+    assert (res.verdict, res.explored) == (iacompat.Verdict.UNKNOWN, 0)
+
+
 def test_check_missing_file(capsys):
     code, out, err = run_cli(capsys, "check", LD, "/no/such/file.ia")
     assert code == 2

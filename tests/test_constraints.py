@@ -95,14 +95,13 @@ CASE_STUDY_CONSTRAINTS = {
         "devOn[devId]->notEmpty",
         TL_DECLS,
     ),
-    # doubled `context` keyword as sometimes written; the parser tolerates it
     "TLPostI": (
-        "context context TransportLayer::Init() post TLPostI: "
+        "context TransportLayer::Init() post TLPostI: "
         "devOn.domain() = node_ids and devOn.range = {false} and queue.size() = 0",
         TL_DECLS,
     ),
     "TLPostATQ": (
-        "context context TransportLayer::addToQueue(m : MSG) post TLPostATQ: "
+        "context TransportLayer::addToQueue(m : MSG) post TLPostATQ: "
         "queue.size() = queue@pre.size() + 1 and queue.lastItem() = m "
         "and queue@pre = queue(1,...,queue.size())",
         TL_DECLS,
@@ -142,10 +141,11 @@ def test_post_is_carries_old_reference():
     assert ("myCS.s", True) in refs and ("myCS.s", False) in refs
 
 
-def test_spaced_contract_name_tolerated():
-    c = ia.parse_constraint("context LE Device::incStrength() pre LDPreIS: myCS.s < 10",
+def test_spaced_contract_name_rejected():
+    with pytest.raises(ia.ParseError) as exc:
+        ia.parse_constraint("context LE Device::incStrength() pre LDPreIS: myCS.s < 10",
                             LD_DECLS, type_env=TYPE_ENV)
-    assert c.context.contract == "LE Device"
+    assert str(exc.value) == "<string>:1:12: expected 'pre', 'post' or 'inv', found 'Device'"
 
 
 def test_param_modes_and_domains():
@@ -157,13 +157,14 @@ def test_param_modes_and_domains():
 
 def test_unnamed_constraint_gets_stable_name():
     c = ia.parse_constraint("pre : true")
-    assert c.name == "pre_unnamed"
+    assert c.name == "pre_unnamed_1"
 
 
 def test_old_reference_rejected_outside_post():
-    with pytest.raises(ValueError):
+    # at the kind word, as in a document
+    with pytest.raises(ia.ParseError, match="^<string>:1:1: constraint P: old-state references"):
         ia.parse_constraint("pre P: myCS.s = myCS~.s", LD_DECLS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ia.ParseError, match="^<string>:1:1: constraint I: old-state references"):
         ia.parse_constraint("inv I: queue@pre.size() = 0", TL_DECLS)
 
 
@@ -186,7 +187,7 @@ def test_resolve_path_binds_by_one_rule():
 def test_parameter_paths_bind_first_and_never_open_world():
     p = ia.RecordDomain((("a", ia.BoolDomain()),))
     with pytest.raises(ia.UnknownVariable):
-        ia.parse_expression("p.nosuch", params={"p": p}, open_world=True)
+        ia.parse_expression("p.nosuch", params={"p": p})
     decls = {"p": ia.VariableDecl("p", ia.IntRangeDomain(0, 1)),
              "p.a": ia.VariableDecl("p.a", ia.IntRangeDomain(0, 1))}
     e = ia.parse_expression("p.a", decls, params={"p": p})
@@ -427,13 +428,12 @@ def test_simplify_folds_the_leading_literals_of_a_sum():
 
 
 def test_parallel_conjunction_absorbs_errors():
-    decls = {"x": ia.VariableDecl("x", ia.BoolDomain())}
-    e = ia.parse_expression("x and missing", decls, open_world=True)
+    e = ia.parse_expression("x and missing")
     # false wins even though the right side is unbound
     assert ia.evaluate(e, ia.Valuation({"x": False})) is False
     with pytest.raises(ia.MissingVariable, match="^unbound variable: missing$"):
         ia.evaluate(e, ia.Valuation({"x": True}))
-    e2 = ia.parse_expression("missing or x", decls, open_world=True)
+    e2 = ia.parse_expression("missing or x")
     assert ia.evaluate(e2, ia.Valuation({"x": True})) is True
 
 
@@ -604,6 +604,26 @@ def test_budget_env_override(monkeypatch):
     assert ia.default_budget() == 10**6
     monkeypatch.delenv("IACOMPAT_ENUM_BUDGET")
     assert ia.default_budget() == 10**6
+
+
+def test_domain_count_stops_past_its_cap():
+    small = ia.IntRangeDomain(0, 2)
+    exact = [
+        (ia.SeqDomain(ia.IntRangeDomain(0, 3), 5), sum(4 ** k for k in range(6))),
+        (ia.SeqDomain(ia.EnumDomain(("a",)), 7), 8),
+        (ia.MapDomain(small, ia.BoolDomain()), 3 ** 3),
+        (ia.MapDomain(ia.SeqDomain(ia.BoolDomain(), 1), small), 4 ** 3),
+        (ia.RecordDomain((("a", small), ("b", ia.SeqDomain(small, 2)))), 3 * 13),
+        (ia.SeqDomain(ia.MapDomain(ia.BoolDomain(), small), 2), 1 + 16 + 16 ** 2),
+    ]
+    for dom, n in exact:
+        assert dom.count() == n == len(list(dom.values())), dom.text()
+        for cap in range(n + 2):
+            got = dom.count(cap)
+            assert (got == n) if n <= cap else (got > cap), (dom.text(), cap)
+    for dom in (ia.SeqDomain(small), ia.MapDomain(small, ia.OpaqueDomain()),
+                ia.RecordDomain((("a", small), ("b", ia.OpaqueDomain())))):
+        assert dom.count() is None and dom.count(0) is None, dom.text()
 
 
 def test_constraint_falsity_uses_param_domains():

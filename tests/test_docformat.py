@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
-from iacompat.docformat import SECTIONS
+from iacompat.docformat import SECTIONS, _params_text
 from iacompat.fixtures import FIXTURE_NAMES, fixture_text
 from iacompat.lexer import position, tokenize
 from oracles import oracle_tokenize
@@ -194,6 +194,56 @@ def test_parse_error_text_is_pinned(parser, text, expected):
     with pytest.raises(ia.ParseError) as exc:
         parse(text, source="case.ia")
     assert str(exc.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# one constraint grammar
+
+
+def test_parse_constraint_reads_what_the_document_reads():
+    # every fixture constraint, written on one line with the printer's own helpers
+    checked = 0
+    for name in FIXTURE_NAMES:
+        doc = ia.load_fixture(name)
+        for c in doc.constraints:
+            ctx = c.context
+            op = "" if ctx.operation is None else f"::{ctx.operation}({_params_text(ctx.params)})"
+            line = f"context {ctx.contract}{op} {c.kind.value} {c.name}: {ia.to_text(c.body)}"
+            assert ia.parse_constraint(line, doc.automaton(ctx.contract).variables) == c, line
+            checked += 1
+    assert checked == 14
+
+
+# (one constraint, its error, whether a document gives that text at the same token)
+CONSTRAINT_ERRORS = [
+    ("context Le Device::op() pre P: true",
+     "case.ia:1:12: expected 'pre', 'post' or 'inv', found 'Device'", True),
+    ("context context A::op() pre P: true",
+     "case.ia:1:17: expected 'pre', 'post' or 'inv', found 'A'", True),
+    ("context A::op(p : Foo) pre P: true", "case.ia:1:19: unknown type name 'Foo'", True),
+    ("pre P: x~ = 1", "case.ia:1:1: constraint P: old-state references are only legal "
+     "in postconditions", True),
+    # the end of the text stands for the section's `;`
+    ("pre P: true; pre Q: false", "case.ia:1:12: expected end of input, found ';'", False),
+    ("pre P: true pre Q: false", "case.ia:1:13: expected end of input, found 'pre'", False),
+    ("context A::op() { pre P: true; }", "case.ia:1:30: expected end of input, found ';'", False),
+    ("context A::op() { }", "case.ia:1:1: expected a constraint, found an empty context block",
+     False),
+    ("P: true", "case.ia:1:1: expected 'context', 'pre', 'post' or 'inv', found 'P'", False),
+    ("", "case.ia:1:1: expected 'context', 'pre', 'post' or 'inv', found 'end of input'", False),
+]
+
+
+@pytest.mark.parametrize("text, expected, in_document", CONSTRAINT_ERRORS)
+def test_parse_constraint_error_text_is_pinned(text, expected, in_document):
+    with pytest.raises(ia.ParseError) as exc:
+        ia.parse_constraint(text, source="case.ia")
+    assert str(exc.value) == expected
+    if in_document:
+        with pytest.raises(ia.ParseError) as in_doc:
+            ia.parse_document(_GO + text + "; }")
+        err = in_doc.value
+        assert (err.message, err.line, err.col - len(_GO)) == (exc.value.message, 1, exc.value.col)
 
 
 # fragments that exercise every lexer rule and the boundaries between them
