@@ -32,8 +32,9 @@ table of how often each may appear and how it reads and prints:
 constraint and type references) and sort-checks every constraint body, so a
 parsed document is internally consistent; structural well-formedness beyond
 that (alphabet disjointness, non-empty initial set) is reported separately by
-``document_diagnostics``. ``print_document`` emits a canonical form that
-parses back to a structurally equal document.
+``document_diagnostics``. A document keeps each contract's constraints as the
+contract declared them, and ``print_document`` prints each contract with its
+own, in a canonical form that parses back to an equal document.
 
 Constraint syntax lives here alone. ``parse_constraint`` reads one
 constraint on its own, ``context Device::step() pre CanStep: myCS.s < 10``,
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from math import inf
 from operator import attrgetter
 from typing import Any, Callable, Mapping, Optional, Union
@@ -82,11 +83,22 @@ class DocumentMeta(Frozen):
 
 
 class ContractDocument(Frozen):
-    """Automata plus every named constraint of a parsed ``.ia`` document."""
+    """The automata of a ``.ia`` document, each with the named constraints its contract
+    declared: ``declared[i]`` holds ``automata[i]``'s, in declaration order."""
 
     automata: tuple[InterfaceAutomaton, ...] = ()
-    constraints: tuple[NamedConstraint, ...] = ()
+    declared: tuple[tuple[NamedConstraint, ...], ...] = ()
     meta: DocumentMeta = DocumentMeta()
+
+    def __post_init__(self) -> None:
+        if len(self.declared) != len(self.automata):
+            raise ValueError(f"document holds {len(self.automata)} contracts "
+                             f"but {len(self.declared)} tuples of constraints")
+
+    @property
+    def constraints(self) -> tuple[NamedConstraint, ...]:
+        """Every constraint of the document, contract by contract."""
+        return tuple(chain.from_iterable(self.declared))
 
     def automaton(self, name: Optional[str] = None) -> InterfaceAutomaton:
         """The named automaton, or the only one when no name is given."""
@@ -120,7 +132,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
 
     type_env: dict[str, Domain] = {}
     automata: list[InterfaceAutomaton] = []
-    constraints: list[NamedConstraint] = []
+    declared: list[tuple[NamedConstraint, ...]] = []
 
     while ts.current.kind != "eof":
         if ts.peek_word("type"):
@@ -133,14 +145,14 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             ts.expect("punct", ";")
             type_env[name_tok.text] = dom
         elif ts.peek_word("contract"):
-            automaton, owned = _parse_contract(ts, type_env)
+            automaton, own = _parse_contract(ts, type_env)
             if any(a.name == automaton.name for a in automata):
                 raise ts.error(f"duplicate contract name {automaton.name!r}")
             automata.append(automaton)
-            constraints.extend(owned)
+            declared.append(own)
         else:
             raise ts.error(f"expected 'type' or 'contract', found {ts.current.text or 'end of input'!r}")
-    return ContractDocument(tuple(automata), tuple(constraints), meta)
+    return ContractDocument(tuple(automata), tuple(declared), meta)
 
 
 def parse_constraint(
@@ -167,13 +179,19 @@ def parse_constraint(
         raise ts.error("expected a constraint, found an empty context block", tok)
     (constraint, _), = c.constraints.values()
     if decls is not None:
-        infer_sort(constraint.body, SortScope(decls=decls_mapping(decls),
-                                              params=constraint.param_domains()))
+        _check_body(constraint, decls_mapping(decls))
     return constraint
 
 
+def _check_body(c: NamedConstraint, decls: Mapping[str, Domain]) -> None:
+    """Sort-check ``c``'s body against ``decls`` and its parameters; it must be boolean."""
+    s = infer_sort(c.body, SortScope(decls=decls, params=c.param_domains()))
+    if s.tag not in ("bool", "opaque"):
+        raise SortError(f"body has sort {s}, expected boolean", c.body)
+
+
 def _parse_contract(ts: TokenStream,
-                    type_env: dict[str, Domain]) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
+                    type_env: dict[str, Domain]) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
     ts.expect_word("contract")
     name_tok = ts.expect("ident", what="a contract name")
     ts.expect("punct", "{")
@@ -281,7 +299,7 @@ class _Contract:
             ts.expect("punct", ";")
             steps.append((src, action, action_tok, pre_tok, post_tok, tgt))
 
-    def finish(self) -> tuple[InterfaceAutomaton, list[NamedConstraint]]:
+    def finish(self) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
         """Resolve the names the sections use and sort-check every constraint body."""
         ts, lists = self.ts, self.lists
         states = lists["states"]
@@ -289,9 +307,9 @@ class _Contract:
             if t.text not in states:
                 raise ts.error(f"initial state {t.text!r} is not a state", t)
         alphabet = lists["inputs"].keys() | lists["outputs"].keys() | lists["hidden"].keys()
-        owned = [c for c, _ in self.constraints.values()]
-        pres = {c.name: c for c in owned if c.kind is ConstraintKind.PRE}
-        posts = {c.name: c for c in owned if c.kind is ConstraintKind.POST}
+        declared = tuple(c for c, _ in self.constraints.values())
+        pres = {c.name: c for c in declared if c.kind is ConstraintKind.PRE}
+        posts = {c.name: c for c in declared if c.kind is ConstraintKind.POST}
 
         transitions: list[Transition] = []
         for source, action, action_tok, pre, post, target in self.steps:
@@ -309,20 +327,17 @@ class _Contract:
 
         decl_domains = decls_mapping(self.variables)
         for c, body_tok in self.constraints.values():
-            scope = SortScope(decls=decl_domains, params=c.param_domains())
             try:
-                s = infer_sort(c.body, scope)
+                _check_body(c, decl_domains)
             except (SortError, UnknownVariable) as exc:
                 raise ts.error(f"constraint {c.name}: {exc}", body_tok) from None
-            if s.tag not in ("bool", "opaque"):
-                raise ts.error(f"constraint {c.name}: body has sort {s}, expected boolean", body_tok)
 
         automaton = InterfaceAutomaton(
             name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
             inputs=tuple(lists["inputs"]), outputs=tuple(lists["outputs"]), hidden=tuple(lists["hidden"]),
             variables=self.variables, preconditions=pres, postconditions=posts,
             transitions=tuple(transitions))
-        return automaton, owned
+        return automaton, declared
 
 
 _KINDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
@@ -410,37 +425,20 @@ def print_document(doc: ContractDocument) -> str:
         out.append(head + ";")
         out.append("")
 
-    taken: set[int] = set()
-    for a in doc.automata:
-        _print_contract(out, a, _owned(doc, a, taken))
+    for a, declared in zip(doc.automata, doc.declared):
+        _print_contract(out, a, declared)
         out.append("")
-    leftovers = [doc.constraints[i].name for i in range(len(doc.constraints)) if i not in taken]
-    if leftovers:
-        raise ValueError(f"constraints not owned by any contract: {', '.join(leftovers)}")
     while out and out[-1] == "":
         out.pop()
     return "\n".join(out) + "\n"
 
 
-def _owned(doc: ContractDocument, a: InterfaceAutomaton, taken: set[int]) -> list[NamedConstraint]:
-    """The constraints of ``doc`` that ``a`` registers or, for invariants, names, not taken yet."""
-    registries = {ConstraintKind.PRE: a.preconditions, ConstraintKind.POST: a.postconditions}
-    owned = []
-    for idx, c in enumerate(doc.constraints):
-        registry = registries.get(c.kind)
-        if idx not in taken and (c.context.contract == a.name if registry is None
-                                 else registry.get(c.name) == c):
-            owned.append(c)
-            taken.add(idx)
-    return owned
-
-
-def _print_contract(out: list[str], a: InterfaceAutomaton, owned: list[NamedConstraint]) -> None:
+def _print_contract(out: list[str], a: InterfaceAutomaton, declared: tuple[NamedConstraint, ...]) -> None:
     out.append(f"contract {a.name} {{")
     for word, section in SECTIONS.items():
         if section.show is not None:
             # an empty section prints as its bare keyword only when it is mandatory
-            out.extend(section.show(word, a, owned) or ([f"  {word};"] if section.least else []))
+            out.extend(section.show(word, a, declared) or ([f"  {word};"] if section.least else []))
     out.append("}")
 
 
@@ -449,19 +447,19 @@ def _block(lines: list[str]) -> list[str]:
     return ["", *lines] if lines else []
 
 
-def _show_variables(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
+def _show_variables(_: str, a: InterfaceAutomaton, cs: tuple[NamedConstraint, ...]) -> list[str]:
     return _block([f"  var {decl.name} : {decl.domain.text()};" for decl in a.variables.values()])
 
 
-def _show_transitions(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
+def _show_transitions(_: str, a: InterfaceAutomaton, cs: tuple[NamedConstraint, ...]) -> list[str]:
     steps = [f"    {t.source} -[{t.action}{_guards_text(t)}]-> {t.target};" for t in a.transitions]
     return _block(["  transitions {", *steps, "  }"] if steps else [])
 
 
-def _show_constraints(_: str, a: InterfaceAutomaton, owned: list[NamedConstraint]) -> list[str]:
-    """Every owned constraint; a run of one operation's constraints is one context block."""
+def _show_constraints(_: str, a: InterfaceAutomaton, cs: tuple[NamedConstraint, ...]) -> list[str]:
+    """Every declared constraint; a run of one operation's constraints is one context block."""
     lines: list[str] = []
-    for ctx, run in groupby(owned, key=attrgetter("context")):
+    for ctx, run in groupby(cs, key=attrgetter("context")):
         if ctx.operation is not None:
             lines.append(f"  context {ctx.contract or a.name}::{ctx.operation}({_params_text(ctx.params)}) {{")
             lines.extend(f"    {c.kind.value} {c.name}: {to_text(c.body)};" for c in run)
@@ -488,7 +486,7 @@ def document_from_automaton(
 ) -> ContractDocument:
     """Wrap a standalone automaton (e.g. a product) as a printable document."""
     cs = tuple(a.preconditions.values()) + tuple(a.postconditions.values())
-    return ContractDocument((a,), cs, meta)
+    return ContractDocument((a,), (cs,), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +500,7 @@ class Section(Frozen):
     least: int  # the section must appear at least this often
     most: float  # and at most this often
     read: Callable[[_Contract, Token], None]
-    show: Optional[Callable[[str, InterfaceAutomaton, list[NamedConstraint]], list[str]]] = None
+    show: Optional[Callable[[str, InterfaceAutomaton, tuple[NamedConstraint, ...]], list[str]]] = None
 
 
 def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tuple[Any, Token]],
@@ -520,7 +518,7 @@ def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tup
             more = ts.accept("punct", ",")
         ts.expect("punct", ";")
 
-    def show(word: str, a: InterfaceAutomaton, _: list[NamedConstraint]) -> list[str]:
+    def show(word: str, a: InterfaceAutomaton, _: tuple[NamedConstraint, ...]) -> list[str]:
         items = getattr(a, field)
         return [f"  {word} {', '.join(map(str, items))};"] if items else []
 

@@ -246,6 +246,17 @@ def test_parse_constraint_error_text_is_pinned(text, expected, in_document):
         assert (err.message, err.line, err.col - len(_GO)) == (exc.value.message, 1, exc.value.col)
 
 
+def test_body_must_be_boolean_alone_and_in_a_document():
+    decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 3))}
+    with pytest.raises(ia.SortError) as exc:
+        ia.parse_constraint("pre P: x + 1", decls)
+    assert str(exc.value) == "body has sort int, expected boolean in `x + 1`"
+    with pytest.raises(ia.ParseError) as in_doc:
+        ia.parse_document(_GO + "var x : int[0..3]; pre P: x + 1; }")
+    assert str(in_doc.value) == ("<string>:1:89: constraint P: body has sort int, "
+                                 "expected boolean in `x + 1`")
+
+
 # fragments that exercise every lexer rule and the boundaries between them
 _LEX_FRAGMENTS = [
     " ", "\t", "\n", "\r\n", "\r", "//", "// c", "/", "~", "@pre", "@pr", "@", "→",
@@ -406,18 +417,8 @@ def test_fixture_round_trips():
     for name in ia.FIXTURE_NAMES:
         doc = ia.load_fixture(name)
         text, doc2 = _roundtrip(doc)
+        assert doc2 == doc
         assert ia.print_document(doc2) == text
-        for x, y in zip(doc.automata, doc2.automata):
-            assert x.name == y.name
-            assert x.states == y.states
-            assert x.initials == y.initials
-            assert (x.inputs, x.outputs, x.hidden) == (y.inputs, y.outputs, y.hidden)
-            assert [(t.source, t.pre, t.action, t.post, t.target) for t in x.transitions] \
-                == [(t.source, t.pre, t.action, t.post, t.target) for t in y.transitions]
-            assert {n: ia.to_text(c.body) for n, c in x.preconditions.items()} \
-                == {n: ia.to_text(c.body) for n, c in y.preconditions.items()}
-            assert {n: ia.to_text(c.body) for n, c in x.postconditions.items()} \
-                == {n: ia.to_text(c.body) for n, c in y.postconditions.items()}
 
 
 def test_product_document_round_trips():
@@ -426,11 +427,50 @@ def test_product_document_round_trips():
     prod = ia.product(ld, tl)
     doc = ia.document_from_automaton(prod.automaton)
     text, doc2 = _roundtrip(doc)
+    assert doc2 == doc
     assert ia.print_document(doc2) == text
-    again = doc2.automaton(prod.automaton.name)
-    assert again.states == prod.automaton.states
-    assert len(again.transitions) == len(prod.automaton.transitions)
-    assert set(again.preconditions) == set(prod.automaton.preconditions)
+
+
+_EMPTY = "states s; initial s; inputs; outputs; hidden;"
+# documents whose constraints name a contract other than the one that declares them
+FOREIGN_OWNERS = {
+    "invariant of a contract the document lacks":
+        f"contract A {{ {_EMPTY} context B inv I: true; }}",
+    "invariant sort-checked against its declaring contract": f"""
+        contract A {{ {_EMPTY} var r : record {{ a : bool }}; context B inv I: r.a; }}
+        contract B {{ {_EMPTY} var r : bool; }}""",
+    "invariant for B declared before A's own operation": f"""
+        contract A {{ {_EMPTY} context B inv I: true; context A::go() {{ pre P: true; }} }}
+        contract B {{ {_EMPTY} inv J: true; }}""",
+    "one foreign precondition declared by two contracts": """
+        contract A { states s; initial s; inputs; outputs go; hidden;
+          context C pre P: true; transitions { s -[go pre P]-> s; } }
+        contract B { states s; initial s; inputs go; outputs; hidden;
+          context C pre P: true; transitions { s -[go pre P]-> s; } }""",
+}
+
+
+@pytest.mark.parametrize("text", FOREIGN_OWNERS.values(), ids=FOREIGN_OWNERS)
+def test_each_contract_prints_the_constraints_it_declared(text):
+    doc = ia.parse_document(text)
+    printed, doc2 = _roundtrip(doc)
+    assert doc2 == doc
+    assert ia.print_document(doc2) == printed
+
+
+def test_constraints_chain_the_declared_tuples():
+    doc = ia.parse_document(FOREIGN_OWNERS["invariant for B declared before A's own operation"])
+    assert [[c.name for c in cs] for cs in doc.declared] == [["I", "P"], ["J"]]
+    assert [c.name for c in doc.constraints] == ["I", "P", "J"]
+
+
+def test_one_tuple_of_constraints_per_contract():
+    a = ia.empty_automaton()
+    with pytest.raises(ValueError, match="document holds 1 contracts but 0 tuples of constraints"):
+        ia.ContractDocument((a,), ())
+    doc = ia.ContractDocument((a,), ((),))
+    with pytest.raises(ValueError, match="document holds 1 contracts but 2 tuples of constraints"):
+        doc._replace(declared=((), ()))
 
 
 def test_record_keyed_map_declaration_round_trips():
