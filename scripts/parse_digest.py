@@ -3,10 +3,14 @@
 
 Each string is parsed as an expression, and a second one of list tokens
 after a random section word (``states``, ``initial``, ``inputs``, ...) as
-the head of a contract. Every outcome is recorded: the ``repr`` of the tree
-and its ``to_text`` form, the parsed contract's sections, or the error
-text. The SHA-256 of all outcomes is printed, so two checkouts parse alike
-when their digests agree:
+the head of a contract. A third string is a declaration built from the
+grammar, a ``type``, a ``var`` or a ``context`` with parameters, over
+random domains, and then mutated by up to two tokens; it is drawn from its
+own seeded stream, so the first two strings do not depend on it. Every
+outcome is recorded: the ``repr`` of the tree and its ``to_text`` form, the
+parsed contract's sections, variables and constraints, or the error text.
+The SHA-256 of all outcomes is printed, so two checkouts parse alike when
+their digests agree:
 
     python3 scripts/parse_digest.py --strings 100000 --seed 0
 
@@ -21,6 +25,7 @@ import hashlib
 import random
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -36,10 +41,69 @@ VOCAB = (
 # the tokens of the name lists that open a contract
 LIST_VOCAB = "a b a b ns , , :: ; ; states x".split()
 SECTIONS = ("states", "initial", "inputs", "outputs", "hidden")
+# the tokens of declarations: a mutation replaces a token with one of these
+DECL_VOCAB = (
+    "type var context :: ( ) { } [ ] , ; : = .. - bool opaque int enum seq of maxlen map to "
+    "record in out T U a b p 0 1 3 pre P true"
+).split()
 
 
 def random_text(rng: random.Random, vocab: list[str]) -> str:
     return " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
+
+
+def domain(rng: random.Random, depth: int = 2) -> list[str]:
+    """The tokens of a random domain; a compound one nests at most ``depth`` levels."""
+    kinds = ["bool", "opaque", "int", "enum", "name"] + (["seq", "map", "record"] if depth else [])
+    kind = rng.choice(kinds)
+    if kind in ("bool", "opaque"):
+        return [kind]
+    if kind == "int":
+        lo = rng.choice([["0"], ["1"], ["-", "1"]])
+        return ["int", "[", *lo, "..", rng.choice(["0", "3"]), "]"]
+    if kind == "enum":
+        return ["enum", "{", *comma_list(rng, lambda: [rng.choice("abc")], 1), "}"]
+    if kind == "name":
+        return [rng.choice("TTU")]
+    if kind == "seq":
+        bound = ["maxlen", rng.choice(["1", "3"])] if rng.random() < 0.5 else []
+        return ["seq", "of", *domain(rng, depth - 1), *bound]
+    if kind == "map":
+        return ["map", *domain(rng, depth - 1), "to", *domain(rng, depth - 1)]
+    return ["record", "{", *comma_list(rng, lambda: [rng.choice("fg"), ":", *domain(rng, depth - 1)], 1), "}"]
+
+
+def comma_list(rng: random.Random, item, least: int) -> list[str]:
+    """``least`` to 3 items, each from ``item()``, joined by commas."""
+    out: list[str] = []
+    for i in range(rng.randint(least, 3)):
+        out += [","] * bool(i) + item()
+    return out
+
+
+def random_declaration(rng: random.Random) -> tuple[str, str]:
+    """A ``type``, ``var`` or ``context`` declaration with 0-2 token mutations, and its form."""
+    form = rng.choice(("type", "var", "context"))
+    if form == "type":
+        toks = ["type", "U", "=", *domain(rng), ";"]
+    elif form == "var":
+        toks = ["var", "v", ":", *domain(rng), ";"]
+    else:
+        def param() -> list[str]:
+            return [rng.choice(["in", "out", ""]), rng.choice("pq"), ":", *domain(rng)]
+        params = comma_list(rng, param, 0)
+        toks = ["context", "C", "::", "op", "(", *params, ")", "{", "pre", "P", ":", "true", ";", "}"]
+    toks = [t for t in toks if t]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(toks))
+        op = rng.choice(("drop", "repeat", "replace"))
+        if op == "drop":
+            del toks[i]
+        elif op == "repeat":
+            toks.insert(i, toks[i])
+        else:
+            toks[i] = rng.choice(DECL_VOCAB)
+    return form, " ".join(toks)
 
 
 def expression(text: str) -> str:
@@ -53,6 +117,15 @@ def document(text: str) -> str:
     rest = " ".join(f"{w} ;" for w in ("inputs", "outputs", "hidden") if not text.startswith(w))
     a = ia.parse_document(f"contract C {{ {text} {states} {rest} }}").automaton()
     return f"{a.states} {a.initials} {a.inputs} {a.outputs} {a.hidden}"
+
+
+def declaration(form: str, text: str) -> str:
+    """The variables and constraints of a contract that holds ``text``; a ``type`` is
+    declared before the contract, which then declares a variable of it."""
+    types = f"type T = enum {{ a, b }}; {text if form == 'type' else ''}"
+    body = "var u : U;" if form == "type" else text
+    doc = ia.parse_document(f"{types} contract C {{ states s; inputs; outputs; hidden; {body} }}")
+    return f"{doc.automaton().variables!r} {doc.constraints!r}"
 
 
 def outcome(parse, text: str) -> tuple[bool, str]:
@@ -70,22 +143,26 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
+    decl_rng = random.Random(f"{args.seed}-declarations")
     digest = hashlib.sha256()
-    parsed = heads = 0
+    parsed = heads = decls = 0
     with args.dump.open("w", encoding="utf-8") if args.dump else nullcontext() as out:
         for _ in range(args.strings):
             text = random_text(rng, VOCAB)
             ok, expr = outcome(expression, text)
             section = f"{rng.choice(SECTIONS)} {random_text(rng, LIST_VOCAB)}"
             ok_doc, doc = outcome(document, section)
-            line = f"{text}\t{expr}\t{section}\t{doc}\n"
+            form, decl = random_declaration(decl_rng)
+            ok_decl, decl_out = outcome(partial(declaration, form), decl)
+            line = f"{text}\t{expr}\t{section}\t{doc}\t{decl}\t{decl_out}\n"
             parsed += ok
             heads += ok_doc
+            decls += ok_decl
             digest.update(line.encode())
             if out:
                 out.write(line)
-    print(f"{args.strings} strings, {parsed} expressions and {heads} contract heads parse,"
-          f" sha256 {digest.hexdigest()}")
+    print(f"{args.strings} strings, {parsed} expressions, {heads} contract heads and {decls}"
+          f" declarations parse, sha256 {digest.hexdigest()}")
     return 0
 
 
