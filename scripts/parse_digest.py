@@ -77,7 +77,9 @@ def comma_list(rng: random.Random, item, least: int) -> list[str]:
     """``least`` to 3 items, each from ``item()``, joined by commas."""
     out: list[str] = []
     for i in range(rng.randint(least, 3)):
-        out += [","] * bool(i) + item()
+        if i:
+            out.append(",")
+        out += item()
     return out
 
 

@@ -81,6 +81,12 @@ class DocumentMeta(Frozen):
     name: Optional[str] = None
     version: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if any(s is not None and ('"' in s or "\n" in s) for s in self):
+            raise ValueError(f"a document name or version cannot hold '\"' or a newline: {self!r}")
+        if self.name is None and self.version is not None:
+            raise ValueError("a document version needs a document name")
+
 
 class ContractDocument(Frozen):
     """The automata of a ``.ia`` document, each with the named constraints its contract
@@ -94,6 +100,13 @@ class ContractDocument(Frozen):
         if len(self.declared) != len(self.automata):
             raise ValueError(f"document holds {len(self.automata)} contracts "
                              f"but {len(self.declared)} tuples of constraints")
+        for a, cs in zip(self.automata, self.declared):
+            if len({c.name for c in cs}) != len(cs):
+                raise ValueError(f"contract {a.name!r} declares two constraints of one name")
+            if ({c.name: c for c in cs if c.kind is ConstraintKind.PRE} != a.preconditions
+                    or {c.name: c for c in cs if c.kind is ConstraintKind.POST} != a.postconditions):
+                raise ValueError(f"the pre and post constraints declared for contract {a.name!r} "
+                                 "are not its preconditions and postconditions")
 
     @property
     def constraints(self) -> tuple[NamedConstraint, ...]:
@@ -121,11 +134,10 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     """Parse a full document; raises ParseError with line/column on any fault."""
     ts = TokenStream(text, source)
     meta = DocumentMeta()
-    if ts.peek_word("document"):
-        ts.advance()
+    if ts.accept("ident", "document"):
         name = ts.expect("string", what="a quoted document name").text
         version = None
-        if ts.accept_word("version"):
+        if ts.accept("ident", "version"):
             version = ts.expect("string", what="a quoted version").text
         ts.expect("punct", ";")
         meta = DocumentMeta(name, version)
@@ -135,8 +147,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     declared: list[tuple[NamedConstraint, ...]] = []
 
     while ts.current.kind != "eof":
-        if ts.peek_word("type"):
-            ts.advance()
+        if ts.accept("ident", "type"):
             name_tok = ts.expect("ident", what="a type name")
             if name_tok.text in type_env:
                 raise ts.error(f"duplicate type name {name_tok.text!r}", name_tok)
@@ -144,7 +155,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             dom = parse_domain(ts, type_env)
             ts.expect("punct", ";")
             type_env[name_tok.text] = dom
-        elif ts.peek_word("contract"):
+        elif ts.accept("ident", "contract"):
             automaton, own = _parse_contract(ts, type_env)
             if any(a.name == automaton.name for a in automata):
                 raise ts.error(f"duplicate contract name {automaton.name!r}")
@@ -192,7 +203,6 @@ def _check_body(c: NamedConstraint, decls: Mapping[str, Domain]) -> None:
 
 def _parse_contract(ts: TokenStream,
                     type_env: dict[str, Domain]) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
-    ts.expect_word("contract")
     name_tok = ts.expect("ident", what="a contract name")
     ts.expect("punct", "{")
     c = _Contract(ts, type_env, name_tok.text)
@@ -291,8 +301,8 @@ class _Contract:
             ts.expect("punct", "-")
             ts.expect("punct", "[")
             action, action_tok = _parse_label(ts)
-            pre_tok = ts.expect("ident", what="a precondition name") if ts.accept_word("pre") else None
-            post_tok = ts.expect("ident", what="a postcondition name") if ts.accept_word("post") else None
+            pre_tok = ts.expect("ident", what="a precondition name") if ts.accept("ident", "pre") else None
+            post_tok = ts.expect("ident", what="a postcondition name") if ts.accept("ident", "post") else None
             ts.expect("punct", "]")
             ts.expect("punct", "->")
             tgt = ts.expect("ident", what="a target state")
@@ -353,20 +363,14 @@ def _parse_kind_word(ts: TokenStream) -> Token:
 
 def _parse_params(ts: TokenStream, type_env: Mapping[str, Domain]) -> tuple[ParamDecl, ...]:
     """``( [in|out] name : domain, ... )``, the parentheses included."""
+    def param(ts: TokenStream) -> ParamDecl:
+        mode = ts.accept("ident", "in") or ts.accept("ident", "out")
+        pname = ts.expect("ident", what="a parameter name").text
+        ts.expect("punct", ":")
+        return ParamDecl(pname, parse_domain(ts, type_env), mode and mode.text)
+
     ts.expect("punct", "(")
-    params: list[ParamDecl] = []
-    if not ts.peek("punct", ")"):
-        while True:
-            mode = None
-            if ts.peek_word("in") or ts.peek_word("out"):
-                mode = ts.advance().text
-            pname = ts.expect("ident", what="a parameter name").text
-            ts.expect("punct", ":")
-            params.append(ParamDecl(pname, parse_domain(ts, type_env), mode))
-            if not ts.accept("punct", ","):
-                break
-    ts.expect("punct", ")")
-    return tuple(params)
+    return ts.items(param, ")")
 
 
 def _parse_name(ts: TokenStream, what: str) -> tuple[str, Token]:
@@ -508,15 +512,15 @@ def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tup
     """``keyword [item {"," item}] ";"``, at most once, held in the automaton's ``field``;
     an item read twice is the error ``duplicate.format(item)`` at its token."""
     def read(c: _Contract, _: Token) -> None:
-        ts, into = c.ts, c.lists[field]
-        more = not ts.peek("punct", ";")
-        while more:
+        into = c.lists[field]
+
+        def item(ts: TokenStream) -> None:
             value, tok = read_item(ts)
             if value in into:
                 raise ts.error(duplicate.format(value), tok)
             into[value] = tok
-            more = ts.accept("punct", ",")
-        ts.expect("punct", ";")
+
+        c.ts.items(item, ";")
 
     def show(word: str, a: InterfaceAutomaton, _: tuple[NamedConstraint, ...]) -> list[str]:
         items = getattr(a, field)

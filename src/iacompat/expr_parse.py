@@ -67,7 +67,7 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
     if form == "postfix":
         return _parse_postfix(ts)
     if form == "prefix":
-        if ts.accept_word(ops[0]):
+        if ts.accept("ident", ops[0]):
             return Not(parse_expr(ts, level))
         return parse_expr(ts, level + 1)
     left = parse_expr(ts, level + 1)
@@ -91,7 +91,7 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
         return left  # the word was something else, e.g. a parameter mode
     ts.advance()
     ts.advance()
-    if ts.accept_word("dom"):
+    if ts.accept("ident", "dom"):
         return Membership(left, MethodCall(_parse_postfix(ts), "domain"))
     return Membership(left, parse_expr(ts, level + 1))
 
@@ -99,8 +99,7 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
 def _parse_postfix(ts: TokenStream) -> Expr:
     e = _parse_primary(ts)
     while True:
-        if ts.peek("punct", "("):
-            ts.advance()
+        if ts.accept("punct", "("):
             first = parse_expr(ts)
             if ts.accept("punct", ","):
                 # sequence prefix slice: m(1,...,k) is sugar for m.front(k)
@@ -114,20 +113,17 @@ def _parse_postfix(ts: TokenStream) -> Expr:
             else:
                 ts.expect("punct", ")")
                 e = Apply(e, first)
-        elif ts.peek("punct", "["):
-            ts.advance()
+        elif ts.accept("punct", "["):
             key = parse_expr(ts)
             ts.expect("punct", "]")
             e = Apply(e, key)
-        elif ts.peek("punct", "."):
-            ts.advance()
+        elif ts.accept("punct", "."):
             name = ts.expect("ident", what="a member name").text
             if name in BUILTIN_METHODS:
                 e = MethodCall(e, name, _parse_optional_args(ts))
             else:
                 e = FieldAccess(e, name)
-        elif ts.peek("punct", "->"):
-            ts.advance()
+        elif ts.accept("punct", "->"):
             name = ts.expect("ident", what="a collection operation").text
             if name not in BUILTIN_METHODS:
                 raise ts.error(f"unknown arrow operation {name!r}")
@@ -137,15 +133,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
 
 
 def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
-    if not ts.accept("punct", "("):
-        return ()
-    if ts.accept("punct", ")"):
-        return ()
-    args = [parse_expr(ts)]
-    while ts.accept("punct", ","):
-        args.append(parse_expr(ts))
-    ts.expect("punct", ")")
-    return tuple(args)
+    return ts.items(parse_expr, ")") if ts.accept("punct", "(") else ()
 
 
 def _parse_primary(ts: TokenStream) -> Expr:
@@ -156,24 +144,15 @@ def _parse_primary(ts: TokenStream) -> Expr:
     if t.kind == "enumlit":
         ts.advance()
         return EnumLit(t.text)
-    if ts.peek("punct", "-"):
-        ts.advance()
+    if ts.accept("punct", "-"):
         num = ts.expect("int", what="an integer literal")
         return IntLit(-int(num.text))
-    if ts.peek("punct", "("):
-        ts.advance()
+    if ts.accept("punct", "("):
         e = parse_expr(ts)
         ts.expect("punct", ")")
         return e
-    if ts.peek("punct", "{"):
-        ts.advance()
-        items: list[Expr] = []
-        if not ts.peek("punct", "}"):
-            items.append(parse_expr(ts))
-            while ts.accept("punct", ","):
-                items.append(parse_expr(ts))
-        ts.expect("punct", "}")
-        return SetLit(tuple(items))
+    if ts.accept("punct", "{"):
+        return SetLit(ts.items(parse_expr, "}"))
     if t.kind == "ident":
         if t.text == "true":
             ts.advance()
@@ -196,8 +175,7 @@ def _parse_path(ts: TokenStream) -> VarRef:
     parts = [ts.expect("ident").text]
     old = False
     while True:
-        if not old and ts.peek("oldmark"):
-            ts.advance()
+        if not old and ts.accept("oldmark"):
             old = True
             continue
         if ts.peek("punct", "."):
@@ -237,11 +215,11 @@ def parse_expression(
 def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
     """A domain descriptor; a name must be one of ``type_env``'s aliases."""
     t = ts.current
-    if ts.accept_word("bool"):
+    if ts.accept("ident", "bool"):
         return BoolDomain()
-    if ts.accept_word("opaque"):
+    if ts.accept("ident", "opaque"):
         return OpaqueDomain()
-    if ts.accept_word("int"):
+    if ts.accept("ident", "int"):
         ts.expect("punct", "[")
         lo = _parse_signed_int(ts)
         ts.expect("punct", "..")
@@ -251,7 +229,7 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
             return IntRangeDomain(lo, hi)
         except ValueError as exc:
             raise ts.error(str(exc), t) from None
-    if ts.accept_word("enum"):
+    if ts.accept("ident", "enum"):
         ts.expect("punct", "{")
         lits = [ts.expect("ident", what="an enum literal").text]
         while ts.accept("punct", ","):
@@ -261,19 +239,19 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
             return EnumDomain(tuple(lits))
         except ValueError as exc:
             raise ts.error(str(exc), t) from None
-    if ts.accept_word("seq"):
-        ts.expect_word("of")
+    if ts.accept("ident", "seq"):
+        ts.expect("ident", "of", what="'of'")
         elem = parse_domain(ts, type_env)
         max_len = None
-        if ts.accept_word("maxlen"):
+        if ts.accept("ident", "maxlen"):
             max_len = int(ts.expect("int", what="a length bound").text)
         return SeqDomain(elem, max_len)
-    if ts.accept_word("map"):
+    if ts.accept("ident", "map"):
         key = parse_domain(ts, type_env)
-        ts.expect_word("to")
+        ts.expect("ident", "to", what="'to'")
         value = parse_domain(ts, type_env)
         return MapDomain(key, value)
-    if ts.accept_word("record"):
+    if ts.accept("ident", "record"):
         ts.expect("punct", "{")
         fields: list[tuple[str, Domain]] = []
         while True:

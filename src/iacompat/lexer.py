@@ -13,7 +13,9 @@ error needs a line and a column, and ``position`` is the one rule for them.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -72,7 +74,8 @@ def tokenize(text: str, source: str = "<string>") -> list[Token]:
 
 
 class TokenStream:
-    """Cursor over the tokens of one text with the usual peek/expect helpers."""
+    """Cursor over the tokens of one text. ``peek``, ``accept`` and ``expect`` test the
+    current token by kind and, when given, text; a word is an ``"ident"``."""
 
     def __init__(self, text: str, source: str = "<string>"):
         self.text = text
@@ -90,10 +93,6 @@ class TokenStream:
         t = self.current
         return t.kind == kind and (text is None or t.text == text)
 
-    def peek_word(self, word: str) -> bool:
-        t = self.current
-        return t.kind == "ident" and t.text == word
-
     def advance(self) -> Token:
         t = self.current
         if t.kind != "eof":
@@ -107,13 +106,6 @@ class TokenStream:
             return self.advance()
         return None
 
-    def accept_word(self, word: str) -> bool:
-        t = self.current
-        if t.kind == "ident" and t.text == word:
-            self.advance()
-            return True
-        return False
-
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
         t = self.current
         if t.kind == kind and (text is None or t.text == text):
@@ -122,8 +114,15 @@ class TokenStream:
         found = t.text if t.kind != "eof" else "end of input"
         raise self.error(f"expected {wanted}, found {found!r}")
 
-    def expect_word(self, word: str) -> Token:
-        return self.expect("ident", word, what=f"'{word}'")
+    def items(self, read: Callable[[TokenStream], T], close: str) -> tuple[T, ...]:
+        """``[item {"," item}] close``, each item read by ``read(self)``."""
+        out = []
+        if not self.accept("punct", close):
+            out.append(read(self))
+            while self.accept("punct", ","):
+                out.append(read(self))
+            self.expect("punct", close)
+        return tuple(out)
 
     def error(self, message: str, at: Token | None = None) -> ParseError:
         """A ParseError located at token ``at``, by default the current one."""

@@ -185,6 +185,24 @@ PARSE_ERRORS = [
     ("doc", "contract A { states s; context Le Device::op() { pre P: true; } }",
      "case.ia:1:35: expected 'pre', 'post' or 'inv', found 'Device'"),
     ("doc", _GO + "pre true; }", "case.ia:1:67: expected :, found 'true'"),
+    # every comma list, whether it may be empty or not
+    ("expr", "m(1, 2)", "case.ia:1:6: expected '...', found '2'"),
+    ("expr", "m()", "case.ia:1:3: expected an expression, found ')'"),
+    ("expr", "{1,}", "case.ia:1:4: expected an expression, found '}'"),
+    ("expr", "{1 2}", "case.ia:1:4: expected }, found '2'"),
+    ("expr", "f.front(1,)", "case.ia:1:11: expected an expression, found ')'"),
+    ("expr", "q.size(", "case.ia:1:8: expected an expression, found 'end of input'"),
+    ("doc", "contract A { states a,; }", "case.ia:1:23: expected a state name, found ';'"),
+    ("doc", "contract A { states a b; }", "case.ia:1:23: expected ;, found 'b'"),
+    ("doc", _GO + "context A::op(x : bool,) { pre P: true; } }",
+     "case.ia:1:86: expected a parameter name, found ')'"),
+    ("doc", _GO + "context A::op(x : bool y : bool) { pre P: true; } }",
+     "case.ia:1:86: expected ), found 'y'"),
+    ("doc", _GO + "var v : enum { }; }", "case.ia:1:78: expected an enum literal, found '}'"),
+    ("doc", _GO + "var v : record { }; }", "case.ia:1:80: expected a field name, found '}'"),
+    ("doc", _GO + "var v : seq bool; }", "case.ia:1:75: expected 'of', found 'bool'"),
+    ("doc", _GO + "var v : map bool bool; }", "case.ia:1:80: expected 'to', found 'bool'"),
+    ("doc", 'document "x" version;', "case.ia:1:21: expected a quoted version, found ';'"),
 ]
 
 
@@ -471,6 +489,26 @@ def test_one_tuple_of_constraints_per_contract():
     doc = ia.ContractDocument((a,), ((),))
     with pytest.raises(ValueError, match="document holds 1 contracts but 2 tuples of constraints"):
         doc._replace(declared=((), ()))
+
+
+def test_a_contract_declares_the_guards_of_its_automaton():
+    doc = ia.parse_document(_GO + "context A::go() { pre P: true; } transitions { s -[go pre P]-> s; } }")
+    with pytest.raises(ValueError, match="contract 'A' are not its preconditions and postconditions"):
+        ia.ContractDocument(doc.automata, ((),))
+    pre, = doc.declared[0]
+    with pytest.raises(ValueError, match="contract 'A' declares two constraints of one name"):
+        ia.ContractDocument(doc.automata, ((pre, pre._replace(kind=ia.ConstraintKind.INV)),))
+    assert ia.ContractDocument(doc.automata, doc.declared, doc.meta) == doc
+
+
+@pytest.mark.parametrize("name, version, error", [
+    ('a"b', None, "cannot hold"),
+    ("a\nb", None, "cannot hold"),
+    (None, "1", "a document version needs a document name"),
+])
+def test_document_meta_refuses_a_header_that_cannot_print(name, version, error):
+    with pytest.raises(ValueError, match=error):
+        ia.DocumentMeta(name, version)
 
 
 def test_record_keyed_map_declaration_round_trips():
