@@ -5,10 +5,14 @@ Each string is parsed as an expression, and a second one of list tokens
 after a random section word (``states``, ``initial``, ``inputs``, ...) as
 the head of a contract. A third string is a declaration built from the
 grammar, a ``type``, a ``var`` or a ``context`` with parameters, over
-random domains, and then mutated by up to two tokens; it is drawn from its
-own seeded stream, so the first two strings do not depend on it. Every
-outcome is recorded: the ``repr`` of the tree and its ``to_text`` form, the
-parsed contract's sections, variables and constraints, or the error text.
+random domains, and then mutated by up to two tokens. A fourth is a whole
+small contract with guarded steps in a ``transitions`` block, mutated the same
+way, so that the checks made once the contract is read (states, actions and
+guards named by a step, bodies sort-checked) are covered too. The third and
+fourth strings are each drawn from their own seeded stream, so no string
+depends on those after it. Every outcome is recorded: the ``repr`` of the tree
+and its ``to_text`` form, the parsed contract's sections, variables,
+constraints and steps, or the error text.
 The SHA-256 of all outcomes is printed, so two checkouts parse alike when
 their digests agree:
 
@@ -46,6 +50,8 @@ DECL_VOCAB = (
     "type var context :: ( ) { } [ ] , ; : = .. - bool opaque int enum seq of maxlen map to "
     "record in out T U a b p 0 1 3 pre P true"
 ).split()
+# the tokens of contracts with steps: a mutation replaces a token with one of these
+STEP_VOCAB = "transitions states initial { } - [ ] -> → ; , :: pre post P Q s t u a b c ns x 1".split()
 
 
 def random_text(rng: random.Random, vocab: list[str]) -> str:
@@ -95,6 +101,11 @@ def random_declaration(rng: random.Random) -> tuple[str, str]:
             return [rng.choice(["in", "out", ""]), rng.choice("pq"), ":", *domain(rng)]
         params = comma_list(rng, param, 0)
         toks = ["context", "C", "::", "op", "(", *params, ")", "{", "pre", "P", ":", "true", ";", "}"]
+    return form, mutate(rng, toks, DECL_VOCAB)
+
+
+def mutate(rng: random.Random, toks: list[str], vocab: list[str]) -> str:
+    """``toks`` after 0-2 token mutations (drop, repeat, or replace from ``vocab``), joined."""
     toks = [t for t in toks if t]
     for _ in range(rng.randint(0, 2)):
         i = rng.randrange(len(toks))
@@ -104,8 +115,27 @@ def random_declaration(rng: random.Random) -> tuple[str, str]:
         elif op == "repeat":
             toks.insert(i, toks[i])
         else:
-            toks[i] = rng.choice(DECL_VOCAB)
-    return form, " ".join(toks)
+            toks[i] = rng.choice(vocab)
+    return " ".join(toks)
+
+
+def random_contract(rng: random.Random) -> str:
+    """A contract with 1-3 guarded steps between 1-3 states, with 0-2 token mutations;
+    a step may name a state, an action or a guard the contract lacks."""
+    names = list("stu"[:rng.randint(1, 3)])
+    toks = ["contract", "C", "{", "states", *" , ".join(names).split()]
+    toks += [";", "initial", "s", ";", "inputs", "a", ";", "outputs", "b", ";",
+             "hidden", "c", ",", "ns", "::", "c", ";", "var", "x", ":", "int", "[", "0", "..", "3", "]", ";",
+             "pre", "P", ":", "x", "<", rng.choice(["2", "x", "true"]), ";",
+             "post", "Q", ":", "x", ">", rng.choice(["x", "x @pre", "1"]), ";", "transitions", "{"]
+    for _ in range(rng.randint(1, 3)):
+        action = rng.choice([["a"], ["b"], ["c"], ["ns", "::", "c"], ["a"], ["b"], ["x"]])
+        guards = rng.choice([[], ["pre", "P"], ["pre", "P"]]) + rng.choice([[], ["post", "Q"], ["post", "Q"]])
+        if rng.random() < 0.1:
+            guards = [rng.choice(["pre", "post"]), rng.choice("PQ")]
+        arrow = rng.choice(["->", "->", "→"])
+        toks += [rng.choice(names + ["u"]), "-", "[", *action, *guards, "]", arrow, rng.choice(names), ";"]
+    return mutate(rng, [*toks, "}", "}"], STEP_VOCAB)
 
 
 def expression(text: str) -> str:
@@ -130,6 +160,12 @@ def declaration(form: str, text: str) -> str:
     return f"{doc.automaton().variables!r} {doc.constraints!r}"
 
 
+def steps(text: str) -> str:
+    """The states, guards and steps of the contract ``text``."""
+    a = ia.parse_document(text).automaton()
+    return f"{a.states} {a.initials} {sorted(a.preconditions)} {sorted(a.postconditions)} {a.transitions!r}"
+
+
 def outcome(parse, text: str) -> tuple[bool, str]:
     try:
         return True, parse(text)
@@ -146,8 +182,9 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     decl_rng = random.Random(f"{args.seed}-declarations")
+    step_rng = random.Random(f"{args.seed}-transitions")
     digest = hashlib.sha256()
-    parsed = heads = decls = 0
+    parsed = heads = decls = contracts = 0
     with args.dump.open("w", encoding="utf-8") if args.dump else nullcontext() as out:
         for _ in range(args.strings):
             text = random_text(rng, VOCAB)
@@ -156,15 +193,18 @@ def main(argv: list[str] | None = None) -> int:
             ok_doc, doc = outcome(document, section)
             form, decl = random_declaration(decl_rng)
             ok_decl, decl_out = outcome(partial(declaration, form), decl)
-            line = f"{text}\t{expr}\t{section}\t{doc}\t{decl}\t{decl_out}\n"
+            contract = random_contract(step_rng)
+            ok_steps, steps_out = outcome(steps, contract)
+            line = f"{text}\t{expr}\t{section}\t{doc}\t{decl}\t{decl_out}\t{contract}\t{steps_out}\n"
             parsed += ok
             heads += ok_doc
             decls += ok_decl
+            contracts += ok_steps
             digest.update(line.encode())
             if out:
                 out.write(line)
-    print(f"{args.strings} strings, {parsed} expressions, {heads} contract heads and {decls}"
-          f" declarations parse, sha256 {digest.hexdigest()}")
+    print(f"{args.strings} strings, {parsed} expressions, {heads} contract heads, {decls}"
+          f" declarations and {contracts} contracts parse, sha256 {digest.hexdigest()}")
     return 0
 
 

@@ -203,6 +203,36 @@ PARSE_ERRORS = [
     ("doc", _GO + "var v : seq bool; }", "case.ia:1:75: expected 'of', found 'bool'"),
     ("doc", _GO + "var v : map bool bool; }", "case.ia:1:80: expected 'to', found 'bool'"),
     ("doc", 'document "x" version;', "case.ia:1:21: expected a quoted version, found ';'"),
+    # errors found after a rule has read on, placed at a token it kept
+    ("doc", _GO + "transitions { t -[go]-> s; } }", "case.ia:1:77: unknown state 't'"),
+    ("doc", _GO + "transitions {\n  s -[go]-> s;\n  s -[go]-> t; } }", "case.ia:3:13: unknown state 't'"),
+    ("doc", _GO + "transitions { s -[stop]-> s; } }", "case.ia:1:81: undeclared action stop"),
+    ("doc", _GO + "transitions { s -[ns::go]-> s; } }", "case.ia:1:81: undeclared action ns::go"),
+    ("doc", _GO + "transitions { s -[go post Q]-> s; } }", "case.ia:1:89: unknown postcondition 'Q'"),
+    ("doc", "contract A { states s; initial s, t; inputs; outputs; hidden; }",
+     "case.ia:1:35: initial state 't' is not a state"),
+    ("doc", _GO + "var x : bool; var x : int[0..1]; }", "case.ia:1:81: duplicate variable 'x'"),
+    ("doc", _GO + "var a.b : bool;\nvar a.b : bool; }", "case.ia:2:5: duplicate variable 'a.b'"),
+    ("doc", _GO + "pre P: true; post P: true; }", "case.ia:1:81: duplicate constraint name 'P'"),
+    ("doc", "contract A { states s, t, s; }", "case.ia:1:27: duplicate state 's'"),
+    ("doc", "contract A { states s; inputs a, b, a; }",
+     "case.ia:1:37: action a declared twice under 'inputs'"),
+    ("doc", "contract A { states s; inputs; outputs; hidden go, ns::go, go; }",
+     "case.ia:1:60: action go declared twice under 'hidden'"),
+    ("doc", _GO + "var x : int[0..3];\n  pre P: (x + 1); }",
+     "case.ia:2:10: constraint P: body has sort int, expected boolean in `x + 1`"),
+    ("doc", _GO + "var v : Foo; }", "case.ia:1:71: unknown type name 'Foo'"),
+    ("doc", _GO + "var v : int[3..1]; }", "case.ia:1:71: empty integer range [3..1]"),
+    ("doc", _GO + "var v : seq of int[1..0]; }", "case.ia:1:78: empty integer range [1..0]"),
+    ("doc", _GO + "var v : enum { a, b, a }; }", "case.ia:1:71: enum domain repeats a literal"),
+    ("doc", _GO + "var v : record { f : bool, f : bool }; }",
+     "case.ia:1:71: record domain repeats a field name"),
+    ("doc", _GO + "var x : bool;\n  pre P: x@pre; }",
+     "case.ia:2:3: constraint P: old-state references are only legal in postconditions"),
+    ("doc", "contract A { inputs; outputs; hidden; }",
+     "case.ia:1:10: contract 'A' is missing its 'states' section"),
+    ("doc", "\ncontract\n  A { states s; inputs; outputs; }",
+     "case.ia:3:3: contract 'A' is missing its 'hidden' section"),
 ]
 
 
