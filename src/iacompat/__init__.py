@@ -19,7 +19,6 @@ from .automata import (
     ProductResult,
     Transition,
     composable,
-    conjoin_constraints,
     empty_automaton,
     product,
     qualify_hidden,
@@ -52,7 +51,6 @@ from .evaluate import (
     MissingVariable,
     UndefinedApplication,
     Valuation,
-    eval_constraint,
     evaluate,
     simplify,
 )
@@ -82,7 +80,7 @@ from .exprs import (
     walk,
 )
 from .falsity import FalsityResult, Verdict, constraint_falsity, default_budget, falsity
-from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from .fixtures import fixture_text, load_fixture
 from .lexer import ParseError
 from .verifier import (
     AllGuardsFalse,

@@ -332,7 +332,7 @@ def _merge_params(p1: tuple[ParamDecl, ...], p2: tuple[ParamDecl, ...]) -> tuple
     return tuple(merged.values())
 
 
-def conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str) -> NamedConstraint:
+def _conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str) -> NamedConstraint:
     """Canonical conjunction of two same-kind constraints, sorted by name."""
     first, second = sorted((c1, c2), key=lambda c: c.name)
     ops = [c.context.operation for c in (first, second) if c.context.operation]
@@ -383,7 +383,7 @@ class _GuardRegistry:
 
     def conjoin(self, n1: str, n2: str) -> str:
         if (n1, n2) not in self.conjunctions:
-            conj = conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
+            conj = _conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
             self.conjunctions[n1, n2] = self.intern(conj)
         return self.conjunctions[n1, n2]
 

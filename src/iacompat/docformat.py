@@ -73,8 +73,8 @@ from .exprs import (
     to_text,
 )
 from .expr_parse import DeclsArg, parse_domain, parse_expr
-from .frozen import Frozen
-from .lexer import Token, TokenStream
+from .frozen import Frozen, _new
+from .lexer import TokenStream
 
 
 class DocumentMeta(Frozen):
@@ -90,7 +90,8 @@ class DocumentMeta(Frozen):
 
 class ContractDocument(Frozen):
     """The automata of a ``.ia`` document, each with the named constraints its contract
-    declared: ``declared[i]`` holds ``automata[i]``'s, in declaration order."""
+    declared: ``declared[i]`` holds ``automata[i]``'s, in declaration order. A document
+    built in code is checked as parsing checks one, so that it prints text that parses."""
 
     automata: tuple[InterfaceAutomaton, ...] = ()
     declared: tuple[tuple[NamedConstraint, ...], ...] = ()
@@ -107,6 +108,12 @@ class ContractDocument(Frozen):
                     or {c.name: c for c in cs if c.kind is ConstraintKind.POST} != a.postconditions):
                 raise ValueError(f"the pre and post constraints declared for contract {a.name!r} "
                                  "are not its preconditions and postconditions")
+            decls = decls_mapping(a.variables)
+            for c in cs:
+                try:
+                    _check_body(c, decls)
+                except (SortError, UnknownVariable) as exc:
+                    raise ValueError(f"contract {a.name!r}, constraint {c.name}: {exc}") from None
 
     @property
     def constraints(self) -> tuple[NamedConstraint, ...]:
@@ -135,10 +142,10 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     ts = TokenStream(text, source)
     meta = DocumentMeta()
     if ts.accept("ident", "document"):
-        name = ts.expect("string", what="a quoted document name").text
+        name = ts.expect("string", what="a quoted document name")
         version = None
         if ts.accept("ident", "version"):
-            version = ts.expect("string", what="a quoted version").text
+            version = ts.expect("string", what="a quoted version")
         ts.expect("punct", ";")
         meta = DocumentMeta(name, version)
 
@@ -146,15 +153,15 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     automata: list[InterfaceAutomaton] = []
     declared: list[tuple[NamedConstraint, ...]] = []
 
-    while ts.current.kind != "eof":
+    while ts.kind != "eof":
         if ts.accept("ident", "type"):
-            name_tok = ts.expect("ident", what="a type name")
-            if name_tok.text in type_env:
-                raise ts.error(f"duplicate type name {name_tok.text!r}", name_tok)
+            if ts.kind == "ident" and ts.text in type_env:
+                raise ts.error(f"duplicate type name {ts.text!r}")
+            name = ts.expect("ident", what="a type name")
             ts.expect("punct", "=")
             dom = parse_domain(ts, type_env)
             ts.expect("punct", ";")
-            type_env[name_tok.text] = dom
+            type_env[name] = dom
         elif ts.accept("ident", "contract"):
             automaton, own = _parse_contract(ts, type_env)
             if any(a.name == automaton.name for a in automata):
@@ -162,8 +169,9 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             automata.append(automaton)
             declared.append(own)
         else:
-            raise ts.error(f"expected 'type' or 'contract', found {ts.current.text or 'end of input'!r}")
-    return ContractDocument(tuple(automata), tuple(declared), meta)
+            raise ts.error(f"expected 'type' or 'contract', found {ts.text or 'end of input'!r}")
+    # the parser has made every check of ContractDocument's
+    return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
 
 
 def parse_constraint(
@@ -182,12 +190,11 @@ def parse_constraint(
     """
     ts = TokenStream(text, source)
     c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
-    tok = ts.advance()
-    if tok.kind != "ident" or tok.text not in ("context", *_KINDS):
-        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {tok.text or 'end of input'!r}", tok)
-    SECTIONS[tok.text].read(c, tok)
+    if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
+        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.text or 'end of input'!r}")
+    SECTIONS[ts.advance()].read(c, 0)
     if not c.constraints:
-        raise ts.error("expected a constraint, found an empty context block", tok)
+        raise ts.error("expected a constraint, found an empty context block", 0)
     (constraint, _), = c.constraints.values()
     if decls is not None:
         _check_body(constraint, decls_mapping(decls))
@@ -203,83 +210,82 @@ def _check_body(c: NamedConstraint, decls: Mapping[str, Domain]) -> None:
 
 def _parse_contract(ts: TokenStream,
                     type_env: dict[str, Domain]) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
-    name_tok = ts.expect("ident", what="a contract name")
+    name_at = ts.at
+    c = _Contract(ts, type_env, ts.expect("ident", what="a contract name"))
     ts.expect("punct", "{")
-    c = _Contract(ts, type_env, name_tok.text)
     seen: dict[str, int] = {}
     while not ts.accept("punct", "}"):
-        tok = ts.current
-        section = SECTIONS.get(tok.text) if tok.kind == "ident" else None
+        word = ts.text
+        section = SECTIONS.get(word) if ts.kind == "ident" else None
         if section is None:
-            if tok.kind == "eof":
+            if ts.kind == "eof":
                 raise ts.error(f"unterminated contract {c.name!r}")
-            raise ts.error(f"unexpected {tok.text!r} in contract {c.name!r}")
-        seen[tok.text] = count = seen.get(tok.text, 0) + 1
+            raise ts.error(f"unexpected {word!r} in contract {c.name!r}")
+        seen[word] = count = seen.get(word, 0) + 1
         if count > section.most:
-            raise ts.error(f"duplicate section {tok.text!r}", tok)
+            raise ts.error(f"duplicate section {word!r}")
         ts.advance()
-        section.read(c, tok)
+        section.read(c, ts.at - 1)
     for word, section in SECTIONS.items():
         if seen.get(word, 0) < section.least:
-            raise ts.error(f"contract {c.name!r} is missing its {word!r} section", name_tok)
+            raise ts.error(f"contract {c.name!r} is missing its {word!r} section", name_at)
     return c.finish()
 
 
 class _Contract:
-    """What the sections of one contract have read so far. ``end`` is what ends a
-    constraint, as ``TokenStream.expect`` arguments: its ``;`` in a document."""
+    """What the sections of one contract have read so far, each name with the index of its
+    token. ``end`` is what ends a constraint, as ``TokenStream.expect`` arguments: its ``;``
+    in a document. A section reader is given the index of its keyword."""
 
     def __init__(self, ts: TokenStream, type_env: Mapping[str, Domain], name: Optional[str],
                  end: tuple[str, Optional[str], Optional[str]] = ("punct", ";", None)):
         self.ts, self.type_env, self.name, self.end = ts, type_env, name, end
-        # each list section's names by automaton field, each with its token
-        self.lists: dict[str, dict[Any, Token]] = defaultdict(dict)
+        # each list section's names by automaton field
+        self.lists: dict[str, dict[Any, int]] = defaultdict(dict)
         self.variables: dict[str, VariableDecl] = {}
         # every constraint by name in declaration order, with its body's first token
-        self.constraints: dict[str, tuple[NamedConstraint, Token]] = {}
+        self.constraints: dict[str, tuple[NamedConstraint, int]] = {}
         self.unnamed = 0
-        self.steps: list[tuple] = []  # (source, action, action token, pre, post, target)
+        self.steps: list[tuple] = []  # (source, label, label's token, pre, post, target), by token
 
-    def read_var(self, _: Token) -> None:
+    def read_var(self, _: int) -> None:
         ts = self.ts
-        name_tok = ts.expect("ident", what="a variable name")
-        vname = name_tok.text
+        name_at = ts.at
+        vname = ts.expect("ident", what="a variable name")
         while ts.accept("punct", "."):
-            vname += "." + ts.expect("ident", what="a path segment").text
+            vname += "." + ts.expect("ident", what="a path segment")
         if vname in self.variables:
-            raise ts.error(f"duplicate variable {vname!r}", name_tok)
+            raise ts.error(f"duplicate variable {vname!r}", name_at)
         ts.expect("punct", ":")
         dom = parse_domain(ts, self.type_env)
         ts.expect("punct", ";")
         self.variables[vname] = VariableDecl(vname, dom)
 
-    def read_context(self, _: Token) -> None:
+    def read_context(self, _: int) -> None:
         ts = self.ts
-        owner = ts.expect("ident", what="a contract name").text
+        owner = ts.expect("ident", what="a contract name")
         if not ts.accept("punct", "::"):  # the one-line form: context Owner pre N: body;
             return self.read_constraint(_parse_kind_word(ts), ConstraintContext(owner))
-        op = ts.expect("ident", what="an operation name").text
+        op = ts.expect("ident", what="an operation name")
         ctx = ConstraintContext(owner, op, _parse_params(ts, self.type_env))
         if not ts.accept("punct", "{"):
             return self.read_constraint(_parse_kind_word(ts), ctx)
         while not ts.accept("punct", "}"):
-            if ts.current.kind == "eof":
+            if ts.kind == "eof":
                 raise ts.error("unterminated context block")
             self.read_constraint(_parse_kind_word(ts), ctx)
 
-    def read_constraint(self, kind_tok: Token, ctx: Optional[ConstraintContext] = None) -> None:
-        """``[IDENT] ":" expr ";"`` after the kind word ``kind_tok``; the contract owns it by default."""
+    def read_constraint(self, kind_at: int, ctx: Optional[ConstraintContext] = None) -> None:
+        """``[IDENT] ":" expr ";"`` after the kind word at ``kind_at``; the contract owns it by default."""
         ts, constraints = self.ts, self.constraints
-        kind = _KINDS[kind_tok.text]
+        kind = _KINDS[ts.texts[kind_at]]
         name = None
-        nxt = ts.lookahead
-        if ts.current.kind == "ident" and nxt.kind == "punct" and nxt.text == ":":
-            name_t = ts.advance()
-            name = name_t.text
-            if name in constraints:
-                raise ts.error(f"duplicate constraint name {name!r}", name_t)
+        if ts.kind == "ident" and ts.lookahead == ("punct", ":"):
+            if ts.text in constraints:
+                raise ts.error(f"duplicate constraint name {ts.text!r}")
+            name = ts.advance()
         ts.expect("punct", ":")
-        body_tok = ts.current
+        body_at = ts.at
         body = parse_expr(ts)
         ts.expect(*self.end)
         while name is None or name in constraints:
@@ -288,59 +294,59 @@ class _Contract:
         try:
             c = NamedConstraint(name, kind, body, ctx or ConstraintContext(self.name))
         except ValueError as exc:  # old-state reference outside a postcondition
-            raise ts.error(str(exc), kind_tok) from None
-        constraints[name] = c, body_tok
+            raise ts.error(str(exc), kind_at) from None
+        constraints[name] = c, body_at
 
-    def read_transitions(self, _: Token) -> None:
+    def read_transitions(self, _: int) -> None:
         ts, steps = self.ts, self.steps
         ts.expect("punct", "{")
         while not ts.accept("punct", "}"):
-            if ts.current.kind == "eof":
+            if ts.kind == "eof":
                 raise ts.error("unterminated transitions block")
-            src = ts.expect("ident", what="a source state")
+            src = _parse_name(ts, "a source state")[1]
             ts.expect("punct", "-")
             ts.expect("punct", "[")
-            action, action_tok = _parse_label(ts)
-            pre_tok = ts.expect("ident", what="a precondition name") if ts.accept("ident", "pre") else None
-            post_tok = ts.expect("ident", what="a postcondition name") if ts.accept("ident", "post") else None
+            action, action_at = _parse_label(ts)
+            pre = _parse_name(ts, "a precondition name")[1] if ts.accept("ident", "pre") else None
+            post = _parse_name(ts, "a postcondition name")[1] if ts.accept("ident", "post") else None
             ts.expect("punct", "]")
             ts.expect("punct", "->")
-            tgt = ts.expect("ident", what="a target state")
+            tgt = _parse_name(ts, "a target state")[1]
             ts.expect("punct", ";")
-            steps.append((src, action, action_tok, pre_tok, post_tok, tgt))
+            steps.append((src, action, action_at, pre, post, tgt))
 
     def finish(self) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
         """Resolve the names the sections use and sort-check every constraint body."""
-        ts, lists = self.ts, self.lists
+        ts, lists, texts = self.ts, self.lists, self.ts.texts
         states = lists["states"]
-        for t in lists["initials"].values():
-            if t.text not in states:
-                raise ts.error(f"initial state {t.text!r} is not a state", t)
+        for name, at in lists["initials"].items():
+            if name not in states:
+                raise ts.error(f"initial state {name!r} is not a state", at)
         alphabet = lists["inputs"].keys() | lists["outputs"].keys() | lists["hidden"].keys()
         declared = tuple(c for c, _ in self.constraints.values())
         pres = {c.name: c for c in declared if c.kind is ConstraintKind.PRE}
         posts = {c.name: c for c in declared if c.kind is ConstraintKind.POST}
 
         transitions: list[Transition] = []
-        for source, action, action_tok, pre, post, target in self.steps:
+        for source, action, action_at, pre, post, target in self.steps:
             for endpoint in (source, target):
-                if endpoint.text not in states:
-                    raise ts.error(f"unknown state {endpoint.text!r}", endpoint)
+                if texts[endpoint] not in states:
+                    raise ts.error(f"unknown state {texts[endpoint]!r}", endpoint)
             if action not in alphabet:
-                raise ts.error(f"undeclared action {action}", action_tok)
-            if pre is not None and pre.text not in pres:
-                raise ts.error(f"unknown precondition {pre.text!r}", pre)
-            if post is not None and post.text not in posts:
-                raise ts.error(f"unknown postcondition {post.text!r}", post)
-            transitions.append(Transition(source.text, pre.text if pre else None, action,
-                                          post.text if post else None, target.text))
+                raise ts.error(f"undeclared action {action}", action_at)
+            if pre is not None and texts[pre] not in pres:
+                raise ts.error(f"unknown precondition {texts[pre]!r}", pre)
+            if post is not None and texts[post] not in posts:
+                raise ts.error(f"unknown postcondition {texts[post]!r}", post)
+            transitions.append(Transition(texts[source], None if pre is None else texts[pre], action,
+                                          None if post is None else texts[post], texts[target]))
 
         decl_domains = decls_mapping(self.variables)
-        for c, body_tok in self.constraints.values():
+        for c, body_at in self.constraints.values():
             try:
                 _check_body(c, decl_domains)
             except (SortError, UnknownVariable) as exc:
-                raise ts.error(f"constraint {c.name}: {exc}", body_tok) from None
+                raise ts.error(f"constraint {c.name}: {exc}", body_at) from None
 
         automaton = InterfaceAutomaton(
             name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
@@ -353,37 +359,37 @@ class _Contract:
 _KINDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
-def _parse_kind_word(ts: TokenStream) -> Token:
-    """The kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
-    t = ts.expect("ident", what="'pre', 'post' or 'inv'")
-    if t.text not in _KINDS:
-        raise ts.error(f"expected 'pre', 'post' or 'inv', found {t.text!r}", t)
-    return t
+def _parse_kind_word(ts: TokenStream) -> int:
+    """The index of the kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
+    at = ts.at
+    if ts.expect("ident", what="'pre', 'post' or 'inv'") not in _KINDS:
+        raise ts.error(f"expected 'pre', 'post' or 'inv', found {ts.texts[at]!r}", at)
+    return at
 
 
 def _parse_params(ts: TokenStream, type_env: Mapping[str, Domain]) -> tuple[ParamDecl, ...]:
     """``( [in|out] name : domain, ... )``, the parentheses included."""
     def param(ts: TokenStream) -> ParamDecl:
         mode = ts.accept("ident", "in") or ts.accept("ident", "out")
-        pname = ts.expect("ident", what="a parameter name").text
+        pname = ts.expect("ident", what="a parameter name")
         ts.expect("punct", ":")
-        return ParamDecl(pname, parse_domain(ts, type_env), mode and mode.text)
+        return ParamDecl(pname, parse_domain(ts, type_env), mode)
 
     ts.expect("punct", "(")
     return ts.items(param, ")")
 
 
-def _parse_name(ts: TokenStream, what: str) -> tuple[str, Token]:
-    tok = ts.expect("ident", what=what)
-    return tok.text, tok
+def _parse_name(ts: TokenStream, what: str) -> tuple[str, int]:
+    at = ts.at
+    return ts.expect("ident", what=what), at
 
 
-def _parse_label(ts: TokenStream) -> tuple[ActionLabel, Token]:
-    tok = ts.expect("ident", what="an action name")
+def _parse_label(ts: TokenStream) -> tuple[ActionLabel, int]:
+    at = ts.at
+    name = ts.expect("ident", what="an action name")
     if ts.accept("punct", "::"):
-        name = ts.expect("ident", what="an action name").text
-        return ActionLabel(name, tok.text), tok
-    return ActionLabel(tok.text), tok
+        return ActionLabel(ts.expect("ident", what="an action name"), name), at
+    return ActionLabel(name), at
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +509,22 @@ class Section(Frozen):
 
     least: int  # the section must appear at least this often
     most: float  # and at most this often
-    read: Callable[[_Contract, Token], None]
+    read: Callable[[_Contract, int], None]
     show: Optional[Callable[[str, InterfaceAutomaton, tuple[NamedConstraint, ...]], list[str]]] = None
 
 
-def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tuple[Any, Token]],
+def _list_section(least: int, field: str, read_item: Callable[[TokenStream], tuple[Any, int]],
                   duplicate: str) -> Section:
     """``keyword [item {"," item}] ";"``, at most once, held in the automaton's ``field``;
     an item read twice is the error ``duplicate.format(item)`` at its token."""
-    def read(c: _Contract, _: Token) -> None:
+    def read(c: _Contract, _: int) -> None:
         into = c.lists[field]
 
         def item(ts: TokenStream) -> None:
-            value, tok = read_item(ts)
+            value, at = read_item(ts)
             if value in into:
-                raise ts.error(duplicate.format(value), tok)
-            into[value] = tok
+                raise ts.error(duplicate.format(value), at)
+            into[value] = at
 
         c.ts.items(item, ";")
 

@@ -24,19 +24,16 @@ from .exprs import (
     BinOp,
     BoolLit,
     Chain,
-    ConstraintKind,
     EnumLit,
     Expr,
     FieldAccess,
     IntLit,
     Membership,
     MethodCall,
-    NamedConstraint,
     Not,
     SetLit,
     VarRef,
     children,
-    has_old_refs,
     to_text,
 )
 from .frozen import Frozen, factory
@@ -329,13 +326,6 @@ def _method(e: MethodCall, name: str, sub: list[Compiled], env: Any) -> Value:
             raise EvalError("front with a negative length")
         return v[: min(k, len(v))]
     raise EvalError(f"unknown method {name!r}")
-
-
-def eval_constraint(c: NamedConstraint, val: Valuation) -> bool:
-    """Truth of a named constraint. Postconditions may read the old state."""
-    if c.kind is ConstraintKind.POST and val.old is None and has_old_refs(c.body):
-        raise EvalError(f"postcondition {c.name} needs an old-state map")
-    return _as_bool(c.body, evaluate(c.body, val))
 
 
 # ---------------------------------------------------------------------------

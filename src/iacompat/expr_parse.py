@@ -71,23 +71,18 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
             return Not(parse_expr(ts, level))
         return parse_expr(ts, level + 1)
     left = parse_expr(ts, level + 1)
-    t = ts.current
-    if t.text not in ops or t.kind not in _OPERATOR_KINDS:
+    if ts.text not in ops or ts.kind not in _OPERATOR_KINDS:
         return left
     if form == "run":
         links, operands = [], [left]
-        while t.text in ops and t.kind in _OPERATOR_KINDS:
-            ts.advance()
-            links.append(t.text)
+        while ts.text in ops and ts.kind in _OPERATOR_KINDS:
+            links.append(ts.advance())
             operands.append(parse_expr(ts, level + 1))
-            t = ts.current
         return Chain(tuple(links), tuple(operands))
     # a comparison or a membership takes one right operand
-    if t.text != "in":
-        ts.advance()
-        return BinOp(t.text, left, parse_expr(ts, level + 1))
-    nxt = ts.lookahead
-    if nxt.kind != "ident" or nxt.text != "set":
+    if ts.text != "in":
+        return BinOp(ts.advance(), left, parse_expr(ts, level + 1))
+    if ts.lookahead != ("ident", "set"):
         return left  # the word was something else, e.g. a parameter mode
     ts.advance()
     ts.advance()
@@ -118,13 +113,13 @@ def _parse_postfix(ts: TokenStream) -> Expr:
             ts.expect("punct", "]")
             e = Apply(e, key)
         elif ts.accept("punct", "."):
-            name = ts.expect("ident", what="a member name").text
+            name = ts.expect("ident", what="a member name")
             if name in BUILTIN_METHODS:
                 e = MethodCall(e, name, _parse_optional_args(ts))
             else:
                 e = FieldAccess(e, name)
         elif ts.accept("punct", "->"):
-            name = ts.expect("ident", what="a collection operation").text
+            name = ts.expect("ident", what="a collection operation")
             if name not in BUILTIN_METHODS:
                 raise ts.error(f"unknown arrow operation {name!r}")
             e = MethodCall(e, name, _parse_optional_args(ts))
@@ -137,33 +132,28 @@ def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
 
 
 def _parse_primary(ts: TokenStream) -> Expr:
-    t = ts.current
-    if t.kind == "int":
-        ts.advance()
-        return IntLit(int(t.text))
-    if t.kind == "enumlit":
-        ts.advance()
-        return EnumLit(t.text)
+    kind, text = ts.kind, ts.text
+    if kind == "int":
+        return IntLit(int(ts.advance()))
+    if kind == "enumlit":
+        return EnumLit(ts.advance())
     if ts.accept("punct", "-"):
-        num = ts.expect("int", what="an integer literal")
-        return IntLit(-int(num.text))
+        return IntLit(-int(ts.expect("int", what="an integer literal")))
     if ts.accept("punct", "("):
         e = parse_expr(ts)
         ts.expect("punct", ")")
         return e
     if ts.accept("punct", "{"):
         return SetLit(ts.items(parse_expr, "}"))
-    if t.kind == "ident":
-        if t.text == "true":
-            ts.advance()
+    if kind == "ident":
+        if ts.accept("ident", "true"):
             return BoolLit(True)
-        if t.text == "false":
-            ts.advance()
+        if ts.accept("ident", "false"):
             return BoolLit(False)
-        if t.text in _EXPR_RESERVED:
-            raise ts.error(f"{t.text!r} cannot start an expression")
+        if text in _EXPR_RESERVED:
+            raise ts.error(f"{text!r} cannot start an expression")
         return _parse_path(ts)
-    raise ts.error(f"expected an expression, found {t.text or 'end of input'!r}")
+    raise ts.error(f"expected an expression, found {text or 'end of input'!r}")
 
 
 def _parse_path(ts: TokenStream) -> VarRef:
@@ -172,17 +162,17 @@ def _parse_path(ts: TokenStream) -> VarRef:
     A dotted suffix naming a collection built-in belongs to the postfix layer,
     not to the path: ``devOn.range`` is a method call on the variable ``devOn``.
     """
-    parts = [ts.expect("ident").text]
+    parts = [ts.expect("ident")]
     old = False
     while True:
         if not old and ts.accept("oldmark"):
             old = True
             continue
         if ts.peek("punct", "."):
-            nxt = ts.lookahead
-            if nxt.kind == "ident" and nxt.text not in BUILTIN_METHODS:
+            kind, text = ts.lookahead
+            if kind == "ident" and text not in BUILTIN_METHODS:
                 ts.advance()
-                parts.append(ts.advance().text)
+                parts.append(ts.advance())
                 continue
         break
     return VarRef(tuple(parts), old)
@@ -202,8 +192,8 @@ def parse_expression(
     an undeclared variable has the opaque sort."""
     ts = TokenStream(text, source)
     e = parse_expr(ts)
-    if ts.current.kind != "eof":
-        raise ts.error(f"unexpected trailing input {ts.current.text!r}")
+    if ts.kind != "eof":
+        raise ts.error(f"unexpected trailing input {ts.text!r}")
     infer_sort(e, SortScope(decls=decls_mapping(decls or {}), params=dict(params or {}),
                             open_world=decls is None))
     return e
@@ -214,7 +204,7 @@ def parse_expression(
 
 def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
     """A domain descriptor; a name must be one of ``type_env``'s aliases."""
-    t = ts.current
+    at = ts.at
     if ts.accept("ident", "bool"):
         return BoolDomain()
     if ts.accept("ident", "opaque"):
@@ -228,23 +218,23 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
         try:
             return IntRangeDomain(lo, hi)
         except ValueError as exc:
-            raise ts.error(str(exc), t) from None
+            raise ts.error(str(exc), at) from None
     if ts.accept("ident", "enum"):
         ts.expect("punct", "{")
-        lits = [ts.expect("ident", what="an enum literal").text]
+        lits = [ts.expect("ident", what="an enum literal")]
         while ts.accept("punct", ","):
-            lits.append(ts.expect("ident", what="an enum literal").text)
+            lits.append(ts.expect("ident", what="an enum literal"))
         ts.expect("punct", "}")
         try:
             return EnumDomain(tuple(lits))
         except ValueError as exc:
-            raise ts.error(str(exc), t) from None
+            raise ts.error(str(exc), at) from None
     if ts.accept("ident", "seq"):
         ts.expect("ident", "of", what="'of'")
         elem = parse_domain(ts, type_env)
         max_len = None
         if ts.accept("ident", "maxlen"):
-            max_len = int(ts.expect("int", what="a length bound").text)
+            max_len = int(ts.expect("int", what="a length bound"))
         return SeqDomain(elem, max_len)
     if ts.accept("ident", "map"):
         key = parse_domain(ts, type_env)
@@ -255,7 +245,7 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
         ts.expect("punct", "{")
         fields: list[tuple[str, Domain]] = []
         while True:
-            fname = ts.expect("ident", what="a field name").text
+            fname = ts.expect("ident", what="a field name")
             ts.expect("punct", ":")
             fields.append((fname, parse_domain(ts, type_env)))
             if not ts.accept("punct", ","):
@@ -264,16 +254,16 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
         try:
             return RecordDomain(tuple(fields))
         except ValueError as exc:
-            raise ts.error(str(exc), t) from None
-    if t.kind == "ident":
-        ts.advance()
-        if t.text in type_env:
-            return type_env[t.text]
-        raise ts.error(f"unknown type name {t.text!r}", t)
-    raise ts.error(f"expected a domain, found {t.text or 'end of input'!r}")
+            raise ts.error(str(exc), at) from None
+    if ts.kind == "ident":
+        name = ts.advance()
+        if name in type_env:
+            return type_env[name]
+        raise ts.error(f"unknown type name {name!r}", at)
+    raise ts.error(f"expected a domain, found {ts.text or 'end of input'!r}")
 
 
 def _parse_signed_int(ts: TokenStream) -> int:
     if ts.accept("punct", "-"):
-        return -int(ts.expect("int").text)
-    return int(ts.expect("int", what="an integer").text)
+        return -int(ts.expect("int"))
+    return int(ts.expect("int", what="an integer"))

@@ -17,24 +17,31 @@ from iacompat import (
     ActionClass,
     Apply,
     BinOp,
+    BoolDomain,
     BoolLit,
     Chain,
+    EnumDomain,
     EnumLit,
     EvalError,
     FieldAccess,
     IntLit,
+    IntRangeDomain,
+    MapDomain,
     Membership,
     MethodCall,
     MissingVariable,
     Not,
+    RecordDomain,
+    SeqDomain,
     SetLit,
     UndefinedApplication,
     Valuation,
     VarRef,
     to_text,
 )
+from iacompat.domains import FrozenMap
 from iacompat.evaluate import MixedSorts
-from iacompat.lexer import ParseError, Token
+from iacompat.lexer import ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +61,7 @@ _PUNCTS = (
 
 
 def oracle_tokenize(text, source="<string>"):
-    """Tokens as ``(Token(kind, text, offset), line, col)``, counted one character at a time."""
+    """Tokens as ``((kind, text, offset), line, col)``, counted one character at a time."""
     toks = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -76,26 +83,26 @@ def oracle_tokenize(text, source="<string>"):
             i = j
             continue
         if ch == "~":
-            toks.append((Token("oldmark", "~", i), line, col))
+            toks.append((("oldmark", "~", i), line, col))
             i += 1
             col += 1
             continue
         if ch == "@":
             if text.startswith("@pre", i):
-                toks.append((Token("oldmark", "@pre", i), line, col))
+                toks.append((("oldmark", "@pre", i), line, col))
                 i += 4
                 col += 4
                 continue
             raise ParseError("stray '@' (did you mean '@pre'?)", line, col, source)
         if ch == "→":
-            toks.append((Token("punct", "->", i), line, col))
+            toks.append((("punct", "->", i), line, col))
             i += 1
             col += 1
             continue
         if ch == "<":
             m = _ENUMLIT.match(text, i)
             if m:
-                toks.append((Token("enumlit", m.group(0)[1:-1], i), line, col))
+                toks.append((("enumlit", m.group(0)[1:-1], i), line, col))
                 col += m.end() - i
                 i = m.end()
                 continue
@@ -103,31 +110,31 @@ def oracle_tokenize(text, source="<string>"):
             m = _STRING.match(text, i)
             if not m:
                 raise ParseError("unterminated string literal", line, col, source)
-            toks.append((Token("string", m.group(0)[1:-1], i), line, col))
+            toks.append((("string", m.group(0)[1:-1], i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         m = _IDENT.match(text, i)
         if m:
-            toks.append((Token("ident", m.group(0), i), line, col))
+            toks.append((("ident", m.group(0), i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         m = _INT.match(text, i)
         if m:
-            toks.append((Token("int", m.group(0), i), line, col))
+            toks.append((("int", m.group(0), i), line, col))
             col += m.end() - i
             i = m.end()
             continue
         for p in _PUNCTS:
             if text.startswith(p, i):
-                toks.append((Token("punct", p, i), line, col))
+                toks.append((("punct", p, i), line, col))
                 i += len(p)
                 col += len(p)
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col, source)
-    toks.append((Token("eof", "", i), line, col))
+    toks.append((("eof", "", i), line, col))
     return toks
 
 
@@ -392,6 +399,35 @@ def _own_resolve(decl_map, dotted):
     raise KeyError(dotted)
 
 
+def oracle_values(domain):
+    """Every value of ``domain``, listed kind by kind, or None when it has no finite list:
+    an opaque domain, or a sequence without ``maxlen``, or a domain holding one."""
+    if isinstance(domain, BoolDomain):
+        return [False, True]
+    if isinstance(domain, IntRangeDomain):
+        return list(range(domain.lower, domain.upper + 1))
+    if isinstance(domain, EnumDomain):
+        return list(domain.literals)
+    if isinstance(domain, SeqDomain):
+        elems = oracle_values(domain.element)
+        if elems is None or domain.max_len is None:
+            return None
+        return [seq for k in range(domain.max_len + 1) for seq in itertools.product(elems, repeat=k)]
+    if isinstance(domain, MapDomain):
+        keys, vals = oracle_values(domain.key), oracle_values(domain.value)
+        if keys is None or vals is None:
+            return None
+        absent = object()  # a key the map leaves out
+        return [FrozenMap({k: v for k, v in zip(keys, image) if v is not absent})
+                for image in itertools.product([absent, *vals], repeat=len(keys))]
+    if isinstance(domain, RecordDomain):
+        pools = [oracle_values(d) for _, d in domain.fields]
+        if any(pool is None for pool in pools):
+            return None
+        return [FrozenMap(zip([n for n, _ in domain.fields], combo)) for combo in itertools.product(*pools)]
+    return None  # opaque
+
+
 def oracle_falsity(expr, decls, params=()):
     """True iff no enumerated valuation satisfies expr.
 
@@ -409,14 +445,16 @@ def oracle_falsity(expr, decls, params=()):
         (roots_old if old else roots_cur).add(root)
     roots_cur |= roots_old  # old roots also need a current value
     names = sorted(roots_cur)
-    domains = [decl_map[n] for n in names]
-    if any(d.count() is None for d in domains):
-        return None
+    pools = []
+    for n in names:
+        pools.append(oracle_values(decl_map[n]))
+        if pools[-1] is None:
+            return None
     old_names = sorted(roots_old)
-    old_domains = [decl_map[n] for n in old_names]
-    for cur in itertools.product(*(tuple(d.values()) for d in domains)):
+    old_pools = [pools[names.index(n)] for n in old_names]
+    for cur in itertools.product(*pools):
         base = dict(zip(names, cur))
-        for old in itertools.product(*(tuple(d.values()) for d in old_domains)):
+        for old in itertools.product(*old_pools):
             val = Valuation(values=base, old=dict(zip(old_names, old)) if old_names else None)
             try:
                 if oracle_evaluate(expr, val) is True:

@@ -9,7 +9,7 @@ import iacompat as ia
 from iacompat.domains import FrozenMap as FM, resolve_path
 from iacompat.evaluate import compile_expr, slot_access
 from iacompat.exprs import SortScope, infer_sort
-from oracles import collect_paths, oracle_evaluate, oracle_falsity
+from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
 from randgen import (
     INT_DECLS,
     INT_PARAMS,
@@ -284,33 +284,33 @@ def test_membership_desugars_to_domain_call():
 def test_pre_is_boundary():
     c = parse_case("LDPreIS")
     for s in range(10):
-        assert ia.eval_constraint(c, ia.Valuation({"myCS.s": s})) is True
-    assert ia.eval_constraint(c, ia.Valuation({"myCS.s": 10})) is False
+        assert ia.evaluate(c.body, ia.Valuation({"myCS.s": s})) is True
+    assert ia.evaluate(c.body, ia.Valuation({"myCS.s": 10})) is False
 
 
 def test_pre_cc_truth_table_spot():
     c = parse_case("LDPreCC")
-    assert ia.eval_constraint(c, ia.Valuation({"myCS.c": "off", "newc": "undecided"})) is True
-    assert ia.eval_constraint(c, ia.Valuation({"myCS.c": "off", "newc": "leader"})) is False
-    assert ia.eval_constraint(c, ia.Valuation({"myCS.c": "undecided", "newc": "follower"})) is True
+    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "undecided"})) is True
+    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "leader"})) is False
+    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "undecided", "newc": "follower"})) is True
 
 
 def test_post_is_requires_old_state():
     c = parse_case("LDPostIS")
     ok = ia.Valuation({"myCS": {"c": "off", "s": 5}}, old={"myCS": {"c": "off", "s": 4}})
-    assert ia.eval_constraint(c, ok) is True
+    assert ia.evaluate(c.body, ok) is True
     wrong = ia.Valuation({"myCS": {"c": "off", "s": 6}}, old={"myCS": {"c": "off", "s": 4}})
-    assert ia.eval_constraint(c, wrong) is False
+    assert ia.evaluate(c.body, wrong) is False
     with pytest.raises(ia.EvalError):
-        ia.eval_constraint(c, ia.Valuation({"myCS": {"c": "off", "s": 5}}))
+        ia.evaluate(c.body, ia.Valuation({"myCS": {"c": "off", "s": 5}}))
 
 
 def test_map_application_and_membership():
     c = parse_case("LDPreW")
     val = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 0}}, "n": "dev1"})
-    assert ia.eval_constraint(c, val) is True
+    assert ia.evaluate(c.body, val) is True
     val2 = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 0}}, "n": "dev2"})
-    assert ia.eval_constraint(c, val2) is False
+    assert ia.evaluate(c.body, val2) is False
 
 
 def test_apply_miss_is_absorbed_by_or():
@@ -319,10 +319,10 @@ def test_apply_miss_is_absorbed_by_or():
     # disjunct is true
     val = ia.Valuation({"mem": {}, "n": "dev1", "dat": {"c": "off", "s": 0}})
     with pytest.raises(ia.UndefinedApplication, match="^key 'dev1' outside the domain of `mem`$"):
-        ia.eval_constraint(c, val)
+        ia.evaluate(c.body, val)
     hit = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 3}}, "n": "dev1",
                         "dat": {"c": "off", "s": 3}})
-    assert ia.eval_constraint(c, hit) is True
+    assert ia.evaluate(c.body, hit) is True
 
 
 def test_not_empty_semantics():
@@ -624,6 +624,21 @@ def test_domain_count_stops_past_its_cap():
     for dom in (ia.SeqDomain(small), ia.MapDomain(small, ia.OpaqueDomain()),
                 ia.RecordDomain((("a", small), ("b", ia.OpaqueDomain())))):
         assert dom.count() is None and dom.count(0) is None, dom.text()
+
+
+def test_domain_values_agree_with_the_oracle_list():
+    small = ia.IntRangeDomain(-1, 1)
+    rec = ia.RecordDomain((("a", small), ("b", ia.SeqDomain(ia.EnumDomain(("x", "y")), 2))))
+    for dom in (ia.BoolDomain(), small, ia.EnumDomain(("x", "y", "z")), ia.SeqDomain(small, 0),
+                ia.SeqDomain(ia.BoolDomain(), 3), ia.MapDomain(small, ia.BoolDomain()), rec,
+                ia.MapDomain(ia.RecordDomain((("c", ia.BoolDomain()),)), rec),
+                ia.SeqDomain(ia.MapDomain(ia.BoolDomain(), small), 2)):
+        got, want = list(dom.values()), oracle_values(dom)
+        assert len(got) == len(set(got)) == dom.count() == len(want), dom.text()
+        assert set(got) == set(want), dom.text()
+    for dom in (ia.OpaqueDomain(), ia.SeqDomain(small), ia.MapDomain(small, ia.OpaqueDomain()),
+                ia.RecordDomain((("a", small), ("b", ia.SeqDomain(small))))):
+        assert oracle_values(dom) is None and dom.count() is None, dom.text()
 
 
 def test_constraint_falsity_uses_param_domains():

@@ -77,7 +77,7 @@ def test_fixture_invariant_slots():
 
 
 def test_fixture_documents_are_clean():
-    for name in ia.FIXTURE_NAMES:
+    for name in FIXTURE_NAMES:
         assert ia.document_diagnostics(ia.load_fixture(name)) == []
 
 
@@ -328,8 +328,8 @@ def test_tokenize_agrees_with_character_loop(text):
 
 
 def _tokenize_with_positions(text, source="<string>"):
-    """``tokenize`` in the oracle's shape: each token with ``position`` of its offset."""
-    return [(tok, *position(text, tok.pos)) for tok in tokenize(text, source)]
+    """``tokenize`` in the oracle's shape: each ``(kind, text, offset)`` with ``position`` of its offset."""
+    return [(tok, *position(text, tok[2])) for tok in zip(*tokenize(text, source))]
 
 
 def test_tokenize_agrees_with_character_loop_on_fixtures():
@@ -339,9 +339,10 @@ def test_tokenize_agrees_with_character_loop_on_fixtures():
 
 
 def test_arrow_is_one_character_of_the_arrow_punctuator():
-    assert tokenize("a →b") == [("ident", "a", 0), ("punct", "->", 2), ("ident", "b", 3), ("eof", "", 4)]
+    assert list(zip(*tokenize("a →b"))) == [("ident", "a", 0), ("punct", "->", 2), ("ident", "b", 3),
+                                            ("eof", "", 4)]
     # a string literal keeps what it says
-    assert tokenize('"a→b"')[0].text == "a→b"
+    assert tokenize('"a→b"')[1][0] == "a→b"
 
 
 # one section of each keyword; ``{k}`` keeps the names of a second copy apart
@@ -462,7 +463,7 @@ def _roundtrip(doc):
 
 
 def test_fixture_round_trips():
-    for name in ia.FIXTURE_NAMES:
+    for name in FIXTURE_NAMES:
         doc = ia.load_fixture(name)
         text, doc2 = _roundtrip(doc)
         assert doc2 == doc
@@ -529,6 +530,17 @@ def test_a_contract_declares_the_guards_of_its_automaton():
     with pytest.raises(ValueError, match="contract 'A' declares two constraints of one name"):
         ia.ContractDocument(doc.automata, ((pre, pre._replace(kind=ia.ConstraintKind.INV)),))
     assert ia.ContractDocument(doc.automata, doc.declared, doc.meta) == doc
+
+
+def test_a_document_built_in_code_sort_checks_its_constraints():
+    # printed, this document would read `inv I: y;`, which does not parse back
+    doc = ia.parse_document("contract A { states s; inputs; outputs; hidden; }")
+    with pytest.raises(ValueError, match="^contract 'A', constraint I: unknown variable: y$"):
+        ia.ContractDocument(doc.automata, ((ia.parse_constraint("inv I: y"),),))
+    with pytest.raises(ValueError, match="constraint I: body has sort int, expected boolean"):
+        ia.ContractDocument(doc.automata, ((ia.parse_constraint("inv I: 1 + 2"),),))
+    ok = ia.ContractDocument(doc.automata, ((ia.parse_constraint("context A inv I: true"),),))
+    assert ia.parse_document(ia.print_document(ok)) == ok
 
 
 @pytest.mark.parametrize("name, version, error", [
