@@ -277,6 +277,106 @@ def test_membership_desugars_to_domain_call():
     assert c.body.collection.name == "domain"
 
 
+# a target of each sort tag: a sequence of booleans, a set of integers, a map
+# from enums to integers, an opaque variable and an integer
+OP_DECLS = {
+    "q": ia.VariableDecl("q", ia.SeqDomain(ia.BoolDomain())),
+    "m": ia.VariableDecl("m", ia.MapDomain(LE_ID, ia.IntRangeDomain(0, 3))),
+    "o": ia.VariableDecl("o", ia.OpaqueDomain()),
+    "n": ia.VariableDecl("n", ia.IntRangeDomain(0, 3)),
+}
+OP_TARGETS = {"seq": "q", "set": "{1, 2}", "map": "m", "opaque": "o", "int": "n"}
+
+
+@pytest.mark.parametrize("name, args, sorts", [
+    ("size", (), ("int", "int", "int", "int", "size needs a collection")),
+    ("lastItem", (), ("bool", "lastItem needs a sequence", "lastItem needs a sequence", "opaque",
+                      "lastItem needs a sequence")),
+    ("domain", (), ("domain needs a map", "domain needs a map", "set of enum", "set of opaque",
+                    "domain needs a map")),
+    ("range", (), ("range needs a map", "range needs a map", "set of int", "set of opaque",
+                   "range needs a map")),
+    ("front", (ia.IntLit(1),), ("seq of bool", "front needs a sequence", "front needs a sequence",
+                                "opaque", "front needs a sequence")),
+    ("notEmpty", (), ("bool", "bool", "bool", "bool", "bool")),
+])
+def test_each_operation_sorts_by_its_target(name, args, sorts):
+    scope = SortScope(decls={k: d.domain for k, d in OP_DECLS.items()})
+    for (tag, target), want in zip(OP_TARGETS.items(), sorts):
+        e = ia.MethodCall(ia.parse_expression(target, OP_DECLS), name, args)
+        try:
+            got = str(infer_sort(e, scope))
+        except ia.SortError as exc:
+            got = str(exc)
+            want = f"{want} in `{ia.to_text(e)}`"
+        assert got == want, tag
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q.size(1)", "size takes no arguments in `q.size(1)`"),
+    ("m.domain(1)", "domain takes no arguments in `m.domain(1)`"),
+    ("q->notEmpty(1)", "notEmpty takes no arguments in `q->notEmpty`"),
+    ("q.front()", "front takes one argument in `q.front()`"),
+    ("q.front(1, 2)", "front takes one argument in `q.front(1, 2)`"),
+    ("q.front(true)", "front length must be an integer in `q.front(true)`"),
+    # the target's sort is checked before the arguments
+    ("m.lastItem(1)", "lastItem needs a sequence in `m.lastItem(1)`"),
+    ("m.front()", "front needs a sequence in `m.front()`"),
+])
+def test_operation_sort_errors_are_pinned(text, message):
+    with pytest.raises(ia.SortError) as exc:
+        ia.parse_expression(text, OP_DECLS)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, value, result", [
+    ("o.size", (True, False), 2),
+    ("o.size", frozenset({1}), 1),
+    ("o.size", FM({"a": 1}), 1),
+    ("o.size", 5, "size of a non-collection `o`"),
+    ("o.lastItem", (True, False), False),
+    ("o.lastItem", (), "lastItem of the empty sequence `o`"),
+    ("o.lastItem", frozenset({1}), "lastItem of a non-sequence `o`"),
+    ("o.domain", FM({"a": 1}), frozenset({"a"})),
+    ("o.domain", (1,), "domain of a non-map `o`"),
+    ("o.range", FM({"a": 1, "b": 1}), frozenset({1})),
+    ("o.range", frozenset(), "range of a non-map `o`"),
+    ("o.front(1)", (1, 2), (1,)),
+    ("o.front(3)", (1, 2), (1, 2)),
+    ("o.front(0 - 1)", (1, 2), "front with a negative length"),
+    ("o.front(b)", (1, 2), "expected an integer from `b`, got True"),
+    ("o.front(1)", FM(), "front of a non-sequence `o`"),
+    ("o->notEmpty", 5, True),
+    ("o->notEmpty", FM(), False),
+    # an undefined application, such as the last item of the empty sequence, reads as empty
+    ("o.lastItem->notEmpty", (), False),
+    ("o.domain->notEmpty", (), "domain of a non-map `o`"),
+])
+def test_each_operation_evaluates_by_its_target(text, value, result):
+    e = ia.parse_expression(text)
+    val = ia.Valuation({"o": value, "b": True})
+    if isinstance(result, str):
+        with pytest.raises(ia.EvalError) as exc:
+            ia.evaluate(e, val)
+        assert str(exc.value) == result
+    else:
+        assert ia.evaluate(e, val) == result == oracle_evaluate(e, val)
+
+
+def test_an_unknown_operation_is_an_error_in_sorts_and_evaluation():
+    e = ia.MethodCall(ia.VarRef(("x",)), "foo")
+    with pytest.raises(ia.SortError) as exc:
+        infer_sort(e, SortScope(decls={}, open_world=True))
+    assert str(exc.value) == "unknown method 'foo' in `x.foo()`"
+    with pytest.raises(ia.EvalError) as exc:
+        ia.evaluate(e, ia.Valuation({"x": (1,)}))
+    assert str(exc.value) == "unknown method 'foo'"
+    # an unknown name after an arrow is a parse error
+    with pytest.raises(ia.ParseError) as exc:
+        ia.parse_expression("x->foo")
+    assert str(exc.value) == "<string>:1:7: unknown arrow operation 'foo'"
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
