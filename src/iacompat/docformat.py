@@ -169,7 +169,7 @@ def parse_document(text: str, source: str = "<string>") -> ContractDocument:
             automata.append(automaton)
             declared.append(own)
         else:
-            raise ts.error(f"expected 'type' or 'contract', found {ts.text or 'end of input'!r}")
+            raise ts.error(f"expected 'type' or 'contract', found {ts.found!r}")
     # the parser has made every check of ContractDocument's
     return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
 
@@ -191,7 +191,7 @@ def parse_constraint(
     ts = TokenStream(text, source)
     c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
     if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
-        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.text or 'end of input'!r}")
+        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.found!r}")
     SECTIONS[ts.advance()].read(c, 0)
     if not c.constraints:
         raise ts.error("expected a constraint, found an empty context block", 0)

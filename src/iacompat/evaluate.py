@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .domains import Value
 from .exprs import (
+    METHODS,
     Apply,
     BinOp,
     BoolLit,
@@ -37,6 +38,7 @@ from .exprs import (
     to_text,
 )
 from .frozen import Frozen, factory
+from .lexer import MAX_INT_DIGITS
 
 
 class EvalError(Exception):
@@ -163,6 +165,7 @@ def slot_access(cur_names: Sequence[str], old_names: Optional[Sequence[str]] = N
 
 
 _INT_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_INT_BOUND = 10 ** MAX_INT_DIGITS  # every literal, folded too, lies strictly within it
 
 
 def compile_expr(e: Expr, access: Access) -> Compiled:
@@ -290,6 +293,12 @@ def _compile_sum(e: Chain, access: Access) -> Compiled:
     return run
 
 
+# the Python values each noun of ``METHODS`` names, and the operations valued by their target alone
+_NOUN_TYPES = {"collection": (tuple, frozenset, dict), "sequence": tuple, "map": dict}
+_VALUES = {"size": len, "lastItem": operator.itemgetter(-1), "domain": frozenset,
+           "range": lambda m: frozenset(m.values())}
+
+
 def _method(e: MethodCall, name: str, sub: list[Compiled], env: Any) -> Value:
     if name == "notEmpty":
         # Arrow operations wrap scalars as singletons; an undefined
@@ -298,34 +307,21 @@ def _method(e: MethodCall, name: str, sub: list[Compiled], env: Any) -> Value:
             v = sub[0](env)
         except UndefinedApplication:
             return False
-        return len(v) > 0 if isinstance(v, (tuple, frozenset, dict)) else True
+        return not isinstance(v, _NOUN_TYPES["collection"]) or len(v) > 0
     v = sub[0](env)
-    if name == "size":
-        if isinstance(v, (tuple, frozenset, dict)):
-            return len(v)
-        raise EvalError(f"size of a non-collection `{to_text(e.target)}`")
-    if name == "lastItem":
-        if isinstance(v, tuple):
-            if v:
-                return v[-1]
-            raise UndefinedApplication(f"lastItem of the empty sequence `{to_text(e.target)}`")
-        raise EvalError(f"lastItem of a non-sequence `{to_text(e.target)}`")
-    if name == "domain":
-        if isinstance(v, dict):
-            return frozenset(v.keys())
-        raise EvalError(f"domain of a non-map `{to_text(e.target)}`")
-    if name == "range":
-        if isinstance(v, dict):
-            return frozenset(v.values())
-        raise EvalError(f"range of a non-map `{to_text(e.target)}`")
-    if name == "front":
-        if not isinstance(v, tuple):
-            raise EvalError(f"front of a non-sequence `{to_text(e.target)}`")
-        k = _as_int(e.args[0], sub[1](env))
-        if k < 0:
-            raise EvalError("front with a negative length")
-        return v[: min(k, len(v))]
-    raise EvalError(f"unknown method {name!r}")
+    if name not in METHODS:
+        raise EvalError(f"unknown method {name!r}")
+    noun = METHODS[name][1]
+    if not isinstance(v, _NOUN_TYPES[noun]):
+        raise EvalError(f"{name} of a non-{noun} `{to_text(e.target)}`")
+    if name == "lastItem" and not v:
+        raise UndefinedApplication(f"lastItem of the empty sequence `{to_text(e.target)}`")
+    if name != "front":
+        return _VALUES[name](v)
+    k = _as_int(e.args[0], sub[1](env))
+    if k < 0:
+        raise EvalError("front with a negative length")
+    return v[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +384,14 @@ def _simplify_logic(e: Chain) -> Expr:
 
 def _simplify_sum(e: Chain) -> Expr:
     # literals fold from the left, as the binary definition does, until the
-    # first operand that is not one
+    # first operand that is not one, or a value too long to be a literal
     ops, parts = list(e.ops), [simplify(x) for x in e.operands]
     while ops and isinstance(parts[0], IntLit) and isinstance(parts[1], IntLit):
-        a, b = parts[0].value, parts[1].value
-        parts[:2] = [IntLit(a + b if ops.pop(0) == "+" else a - b)]
+        v = parts[0].value + (parts[1].value if ops[0] == "+" else -parts[1].value)
+        if abs(v) >= _INT_BOUND:
+            break
+        ops.pop(0)
+        parts[:2] = [IntLit(v)]
     return Chain(tuple(ops), tuple(parts)) if ops else parts[0]
 
 

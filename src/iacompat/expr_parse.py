@@ -27,7 +27,7 @@ from .domains import (
     VariableDecl,
 )
 from .exprs import (
-    BUILTIN_METHODS,
+    METHODS,
     Apply,
     BinOp,
     BoolLit,
@@ -114,13 +114,10 @@ def _parse_postfix(ts: TokenStream) -> Expr:
             e = Apply(e, key)
         elif ts.accept("punct", "."):
             name = ts.expect("ident", what="a member name")
-            if name in BUILTIN_METHODS:
-                e = MethodCall(e, name, _parse_optional_args(ts))
-            else:
-                e = FieldAccess(e, name)
+            e = MethodCall(e, name, _parse_optional_args(ts)) if name in METHODS else FieldAccess(e, name)
         elif ts.accept("punct", "->"):
             name = ts.expect("ident", what="a collection operation")
-            if name not in BUILTIN_METHODS:
+            if name not in METHODS:
                 raise ts.error(f"unknown arrow operation {name!r}")
             e = MethodCall(e, name, _parse_optional_args(ts))
         else:
@@ -134,11 +131,11 @@ def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
 def _parse_primary(ts: TokenStream) -> Expr:
     kind, text = ts.kind, ts.text
     if kind == "int":
-        return IntLit(int(ts.advance()))
+        return IntLit(ts.expect_int())
     if kind == "enumlit":
         return EnumLit(ts.advance())
     if ts.accept("punct", "-"):
-        return IntLit(-int(ts.expect("int", what="an integer literal")))
+        return IntLit(-ts.expect_int("an integer literal"))
     if ts.accept("punct", "("):
         e = parse_expr(ts)
         ts.expect("punct", ")")
@@ -146,14 +143,12 @@ def _parse_primary(ts: TokenStream) -> Expr:
     if ts.accept("punct", "{"):
         return SetLit(ts.items(parse_expr, "}"))
     if kind == "ident":
-        if ts.accept("ident", "true"):
-            return BoolLit(True)
-        if ts.accept("ident", "false"):
-            return BoolLit(False)
+        if text in ("true", "false"):
+            return BoolLit(ts.advance() == "true")
         if text in _EXPR_RESERVED:
             raise ts.error(f"{text!r} cannot start an expression")
         return _parse_path(ts)
-    raise ts.error(f"expected an expression, found {text or 'end of input'!r}")
+    raise ts.error(f"expected an expression, found {ts.found!r}")
 
 
 def _parse_path(ts: TokenStream) -> VarRef:
@@ -170,7 +165,7 @@ def _parse_path(ts: TokenStream) -> VarRef:
             continue
         if ts.peek("punct", "."):
             kind, text = ts.lookahead
-            if kind == "ident" and text not in BUILTIN_METHODS:
+            if kind == "ident" and text not in METHODS:
                 ts.advance()
                 parts.append(ts.advance())
                 continue
@@ -234,7 +229,7 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
         elem = parse_domain(ts, type_env)
         max_len = None
         if ts.accept("ident", "maxlen"):
-            max_len = int(ts.expect("int", what="a length bound"))
+            max_len = ts.expect_int("a length bound")
         return SeqDomain(elem, max_len)
     if ts.accept("ident", "map"):
         key = parse_domain(ts, type_env)
@@ -260,10 +255,8 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
         if name in type_env:
             return type_env[name]
         raise ts.error(f"unknown type name {name!r}", at)
-    raise ts.error(f"expected a domain, found {ts.text or 'end of input'!r}")
+    raise ts.error(f"expected a domain, found {ts.found!r}")
 
 
 def _parse_signed_int(ts: TokenStream) -> int:
-    if ts.accept("punct", "-"):
-        return -int(ts.expect("int"))
-    return int(ts.expect("int", what="an integer"))
+    return -ts.expect_int() if ts.accept("punct", "-") else ts.expect_int("an integer")

@@ -3,9 +3,9 @@
 The dialect mixes OCL and VDM surface syntax: enum literals ``<off>``,
 old-state references ``x~`` / ``x@pre`` (postconditions only), map domain
 membership ``n in set dom mem``, map application ``mem(n)`` / ``devOn[devId]``,
-record field access ``.c``, collection built-ins ``size``, ``lastItem``,
-``domain``, ``range``, ``front``, ``notEmpty`` (dotted or arrow form), set
-literals ``{false}``, and the boolean/integer connectives.
+record field access ``.c``, the collection operations of ``METHODS`` (``size``,
+``lastItem``, ``domain``, ``range``, ``front``, ``notEmpty``, dotted or arrow
+form), set literals ``{false}``, and the boolean/integer connectives.
 
 Nodes are immutable ``Frozen`` values; their equality, which tells node kinds
 apart, is the canonical notion of expression identity used everywhere
@@ -31,8 +31,6 @@ from .domains import (
     sorts_compatible,
 )
 from .frozen import Frozen, factory
-
-BUILTIN_METHODS = ("size", "lastItem", "domain", "range", "front", "notEmpty")
 
 
 class Expr(Frozen):
@@ -122,6 +120,20 @@ class MethodCall(Expr):
     target: Expr
     name: str
     args: tuple[Expr, ...] = ()
+
+
+# The one statement of the collection operations, read by the parser, the sort
+# checker and the evaluator: the target's sort tags besides opaque (none: any),
+# the noun errors call it, and the call's sort from the target's, with opaque for
+# what an opaque target leaves open. Only ``front`` takes an argument.
+METHODS = {
+    "size": (("seq", "set", "map"), "collection", lambda t: INT),
+    "lastItem": (("seq",), "sequence", lambda t: t.elem or OPAQUE),
+    "domain": (("map",), "map", lambda t: Sort("set", elem=t.key or OPAQUE)),
+    "range": (("map",), "map", lambda t: Sort("set", elem=t.value or OPAQUE)),
+    "front": (("seq",), "sequence", lambda t: t),
+    "notEmpty": ((), "collection", lambda t: BOOL),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +429,16 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         _require(t.tag == "opaque", "field access on a non-record", e)
         return OPAQUE
     if isinstance(e, MethodCall):
-        t = infer_sort(e.target, scope)
-        name = e.name
-        if name == "notEmpty":
-            _require(not e.args, "notEmpty takes no arguments", e)
-            return BOOL
-        if name == "size":
-            _require(t.tag in ("seq", "set", "map", "opaque"), "size needs a collection", e)
-            _require(not e.args, "size takes no arguments", e)
-            return INT
-        if name == "lastItem":
-            _require(t.tag in ("seq", "opaque"), "lastItem needs a sequence", e)
-            _require(not e.args, "lastItem takes no arguments", e)
-            return t.elem if t.tag == "seq" else OPAQUE
-        if name == "domain":
-            _require(t.tag in ("map", "opaque"), "domain needs a map", e)
-            _require(not e.args, "domain takes no arguments", e)
-            return Sort("set", elem=t.key if t.tag == "map" else OPAQUE)
-        if name == "range":
-            _require(t.tag in ("map", "opaque"), "range needs a map", e)
-            _require(not e.args, "range takes no arguments", e)
-            return Sort("set", elem=t.value if t.tag == "map" else OPAQUE)
+        t, name = infer_sort(e.target, scope), e.name
+        _require(name in METHODS, f"unknown method {name!r}", e)
+        tags, noun, result = METHODS[name]
+        _require(not tags or t.tag in tags or t.tag == "opaque", f"{name} needs a {noun}", e)
+        _require(name == "front" or not e.args, f"{name} takes no arguments", e)
         if name == "front":
-            _require(t.tag in ("seq", "opaque"), "front needs a sequence", e)
             _require(len(e.args) == 1, "front takes one argument", e)
             _require(infer_sort(e.args[0], scope).tag in ("int", "opaque"),
                      "front length must be an integer", e)
-            return t if t.tag == "seq" else OPAQUE
-        raise SortError(f"unknown method {name!r}", e)
+        return result(t)
     raise TypeError(f"not an expression node: {e!r}")
 
 

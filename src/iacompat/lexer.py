@@ -25,6 +25,8 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
+MAX_INT_DIGITS = 4300  # in a literal, as Python converts integers to and from text by default
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int, source: str = "<string>"):
@@ -91,7 +93,8 @@ def tokenize(text: str, source: str = "<string>") -> tuple[list[str], list[str],
 class TokenStream:
     """Cursor over the tokens of one text: ``kind`` and ``text`` are the current token's,
     ``at`` its index. ``peek``, ``accept`` and ``expect`` test the current token by kind
-    and, when given, text; a word is an ``"ident"``."""
+    and, when given, text; a word is an ``"ident"``. ``found`` names the current token in
+    an error: its text, or the end of input."""
 
     def __init__(self, text: str, source: str = "<string>"):
         self.input = text
@@ -123,12 +126,21 @@ class TokenStream:
             return self.advance()
         return None
 
+    @property
+    def found(self) -> str:
+        return self.text if self.kind != "eof" else "end of input"
+
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> str:
         if self.kind == kind and (text is None or self.text == text):
             return self.advance()
-        wanted = what or (text if text is not None else kind)
-        found = self.text if self.kind != "eof" else "end of input"
-        raise self.error(f"expected {wanted}, found {found!r}")
+        raise self.error(f"expected {what or text or kind}, found {self.found!r}")
+
+    def expect_int(self, what: str | None = None) -> int:
+        """The value of the current token, an integer literal, stepping past it."""
+        digits = self.expect("int", what=what)
+        if len(digits) > MAX_INT_DIGITS:
+            raise self.error(f"integer literal longer than {MAX_INT_DIGITS} digits", self.at - 1)
+        return int(digits)
 
     def items(self, read: Callable[[TokenStream], T], close: str) -> tuple[T, ...]:
         """``[item {"," item}] close``, each item read by ``read(self)``."""

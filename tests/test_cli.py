@@ -376,6 +376,26 @@ def test_sum_of_1200_terms_is_refuted_by_bounds(tmp_path, capsys):
     assert (res.verdict, res.explored) == (iacompat.Verdict.FALSE, 0)
 
 
+def test_huge_integer_literals_are_errors_and_a_folded_long_sum_gets_a_verdict(tmp_path, capsys):
+    nines = "9" * 5000
+    b = _go_contract(tmp_path, "HB", False, "y : bool")
+    for name, var, constraint, at in (
+        ("Range", f"x : int[0..{nines}]", "pre G: x > 0", "8:18"),
+        ("Inv", "x : int[0..10]", f"inv I: x < {nines}", "10:16"),
+        ("Maxlen", f"q : seq of bool maxlen {nines}", "pre G: true", "8:30"),
+    ):
+        a = _go_contract(tmp_path, name, True, var, (constraint,))
+        error = f"error: {a}:{at}: integer literal longer than 4300 digits\n"
+        for argv in (("lint", a), ("check", a, b), ("product", a, b), ("dot", a)):
+            assert run_cli(capsys, *argv) == (2, "", error), argv
+    # the sum of two literals of 4300 digits has 4301, so it stays unfolded
+    a = _go_contract(tmp_path, "Folded", True, "x : int[0..10]",
+                     (f"pre G: x < {'9' * 4300} + {'9' * 4300} and x > 0",), pre="G")
+    assert run_cli(capsys, "lint", a) == (0, f"{a}: ok\n", "")
+    code, out, err = run_cli(capsys, "check", a, b)
+    assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
+
+
 def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
     nests = (2, "", "error: expression nests too deeply\n")
     assert run_cli(capsys, "eval", "(" * 130 + "1" + ")" * 130) == nests

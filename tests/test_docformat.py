@@ -136,6 +136,7 @@ def test_parse_error_positions():
 
 
 _GO = "contract A { states s; initial s; inputs; outputs; hidden go; "
+_NINES = "9" * 5000  # a literal longer than the 4300 digits Python converts
 
 # (parser, text, exact error), positions counted in source characters
 PARSE_ERRORS = [
@@ -233,10 +234,27 @@ PARSE_ERRORS = [
      "case.ia:1:10: contract 'A' is missing its 'states' section"),
     ("doc", "\ncontract\n  A { states s; inputs; outputs; }",
      "case.ia:3:3: contract 'A' is missing its 'hidden' section"),
+    # an empty string literal is a token, not the end of input
+    ("expr", 'x = ""', "case.ia:1:5: expected an expression, found ''"),
+    ("doc", '""', "case.ia:1:1: expected 'type' or 'contract', found ''"),
+    ("doc", _GO + 'var v : ""; }', "case.ia:1:71: expected a domain, found ''"),
+    # every integer literal is read by one rule, placed at the literal
+    ("doc", _GO + f"var x : int[0..{_NINES}]; }}", "case.ia:1:78: integer literal longer than 4300 digits"),
+    ("doc", _GO + f"var x : int[-{_NINES}..0]; }}", "case.ia:1:76: integer literal longer than 4300 digits"),
+    ("doc", _GO + f"var q : seq of bool maxlen {_NINES}; }}",
+     "case.ia:1:90: integer literal longer than 4300 digits"),
+    ("expr", f"x < {_NINES}", "case.ia:1:5: integer literal longer than 4300 digits"),
+    ("expr", f"x = -{_NINES}", "case.ia:1:6: integer literal longer than 4300 digits"),
+    ("expr", "x < " + "0" * 4300 + "1", "case.ia:1:5: integer literal longer than 4300 digits"),
 ]
 
 
-@pytest.mark.parametrize("parser, text, expected", PARSE_ERRORS)
+def _short_id(value):
+    # a long input is named by its length, and shorter ones as pytest names them
+    return f"<{len(value)} characters>" if isinstance(value, str) and len(value) > 200 else None
+
+
+@pytest.mark.parametrize("parser, text, expected", PARSE_ERRORS, ids=_short_id)
 def test_parse_error_text_is_pinned(parser, text, expected):
     parse = ia.parse_document if parser == "doc" else ia.parse_expression
     with pytest.raises(ia.ParseError) as exc:
@@ -279,6 +297,7 @@ CONSTRAINT_ERRORS = [
      False),
     ("P: true", "case.ia:1:1: expected 'context', 'pre', 'post' or 'inv', found 'P'", False),
     ("", "case.ia:1:1: expected 'context', 'pre', 'post' or 'inv', found 'end of input'", False),
+    ('""', "case.ia:1:1: expected 'context', 'pre', 'post' or 'inv', found ''", False),
 ]
 
 
