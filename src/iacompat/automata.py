@@ -173,6 +173,11 @@ class InterfaceAutomaton(Frozen):
         members = {cls: frozenset(l for l, c in self.classes.items() if c is cls) for cls in ActionClass}
         return {cls: {s: here & of_cls for s, here in labels.items()} for cls, of_cls in members.items()}
 
+    @cached_property
+    def conjunctions(self) -> dict[ConstraintKind, dict[str, tuple[str, str]]]:
+        """The operand names of each guard conjunction, by kind; only ``product`` records any."""
+        return {ConstraintKind.PRE: {}, ConstraintKind.POST: {}}
+
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
         return self.classes.get(label)
 
@@ -370,6 +375,7 @@ class _GuardRegistry:
         self.taken = taken
         self.rename = {n: new for n, c in right.items() if (new := self.intern(c)) != n}
         self.conjunctions: dict[tuple[str, str], str] = {}
+        self.operands: dict[str, tuple[str, str]] = {}  # of each conjunction added as a new entry
 
     def intern(self, c: NamedConstraint) -> str:
         same = self.entries.get(c.name)
@@ -384,7 +390,9 @@ class _GuardRegistry:
     def conjoin(self, n1: str, n2: str) -> str:
         if (n1, n2) not in self.conjunctions:
             conj = _conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
-            self.conjunctions[n1, n2] = self.intern(conj)
+            name = self.conjunctions[n1, n2] = self.intern(conj)
+            if self.entries[name].context is conj.context:  # not an equal entry reused
+                self.operands[name] = (n1, n2)
         return self.conjunctions[n1, n2]
 
 
@@ -472,7 +480,8 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
         postconditions=posts.entries,
         transitions=tuple(chain.from_iterable(outgoing.values())),
     )
-    automaton.__dict__["outgoing"] = outgoing  # the cached index, built already
+    automaton.__dict__["outgoing"] = outgoing  # the cached indexes, built already
+    automaton.__dict__["conjunctions"] = {ConstraintKind.PRE: pres.operands, ConstraintKind.POST: posts.operands}
     return ProductResult(
         automaton=automaton,
         pair_of=pair_of,

@@ -16,6 +16,7 @@ over a ``Valuation``'s values, which is how the falsity enumeration binds too.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .domains import Value
@@ -105,8 +106,17 @@ def _same_sorts(a: Value, b: Value) -> bool:
     return True
 
 
+def _shown(v: Value) -> str:
+    """``repr(v)``, or a description when ``v`` holds an int too long to print."""
+    try:
+        return repr(v)
+    except ValueError:  # past sys.get_int_max_str_digits(): a computed sum
+        what = "an integer" if isinstance(v, int) else "a value holding an integer"
+        return f"{what} of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _not_bool(e: Expr, v: Value) -> EvalError:
-    return EvalError(f"expected a boolean from `{to_text(e)}`, got {v!r}")
+    return EvalError(f"expected a boolean from `{to_text(e)}`, got {_shown(v)}")
 
 
 def _as_bool(e: Expr, v: Value) -> bool:
@@ -118,7 +128,7 @@ def _as_bool(e: Expr, v: Value) -> bool:
 def _as_int(e: Expr, v: Value) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise EvalError(f"expected an integer from `{to_text(e)}`, got {v!r}")
+    raise EvalError(f"expected an integer from `{to_text(e)}`, got {_shown(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +239,12 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
                 for k, x in target.items():
                     if _values_equal(k, key):
                         return x
-                raise UndefinedApplication(f"key {key!r} outside the domain of `{to_text(e.target)}`")
+                raise UndefinedApplication(f"key {_shown(key)} outside the domain of `{to_text(e.target)}`")
             if isinstance(target, tuple):
                 i = _as_int(e.key, key)
                 if 1 <= i <= len(target):
                     return target[i - 1]
-                raise UndefinedApplication(f"index {i} outside the sequence `{to_text(e.target)}`")
+                raise UndefinedApplication(f"index {_shown(i)} outside the sequence `{to_text(e.target)}`")
             raise EvalError(f"`{to_text(e.target)}` is neither a map nor a sequence")
         return apply
     if isinstance(e, FieldAccess):
@@ -337,8 +347,14 @@ def simplify(e: Expr) -> Expr:
     ``x = x`` is not folded to true: that is not error-preserving for
     expressions that can fail.
     """
+    return fold(e, to_text)
+
+
+def fold(e: Expr, key: Optional[Callable[[Expr], str]]) -> Expr:
+    """``simplify`` with each ``and``/``or`` run sorted by ``key``, or left in
+    its operands' order when ``key`` is None, as the falsity tiers fold."""
     if isinstance(e, Not):
-        s = simplify(e.operand)
+        s = fold(e.operand, key)
         if isinstance(s, BoolLit):
             return BoolLit(not s.value)
         if isinstance(s, Not):
@@ -346,30 +362,30 @@ def simplify(e: Expr) -> Expr:
         return Not(s)
     if isinstance(e, Chain):
         if e.ops[0] == "implies":
-            return _simplify_implies(e)
-        return _simplify_logic(e) if e.ops[0] in ("and", "or") else _simplify_sum(e)
+            return _simplify_implies(e, key)
+        return _simplify_logic(e, key) if e.ops[0] in ("and", "or") else _simplify_sum(e, key)
     if isinstance(e, BinOp):
-        return _simplify_binop(e)
+        return _simplify_binop(e, key)
     if isinstance(e, SetLit):
-        return SetLit(tuple(simplify(x) for x in e.items))
+        return SetLit(tuple(fold(x, key) for x in e.items))
     if isinstance(e, Membership):
-        return Membership(simplify(e.item), simplify(e.collection))
+        return Membership(fold(e.item, key), fold(e.collection, key))
     if isinstance(e, Apply):
-        return Apply(simplify(e.target), simplify(e.key))
+        return Apply(fold(e.target, key), fold(e.key, key))
     if isinstance(e, FieldAccess):
-        return FieldAccess(simplify(e.target), e.name)
+        return FieldAccess(fold(e.target, key), e.name)
     if isinstance(e, MethodCall):
-        return MethodCall(simplify(e.target), e.name, tuple(simplify(a) for a in e.args))
+        return MethodCall(fold(e.target, key), e.name, tuple(fold(a, key) for a in e.args))
     return e
 
 
-def _simplify_logic(e: Chain) -> Expr:
+def _simplify_logic(e: Chain, key) -> Expr:
     # a run is true (false) when all its operands are, whatever their
-    # grouping and order, so it flattens; each operand is printed once
+    # grouping and order, so it flattens; each operand is keyed once
     op, unit = e.ops[0], e.ops[0] == "and"
     parts: list[Expr] = []
     for part in e.operands:
-        s = simplify(part)
+        s = fold(part, key)
         if isinstance(s, BoolLit):
             if s.value is not unit:
                 return s  # the annihilator
@@ -378,14 +394,15 @@ def _simplify_logic(e: Chain) -> Expr:
         parts += s.operands if isinstance(s, Chain) and s.ops[0] == op else (s,)
     if len(parts) < 2:
         return parts[0] if parts else BoolLit(unit)
-    parts.sort(key=to_text)
+    if key is not None:
+        parts.sort(key=key)
     return Chain((op,) * (len(parts) - 1), tuple(parts))
 
 
-def _simplify_sum(e: Chain) -> Expr:
+def _simplify_sum(e: Chain, key) -> Expr:
     # literals fold from the left, as the binary definition does, until the
     # first operand that is not one, or a value too long to be a literal
-    ops, parts = list(e.ops), [simplify(x) for x in e.operands]
+    ops, parts = list(e.ops), [fold(x, key) for x in e.operands]
     while ops and isinstance(parts[0], IntLit) and isinstance(parts[1], IntLit):
         v = parts[0].value + (parts[1].value if ops[0] == "+" else -parts[1].value)
         if abs(v) >= _INT_BOUND:
@@ -395,10 +412,10 @@ def _simplify_sum(e: Chain) -> Expr:
     return Chain(tuple(ops), tuple(parts)) if ops else parts[0]
 
 
-def _simplify_implies(e: Chain) -> Expr:
+def _simplify_implies(e: Chain, key) -> Expr:
     # fold from the last link back; `kept` holds the antecedents before `r`, last first
-    kept, r = [], simplify(e.operands[-1])
-    for l in map(simplify, reversed(e.operands[:-1])):
+    kept, r = [], fold(e.operands[-1], key)
+    for l in (fold(x, key) for x in reversed(e.operands[:-1])):
         if l == BoolLit(False) or (not kept and r == BoolLit(True)):
             kept, r = [], BoolLit(True)
         elif l == BoolLit(True):
@@ -410,8 +427,8 @@ def _simplify_implies(e: Chain) -> Expr:
     return Chain(("implies",) * len(kept), (*reversed(kept), r)) if kept else r
 
 
-def _simplify_binop(e: BinOp) -> Expr:
-    l, r, op = simplify(e.left), simplify(e.right), e.op
+def _simplify_binop(e: BinOp, key) -> Expr:
+    l, r, op = fold(e.left, key), fold(e.right, key), e.op
     if op in ("=", "<>"):
         if type(l) is type(r) and isinstance(l, (BoolLit, IntLit, EnumLit)):
             return BoolLit((l == r) == (op == "="))

@@ -118,7 +118,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
         elif ts.accept("punct", "->"):
             name = ts.expect("ident", what="a collection operation")
             if name not in METHODS:
-                raise ts.error(f"unknown arrow operation {name!r}")
+                raise ts.error(f"unknown arrow operation {name!r}", ts.at - 1)  # at the name
             e = MethodCall(e, name, _parse_optional_args(ts))
         else:
             return e

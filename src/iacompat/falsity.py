@@ -19,12 +19,17 @@ For postconditions the relation ranges over pairs of states: every variable
 referenced with an old-state marker is enumerated twice, once for the old
 assignment and once for the new one. Evaluation errors count as not-true.
 
-Each query compiles its simplified guard once and calls it on the raw value
-tuples of the enumeration, in a fixed order: the referenced variables by
-sorted name, every old assignment inside each current one. Only a satisfying
-witness becomes a ``Valuation``; ``explored`` counts up to and including it.
-A caller that runs many queries may pass one ``pools`` dict to all of them,
-so that each domain's values are listed once.
+A query is a preparation, then a decision. ``prepare`` runs the first two
+tiers: it simplifies without sorting runs (evaluation is order-free),
+resolves the names the guard reads and bounds it. ``decide`` counts the
+budget over the domains of those names, lists each domain's values once per
+``pools`` dict, compiles the guard once and enumerates raw value tuples in a
+fixed order: the names by sorted name, every old assignment inside each
+current one. Only a satisfying witness becomes a ``Valuation``; ``explored``
+counts up to and including it. ``Preparations`` prepares each constraint of
+a registry once, and a conjunction from its operands' preparations: FALSE
+if either was refuted, else their parts and names together, which decides
+exactly as the conjunction's own body would.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ import os
 from typing import Mapping, Optional
 
 from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
-from .evaluate import EvalError, Valuation, compile_expr, simplify, slot_access
+from .evaluate import EvalError, Valuation, compile_expr, fold, slot_access
 from .exprs import (
     Apply,
     BinOp,
@@ -82,50 +87,50 @@ class FalsityResult(Frozen):
 Pools = dict[Domain, list[Value]]  # each domain's values, listed once
 
 
-def falsity(
-    expr: Expr,
-    decls,
-    *,
-    params: Optional[Mapping[str, Domain]] = None,
-    budget: Optional[int] = None,
-    pools: Optional[Pools] = None,
-) -> FalsityResult:
-    """Verdict for a bare boolean expression over the given declarations.
+# a guard ready to decide: whether a tier refuted it without a valuation, the
+# ``and`` parts of its simplified body (none for a literal), and the domain of
+# each declared name it reads, keyed by (old, name): current names sort first
+Prepared = tuple[bool, tuple[Expr, ...], dict[tuple[bool, str], Domain]]
 
-    ``pools`` caches domain values across the queries that share it; without
-    it, each query lists its own.
-    """
-    budget = default_budget() if budget is None else budget
-    params = params or {}
-    table = {**decls_mapping(decls), **params}
 
-    s = simplify(expr)
-    if isinstance(s, BoolLit) and not s.value:  # tested by class: no literal built per query
-        return FalsityResult(Verdict.FALSE)
-    if isinstance(s, BoolLit):
-        return FalsityResult(Verdict.SATISFIABLE, witness=Valuation({}, old=None))
+def prepare(expr: Expr, decls: Mapping[str, Domain], params: Mapping[str, Domain]) -> Prepared:
+    """``expr`` simplified, resolved over the declarations and parameters, bounded."""
+    table = {**decls, **params}
+    s = fold(expr, None)  # no sort: evaluation does not depend on the order of a run
+    if isinstance(s, BoolLit):  # tested by class: no literal built per query
+        return not s.value, (), {}
 
     # the declared variables behind every free reference, parameters first as
     # in sort checking; enumerate each declared variable's own domain, not
     # the leaf the path points at: the valuation binds whole variables
-    cur_names: set[str] = set()
-    old_names: set[str] = set()
+    names: dict[tuple[bool, str], Domain] = {}
     leaves: dict[VarRef, Domain] = {}  # the domain of each path's full length
     for ref in variable_refs(s):
         hit = resolve_path(params if ref.path[0] in params else table, ref.path)
         if hit is None:
             raise EvalError(f"free variable {'.'.join(ref.path)} does not resolve against the declarations")
-        (old_names if ref.old else cur_names).add(hit[0])
+        names[ref.old, hit[0]] = table[hit[0]]
         leaves[ref] = hit[1]
-    cur_names, old_names = sorted(cur_names), sorted(old_names)
-    names = cur_names + old_names
+    parts = s.operands if isinstance(s, Chain) and s.ops[0] == "and" else (s,)
+    return _never_true(s, leaves), parts, names
 
-    if _never_true(s, leaves):
+
+def decide(p: Prepared, budget: Optional[int] = None, pools: Optional[Pools] = None) -> FalsityResult:
+    """The verdict on a prepared guard: count the budget, then enumerate."""
+    refuted, parts, names = p
+    if refuted:
         return FalsityResult(Verdict.FALSE)
+    if not parts:
+        return FalsityResult(Verdict.SATISFIABLE, witness=Valuation({}, old=None))
+    budget = default_budget() if budget is None else budget
+    keys = sorted(names)
+    cur_names = [n for old, n in keys if not old]
+    old_names = [n for old, n in keys if old]
+    domains = [names[k] for k in keys]
 
     total = 1
-    for name in names:
-        n = table[name].count(budget)
+    for dom in domains:
+        n = dom.count(budget)
         if n is None:
             return FalsityResult(Verdict.UNKNOWN)
         total *= n
@@ -134,12 +139,12 @@ def falsity(
 
     pools = {} if pools is None else pools
     lists = []
-    for name in names:
-        dom = table[name]
+    for dom in domains:
         if dom not in pools:
             pools[dom] = list(dom.values())
         lists.append(pools[dom])
-    run = compile_expr(s, slot_access(cur_names, old_names))
+    body = parts[0] if len(parts) == 1 else Chain(("and",) * (len(parts) - 1), parts)
+    run = compile_expr(body, slot_access(cur_names, old_names))
 
     explored = 0
     for explored, env in enumerate(itertools.product(*lists), 1):
@@ -155,14 +160,61 @@ def falsity(
     return FalsityResult(Verdict.FALSE, explored=explored)
 
 
+class Preparations(dict):
+    """The preparation of each constraint of one registry, made on first use. A
+    conjunction ``product`` added, with its ``operands``, merges theirs: FALSE if
+    one is refuted, else their parts and names. A parameter of the conjunction
+    that rebinds a name an operand read, or an operand that does not resolve,
+    leaves the conjunction's own body to prepare."""
+
+    def __init__(self, registry: Mapping[str, NamedConstraint], operands: Mapping[str, tuple[str, str]], variables):
+        super().__init__()
+        self.registry, self.operands, self.decls = registry, operands, decls_mapping(variables)
+
+    def __missing__(self, name: str) -> Prepared:
+        c = self.registry[name]
+        params = c.param_domains()
+        try:
+            ops = [self[n] for n in self.operands.get(name, ())]
+        except EvalError:  # the body's own preparation raises it, or finds a literal false
+            ops = []
+        if ops and all(params.get(n, d) == d for _, _, names in ops for (_, n), d in names.items()):
+            (r1, parts1, names1), (r2, parts2, names2) = ops
+            p = (r1 or r2, parts1 + parts2, {**names1, **names2})
+        else:
+            p = prepare(c.body, self.decls, params)
+        self[name] = p
+        return p
+
+
+def falsity(
+    expr: Expr,
+    decls,
+    *,
+    params: Optional[Mapping[str, Domain]] = None,
+    budget: Optional[int] = None,
+    pools: Optional[Pools] = None,
+) -> FalsityResult:
+    """Verdict for a bare boolean expression over the given declarations.
+
+    ``pools`` caches domain values across the queries that share it; without
+    it, each query lists its own.
+    """
+    return decide(prepare(expr, decls_mapping(decls), params or {}), budget, pools)
+
+
 def constraint_falsity(
     c: NamedConstraint,
     variables,
     *,
     budget: Optional[int] = None,
     pools: Optional[Pools] = None,
+    prepared: Optional[Preparations] = None,
 ) -> FalsityResult:
-    """Falsity of a named constraint; operation parameters enumerate too."""
+    """Falsity of a named constraint; operation parameters enumerate too. ``prepared``,
+    its registry's ``Preparations``, stands in for ``variables``."""
+    if prepared is not None:
+        return decide(prepared[c.name], budget, pools)
     return falsity(c.body, variables, params=c.param_domains(), budget=budget, pools=pools)
 
 

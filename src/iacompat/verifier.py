@@ -35,8 +35,8 @@ from .automata import (
     qualify_hidden,
     validate,
 )
-from .exprs import NamedConstraint
-from .falsity import Pools, Verdict, constraint_falsity, default_budget
+from .exprs import ConstraintKind
+from .falsity import Pools, Preparations, Verdict, constraint_falsity, default_budget
 from .frozen import Frozen
 
 
@@ -89,16 +89,19 @@ def illegal_states(
     auto = prod.automaton
     budget = default_budget() if budget is None else budget
 
-    # one verdict cache per registry, since a pre and a post may share a name;
-    # the queries share their domains' value lists, for this call only
+    # one verdict cache and one preparation memo per registry, since a pre and
+    # a post may share a name; the queries share their domains' value lists,
+    # for this call only
     pre_cache: dict[str, Verdict] = {}
     post_cache: dict[str, Verdict] = {}
     pools: Pools = {}
+    pre_prep = Preparations(auto.preconditions, auto.conjunctions[ConstraintKind.PRE], auto.variables)
+    post_prep = Preparations(auto.postconditions, auto.conjunctions[ConstraintKind.POST], auto.variables)
 
-    def is_false(name: str, registry: Mapping[str, NamedConstraint], cache: dict[str, Verdict]) -> bool:
+    def is_false(name: str, cache: dict[str, Verdict], prepared: Preparations) -> bool:
         if name not in cache:
             cache[name] = constraint_falsity(
-                registry[name], auto.variables, budget=budget, pools=pools
+                prepared.registry[name], auto.variables, budget=budget, pools=pools, prepared=prepared
             ).verdict
         return cache[name] is Verdict.FALSE
 
@@ -124,8 +127,8 @@ def illegal_states(
         out = auto.outgoing[pid]
         disabled = [
             t for t in out
-            if t.pre is not None and is_false(t.pre, auto.preconditions, pre_cache)
-            or t.post is not None and is_false(t.post, auto.postconditions, post_cache)
+            if t.pre is not None and is_false(t.pre, pre_cache, pre_prep)
+            or t.post is not None and is_false(t.post, post_cache, post_prep)
         ] if guarded else []
         # with no step at all, only the vacuous reading condemns the state
         if len(disabled) == len(out) and (out or strict_deadlock):

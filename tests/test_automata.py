@@ -386,6 +386,27 @@ def test_case_study_registry_holds_only_used_conjunctions():
     assert {t.post for t in auto.transitions} - {None} <= set(auto.postconditions)
 
 
+def test_product_hands_over_the_operands_of_each_new_conjunction():
+    go = ia.ActionLabel("go")
+    x, y = ia.VariableDecl("x", ia.IntRangeDomain(0, 2)), ia.VariableDecl("y", ia.IntRangeDomain(0, 2))
+    p = ia.NamedConstraint("P", ia.ConstraintKind.PRE, ia.parse_expression("x < 1", {"x": x}))
+    q = ia.NamedConstraint("Q", ia.ConstraintKind.PRE, ia.parse_expression("y < 2", {"y": y}))
+    pq = ia.NamedConstraint("P_and_Q", ia.ConstraintKind.PRE, ia.Chain(("and",), (p.body, q.body)))
+    b = ia.InterfaceAutomaton("B", ("t",), ("t",), (go,), (), (), {"y": y},
+                              {"Q": q}, transitions=(ia.Transition("t", "Q", go, None, "t"),))
+    for left, conj in (({"P": p}, "P_and_Q"), ({"P": p, "P_and_Q": pq._replace(body=p.body)}, "P_and_Q_2")):
+        a = ia.InterfaceAutomaton("A", ("s",), ("s",), (), (go,), (), {"x": x},
+                                  left, transitions=(ia.Transition("s", "P", go, None, "s"),))
+        auto = ia.product(a, b).automaton
+        assert [t.pre for t in auto.transitions] == [conj]
+        assert auto.conjunctions == {ia.ConstraintKind.PRE: {conj: ("P", "Q")}, ia.ConstraintKind.POST: {}}
+    # a conjunction equal to an entry of the left operand reuses it, with no operands
+    a = a._replace(preconditions={"P": p, "P_and_Q": pq})
+    auto = ia.product(a, b).automaton
+    assert [t.pre for t in auto.transitions] == ["P_and_Q"]
+    assert auto.conjunctions == a.conjunctions == {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}}
+
+
 def _swap_isomorphic(p12, p21):
     back12 = {sid: pair for sid, pair in p12.pair_of.items()}
     back21 = {(s2, s1): sid for sid, (s1, s2) in p21.pair_of.items()}

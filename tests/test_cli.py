@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import iacompat
 from iacompat.cli import main
+from iacompat.domains import FrozenMap
 from iacompat.fixtures import fixture_text
 from iacompat.lexer import position
 from test_docformat import _LEX_FRAGMENTS
@@ -394,6 +395,36 @@ def test_huge_integer_literals_are_errors_and_a_folded_long_sum_gets_a_verdict(t
     assert run_cli(capsys, "lint", a) == (0, f"{a}: ok\n", "")
     code, out, err = run_cli(capsys, "check", a, b)
     assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
+
+
+def test_an_evaluation_error_names_a_long_computed_index_by_its_digits(tmp_path, capsys):
+    # the index is a sum of two 4300-digit literals, past what Python prints;
+    # its evaluation error inside the falsity enumeration counts as not-true
+    long_sum = f"{'9' * 4300} + {'9' * 4300}"
+    b = _go_contract(tmp_path, "LB", False, "y : bool")
+    a = _go_contract(tmp_path, "Long", True, "q : seq of int[0..3] maxlen 2;\n  var x : int[0..10]",
+                     (f"pre G: q(x + {long_sum}) = 1 or x > 3",), pre="G")
+    assert run_cli(capsys, "lint", a) == (0, f"{a}: ok\n", "")
+    code, out, err = run_cli(capsys, "check", a, b)
+    assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
+    too_long = "an integer of more than 4300 digits"
+    for text, decls, values, message in (
+        (f"q(x + {long_sum}) = 1", "q : seq of int[0..3] maxlen 2; var x : int[0..1]",
+         {"q": (1,), "x": 0}, f"index {too_long} outside the sequence `q`"),
+        (f"m(x + {long_sum}) = 1", "m : map int[0..1] to int[0..1]; var x : int[0..1]",
+         {"m": FrozenMap({0: 1}), "x": 0}, f"key {too_long} outside the domain of `m`"),
+        (f"x + {long_sum}", "x : int[0..1]", {"x": 0}, None),
+    ):
+        doc = iacompat.parse_document(f"contract E {{ states s; inputs; outputs; hidden; var {decls}; }}")
+        expr = iacompat.parse_expression(text, doc.automaton().variables)
+        if message is None:
+            with pytest.raises(iacompat.EvalError) as exc:
+                iacompat.evaluate(iacompat.Not(expr), iacompat.Valuation(values))
+            assert str(exc.value) == f"expected a boolean from `{iacompat.to_text(expr)}`, got {too_long}"
+            continue
+        with pytest.raises(iacompat.UndefinedApplication) as exc:
+            iacompat.evaluate(expr, iacompat.Valuation(values))
+        assert str(exc.value) == message
 
 
 def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
 from iacompat.domains import FrozenMap as FM, resolve_path
+from iacompat.automata import _conjoin_constraints
 from iacompat.evaluate import compile_expr, slot_access
+from iacompat.falsity import Preparations
 from iacompat.exprs import SortScope, infer_sort
 from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
 from randgen import (
@@ -374,7 +376,7 @@ def test_an_unknown_operation_is_an_error_in_sorts_and_evaluation():
     # an unknown name after an arrow is a parse error
     with pytest.raises(ia.ParseError) as exc:
         ia.parse_expression("x->foo")
-    assert str(exc.value) == "<string>:1:7: unknown arrow operation 'foo'"
+    assert str(exc.value) == "<string>:1:4: unknown arrow operation 'foo'"
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +851,53 @@ def test_shared_pools_change_no_result():
     # keyed by domain: myCS and mem's values share no list, LE_Id's is listed once
     assert pools[LE_ID] == ["dev1", "dev2"]
     assert len(pools) == len(set(pools))
+
+
+def _int_guard(rng, name, kind, params):
+    """A named guard over INT_DECLS and ``params``; a pre reads no old state."""
+    body = rand_int_guard(rng)
+    while kind is ia.ConstraintKind.PRE and any(r.old for r in ia.variable_refs(body)):
+        body = rand_int_guard(rng)
+    return ia.NamedConstraint(name, kind, body, ia.ConstraintContext(
+        name, "go", tuple(ia.ParamDecl(n, INT_PARAMS[n]) for n in params)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_conjunction_decided_from_its_operands_matches_the_direct_query(seed):
+    # a parameter x on either side may shadow the variable x the other reads
+    rng = random.Random(seed)
+    kind = rng.choice((ia.ConstraintKind.PRE, ia.ConstraintKind.POST))
+    c1, c2 = (_int_guard(rng, n, kind, rng.choice((("p",), ("p", "x")))) for n in "AB")
+    conj = _conjoin_constraints(c1, c2, "AB")
+    prepared = Preparations({c.name: c for c in (c1, c2, conj)}, {conj.name: ("A", "B")}, INT_DECLS)
+    if rng.random() < 0.5:
+        prepared[rng.choice("AB")]  # an operand decided before the conjunction
+    for budget in (1, 4, 16, 10**6):  # the small ones force Unknowns
+        want = ia.constraint_falsity(conj, INT_DECLS, budget=budget)
+        assert ia.constraint_falsity(conj, INT_DECLS, budget=budget, prepared=prepared) == want
+        for c in (c1, c2):
+            want = ia.constraint_falsity(c, INT_DECLS, budget=budget)
+            assert ia.constraint_falsity(c, INT_DECLS, budget=budget, prepared=prepared) == want
+
+
+def test_a_parameter_that_shadows_the_other_operands_variable_prepares_the_body():
+    # in A_and_B the parameter x : int[2..4] of A binds B's x as well, which
+    # alone is the variable x : int[0..3]; only x = 4 satisfies both
+    table = {d.name: d.domain for d in INT_DECLS}
+    a = ia.NamedConstraint("A", ia.ConstraintKind.PRE, ia.parse_expression("x = 4", params=INT_PARAMS),
+                           ia.ConstraintContext("A", "go", (ia.ParamDecl("x", INT_PARAMS["x"]),)))
+    b = ia.NamedConstraint("B", ia.ConstraintKind.PRE, ia.parse_expression("x >= 0", table))
+    conj = _conjoin_constraints(a, b, "AB")
+    prepared = Preparations({c.name: c for c in (a, b, conj)}, {conj.name: ("A", "B")}, table)
+    res = ia.constraint_falsity(conj, INT_DECLS, prepared=prepared)
+    assert res == ia.constraint_falsity(conj, INT_DECLS)
+    assert (res.verdict, res.witness, res.explored) == (ia.Verdict.SATISFIABLE, ia.Valuation({"x": 4}), 3)
+    # without a shadowed name, a FALSE operand refutes the conjunction with no valuation
+    c = ia.NamedConstraint("C", ia.ConstraintKind.PRE, ia.parse_expression("x > 3", table))
+    conj = _conjoin_constraints(b, c, "BC")
+    prepared = Preparations({n.name: n for n in (b, c, conj)}, {conj.name: ("B", "C")}, table)
+    assert ia.constraint_falsity(conj, INT_DECLS, prepared=prepared) == ia.FalsityResult(ia.Verdict.FALSE)
 
 
 def _check_refutation(expr, decls, params=None):

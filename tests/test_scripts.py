@@ -18,6 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("closure_scaling.py", ["--sizes", "3", "5", "--repeats", "1"], 0),
         ("case_study_demo.py", [], 1),  # the case study is incompatible
         ("parse_digest.py", ["--strings", "200"], 0),
+        ("falsity_digest.py", ["--pairs", "5"], 0),
     ],
 )
 def test_script_runs_without_pythonpath(script, args, code, tmp_path):
@@ -38,4 +39,15 @@ def test_parse_digest_is_pinned():
     )
     assert done.stdout.strip() == (
         "2000 strings, 69 expressions, 43 contract heads, 496 declarations and 195 contracts parse, "
-        "sha256 e40c8759d73155fa62ea36158348f8ed2d097aeaa6087ff443628e0db5a84ee1")
+        "sha256 28a9887b9887c4617acdc736b7af236c5b830c003a15cb100187f1d71e5d6a48")
+
+
+def test_falsity_digest_is_pinned():
+    """What a check decides on the guards of 100 seeded pairs; the digest moves when any query's does."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "falsity_digest.py"), "--pairs", "100", "--seed", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == (
+        "100 pairs, 1285 queries: 527 false, 299 satisfiable, 459 unknown; 99798 valuations, "
+        "sha256 e41dfcf719adba2696c8b8f6fc0dc297d58ffd468a159df09ec2171a51c78d6e")
