@@ -2,18 +2,20 @@
 """Measure the graph stages' cost against product size.
 
 Builds pairs of hidden cycles whose product is an n*n torus where every
-state is bad, and fits a straight line through (transitions, cost) for four
-stages: the closure's operation count, and the best-of-``--repeats`` wall
-time of ``product``, ``illegal_states`` and ``shortest_witness``. Each is a
-single pass over the graph, so every fit should be near-perfectly linear;
-anything superlinear here would point at a regression in a stage. The
-repeats run as rounds, each over all sizes in turn.
+state is bad, and fits a straight line through (transitions, cost) for the
+closure's operation count and for the best-of-``--repeats`` wall time of
+each graph stage: ``product``, ``illegal_states``, ``bad_states``, ``prune``
+and ``shortest_witness``. Each is a single pass over the graph, so every fit
+should be near-perfectly linear; anything superlinear here would point at a
+regression in a stage. The repeats run as rounds, each over all sizes in
+turn.
 
 Every repeat starts from freshly built operands, so each stage pays for the
 automaton indexes it builds first, as it does inside a check. The real
 illegal set of a cycle pair holds the initial state, which would make the
-witness search trivial, so the search runs toward the pair farthest from
-the initial state instead, 2*(n-1) hidden steps away.
+witness search trivial and the prune empty at once, so both run toward the
+pair farthest from the initial state instead, 2*(n-1) hidden steps away:
+the search ends there, and the prune removes it and keeps the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import iacompat as ia  # noqa: E402
 from randgen import cycle_pair  # noqa: E402
 
-TIMED = ("product", "illegal", "witness")
+TIMED = ("product", "illegal", "closure", "prune", "witness")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,11 @@ def run_once(n: int) -> tuple[int, int, int, dict[str, float]]:
     far = ia.IllegalStateSet(frozenset({pid[a.states[-1], b.states[-1]]}), {})
     t4 = time.perf_counter()
     trace = ia.shortest_witness(prod, far)
-    secs["witness"] = time.perf_counter() - t4
+    t5 = time.perf_counter()
+    pruned = ia.prune(prod, far.states)
+    secs.update(witness=t5 - t4, prune=time.perf_counter() - t5)
     assert trace is not None and len(trace.steps) == 2 * (n - 1), "witness must cross the torus"
+    assert len(pruned.states) == len(auto.states) - 1, "the prune must keep all but the far pair"
     return len(auto.states), len(auto.transitions), ctr.ops, secs
 
 
@@ -79,19 +84,19 @@ def measure(cfg: ScalingConfig) -> int:
     ops: list[int] = []
     best: dict[str, list[float]] = {name: [] for name in TIMED}
     print(f"{'n':>4} {'states':>7} {'trans':>7} {'ops':>8} {'ops/trans':>9} "
-          + " ".join(f"{name + '_s':>10}" for name in ("closure",) + TIMED))
+          + " ".join(f"{name + '_s':>10}" for name in TIMED))
     # whole rounds over every size, so a noisy stretch of the host slows one
     # repeat of each size rather than every repeat of the last sizes
     rounds = [[run_once(n) for n in cfg.sizes] for _ in range(cfg.repeats)]
     for n, runs in zip(cfg.sizes, zip(*rounds)):
         states, n_trans, n_ops, _ = runs[0]
-        low = {name: min(r[3][name] for r in runs) for name in ("closure",) + TIMED}
+        low = {name: min(r[3][name] for r in runs) for name in TIMED}
         trans.append(n_trans)
         ops.append(n_ops)
         for name in TIMED:
             best[name].append(low[name])
         print(f"{n:>4} {states:>7} {n_trans:>7} {n_ops:>8} {n_ops / n_trans:>9.3f} "
-              + " ".join(f"{low[name]:>10.5f}" for name in ("closure",) + TIMED))
+              + " ".join(f"{low[name]:>10.5f}" for name in TIMED))
 
     print(f"\nlinearity checks (R^2 >= {cfg.r2_floor}):")
     ok = fit("closure", trans, ops, "ops", cfg.r2_floor)

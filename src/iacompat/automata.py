@@ -13,25 +13,23 @@ Collections are stored as tuples in declaration order. Transition tuples may
 repeat a declaration (a contract listing is free to state the same step
 twice); every algorithm here applies set semantics regardless. The graph
 stages read indexes each automaton builds once, on first use (``classes``,
-``autonomous``, ``outgoing``, ``enabled``), instead of rescanning the tuples;
-a product's ``outgoing`` comes from ``product``, which builds it state by
-state. The product construction visits reachable state pairs only, which is a
-worst case of O(|transitions1| * |transitions2|) work; membership in the
-larger full grid is never materialized.
+``autonomous``, ``outgoing``, ``enabled``, ``graph``), instead of rescanning
+the tuples; ``graph`` holds the steps on integer states. ``product`` numbers
+the pair states in the order it finds them, visiting reachable pairs only (a
+worst case of O(|transitions1| * |transitions2|) work; the full grid is never
+materialized), and builds ``Transition`` tuples only when they are read.
 
-``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so the graph
-stages build, hash, compare and order them as C-level tuples. They compare
-and hash equal to plain tuples of their fields (``ActionLabel("b", "a") ==
-("b", "a")``), so no dict or set here may hold labels beside the
-``(state, state)`` pairs or constraint-name pairs of ``product``; none
-does. Derive a changed step with ``t._replace(...)``.
+``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so they hash and
+compare as C-level tuples. They compare and hash equal to plain tuples of
+their fields (``ActionLabel("b", "a") == ("b", "a")``), so no dict or set here
+may hold labels beside the step tuples of ``graph`` or the constraint-name
+pairs of ``product``; none does. Derive a changed step with
+``t._replace(...)``.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from functools import cached_property
-from itertools import chain
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .domains import VariableDecl, is_identifier
@@ -168,10 +166,16 @@ class InterfaceAutomaton(Frozen):
 
     @cached_property
     def enabled(self) -> dict[ActionClass, dict[str, frozenset[ActionLabel]]]:
-        """Labels of each class on the transitions out of each ``outgoing`` key."""
-        labels = {s: frozenset(t.action for t in out) for s, out in self.outgoing.items()}
+        """Labels of each class on the steps out of each state of ``graph``."""
+        labels = {s: frozenset(step[1] for step in out) for s, out in zip(self.graph.names, self.graph.steps)}
         members = {cls: frozenset(l for l, c in self.classes.items() if c is cls) for cls in ActionClass}
         return {cls: {s: here & of_cls for s, here in labels.items()} for cls, of_cls in members.items()}
+
+    @cached_property
+    def graph(self) -> StepGraph:
+        """The steps on integer states: a product's own, else numbered from ``transitions``."""
+        steps = _transitions_field.__get__(self)
+        return steps if steps.__class__ is StepGraph else StepGraph.number(self)
 
     @cached_property
     def conjunctions(self) -> dict[ConstraintKind, dict[str, tuple[str, str]]]:
@@ -183,6 +187,52 @@ class InterfaceAutomaton(Frozen):
 
     def is_empty(self) -> bool:
         return not self.states
+
+
+class StepGraph:
+    """An automaton's steps on integer states: ``steps[i]`` lists the steps out of
+    ``names[i]`` as ``(pre, action, post, j)``, ``j`` the target's index, and
+    ``initials`` holds indexes too. A product keeps its own in its ``transitions``
+    field, which builds the ``Transition`` tuples from it, in state order, on first read."""
+
+    def __init__(self, names: list[str], steps: list[list[tuple]], initials: list[int]):
+        self.names, self.steps, self.initials = names, steps, initials
+
+    @classmethod
+    def number(cls, a: InterfaceAutomaton) -> StepGraph:
+        """``a``'s steps by source, numbering the states, then any other name an initial or step uses."""
+        ends = (s for t in a.transitions for s in (t.source, t.target))
+        names = list(dict.fromkeys([*a.states, *a.initials, *ends]))
+        index = {s: i for i, s in enumerate(names)}
+        steps: list[list[tuple]] = [[] for _ in names]
+        for t in a.transitions:
+            steps[index[t.source]].append((t.pre, t.action, t.post, index[t.target]))
+        return cls(names, steps, [index[s] for s in a.initials])
+
+    def transition(self, i: int, step: tuple) -> Transition:
+        pre, action, post, j = step
+        return _new(Transition, (self.names[i], pre, action, post, self.names[j]))
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        names = self.names
+        return tuple(_new(Transition, (names[i], pre, action, post, names[j]))
+                     for i, out in enumerate(self.steps) for pre, action, post, j in out)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.steps))
+
+    def __eq__(self, other) -> bool:
+        return self.transitions == (other.transitions if other.__class__ is StepGraph else other)
+
+    def __repr__(self) -> str:
+        return repr(self.transitions)
+
+
+_transitions_field = InterfaceAutomaton.transitions  # the field's own accessor
+InterfaceAutomaton.transitions = property(
+    lambda a: steps.transitions if (steps := _transitions_field.__get__(a)).__class__ is StepGraph else steps,
+    doc="The steps as ``Transition`` tuples; a product builds them from its ``StepGraph`` when first read.")
 
 
 EMPTY_AUTOMATON_NAME = "empty"
@@ -420,67 +470,60 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     pres = _GuardRegistry(a1.preconditions, a2.preconditions, name, taken)
     posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)
 
-    if pres.rename or posts.rename:
-        a2 = a2._replace(transitions=tuple(
-            t._replace(pre=pres.rename.get(t.pre, t.pre), post=posts.rename.get(t.post, t.post))
-            for t in a2.transitions
-        ))
-    # the right side's steps by state: its own ones, and the shared ones by action
-    own2 = {s: [u for u in out if u.action not in shared_set] for s, out in a2.outgoing.items()}
-    sync2: dict[str, dict[ActionLabel, list[Transition]]] = {}
-    for u in a2.transitions:
-        if u.action in shared_set:
-            sync2.setdefault(u.source, {}).setdefault(u.action, []).append(u)
+    # each side's steps by state index; the right side's own ones, and its
+    # shared ones by action, under the names its constraints took
+    g1, g2 = a1.graph, a2.graph
+    left = [[(*step, step[1] in shared_set) for step in out] for out in g1.steps]
+    own2: list[list[tuple]] = [[] for _ in g2.steps]
+    sync2: list[dict[ActionLabel, list[tuple]]] = [{} for _ in g2.steps]
+    for i2, out in enumerate(g2.steps):
+        for pre, action, post, t2 in out:
+            pre, post = pres.rename.get(pre, pre), posts.rename.get(post, post)
+            if action in shared_set:
+                sync2[i2].setdefault(action, []).append((pre, post, t2))
+            else:
+                own2[i2].append((pre, action, post, t2))
 
-    pair_id: dict[tuple[str, str], str] = {}
+    n2 = len(g2.names)
+    index: dict[int, int] = {}  # a pair (i1, i2) as i1 * n2 + i2 -> its pair state
+    pairs: list[tuple[int, int]] = []
     pair_of: dict[str, tuple[str, str]] = {}
-    worklist: deque[tuple[str, str]] = deque()
 
-    def intern(pair: tuple[str, str]) -> str:
-        """Name of a pair state; a pair is queued for expansion when first named."""
-        pid = pair_id.get(pair)
-        if pid is None:
+    def at(i1: int, i2: int) -> int:
+        """Index of the pair state; a new one is named and queued for expansion."""
+        j = index.get(i1 * n2 + i2)
+        if j is None:
+            pair = (g1.names[i1], g2.names[i2])
             # a distinct pair may collide on the joined name
-            pid = pair_id[pair] = _fresh_name(f"{pair[0]}__{pair[1]}", pair_of)
-            pair_of[pid] = pair
-            worklist.append(pair)
-        return pid
+            pair_of[_fresh_name(f"{pair[0]}__{pair[1]}", pair_of)] = pair
+            j = index[i1 * n2 + i2] = len(pairs)
+            pairs.append((i1, i2))
+        return j
 
-    initials = tuple(dict.fromkeys(intern((i1, i2)) for i1 in a1.initials for i2 in a2.initials))
+    initials = list(dict.fromkeys(at(i1, i2) for i1 in g1.initials for i2 in g2.initials))
 
-    outgoing: dict[str, list[Transition]] = {}  # handed over as the product's index
-    no_sync: dict[ActionLabel, list[Transition]] = {}  # shared by the states without shared steps
-
-    while worklist:
-        s1, s2 = worklist.popleft()
-        pid, sync = pair_id[s1, s2], sync2.get(s2, no_sync)
-        steps: dict[Transition, None] = {}  # insertion-ordered set
-        for t in a1.outgoing.get(s1, ()):
-            if t.action not in shared_set:
-                steps[_new(Transition, (pid, t.pre, t.action, t.post, intern((t.target, s2))))] = None
+    steps: list[list[tuple]] = []
+    for i1, i2 in pairs:  # read as it grows: each pair state once, in the order found
+        here: dict[tuple, None] = {}  # insertion-ordered set
+        sync = sync2[i2]
+        for pre, action, post, t1, synced in left[i1]:
+            if not synced:
+                here[pre, action, post, at(t1, i2)] = None
                 continue
-            for u in sync.get(t.action, ()):
+            for upre, upost, t2 in sync.get(action, ()):
                 # a missing guard is true, which conjunction absorbs
-                pre = u.pre if t.pre is None else t.pre if u.pre is None else pres.conjoin(t.pre, u.pre)
-                post = u.post if t.post is None else t.post if u.post is None else posts.conjoin(t.post, u.post)
-                steps[_new(Transition, (pid, pre, t.action, post, intern((t.target, u.target))))] = None
-        for u in own2.get(s2, ()):
-            steps[_new(Transition, (pid, u.pre, u.action, u.post, intern((s1, u.target))))] = None
-        outgoing[pid] = list(steps)
+                p = upre if pre is None else pre if upre is None else pres.conjoin(pre, upre)
+                q = upost if post is None else post if upost is None else posts.conjoin(post, upost)
+                here[p, action, q, at(t1, t2)] = None
+        for pre, action, post, t2 in own2[i2]:
+            here[pre, action, post, at(i1, t2)] = None
+        steps.append(list(here))
 
-    automaton = InterfaceAutomaton(
-        name=name,
-        states=tuple(pair_of),
-        initials=initials,
-        inputs=inputs,
-        outputs=outputs,
-        hidden=hidden,
-        variables=variables,
-        preconditions=pres.entries,
-        postconditions=posts.entries,
-        transitions=tuple(chain.from_iterable(outgoing.values())),
-    )
-    automaton.__dict__["outgoing"] = outgoing  # the cached indexes, built already
+    names = list(pair_of)
+    # built without the constructor's checks, which every field here passes
+    automaton = _new(InterfaceAutomaton, (name, tuple(names), tuple(names[i] for i in initials), inputs,
+                                          outputs, hidden, variables, pres.entries, posts.entries,
+                                          StepGraph(names, steps, initials)))
     automaton.__dict__["conjunctions"] = {ConstraintKind.PRE: pres.operands, ConstraintKind.POST: posts.operands}
     return ProductResult(
         automaton=automaton,

@@ -135,11 +135,11 @@ def _summary_lines(report: CompatReport) -> list[str]:
     if report.composability.ok:
         lines.append(f"shared: {', '.join(str(a) for a in report.shared) or '(none)'}")
         prod = report.product.automaton
-        lines.append(f"product: {len(prod.states)} states, {len(prod.transitions)} transitions")
+        lines.append(f"product: {len(prod.states)} states, {len(prod.graph)} transitions")
         lines.append(f"illegal states: {len(report.illegal.states)}")
         lines.append(f"bad states: {len(report.bad)}")
         lines.append(
-            f"pruned: {len(report.pruned.states)} states, {len(report.pruned.transitions)} transitions"
+            f"pruned: {len(report.pruned.states)} states, {len(report.pruned.graph)} transitions"
         )
     if report.verdict is CompatVerdict.COMPATIBLE:
         lines.append("verdict: compatible")
@@ -237,7 +237,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except EvalError as exc:
         _emit(f"evaluation error: {exc}\n")
         return 1
-    _emit(_value_text(result) + "\n")
+    try:
+        text = _value_text(result)
+    except ValueError:  # past sys.get_int_max_str_digits(): a computed sum
+        print(f"error: the result holds an integer of more than {sys.get_int_max_str_digits()} digits",
+              file=sys.stderr)
+        return 2
+    _emit(text + "\n")
     return 0
 
 

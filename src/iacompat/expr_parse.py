@@ -95,6 +95,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
     e = _parse_primary(ts)
     while True:
         if ts.accept("punct", "("):
+            start = ts.at  # the first bound's first token
             first = parse_expr(ts)
             if ts.accept("punct", ","):
                 # sequence prefix slice: m(1,...,k) is sugar for m.front(k)
@@ -103,7 +104,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
                 hi = parse_expr(ts)
                 ts.expect("punct", ")")
                 if first != IntLit(1):
-                    raise ts.error("sequence slices must start at 1")
+                    raise ts.error("sequence slices must start at 1", start)
                 e = MethodCall(e, "front", (hi,))
             else:
                 ts.expect("punct", ")")

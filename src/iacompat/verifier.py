@@ -9,17 +9,18 @@ to false. The backward closure follows output and hidden steps only: a
 helpful environment can steer inputs away from trouble, so input steps do
 not propagate badness.
 
-Every stage reads cached indexes (``product`` hands over the product's
-``outgoing``) and is linear in the product: the illegal-state pass makes
+Every stage runs on the product's ``graph`` of integer pair states, with
+lists and bytearrays, and builds ``Transition`` tuples only for what its
+result holds. Each is linear in the product: the illegal-state pass makes
 O(|P|) set tests, O(|shared|) lookups where an output goes unreceived, and one
-falsity query per distinct guard; the closure and the witness search are
-breadth-first sweeps in O(states + transitions). ``OpCounter`` exposes the
-closure's elementary operation count for measurement.
+falsity query per distinct guard; the closure (a least fixpoint over
+predecessor lists), the prune and the witness search are breadth-first sweeps
+in O(states + transitions). ``OpCounter`` exposes the closure's elementary
+operation count for measurement.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Mapping, Optional, Union
 
 from .automata import (
@@ -114,7 +115,8 @@ def illegal_states(
     guarded = auto.preconditions or auto.postconditions  # else no step has a guard
     reasons: dict[str, list[IllegalReason]] = {}
 
-    for pid in auto.states:
+    graph = auto.graph
+    for i, (pid, out) in enumerate(zip(auto.states, graph.steps)):
         s1, s2 = prod.pair_of[pid]
         sends1, takes1, sends2, takes2 = out1[s1], in1[s1], out2[s2], in2[s2]
         if not (sends1 <= takes2 and sends2 <= takes1):  # reasons in the order of shared_sorted
@@ -124,15 +126,15 @@ def illegal_states(
                 if action in sends2 and action not in takes1:
                     reasons.setdefault(pid, []).append(UnreceivedOutput(action, "right"))
 
-        out = auto.outgoing[pid]
         disabled = [
-            t for t in out
-            if t.pre is not None and is_false(t.pre, pre_cache, pre_prep)
-            or t.post is not None and is_false(t.post, post_cache, post_prep)
+            step for step in out
+            if step[0] is not None and is_false(step[0], pre_cache, pre_prep)
+            or step[2] is not None and is_false(step[2], post_cache, post_prep)
         ] if guarded else []
         # with no step at all, only the vacuous reading condemns the state
         if len(disabled) == len(out) and (out or strict_deadlock):
-            reasons.setdefault(pid, []).append(AllGuardsFalse(tuple(disabled)))
+            disabled_steps = tuple(graph.transition(i, step) for step in disabled)
+            reasons.setdefault(pid, []).append(AllGuardsFalse(disabled_steps))
 
     return IllegalStateSet(
         states=frozenset(reasons),
@@ -155,25 +157,28 @@ def bad_states(
     if not illegal.states:
         return frozenset()
     auto = prod.automaton
-    autonomous = auto.autonomous
+    autonomous, graph = auto.autonomous, auto.graph
+    names = graph.names
 
-    reverse: dict[str, list[str]] = {}
-    for t in auto.transitions:
-        if t.action in autonomous:
-            reverse.setdefault(t.target, []).append(t.source)
+    pred: list[list[int]] = [[] for _ in names]
+    for i, out in enumerate(graph.steps):
+        for _, action, _, j in out:
+            if action in autonomous:
+                pred[j].append(i)
 
-    bad = set(illegal.states)
-    queue = deque(sorted(bad))
-    while queue:
-        for p in reverse.get(queue.popleft(), ()):
-            if p not in bad:
-                bad.add(p)
+    bad = bytearray(s in illegal.states for s in names)
+    queue = [i for i, b in enumerate(bad) if b]
+    for i in queue:  # read as it grows: each bad state once
+        for p in pred[i]:
+            if not bad[p]:
+                bad[p] = 1
                 queue.append(p)
+    found = frozenset(illegal.states).union(map(names.__getitem__, queue))
     if counter is not None:
         # one op per transition indexed, and each bad state is dequeued once
         # and scans its predecessors
-        counter.ops += len(auto.transitions) + sum(1 + len(reverse.get(s, ())) for s in bad)
-    return frozenset(bad)
+        counter.ops += len(graph) + len(found) + sum(len(pred[i]) for i in queue)
+    return found
 
 
 def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
@@ -182,27 +187,31 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     Returns the canonical empty automaton when nothing survives, the product's own when all does.
     """
     auto = prod.automaton
-    initials = [s for s in auto.initials if s not in remove]
+    graph = auto.graph
+    names = graph.names
+    initials = [i for i in graph.initials if names[i] not in remove]
     if not initials:
         return empty_automaton(auto.name)
 
-    reachable: set[str] = set(initials)
-    queue = deque(initials)
-    while queue:
-        s = queue.popleft()
-        for t in auto.outgoing[s]:
-            if t.target not in reachable and t.target not in remove:
-                reachable.add(t.target)
-                queue.append(t.target)
+    kept = list(dict.fromkeys(initials))
+    keep = bytearray(len(names))
+    for i in kept:
+        keep[i] = 1
+    for i in kept:  # read as it grows
+        for step in graph.steps[i]:
+            j = step[3]
+            if not keep[j] and names[j] not in remove:
+                keep[j] = 1
+                kept.append(j)
 
-    if len(reachable) == len(auto.states):  # a product's states are distinct
+    if len(kept) == len(auto.states):  # a product's states are distinct
         return auto
     return auto._replace(
-        states=tuple(s for s in auto.states if s in reachable),
-        initials=tuple(initials),
+        states=tuple(s for s, k in zip(auto.states, keep) if k),
+        initials=tuple(names[i] for i in initials),
         transitions=tuple(
-            t for t in auto.transitions
-            if t.source in reachable and t.target in reachable
+            graph.transition(i, step) for i, out in enumerate(graph.steps) if keep[i]
+            for step in out if keep[step[3]]
         ),
     )
 
@@ -224,28 +233,35 @@ def shortest_witness(prod: ProductResult, illegal: IllegalStateSet) -> Optional[
     an illegal state autonomously.
     """
     auto = prod.automaton
-    autonomous, outgoing, targets = auto.autonomous, auto.outgoing, illegal.states
+    autonomous, graph, targets = auto.autonomous, auto.graph, illegal.states
+    names = graph.names
 
-    parent: dict[str, Optional[Transition]] = dict.fromkeys(auto.initials)  # also the seen set
-    found = next((s for s in auto.initials if s in targets), None)
-    queue = deque(auto.initials)
-    while queue and found is None:
-        for t in outgoing[queue.popleft()]:
-            if t.target in parent or t.action not in autonomous:
+    # the step that first reached each state, () at an initial one
+    via: list[Optional[tuple]] = [None] * len(names)
+    for i in graph.initials:
+        via[i] = ()
+    found = next((i for i in graph.initials if names[i] in targets), None)
+    queue = list(graph.initials)
+    for i in queue:  # read as it grows
+        if found is not None:
+            break
+        for step in graph.steps[i]:
+            j = step[3]
+            if via[j] is not None or step[1] not in autonomous:
                 continue
-            parent[t.target] = t
-            if t.target in targets:
-                found = t.target
+            via[j] = (i, step)
+            if names[j] in targets:
+                found = j
                 break
-            queue.append(t.target)
+            queue.append(j)
     if found is None:
         return None
     steps: list[Transition] = []
-    while (step := parent[found]) is not None:
-        steps.append(step)
-        found = step.source
+    while via[found]:
+        found, step = via[found]
+        steps.append(graph.transition(found, step))
     steps.reverse()
-    return Trace(states=(found,) + tuple(t.target for t in steps), steps=tuple(steps))
+    return Trace(states=(names[found],) + tuple(t.target for t in steps), steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +381,7 @@ def _automaton_summary(a: InterfaceAutomaton) -> dict:
     return {
         "name": a.name,
         "states": len(a.states),
-        "transitions": len(a.transitions),
+        "transitions": len(a.graph),  # a product's tuples stay unbuilt
         "initials": sorted(a.initials),
         "inputs": _labels(a.inputs),
         "outputs": _labels(a.outputs),

@@ -616,6 +616,14 @@ def test_eval_unbound_variable(capsys):
     assert "unbound variable: y" in (out + err)
 
 
+def test_eval_of_an_integer_too_long_to_print_is_an_error(capsys):
+    long_sum = f"{'9' * 4300} + {'9' * 4300}"
+    assert run_cli(capsys, "eval", long_sum) == (
+        2, "", "error: the result holds an integer of more than 4300 digits\n")
+    code, out, _ = run_cli(capsys, "eval", f"{long_sum} > 0")
+    assert (code, out) == (0, "true\n")
+
+
 def test_eval_parse_error(capsys):
     code, out, err = run_cli(capsys, "eval", "x <", "--bind", "x=1")
     assert code == 2

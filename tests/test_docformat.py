@@ -167,6 +167,9 @@ PARSE_ERRORS = [
     ("doc", _GO + "var x : int[0...3]; }", "case.ia:1:76: expected .., found '...'"),
     ("doc", _GO + "var x : int[0.3]; }", "case.ia:1:76: expected .., found '.'"),
     ("expr", "q(1,..,2)", "case.ia:1:5: expected '...', found '..'"),
+    # a slice that does not start at 1 is placed at its first bound
+    ("expr", "q(2,...,3) = q", "case.ia:1:3: sequence slices must start at 1"),
+    ("expr", "q( x + 1 ,...,3)", "case.ia:1:4: sequence slices must start at 1"),
     ("expr", "a....b", "case.ia:1:2: unexpected trailing input '...'"),
     ("doc", "contract", "case.ia:1:9: expected a contract name, found 'end of input'"),
     # → is one source character

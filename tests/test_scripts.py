@@ -19,6 +19,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("case_study_demo.py", [], 1),  # the case study is incompatible
         ("parse_digest.py", ["--strings", "200"], 0),
         ("falsity_digest.py", ["--pairs", "5"], 0),
+        ("product_digest.py", ["--pairs", "5"], 0),
     ],
 )
 def test_script_runs_without_pythonpath(script, args, code, tmp_path):
@@ -51,3 +52,14 @@ def test_falsity_digest_is_pinned():
     assert done.stdout.strip() == (
         "100 pairs, 1285 queries: 527 false, 299 satisfiable, 459 unknown; 99798 valuations, "
         "sha256 e41dfcf719adba2696c8b8f6fc0dc297d58ffd468a159df09ec2171a51c78d6e")
+
+
+def test_product_digest_is_pinned():
+    """The products, reports and witnesses of 100 seeded pairs and the tori; the digest moves when any does."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "product_digest.py"), "--pairs", "100", "--seed", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == (
+        "474 checks: 2470 states, 4822 transitions, 694 illegal, 1564 bad, 233 witnesses, "
+        "sha256 0e823eb97733b44fb2a45aad3029acd5c825a087db2bfeb066300691d17d8c84")

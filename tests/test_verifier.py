@@ -268,6 +268,46 @@ def test_handed_over_indexes_agree_with_rebuilt_ones():
         assert ctr.ops == 0  # nothing to close, nothing counted
 
 
+def _receptive_pair():
+    """A guard-free pair whose receiver takes ``go`` everywhere: compatible, 4 pair states."""
+    go, ha, hb = _lab("go"), _lab("ha"), _lab("hb")
+    a = _auto("A", ["a0", "a1"], ["a0"], outputs=[go], hidden=[ha],
+              transitions=[ia.Transition("a0", None, go, None, "a1"), ia.Transition("a1", None, ha, None, "a0"),
+                           ia.Transition("a1", None, go, None, "a1")])
+    b = _auto("B", ["b0", "b1"], ["b0"], inputs=[go], hidden=[hb],
+              transitions=[ia.Transition("b0", None, go, None, "b1"), ia.Transition("b1", None, go, None, "b0"),
+                           ia.Transition("b1", None, hb, None, "b1")])
+    return a, b
+
+
+def test_a_compatible_guard_free_check_builds_no_product_transition():
+    rep = ia.check_compatibility(*_receptive_pair())
+    text = ia.report_to_json(rep)
+    assert rep.verdict is ia.CompatVerdict.COMPATIBLE and rep.pruned is rep.product.automaton
+    assert json.loads(text)["product"]["transitions"] == 8
+    # the product's Transition tuples are built on first read, and nothing read them
+    assert "transitions" not in vars(rep.product.automaton.graph)
+
+
+def test_product_transitions_read_after_a_check_keep_their_order():
+    rep = ia.check_compatibility(*_receptive_pair())
+    ia.report_to_json(rep)
+    go, ha, hb = _lab("go"), _lab("ha"), _lab("hb")
+    T = ia.Transition
+    assert rep.product.automaton.transitions == (
+        T("a0__b0", None, go, None, "a1__b1"),
+        T("a1__b1", None, ha, None, "a0__b1"),
+        T("a1__b1", None, go, None, "a1__b0"),
+        T("a1__b1", None, hb, None, "a1__b1"),
+        T("a0__b1", None, go, None, "a1__b0"),
+        T("a0__b1", None, hb, None, "a0__b1"),
+        T("a1__b0", None, ha, None, "a0__b0"),
+        T("a1__b0", None, go, None, "a1__b1"),
+    )
+    assert all(type(t) is ia.Transition for t in rep.pruned.transitions)
+    assert rep.pruned.transitions is rep.product.automaton.transitions  # built once
+
+
 # ---------------------------------------------------------------------------
 # end-to-end check
 
