@@ -49,7 +49,7 @@ def run_once(n: int) -> tuple[int, int, int, dict[str, float]]:
     t0 = time.perf_counter()
     prod = ia.product(a, b)
     t1 = time.perf_counter()
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     t2 = time.perf_counter()
     ctr = ia.OpCounter()
     bad = ia.bad_states(prod, ill, counter=ctr)

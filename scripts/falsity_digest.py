@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             a1, a2 = side(rng, "L", "s", sends=True), side(rng, "R", "t", sends=False)
             prod = ia.product(a1, a2)
             for budget in BUDGETS:
-                verifier.illegal_states(prod, a1, a2, budget=budget)
+                verifier.illegal_states(prod, budget=budget)
     finally:
         verifier.constraint_falsity = original
 

@@ -13,11 +13,13 @@ Collections are stored as tuples in declaration order. Transition tuples may
 repeat a declaration (a contract listing is free to state the same step
 twice); every algorithm here applies set semantics regardless. The graph
 stages read indexes each automaton builds once, on first use (``classes``,
-``autonomous``, ``outgoing``, ``enabled``, ``graph``), instead of rescanning
-the tuples; ``graph`` holds the steps on integer states. ``product`` numbers
-the pair states in the order it finds them, visiting reachable pairs only (a
-worst case of O(|transitions1| * |transitions2|) work; the full grid is never
-materialized), and builds ``Transition`` tuples only when they are read.
+``autonomous``, ``enabled``, ``graph``), instead of rescanning the tuples;
+``graph`` holds the steps on integer states. ``product`` numbers the pair
+states in the order it finds them, visiting reachable pairs only (a worst case
+of O(|transitions1| * |transitions2|) work; the full grid is never
+materialized), and builds ``Transition`` tuples only when they are read. Its
+``ProductResult`` carries all the graph stages read besides: the two operands
+and the operand names of each guard conjunction it added.
 
 ``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so they hash and
 compare as C-level tuples. They compare and hash equal to plain tuples of
@@ -78,7 +80,10 @@ class ActionClass(enum.Enum):
 
     @property
     def decoration(self) -> str:
-        return {"input": "?", "output": "!", "hidden": ";"}[self.value]
+        return _DECORATIONS[self]
+
+
+_DECORATIONS = {ActionClass.INPUT: "?", ActionClass.OUTPUT: "!", ActionClass.HIDDEN: ";"}
 
 
 class Transition(NamedTuple):
@@ -157,14 +162,6 @@ class InterfaceAutomaton(Frozen):
         return frozenset(l for l, c in self.classes.items() if c is not ActionClass.INPUT)
 
     @cached_property
-    def outgoing(self) -> dict[str, list[Transition]]:
-        """Transitions out of each state, and of any undeclared source, in order."""
-        index: dict[str, list[Transition]] = {s: [] for s in self.states}
-        for t in self.transitions:
-            index.setdefault(t.source, []).append(t)
-        return index
-
-    @cached_property
     def enabled(self) -> dict[ActionClass, dict[str, frozenset[ActionLabel]]]:
         """Labels of each class on the steps out of each state of ``graph``."""
         labels = {s: frozenset(step[1] for step in out) for s, out in zip(self.graph.names, self.graph.steps)}
@@ -177,13 +174,13 @@ class InterfaceAutomaton(Frozen):
         steps = _transitions_field.__get__(self)
         return steps if steps.__class__ is StepGraph else StepGraph.number(self)
 
-    @cached_property
-    def conjunctions(self) -> dict[ConstraintKind, dict[str, tuple[str, str]]]:
-        """The operand names of each guard conjunction, by kind; only ``product`` records any."""
-        return {ConstraintKind.PRE: {}, ConstraintKind.POST: {}}
-
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
         return self.classes.get(label)
+
+    def decorated(self, label: ActionLabel) -> str:
+        """The label with its class's decoration (``?``, ``!`` or ``;``), bare if undeclared."""
+        cls = self.classes.get(label)
+        return f"{label}{cls.decoration}" if cls else str(label)
 
     def is_empty(self) -> bool:
         return not self.states
@@ -343,11 +340,13 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
 
     Gives internal actions a private namespace so that two components using
     the same internal operation name (``init`` being the classic case) become
-    composable. Inputs and outputs are left untouched.
+    composable. A hidden action that has a namespace already keeps it, so
+    qualifying twice changes nothing and a qualified product's hidden actions
+    stay distinct. Inputs and outputs are left untouched.
     """
     if not a.hidden:
         return a
-    mapping = {h: ActionLabel(h.name, a.name) for h in a.hidden}
+    mapping = {h: h if h.namespace else ActionLabel(h.name, a.name) for h in a.hidden}
     return a._replace(hidden=tuple(mapping.values()), transitions=tuple(
         t._replace(action=mapping.get(t.action, t.action)) for t in a.transitions
     ))
@@ -357,12 +356,17 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
 # synchronized product
 
 class ProductResult(Frozen):
+    """A product with what the graph stages read besides it: the two operands it
+    composed, and the operand names of each conjunction it added, by kind."""
+
     automaton: InterfaceAutomaton
     pair_of: Mapping[str, tuple[str, str]]
     shared_actions: tuple[ActionLabel, ...]
+    operands: tuple[InterfaceAutomaton, InterfaceAutomaton]
+    conjunctions: Mapping[ConstraintKind, Mapping[str, tuple[str, str]]]
 
     def __post_init__(self):
-        return self.automaton, dict(self.pair_of), self.shared_actions
+        return self.automaton, dict(self.pair_of), self.shared_actions, tuple(self.operands), self.conjunctions
 
 
 class ProductError(ValueError):
@@ -524,9 +528,10 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     automaton = _new(InterfaceAutomaton, (name, tuple(names), tuple(names[i] for i in initials), inputs,
                                           outputs, hidden, variables, pres.entries, posts.entries,
                                           StepGraph(names, steps, initials)))
-    automaton.__dict__["conjunctions"] = {ConstraintKind.PRE: pres.operands, ConstraintKind.POST: posts.operands}
     return ProductResult(
         automaton=automaton,
         pair_of=pair_of,
         shared_actions=tuple(sorted(shared_set, key=lambda l: l.sort_key)),
+        operands=(a1, a2),
+        conjunctions={ConstraintKind.PRE: pres.operands, ConstraintKind.POST: posts.operands},
     )

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .automata import InterfaceAutomaton, ProductError, composable, product, qualify_hidden
+from .automata import ComposabilityReport, InterfaceAutomaton, ProductError, composable, product, qualify_hidden
 from .docformat import (
     document_diagnostics,
     document_from_automaton,
@@ -123,15 +123,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return worst
 
 
+def _conflict_lines(comp: ComposabilityReport) -> list[str]:
+    return [f"conflict {c.clause}: {', '.join(map(str, c.actions))}" for c in comp.conflicts]
+
+
 def _summary_lines(report: CompatReport) -> list[str]:
     lines = [
         f"left: {report.left}",
         f"right: {report.right}",
         f"composable: {'yes' if report.composability.ok else 'no'}",
     ]
-    for c in report.composability.conflicts:
-        acts = ", ".join(str(a) for a in c.actions)
-        lines.append(f"conflict {c.clause}: {acts}")
+    lines += _conflict_lines(report.composability)
     if report.composability.ok:
         lines.append(f"shared: {', '.join(str(a) for a in report.shared) or '(none)'}")
         prod = report.product.automaton
@@ -165,10 +167,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"witness ({len(report.witness.steps)} steps):")
             lines.append(f"  {report.witness.states[0]}")
             prod = report.product.automaton
-            for t in report.witness.steps:
-                cls = prod.action_class(t.action)
-                deco = cls.decoration if cls else ""
-                lines.append(f"  -[{t.action}{deco}]-> {t.target}")
+            lines += (f"  -[{prod.decorated(t.action)}]-> {t.target}" for t in report.witness.steps)
     _emit("".join(f"{line}\n" for line in lines))
     if args.report:
         Path(args.report).write_text(report_to_json(report), encoding="utf-8")
@@ -184,10 +183,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         b = qualify_hidden(b)
     comp = composable(a, b)
     if not comp.ok:
-        for c in comp.conflicts:
-            acts = ", ".join(str(x) for x in c.actions)
-            print(f"conflict {c.clause}: {acts}", file=sys.stderr)
-        print("error: not composable", file=sys.stderr)
+        print(*_conflict_lines(comp), "error: not composable", sep="\n", file=sys.stderr)
         return 1
     prod = product(a, b)
     _write_or_print(print_document(document_from_automaton(prod.automaton)), args.output)

@@ -569,8 +569,7 @@ def export_dot(item: Union[InterfaceAutomaton, ProductResult]) -> str:
     lines += [f"  {_dot_id(s)};" for s in a.states]
     lines += [f"  __start{i} -> {_dot_id(s)};" for i, s in enumerate(a.initials)]
     for t in a.transitions:
-        cls = a.action_class(t.action)
-        label = f"{t.action}{cls.decoration if cls else ''}{_guards_text(t)}"
+        label = f"{a.decorated(t.action)}{_guards_text(t)}"
         lines.append(f'  {_dot_id(t.source)} -> {_dot_id(t.target)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -74,20 +74,19 @@ class OpCounter:
 
 def illegal_states(
     prod: ProductResult,
-    a1: InterfaceAutomaton,
-    a2: InterfaceAutomaton,
     *,
     strict_deadlock: bool = False,
     budget: Optional[int] = None,
 ) -> IllegalStateSet:
     """Illegal product states with the reasons that condemn them.
 
-    Guards are judged over the product's merged variable declarations.
+    The enabled actions come from the operands ``product`` composed, and the
+    guards are judged over the product's merged variable declarations.
     ``strict_deadlock`` extends the all-guards-false clause to states with no
     outgoing transitions (the vacuous reading); by default deadlocks are not
     illegal. A falsity verdict of Unknown never disables a transition.
     """
-    auto = prod.automaton
+    auto, (a1, a2) = prod.automaton, prod.operands
     budget = default_budget() if budget is None else budget
 
     # one verdict cache and one preparation memo per registry, since a pre and
@@ -96,8 +95,8 @@ def illegal_states(
     pre_cache: dict[str, Verdict] = {}
     post_cache: dict[str, Verdict] = {}
     pools: Pools = {}
-    pre_prep = Preparations(auto.preconditions, auto.conjunctions[ConstraintKind.PRE], auto.variables)
-    post_prep = Preparations(auto.postconditions, auto.conjunctions[ConstraintKind.POST], auto.variables)
+    pre_prep = Preparations(auto.preconditions, prod.conjunctions[ConstraintKind.PRE], auto.variables)
+    post_prep = Preparations(auto.postconditions, prod.conjunctions[ConstraintKind.POST], auto.variables)
 
     def is_false(name: str, cache: dict[str, Verdict], prepared: Preparations) -> bool:
         if name not in cache:
@@ -338,9 +337,7 @@ def check_compatibility(
         )
 
     prod = product(a1, a2)
-    illegal = illegal_states(
-        prod, a1, a2, strict_deadlock=options.strict_deadlock, budget=options.enum_budget
-    )
+    illegal = illegal_states(prod, strict_deadlock=options.strict_deadlock, budget=options.enum_budget)
     bad = bad_states(prod, illegal)
     pruned = prune(prod, bad)
 

@@ -263,7 +263,7 @@ def test_acceptance_6_closure_scales_linearly(capsys):
     for n in (8, 11, 16, 22, 32, 45, 64, 71):
         a, b = cycle_pair(n, n)
         prod = ia.product(a, b)
-        ill = ia.illegal_states(prod, a, b)
+        ill = ia.illegal_states(prod)
         ctr = ia.OpCounter()
         bad = ia.bad_states(prod, ill, counter=ctr)
         edges = len(prod.automaton.transitions)

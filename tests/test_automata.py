@@ -2,6 +2,7 @@
 qualification, synchronized product."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import iacompat as ia
 from oracles import interleaving_size, oracle_shared
 from randgen import rand_composable_pair
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _lab(*names):
@@ -191,6 +194,7 @@ def test_action_class_precedence_on_overlap():
     assert a.action_class(x) is ia.ActionClass.INPUT
     assert a.action_class(y) is ia.ActionClass.OUTPUT
     assert a.action_class(ia.ActionLabel("z")) is None
+    assert [a.decorated(l) for l in (x, y, ia.ActionLabel("z"))] == ["x?", "y!", "z"]
 
 
 def test_cached_indexes_stay_out_of_the_value():
@@ -201,8 +205,8 @@ def test_cached_indexes_stay_out_of_the_value():
     assert ld == _ld()
     first = ld.transitions[0]
     moved = ld._replace(transitions=(first,))
-    assert moved.outgoing[first.source] == [first]
-    assert sum(map(len, moved.outgoing.values())) == 1
+    assert moved.graph.transitions == (first,) and len(moved.graph) == 1
+    assert len(ld.graph) == len(ld.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +258,14 @@ def test_qualify_hidden_namespaces():
     assert ld.inputs == _ld().inputs
     assert ld.outputs == _ld().outputs
     assert len(ld.transitions) == len(_ld().transitions)
+    # a namespace is kept: qualifying twice changes nothing, and the printed
+    # case-study product keeps LE_Device::init and TransportLayer::init apart
+    assert ia.qualify_hidden(ld) == ld
+    (prod,) = ia.parse_document((GOLDEN / "le_device_x_transport_layer.ia").read_text(encoding="utf-8")).automata
+    qualified = ia.qualify_hidden(prod)
+    assert len(prod.hidden) == len(set(qualified.hidden)) == 23
+    assert {ia.ActionLabel("init", "LE_Device"), ia.ActionLabel("init", "TransportLayer")} <= set(qualified.hidden)
+    assert ia.qualify_hidden(qualified) == qualified
 
 
 def test_qualify_hidden_identity_without_hidden():
@@ -397,14 +409,15 @@ def test_product_hands_over_the_operands_of_each_new_conjunction():
     for left, conj in (({"P": p}, "P_and_Q"), ({"P": p, "P_and_Q": pq._replace(body=p.body)}, "P_and_Q_2")):
         a = ia.InterfaceAutomaton("A", ("s",), ("s",), (), (go,), (), {"x": x},
                                   left, transitions=(ia.Transition("s", "P", go, None, "s"),))
-        auto = ia.product(a, b).automaton
-        assert [t.pre for t in auto.transitions] == [conj]
-        assert auto.conjunctions == {ia.ConstraintKind.PRE: {conj: ("P", "Q")}, ia.ConstraintKind.POST: {}}
+        prod = ia.product(a, b)
+        assert [t.pre for t in prod.automaton.transitions] == [conj]
+        assert prod.conjunctions == {ia.ConstraintKind.PRE: {conj: ("P", "Q")}, ia.ConstraintKind.POST: {}}
     # a conjunction equal to an entry of the left operand reuses it, with no operands
     a = a._replace(preconditions={"P": p, "P_and_Q": pq})
-    auto = ia.product(a, b).automaton
-    assert [t.pre for t in auto.transitions] == ["P_and_Q"]
-    assert auto.conjunctions == a.conjunctions == {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}}
+    prod = ia.product(a, b)
+    assert [t.pre for t in prod.automaton.transitions] == ["P_and_Q"]
+    assert prod.conjunctions == {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}}
+    assert prod.operands == (a, b)
 
 
 def _swap_isomorphic(p12, p21):

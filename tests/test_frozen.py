@@ -148,8 +148,10 @@ def test_post_init_checks_and_normalises():
     for e in (right, left):
         assert ia.parse_expression(ia.to_text(e)) == e
     pairs = {"p": ("a", "b")}
-    prod = ia.ProductResult(ia.empty_automaton(), pairs, ())
+    e = ia.empty_automaton()
+    prod = ia.ProductResult(e, pairs, (), [e, e], {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}})
     assert prod.pair_of == pairs and prod.pair_of is not pairs
+    assert prod.operands == (e, e)
 
 
 def test_replace_rebuilds_through_the_constructor():

@@ -40,7 +40,7 @@ def test_minimal_unreceived_output():
               transitions=[ia.Transition("s1", None, x, None, "s1")])
     b = _auto("B", ["t1"], ["t1"], inputs=[x])  # declares x, never enables it
     prod = ia.product(a, b)
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     assert ill.states == frozenset({"s1__t1"})
     (reason,) = ill.reasons["s1__t1"]
     assert isinstance(reason, ia.UnreceivedOutput)
@@ -57,7 +57,7 @@ def test_all_guards_false_state():
               transitions=[ia.Transition("s0", "Dead", go, None, "s1")])
     b = _auto("B", ["t0"], ["t0"])
     prod = ia.product(a, b)
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     assert "s0__t0" in ill.states
     (reason,) = ill.reasons["s0__t0"]
     assert isinstance(reason, ia.AllGuardsFalse)
@@ -70,8 +70,8 @@ def test_deadlock_not_illegal_by_default():
               transitions=[ia.Transition("s0", None, go, None, "s1")])
     b = _auto("B", ["t0"], ["t0"])
     prod = ia.product(a, b)
-    assert ia.illegal_states(prod, a, b).states == frozenset()
-    strict = ia.illegal_states(prod, a, b, strict_deadlock=True)
+    assert ia.illegal_states(prod).states == frozenset()
+    strict = ia.illegal_states(prod, strict_deadlock=True)
     assert "s1__t0" in strict.states
 
 
@@ -84,7 +84,7 @@ def test_satisfiable_guard_not_illegal():
               transitions=[ia.Transition("s0", "Ok", go, None, "s1")])
     b = _auto("B", ["t0"], ["t0"])
     prod = ia.product(a, b)
-    assert ia.illegal_states(prod, a, b).states == frozenset()
+    assert ia.illegal_states(prod).states == frozenset()
 
 
 def test_pre_and_post_of_one_name_keep_separate_verdicts():
@@ -101,7 +101,7 @@ def test_pre_and_post_of_one_name_keep_separate_verdicts():
     b = _auto("B", ["t"], ["t"])
     assert ia.validate(a) == []
     prod = ia.product(a, b)
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     assert ill.states == frozenset({"s1__t"})
     (reason,) = ill.reasons["s1__t"]
     assert reason == ia.AllGuardsFalse((ia.Transition("s1__t", "C", stay, None, "s1__t"),))
@@ -110,7 +110,7 @@ def test_pre_and_post_of_one_name_keep_separate_verdicts():
 def test_fixture_illegal_set_against_oracle():
     ld, tl = _qualified_fixture_pair()
     prod = ia.product(ld, tl)
-    ill = ia.illegal_states(prod, ld, tl)
+    ill = ia.illegal_states(prod)
     assert len(ill.states) == 21
     _, _, orc_ill, _ = oracle_verdict(ld, tl)
     reach_pairs = {prod.pair_of[s] for s in prod.automaton.states}
@@ -137,7 +137,7 @@ def _chain_product():
                            ia.Transition("s2", None, x, None, "s2")])
     b = _auto("B", ["t"], ["t"], inputs=[x])  # x never enabled: (s2,t) illegal
     prod = ia.product(a, b)
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     assert ill.states == frozenset({"s2__t"})
     return prod, ill
 
@@ -154,7 +154,7 @@ def test_bad_states_input_steps_do_not_propagate():
                            ia.Transition("s1", None, x, None, "s1")])
     b = _auto("B", ["t"], ["t"], inputs=[x])
     prod = ia.product(a, b)
-    ill = ia.illegal_states(prod, a, b)
+    ill = ia.illegal_states(prod)
     assert ill.states == frozenset({"s1__t"})
     # the environment may withhold `go`, so s0 stays good
     assert ia.bad_states(prod, ill) == frozenset({"s1__t"})
@@ -176,14 +176,14 @@ def test_bad_states_counter_counts_exact_closure_work():
     assert ctr.ops == 2 + 3 + 2
     a, b = cycle_pair(3, 2)
     prod = ia.product(a, b)
-    ia.bad_states(prod, ia.illegal_states(prod, a, b), counter=ctr)
+    ia.bad_states(prod, ia.illegal_states(prod), counter=ctr)
     assert ctr.ops == 7 + (12 + 6 + 12)  # a counter passed again adds to its count
 
 
 def test_fixture_bad_states_against_oracle():
     ld, tl = _qualified_fixture_pair()
     prod = ia.product(ld, tl)
-    ill = ia.illegal_states(prod, ld, tl)
+    ill = ia.illegal_states(prod)
     bad = ia.bad_states(prod, ill)
     assert len(bad) == 57  # everything reachable is bad
     _, _, _, orc_bad = oracle_verdict(ld, tl)
@@ -251,15 +251,18 @@ def test_handed_over_indexes_agree_with_rebuilt_ones():
             a1, a2 = _with_a_step_twice(a1, rng), _with_a_step_twice(a2, rng)
         prod = ia.product(a1, a2)
         auto = prod.automaton
-        rebuilt = auto._replace()  # a fresh value indexes its own transitions
-        assert list(auto.outgoing.items()) == list(rebuilt.outgoing.items())
+        rebuilt = auto._replace().graph  # a fresh value numbers its own transitions
+        assert (auto.graph.names, auto.graph.steps, auto.graph.initials) == (
+            rebuilt.names, rebuilt.steps, rebuilt.initials)
         assert len(set(auto.transitions)) == len(auto.transitions)
         for a in (a1, a2, auto):
             assert a.autonomous == (set(a.outputs) | set(a.hidden)) - set(a.inputs)
+            labels = {s: set() for s in a.states}
+            for t in a.transitions:
+                labels[t.source].add(t.action)
             for cls in ia.ActionClass:
                 assert a.enabled[cls] == {
-                    s: {t.action for t in out if a.classes.get(t.action) is cls}
-                    for s, out in a.outgoing.items()}
+                    s: {l for l in here if a.classes.get(l) is cls} for s, here in labels.items()}
         for p in (0.0, 0.2, 0.6, 1.0):
             remove = frozenset(s for s in auto.states if rng.random() < p)
             assert ia.prune(prod, remove) == _replaced_prune(prod, remove)
@@ -345,6 +348,7 @@ def test_qualify_option_equivalent_to_prequalified():
     direct = ia.check_compatibility(ld2, tl2)
     assert via_option.verdict == direct.verdict
     assert via_option.illegal.states == direct.illegal.states
+    assert via_option.product.operands == direct.product.operands == (ld2, tl2)
 
 
 @pytest.mark.parametrize("empty_left", [True, False])
@@ -471,7 +475,7 @@ def test_witness_is_a_shortest_autonomous_path(seed, max_states):
     rng = random.Random(seed)
     a1, a2 = rand_composable_pair(rng, max_states)
     prod = ia.product(a1, a2)
-    _assert_shortest_witness(prod, ia.illegal_states(prod, a1, a2).states)
+    _assert_shortest_witness(prod, ia.illegal_states(prod).states)
     _assert_shortest_witness(prod, frozenset({rng.choice(prod.automaton.states)}))
 
 
@@ -508,6 +512,16 @@ def test_verdict_stability_under_swap(seed):
     a1, a2 = rand_composable_pair(rng)
     assert (ia.check_compatibility(a1, a2).verdict
             == ia.check_compatibility(a2, a1).verdict)
+    # the illegal pairs mirror, and each unreceived output names the other sender
+    p12, p21 = ia.product(a1, a2), ia.product(a2, a1)
+    i12, i21 = ia.illegal_states(p12), ia.illegal_states(p21)
+    at21 = {pair[::-1]: s for s, pair in p21.pair_of.items()}
+    assert {at21[p12.pair_of[s]] for s in i12.states} == i21.states
+    flip = {"left": "right", "right": "left"}
+    for s in i12.states:
+        unreceived = [r for r in i12.reasons[s] if isinstance(r, ia.UnreceivedOutput)]
+        assert [ia.UnreceivedOutput(r.action, flip[r.sender]) for r in unreceived] == [
+            r for r in i21.reasons[at21[p12.pair_of[s]]] if isinstance(r, ia.UnreceivedOutput)]
 
 
 @settings(max_examples=60, deadline=None)
