@@ -20,6 +20,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("parse_digest.py", ["--strings", "200"], 0),
         ("falsity_digest.py", ["--pairs", "5"], 0),
         ("product_digest.py", ["--pairs", "5"], 0),
+        ("cli_digest.py", ["--mutants", "5"], 0),
     ],
 )
 def test_script_runs_without_pythonpath(script, args, code, tmp_path):
@@ -63,3 +64,14 @@ def test_product_digest_is_pinned():
     assert done.stdout.strip() == (
         "474 checks: 2470 states, 4822 transitions, 694 illegal, 1564 bad, 233 witnesses, "
         "sha256 0e823eb97733b44fb2a45aad3029acd5c825a087db2bfeb066300691d17d8c84")
+
+
+def test_cli_digest_is_pinned():
+    """What the command line does with 40 seeded mutants of the fixtures; the digest moves when any call does."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cli_digest.py"), "--mutants", "40", "--seed", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == (
+        "40 mutants, 7 parse, calls by exit code 33/24/183, "
+        "sha256 d8b92dd3d3d0f9d271ddd509901b03daa07124e0dfc99035ea9fa57d70529d3f")
