@@ -44,6 +44,7 @@ reads only the expressions and the domains inside it.
 """
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from functools import partial
 from itertools import chain, groupby
@@ -74,7 +75,12 @@ from .exprs import (
 )
 from .expr_parse import DeclsArg, parse_domain, parse_expr
 from .frozen import Frozen, _new
-from .lexer import TokenStream
+from .lexer import ParseError, TokenStream
+
+# one step, ``name -[ name [:: name] [pre name] [post name] ]-> name ;``, the lexer's whitespace
+# for each space but no comment or ``→``; a name ends at a word boundary: ``prex`` is not ``pre x``
+_STEP = re.compile(r" N - \[ N(?: :: N)?(?: pre\b N)?(?: post\b N)? \] -> N ;"
+                   .replace(" ", "[ \t\r\n]*").replace("N", r"([A-Za-z_][A-Za-z0-9_]*)\b"))
 
 
 class DocumentMeta(Frozen):
@@ -139,39 +145,39 @@ class ContractDocument(Frozen):
 
 def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     """Parse a full document; raises ParseError with line/column on any fault."""
-    ts = TokenStream(text, source)
-    meta = DocumentMeta()
-    if ts.accept("ident", "document"):
-        name = ts.expect("string", what="a quoted document name")
-        version = None
-        if ts.accept("ident", "version"):
-            version = ts.expect("string", what="a quoted version")
-        ts.expect("punct", ";")
-        meta = DocumentMeta(name, version)
-
-    type_env: dict[str, Domain] = {}
-    automata: list[InterfaceAutomaton] = []
-    declared: list[tuple[NamedConstraint, ...]] = []
-
-    while ts.kind != "eof":
-        if ts.accept("ident", "type"):
-            if ts.kind == "ident" and ts.text in type_env:
-                raise ts.error(f"duplicate type name {ts.text!r}")
-            name = ts.expect("ident", what="a type name")
-            ts.expect("punct", "=")
-            dom = parse_domain(ts, type_env)
+    with TokenStream(text, source) as ts:
+        meta = DocumentMeta()
+        if ts.accept("ident", "document"):
+            name = ts.expect("string", what="a quoted document name")
+            version = None
+            if ts.accept("ident", "version"):
+                version = ts.expect("string", what="a quoted version")
             ts.expect("punct", ";")
-            type_env[name] = dom
-        elif ts.accept("ident", "contract"):
-            automaton, own = _parse_contract(ts, type_env)
-            if any(a.name == automaton.name for a in automata):
-                raise ts.error(f"duplicate contract name {automaton.name!r}")
-            automata.append(automaton)
-            declared.append(own)
-        else:
-            raise ts.error(f"expected 'type' or 'contract', found {ts.found!r}")
-    # the parser has made every check of ContractDocument's
-    return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
+            meta = DocumentMeta(name, version)
+
+        type_env: dict[str, Domain] = {}
+        automata: list[InterfaceAutomaton] = []
+        declared: list[tuple[NamedConstraint, ...]] = []
+
+        while ts.kind != "eof":
+            if ts.accept("ident", "type"):
+                if ts.kind == "ident" and ts.text in type_env:
+                    raise ts.error(f"duplicate type name {ts.text!r}")
+                name = ts.expect("ident", what="a type name")
+                ts.expect("punct", "=")
+                dom = parse_domain(ts, type_env)
+                ts.expect("punct", ";")
+                type_env[name] = dom
+            elif ts.accept("ident", "contract"):
+                automaton, own = _parse_contract(ts, type_env)
+                if any(a.name == automaton.name for a in automata):
+                    raise ts.error(f"duplicate contract name {automaton.name!r}")
+                automata.append(automaton)
+                declared.append(own)
+            else:
+                raise ts.error(f"expected 'type' or 'contract', found {ts.found!r}")
+        # the parser has made every check of ContractDocument's
+        return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
 
 
 def parse_constraint(
@@ -188,13 +194,14 @@ def parse_constraint(
     Parameter types name ``type_env``'s aliases. Without ``context`` the constraint has no
     owner. With ``decls``, the body is sort-checked against them and the parameters.
     """
-    ts = TokenStream(text, source)
-    c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
-    if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
-        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.found!r}")
-    SECTIONS[ts.advance()].read(c, 0)
-    if not c.constraints:
-        raise ts.error("expected a constraint, found an empty context block", 0)
+    with TokenStream(text, source) as ts:
+        c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
+        at = ts.at
+        if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
+            raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.found!r}")
+        SECTIONS[ts.advance()].read(c, at)
+        if not c.constraints:
+            raise ts.error("expected a constraint, found an empty context block", at)
     (constraint, _), = c.constraints.values()
     if decls is not None:
         _check_body(constraint, decls_mapping(decls))
@@ -224,8 +231,9 @@ def _parse_contract(ts: TokenStream,
         seen[word] = count = seen.get(word, 0) + 1
         if count > section.most:
             raise ts.error(f"duplicate section {word!r}")
+        at = ts.at
         ts.advance()
-        section.read(c, ts.at - 1)
+        section.read(c, at)
     for word, section in SECTIONS.items():
         if seen.get(word, 0) < section.least:
             raise ts.error(f"contract {c.name!r} is missing its {word!r} section", name_at)
@@ -233,9 +241,9 @@ def _parse_contract(ts: TokenStream,
 
 
 class _Contract:
-    """What the sections of one contract have read so far, each name with the index of its
+    """What the sections of one contract have read so far, each name with the offset of its
     token. ``end`` is what ends a constraint, as ``TokenStream.expect`` arguments: its ``;``
-    in a document. A section reader is given the index of its keyword."""
+    in a document. A section reader is given the offset of its keyword."""
 
     def __init__(self, ts: TokenStream, type_env: Mapping[str, Domain], name: Optional[str],
                  end: tuple[str, Optional[str], Optional[str]] = ("punct", ";", None)):
@@ -246,7 +254,7 @@ class _Contract:
         # every constraint by name in declaration order, with its body's first token
         self.constraints: dict[str, tuple[NamedConstraint, int]] = {}
         self.unnamed = 0
-        self.steps: list[tuple] = []  # (source, label, label's token, pre, post, target), by token
+        self.steps: list[tuple[int, tuple]] = []  # each step's offset, and its names as _STEP's groups
 
     def read_var(self, _: int) -> None:
         ts = self.ts
@@ -265,20 +273,20 @@ class _Contract:
         ts = self.ts
         owner = ts.expect("ident", what="a contract name")
         if not ts.accept("punct", "::"):  # the one-line form: context Owner pre N: body;
-            return self.read_constraint(_parse_kind_word(ts), ConstraintContext(owner))
+            return self.read_constraint(*_parse_kind_word(ts), ConstraintContext(owner))
         op = ts.expect("ident", what="an operation name")
         ctx = ConstraintContext(owner, op, _parse_params(ts, self.type_env))
         if not ts.accept("punct", "{"):
-            return self.read_constraint(_parse_kind_word(ts), ctx)
+            return self.read_constraint(*_parse_kind_word(ts), ctx)
         while not ts.accept("punct", "}"):
             if ts.kind == "eof":
                 raise ts.error("unterminated context block")
-            self.read_constraint(_parse_kind_word(ts), ctx)
+            self.read_constraint(*_parse_kind_word(ts), ctx)
 
-    def read_constraint(self, kind_at: int, ctx: Optional[ConstraintContext] = None) -> None:
-        """``[IDENT] ":" expr ";"`` after the kind word at ``kind_at``; the contract owns it by default."""
+    def read_constraint(self, kind_at: int, word: str, ctx: Optional[ConstraintContext] = None) -> None:
+        """``[IDENT] ":" expr ";"`` after the kind word ``word`` at ``kind_at``; the contract's by default."""
         ts, constraints = self.ts, self.constraints
-        kind = _KINDS[ts.texts[kind_at]]
+        kind = _KINDS[word]
         name = None
         if ts.kind == "ident" and ts.lookahead == ("punct", ":"):
             if ts.text in constraints:
@@ -298,48 +306,68 @@ class _Contract:
         constraints[name] = c, body_at
 
     def read_transitions(self, _: int) -> None:
-        ts, steps = self.ts, self.steps
+        """Each step by one match of ``_STEP``, or by ``read_step`` when it does not match."""
+        ts, steps, text = self.ts, self.steps, self.ts.input
         ts.expect("punct", "{")
         while not ts.accept("punct", "}"):
             if ts.kind == "eof":
                 raise ts.error("unterminated transitions block")
-            src = _parse_name(ts, "a source state")[1]
-            ts.expect("punct", "-")
-            ts.expect("punct", "[")
-            action, action_at = _parse_label(ts)
-            pre = _parse_name(ts, "a precondition name")[1] if ts.accept("ident", "pre") else None
-            post = _parse_name(ts, "a postcondition name")[1] if ts.accept("ident", "post") else None
-            ts.expect("punct", "]")
-            ts.expect("punct", "->")
-            tgt = _parse_name(ts, "a target state")[1]
-            ts.expect("punct", ";")
-            steps.append((src, action, action_at, pre, post, tgt))
+            pos = ts.at
+            while m := _STEP.match(text, pos):
+                steps.append((m.start(1), m.groups()))
+                pos = m.end()
+            if pos > ts.at:
+                ts.skip_to(pos)
+            else:
+                steps.append((ts.at, self.read_step()[0]))
+
+    def read_step(self) -> tuple[tuple[Optional[str], ...], tuple[Optional[int], ...]]:
+        """One step, token by token: its names as the groups of ``_STEP`` give them, and
+        their offsets."""
+        ts = self.ts
+        src = _parse_name(ts, "a source state")
+        ts.expect("punct", "-")
+        ts.expect("punct", "[")
+        label = _parse_name(ts, "an action name")
+        name = _parse_name(ts, "an action name") if ts.accept("punct", "::") else (None, None)
+        pre = _parse_name(ts, "a precondition name") if ts.accept("ident", "pre") else (None, None)
+        post = _parse_name(ts, "a postcondition name") if ts.accept("ident", "post") else (None, None)
+        ts.expect("punct", "]")
+        ts.expect("punct", "->")
+        tgt = _parse_name(ts, "a target state")
+        ts.expect("punct", ";")
+        return tuple(zip(src, label, name, pre, post, tgt))
 
     def finish(self) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
         """Resolve the names the sections use and sort-check every constraint body."""
-        ts, lists, texts = self.ts, self.lists, self.ts.texts
+        ts, lists = self.ts, self.lists
         states = lists["states"]
         for name, at in lists["initials"].items():
             if name not in states:
                 raise ts.error(f"initial state {name!r} is not a state", at)
-        alphabet = lists["inputs"].keys() | lists["outputs"].keys() | lists["hidden"].keys()
+        alphabet = {a: a for a in chain(lists["inputs"], lists["outputs"], lists["hidden"])}
         declared = tuple(c for c, _ in self.constraints.values())
         pres = {c.name: c for c in declared if c.kind is ConstraintKind.PRE}
         posts = {c.name: c for c in declared if c.kind is ConstraintKind.POST}
 
+        def error(step_at: int, k: int, message: str) -> ParseError:  # at the k-th name of the step
+            ts.skip_to(step_at)
+            return ts.error(message, self.read_step()[1][k])
+
         transitions: list[Transition] = []
-        for source, action, action_at, pre, post, target in self.steps:
-            for endpoint in (source, target):
-                if texts[endpoint] not in states:
-                    raise ts.error(f"unknown state {texts[endpoint]!r}", endpoint)
-            if action not in alphabet:
-                raise ts.error(f"undeclared action {action}", action_at)
-            if pre is not None and texts[pre] not in pres:
-                raise ts.error(f"unknown precondition {texts[pre]!r}", pre)
-            if post is not None and texts[post] not in posts:
-                raise ts.error(f"unknown postcondition {texts[post]!r}", post)
-            transitions.append(Transition(texts[source], None if pre is None else texts[pre], action,
-                                          None if post is None else texts[post], texts[target]))
+        for step_at, names in self.steps:
+            source, first, second, pre, post, target = names
+            if source not in states or target not in states:
+                k = 5 if source in states else 0
+                raise error(step_at, k, f"unknown state {names[k]!r}")
+            label = (first, None) if second is None else (second, first)  # (name, namespace)
+            if (action := alphabet.get(label)) is None:
+                raise error(step_at, 1, f"undeclared action {ActionLabel(*label)}")
+            if pre is not None and pre not in pres:
+                raise error(step_at, 3, f"unknown precondition {pre!r}")
+            if post is not None and post not in posts:
+                raise error(step_at, 4, f"unknown postcondition {post!r}")
+            transitions.append(_new(Transition, (source, pre, action, post, target)))
 
         decl_domains = decls_mapping(self.variables)
         for c, body_at in self.constraints.values():
@@ -359,12 +387,12 @@ class _Contract:
 _KINDS = {"pre": ConstraintKind.PRE, "post": ConstraintKind.POST, "inv": ConstraintKind.INV}
 
 
-def _parse_kind_word(ts: TokenStream) -> int:
-    """The index of the kind word ``pre``, ``post`` or ``inv`` that opens a constraint."""
+def _parse_kind_word(ts: TokenStream) -> tuple[int, str]:
+    """The offset of the kind word ``pre``, ``post`` or ``inv`` that opens a constraint, and the word."""
     at = ts.at
-    if ts.expect("ident", what="'pre', 'post' or 'inv'") not in _KINDS:
-        raise ts.error(f"expected 'pre', 'post' or 'inv', found {ts.texts[at]!r}", at)
-    return at
+    if (word := ts.expect("ident", what="'pre', 'post' or 'inv'")) not in _KINDS:
+        raise ts.error(f"expected 'pre', 'post' or 'inv', found {word!r}", at)
+    return at, word
 
 
 def _parse_params(ts: TokenStream, type_env: Mapping[str, Domain]) -> tuple[ParamDecl, ...]:
@@ -546,9 +574,7 @@ SECTIONS: dict[str, Section] = {
     "hidden": _list_section(1, "hidden", _parse_label, "action {} declared twice under 'hidden'"),
     "var": Section(0, inf, _Contract.read_var, _show_variables),
     "context": Section(0, inf, _Contract.read_context, _show_constraints),
-    "pre": Section(0, inf, _Contract.read_constraint),
-    "post": Section(0, inf, _Contract.read_constraint),
-    "inv": Section(0, inf, _Contract.read_constraint),
+    **{word: Section(0, inf, partial(_Contract.read_constraint, word=word)) for word in _KINDS},
     "transitions": Section(0, 1, _Contract.read_transitions, _show_transitions),
 }
 

@@ -117,9 +117,9 @@ def _parse_postfix(ts: TokenStream) -> Expr:
             name = ts.expect("ident", what="a member name")
             e = MethodCall(e, name, _parse_optional_args(ts)) if name in METHODS else FieldAccess(e, name)
         elif ts.accept("punct", "->"):
+            if ts.kind == "ident" and ts.text not in METHODS:
+                raise ts.error(f"unknown arrow operation {ts.text!r}")
             name = ts.expect("ident", what="a collection operation")
-            if name not in METHODS:
-                raise ts.error(f"unknown arrow operation {name!r}", ts.at - 1)  # at the name
             e = MethodCall(e, name, _parse_optional_args(ts))
         else:
             return e
@@ -164,7 +164,7 @@ def _parse_path(ts: TokenStream) -> VarRef:
         if not old and ts.accept("oldmark"):
             old = True
             continue
-        if ts.peek("punct", "."):
+        if ts.kind == "punct" and ts.text == ".":
             kind, text = ts.lookahead
             if kind == "ident" and text not in METHODS:
                 ts.advance()
@@ -186,10 +186,10 @@ def parse_expression(
 ) -> Expr:
     """Parse and sort-check a bare expression. Without ``decls`` the world is open:
     an undeclared variable has the opaque sort."""
-    ts = TokenStream(text, source)
-    e = parse_expr(ts)
-    if ts.kind != "eof":
-        raise ts.error(f"unexpected trailing input {ts.text!r}")
+    with TokenStream(text, source) as ts:
+        e = parse_expr(ts)
+        if ts.kind != "eof":
+            raise ts.error(f"unexpected trailing input {ts.text!r}")
     infer_sort(e, SortScope(decls=decls_mapping(decls or {}), params=dict(params or {}),
                             open_world=decls is None))
     return e

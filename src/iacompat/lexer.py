@@ -5,18 +5,18 @@ strings, enum literals like ``<off>``, punctuation, and the two old-state
 markers (``~`` and ``@pre``). ``//`` starts a line comment. The unicode arrow
 ``→`` is the punctuator ``->``.
 
-One compiled regex, walked with ``finditer``, reads the whole text: each match
-is the whitespace and comments before a token and the token itself, and the
-group that matched, ``m.lastindex``, gives the token's kind. The alternatives
-are ordered so that the first match is the longest token; the last ones are
-the error cases. ``tokenize`` returns three parallel lists, kinds, texts and
-start offsets, and ends them with an ``eof`` token at the end of the text. No
-object is built per token.
-
-A ``TokenStream`` reads the lists by index: ``kind`` and ``text`` are the
-current token's, and ``at`` is its index, which is how a parser keeps a token
-to place a later error. Only an error needs a line and a column, and
+A ``TokenStream`` is a cursor over the text. Each step matches one compiled
+regex at the cursor's offset: the whitespace and comments before a token and
+the token itself. The group that matched, ``m.lastindex``, gives the token's
+kind; the alternatives are ordered so that the first match is the longest
+token, and the last ones are the error cases. A parser keeps a token's start
+offset to place a later error, and ``skip_to`` moves the cursor past text it
+has read on its own. Only an error needs a line and a column, and
 ``position`` is the one rule for them.
+
+A lexical fault anywhere in the text is reported before any grammar error,
+as if the text were lexed whole first: ``error`` lexes the rest of the text,
+and so does a stream used as a context manager when parsing nests too deeply.
 """
 from __future__ import annotations
 
@@ -56,68 +56,62 @@ _TOKEN = re.compile(r"""
       | (")
       | (.) )
 """, re.VERBOSE | re.DOTALL)
-# the kind of each group before the arrow's; enum literal and string groups hold the
-# text inside their delimiters, so their tokens start one character before the group
-_KIND = (None, "ident", "enumlit", "punct", "int", "string", "oldmark")
-_SHIFT = (0, 0, 1, 0, 0, 1, 0)
-_ARROW, _EOF = len(_KIND), len(_KIND) + 1
+# the kind of each group up to the end of input; enum literal and string groups hold
+# the text inside their delimiters, so their tokens start one character before the group
+_KIND = (None, "ident", "enumlit", "punct", "int", "string", "oldmark", "punct", "eof")
+_SHIFT = (0, 0, 1, 0, 0, 1, 0, 0, 0)
+_ARROW, _EOF = 7, 8
 _ERRORS = {_EOF + 1: "stray '@' (did you mean '@pre'?)", _EOF + 2: "unterminated string literal"}
-
-
-def tokenize(text: str, source: str = "<string>") -> tuple[list[str], list[str], list[int]]:
-    """The kinds, texts and start offsets of ``text``'s tokens, the last one ``eof``."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for m in _TOKEN.finditer(text):
-        i = m.lastindex
-        if i < _ARROW:
-            kinds.append(_KIND[i])
-            texts.append(m[i])
-            starts.append(m.start(i) - _SHIFT[i])
-        elif i == _ARROW:
-            kinds.append("punct")
-            texts.append("->")
-            starts.append(m.start(i))
-        elif i == _EOF:
-            break
-        else:
-            raise ParseError(_ERRORS.get(i, f"unexpected character {m[i]!r}"),
-                             *position(text, m.start(i)), source)
-    kinds.append("eof")
-    texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
 
 
 class TokenStream:
     """Cursor over the tokens of one text: ``kind`` and ``text`` are the current token's,
-    ``at`` its index. ``peek``, ``accept`` and ``expect`` test the current token by kind
-    and, when given, text; a word is an ``"ident"``. ``found`` names the current token in
-    an error: its text, or the end of input."""
+    ``at`` its start offset and ``end`` the offset just past it; the last is ``eof``, at the
+    end of the text. ``accept`` and ``expect`` test the current token by kind and, when
+    given, text; a word is an ``"ident"``. ``found`` names the current token in an error:
+    its text, or the end of input."""
 
     def __init__(self, text: str, source: str = "<string>"):
         self.input = text
         self.source = source
-        self.kinds, self.texts, self.starts = tokenize(text, source)
-        self.at = 0
-        self.kind, self.text = self.kinds[0], self.texts[0]
+        self.skip_to(0)
+
+    def __enter__(self) -> TokenStream:
+        return self
+
+    def __exit__(self, kind: type | None, *_: object) -> None:
+        if kind is RecursionError:
+            self.lex_rest()
+
+    def _token(self, pos: int) -> tuple[str, str, int, int]:
+        """The kind, text, start and end offsets of the token after offset ``pos``."""
+        m = _TOKEN.match(self.input, pos)
+        i = m.lastindex
+        if i > _EOF:
+            raise ParseError(_ERRORS.get(i, f"unexpected character {m[i]!r}"),
+                             *position(self.input, m.start(i)), self.source)
+        return _KIND[i], "->" if i == _ARROW else m[i], m.start(i) - _SHIFT[i], m.end()
+
+    def skip_to(self, pos: int) -> None:
+        """Make the token after offset ``pos`` the current one."""
+        self.kind, self.text, self.at, self.end = self._token(pos)
+
+    def lex_rest(self) -> None:
+        """Raise the first lexical fault after the current token, if there is one."""
+        pos = self.end
+        while pos < len(self.input):
+            pos = self._token(pos)[3]
 
     @property
     def lookahead(self) -> tuple[str, str]:
         """The kind and text of the token after the current one; the end of input follows itself."""
-        i = min(self.at + 1, len(self.kinds) - 1)
-        return self.kinds[i], self.texts[i]
-
-    def peek(self, kind: str, text: str | None = None) -> bool:
-        return self.kind == kind and (text is None or self.text == text)
+        return self._token(self.end)[:2]
 
     def advance(self) -> str:
         """Step past the current token and return its text."""
         t = self.text
         if self.kind != "eof":
-            self.at = i = self.at + 1
-            self.kind, self.text = self.kinds[i], self.texts[i]
+            self.kind, self.text, self.at, self.end = self._token(self.end)
         return t
 
     def accept(self, kind: str, text: str | None = None) -> str | None:
@@ -137,10 +131,9 @@ class TokenStream:
 
     def expect_int(self, what: str | None = None) -> int:
         """The value of the current token, an integer literal, stepping past it."""
-        digits = self.expect("int", what=what)
-        if len(digits) > MAX_INT_DIGITS:
-            raise self.error(f"integer literal longer than {MAX_INT_DIGITS} digits", self.at - 1)
-        return int(digits)
+        if self.kind == "int" and len(self.text) > MAX_INT_DIGITS:
+            raise self.error(f"integer literal longer than {MAX_INT_DIGITS} digits")
+        return int(self.expect("int", what=what))
 
     def items(self, read: Callable[[TokenStream], T], close: str) -> tuple[T, ...]:
         """``[item {"," item}] close``, each item read by ``read(self)``."""
@@ -153,6 +146,7 @@ class TokenStream:
         return tuple(out)
 
     def error(self, message: str, at: int | None = None) -> ParseError:
-        """A ParseError located at the token of index ``at``, by default the current one."""
-        pos = self.starts[self.at if at is None else at]
-        return ParseError(message, *position(self.input, pos), self.source)
+        """A ParseError located at offset ``at``, by default the current token's; but a
+        lexical fault after the current token is raised instead, as the text's first."""
+        self.lex_rest()
+        return ParseError(message, *position(self.input, self.at if at is None else at), self.source)

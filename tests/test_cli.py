@@ -466,6 +466,17 @@ def test_lint_goes_on_after_a_file_that_nests_too_deeply(tmp_path, capsys):
     assert (code, out, err) == (2, f"{PING}: ok\n", f"{deep}: error: expression nests too deeply\n")
 
 
+def test_a_lexical_fault_wins_over_nesting_too_deep(tmp_path, capsys):
+    """A text reads as if lexed whole before it is parsed: its stray '@' is the error."""
+    deep = tmp_path / "deep.ia"
+    deep.write_text("contract A { states s; initial s; inputs; outputs go; hidden; var x : int[0..3]; "
+                    f"context A::go() {{ pre G: x = {'(' * 3000}1{')' * 3000} @; }} "
+                    "transitions { s -[go pre G]-> s; } }")
+    err = f"{deep}:1:6113: stray '@' (did you mean '@pre'?)\n"
+    assert run_cli(capsys, "lint", str(deep)) == (2, "", f"error: {err}")
+    assert run_cli(capsys, "check", str(deep), PONG) == (2, "", f"error: {err}")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["lint", "BAD", PING], "BAD: error: not valid UTF-8 at byte offset 12\n"),
     (["check", "BAD", PONG], "error: BAD: not valid UTF-8 at byte offset 12\n"),

@@ -1,13 +1,19 @@
 """Document parsing, canonical printing, diagnostics, and DOT export."""
 
+import importlib.util
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
 from iacompat.docformat import SECTIONS, _params_text
 from iacompat.fixtures import FIXTURE_NAMES, fixture_text
-from iacompat.lexer import position, tokenize
+from iacompat.lexer import TokenStream, position
 from oracles import oracle_tokenize
+from randgen import rand_composable_pair
 
 
 def _ld_doc():
@@ -137,6 +143,8 @@ def test_parse_error_positions():
 
 _GO = "contract A { states s; initial s; inputs; outputs; hidden go; "
 _NINES = "9" * 5000  # a literal longer than the 4300 digits Python converts
+_DEEP = "x = " + "(" * 3000 + "1" + ")" * 3000
+_PARSERS = {"doc": ia.parse_document, "expr": ia.parse_expression, "constraint": ia.parse_constraint}
 
 # (parser, text, exact error), positions counted in source characters
 PARSE_ERRORS = [
@@ -249,6 +257,41 @@ PARSE_ERRORS = [
     ("expr", f"x < {_NINES}", "case.ia:1:5: integer literal longer than 4300 digits"),
     ("expr", f"x = -{_NINES}", "case.ia:1:6: integer literal longer than 4300 digits"),
     ("expr", "x < " + "0" * 4300 + "1", "case.ia:1:5: integer literal longer than 4300 digits"),
+    # a step's names are whole words, though the words they would split into are declared,
+    # and an error found once the contract is read is placed at the name in the step that
+    # one match read
+    ("doc", _GO + "pre P: true; transitions { s -[gopre P]-> s; } }", "case.ia:1:100: expected ], found 'P'"),
+    ("doc", _GO + "pre x: true; transitions { s -[go prex]-> s; } }", "case.ia:1:97: expected ], found 'prex'"),
+    ("doc", _GO + "pre P: true; post Q: true; transitions { s -[go pre P postQ]-> s; } }",
+     "case.ia:1:117: expected ], found 'postQ'"),
+    ("doc", _GO + "transitions { s -[go]-> s;\n  s -[go pre P]-> s; } }",
+     "case.ia:2:14: unknown precondition 'P'"),
+    # a lexical fault anywhere is reported before a grammar error, however it was found:
+    # at once, at a token kept for later, or at the end of a contract
+    ("doc", "contract A { states s s; } @", "case.ia:1:28: stray '@' (did you mean '@pre'?)"),
+    ("doc", "contract A { states s; initial t; inputs; outputs; hidden; }\n\"open",
+     "case.ia:2:1: unterminated string literal"),
+    ("doc", _GO + "transitions { s -[go]-> t; } } $", "case.ia:1:94: unexpected character '$'"),
+    ("doc", _GO + "transitions { s -[go]-> s; s -[stop]-> s; } } é",
+     "case.ia:1:109: unexpected character 'é'"),
+    ("doc", _GO + "transitions { s -[go pre P]-> s; } } // a comment\n@",
+     "case.ia:2:1: stray '@' (did you mean '@pre'?)"),
+    ("doc", _GO + "transitions { s -[go]-> s s -[go]-> s; } \"x", "case.ia:1:104: unterminated string literal"),
+    ("doc", _GO + "var x : int[0..3];\n  pre P: (x + 1); } #", "case.ia:2:21: unexpected character '#'"),
+    ("doc", "contract A { states s; } contract A { states s; inputs; outputs; hidden; } @",
+     "case.ia:1:76: stray '@' (did you mean '@pre'?)"),
+    ("expr", "x = = y @", "case.ia:1:9: stray '@' (did you mean '@pre'?)"),
+    ("expr", '(x "abc', "case.ia:1:4: unterminated string literal"),
+    ("expr", "x a @pre $", "case.ia:1:10: unexpected character '$'"),
+    ("constraint", "pre P: x = = 1 $", "case.ia:1:16: unexpected character '$'"),
+    ("constraint", "context A::op() { } @", "case.ia:1:21: stray '@' (did you mean '@pre'?)"),
+    ("constraint", 'pre P: true; pre Q: false "q', "case.ia:1:27: unterminated string literal"),
+    ("constraint", "pre P: x~ = 1 @", "case.ia:1:15: stray '@' (did you mean '@pre'?)"),
+    # and before nesting too deep for Python's stack
+    ("doc", _GO + f"var x : int[0..3]; pre P: {_DEEP} @ }}",
+     "case.ia:1:6095: stray '@' (did you mean '@pre'?)"),
+    ("expr", f"{_DEEP} @", "case.ia:1:6007: stray '@' (did you mean '@pre'?)"),
+    ("constraint", f"pre P: {_DEEP} $", "case.ia:1:6014: unexpected character '$'"),
 ]
 
 
@@ -259,9 +302,8 @@ def _short_id(value):
 
 @pytest.mark.parametrize("parser, text, expected", PARSE_ERRORS, ids=_short_id)
 def test_parse_error_text_is_pinned(parser, text, expected):
-    parse = ia.parse_document if parser == "doc" else ia.parse_expression
     with pytest.raises(ia.ParseError) as exc:
-        parse(text, source="case.ia")
+        _PARSERS[parser](text, source="case.ia")
     assert str(exc.value) == expected
 
 
@@ -346,25 +388,69 @@ def test_tokenize_agrees_with_character_loop(text):
         except ia.ParseError as exc:
             return str(exc)
 
-    assert run(_tokenize_with_positions) == run(oracle_tokenize)
+    assert run(_tokens_with_positions) == run(oracle_tokenize)
 
 
-def _tokenize_with_positions(text, source="<string>"):
-    """``tokenize`` in the oracle's shape: each ``(kind, text, offset)`` with ``position`` of its offset."""
-    return [(tok, *position(text, tok[2])) for tok in zip(*tokenize(text, source))]
+def _tokens(text, source="<string>"):
+    """Each ``(kind, text, offset)`` a ``TokenStream`` walks through, the ``eof`` token last."""
+    ts = TokenStream(text, source)
+    toks = [(ts.kind, ts.text, ts.at)]
+    while ts.kind != "eof":
+        ts.advance()
+        toks.append((ts.kind, ts.text, ts.at))
+    return toks
+
+
+def _tokens_with_positions(text, source="<string>"):
+    """The tokens in the oracle's shape: each ``(kind, text, offset)`` with ``position`` of its offset."""
+    return [(tok, *position(text, tok[2])) for tok in _tokens(text, source)]
 
 
 def test_tokenize_agrees_with_character_loop_on_fixtures():
     for name in FIXTURE_NAMES:
         text = fixture_text(name)
-        assert _tokenize_with_positions(text) == oracle_tokenize(text)
+        assert _tokens_with_positions(text) == oracle_tokenize(text)
 
 
 def test_arrow_is_one_character_of_the_arrow_punctuator():
-    assert list(zip(*tokenize("a →b"))) == [("ident", "a", 0), ("punct", "->", 2), ("ident", "b", 3),
-                                            ("eof", "", 4)]
+    assert _tokens("a →b") == [("ident", "a", 0), ("punct", "->", 2), ("ident", "b", 3), ("eof", "", 4)]
     # a string literal keeps what it says
-    assert tokenize('"a→b"')[1][0] == "a→b"
+    assert _tokens('"a→b"')[0] == ("string", "a→b", 0)
+
+
+def _outcome(text):
+    try:
+        return ia.parse_document(text, source="f.ia")
+    except (ia.ParseError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _seeded_contracts():
+    """The fourth stream of ``scripts/parse_digest.py`` at seed 0, mutated contracts with
+    steps; printed ``randgen`` contracts; and the fixtures."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "parse_digest.py"
+    spec = importlib.util.spec_from_file_location("parse_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    step_rng = random.Random("0-transitions")
+    yield from (digest.random_contract(step_rng) for _ in range(3000))
+    rng = random.Random(0)
+    for _ in range(150):
+        for a in rand_composable_pair(rng, max_states=5):
+            yield ia.print_document(ia.document_from_automaton(a))
+            yield ia.print_document(ia.document_from_automaton(ia.qualify_hidden(a)))
+    yield from map(fixture_text, FIXTURE_NAMES)
+
+
+def test_step_pattern_and_token_path_read_alike():
+    """A step written with ``→`` is read token by token, so each text is read both ways:
+    ``→ `` for ``->`` keeps the tokens and the line and column of each."""
+    read = 0
+    for text in _seeded_contracts():
+        by_tokens = re.sub(r'("[^"\n]*")|->', lambda m: m[1] or "→ ", text)
+        assert _outcome(by_tokens) == _outcome(text), text
+        read += by_tokens != text
+    assert read > 3000
 
 
 # one section of each keyword; ``{k}`` keeps the names of a second copy apart
