@@ -23,6 +23,7 @@ from .automata import (
     product,
     qualify_hidden,
     shared,
+    step_faults,
     validate,
 )
 from .docformat import (

@@ -9,17 +9,16 @@ rest, and conjoins the guards of synchronized steps. A conjunction is built
 only when a step needs it, and every constraint the product adds to the left
 operand's gets a name free among both kinds (see ``_GuardRegistry``).
 
-Collections are stored as tuples in declaration order. Transition tuples may
-repeat a declaration (a contract listing is free to state the same step
-twice); every algorithm here applies set semantics regardless. The graph
-stages read indexes each automaton builds once, on first use (``classes``,
-``autonomous``, ``enabled``, ``graph``), instead of rescanning the tuples;
-``graph`` holds the steps on integer states. ``product`` numbers the pair
-states in the order it finds them, visiting reachable pairs only (a worst case
-of O(|transitions1| * |transitions2|) work; the full grid is never
-materialized), and builds ``Transition`` tuples only when they are read. Its
-``ProductResult`` carries all the graph stages read besides: the two operands
-and the operand names of each guard conjunction it added.
+Collections are stored as tuples in declaration order, and the steps as a
+``StepGraph`` on integer states that the constructor numbers from any
+``Transition`` tuples. It reads as them again, in the order given: a listing
+may state steps out of state order, or one step twice; every algorithm here
+applies set semantics regardless. The graph stages read it and the indexes
+each automaton builds on first use (``classes``, ``autonomous``, ``enabled``).
+``product`` numbers the pair states in the order it finds them, visiting
+reachable pairs only (O(|transitions1| * |transitions2|) work at worst), and
+builds its graph directly; its ``ProductResult`` carries all the graph stages
+read besides: the two operands and the operand names of each conjunction it added.
 
 ``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so they hash and
 compare as C-level tuples. They compare and hash equal to plain tuples of
@@ -31,8 +30,9 @@ pairs of ``product``; none does. Derive a changed step with
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Container, Iterable, Mapping, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .domains import VariableDecl, is_identifier
 from .exprs import (
@@ -125,7 +125,7 @@ class InterfaceAutomaton(Frozen):
     variables: Mapping[str, VariableDecl] = factory(dict)
     preconditions: Mapping[str, NamedConstraint] = factory(dict)
     postconditions: Mapping[str, NamedConstraint] = factory(dict)
-    transitions: tuple[Transition, ...] = ()
+    transitions: StepGraph = ()  # given as any iterable of Transitions
 
     def __post_init__(self):
         if not is_identifier(self.name):
@@ -140,9 +140,10 @@ class InterfaceAutomaton(Frozen):
                     raise ValueError(f"constraint {c.name!r} is registered under {key!r}")
                 if c.kind is not kind:
                     raise ValueError(f"constraint {c.name!r} is a {c.kind.value}, registered as a {kind.value}")
-        return (self.name, tuple(self.states), tuple(self.initials), _label_tuple(self.inputs),
-                _label_tuple(self.outputs), _label_tuple(self.hidden), dict(self.variables),
-                dict(self.preconditions), dict(self.postconditions), tuple(self.transitions))
+        states, initials = tuple(self.states), tuple(self.initials)
+        return (self.name, states, initials, _label_tuple(self.inputs), _label_tuple(self.outputs),
+                _label_tuple(self.hidden), dict(self.variables), dict(self.preconditions),
+                dict(self.postconditions), StepGraph.number(states, initials, self.transitions))
 
     @property
     def alphabet(self) -> tuple[ActionLabel, ...]:
@@ -168,11 +169,7 @@ class InterfaceAutomaton(Frozen):
         members = {cls: frozenset(l for l, c in self.classes.items() if c is cls) for cls in ActionClass}
         return {cls: {s: here & of_cls for s, here in labels.items()} for cls, of_cls in members.items()}
 
-    @cached_property
-    def graph(self) -> StepGraph:
-        """The steps on integer states: a product's own, else numbered from ``transitions``."""
-        steps = _transitions_field.__get__(self)
-        return steps if steps.__class__ is StepGraph else StepGraph.number(self)
+    graph = property(lambda a: a.transitions, doc="The ``transitions`` field, by the name the graph stages read.")
 
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
         return self.classes.get(label)
@@ -186,25 +183,31 @@ class InterfaceAutomaton(Frozen):
         return not self.states
 
 
-class StepGraph:
-    """An automaton's steps on integer states: ``steps[i]`` lists the steps out of
-    ``names[i]`` as ``(pre, action, post, j)``, ``j`` the target's index, and
-    ``initials`` holds indexes too. A product keeps its own in its ``transitions``
-    field, which builds the ``Transition`` tuples from it, in state order, on first read."""
+class StepGraph(Sequence):
+    """An automaton's steps on integer states: ``steps[i]`` lists the steps out of ``names[i]`` as
+    ``(pre, action, post, j)``, ``j`` the target's index, and ``initials`` holds indexes too. ``order``
+    lists each step's source in the order given, or is None for state order (a product's). As a
+    read-only sequence it is its ``Transition`` tuples in that order, built on first read."""
 
-    def __init__(self, names: list[str], steps: list[list[tuple]], initials: list[int]):
-        self.names, self.steps, self.initials = names, steps, initials
+    def __init__(self, names: list[str], steps: list[list[tuple]], initials: list[int], order=None):
+        self.names, self.steps, self.initials, self.order = names, steps, initials, order
 
     @classmethod
-    def number(cls, a: InterfaceAutomaton) -> StepGraph:
-        """``a``'s steps by source, numbering the states, then any other name an initial or step uses."""
-        ends = (s for t in a.transitions for s in (t.source, t.target))
-        names = list(dict.fromkeys([*a.states, *a.initials, *ends]))
+    def number(cls, states: Sequence[str], initials: Sequence[str], transitions: Iterable[Transition]) -> StepGraph:
+        """The steps by source, numbering the states, then any other name an initial or step uses."""
+        transitions = list(transitions)
+        names = list(dict.fromkeys([*states, *initials, *(s for t in transitions for s in (t[0], t[4]))]))
         index = {s: i for i, s in enumerate(names)}
         steps: list[list[tuple]] = [[] for _ in names]
-        for t in a.transitions:
-            steps[index[t.source]].append((t.pre, t.action, t.post, index[t.target]))
-        return cls(names, steps, [index[s] for s in a.initials])
+        order = [index[t[0]] for t in transitions]
+        for i, (_, pre, action, post, target) in zip(order, transitions):
+            steps[i].append((pre, action, post, index[target]))
+        return cls(names, steps, [index[s] for s in initials], None if order == sorted(order) else order)
+
+    def declared(self) -> Iterator[tuple[int, tuple]]:
+        """Each step with its source's index, in the order the steps were given."""
+        outs = [iter(out) for out in self.steps]
+        return ((i, next(outs[i])) for i in self.order or [i for i, out in enumerate(self.steps) for _ in out])
 
     def transition(self, i: int, step: tuple) -> Transition:
         pre, action, post, j = step
@@ -212,24 +215,22 @@ class StepGraph:
 
     @cached_property
     def transitions(self) -> tuple[Transition, ...]:
-        names = self.names
-        return tuple(_new(Transition, (names[i], pre, action, post, names[j]))
-                     for i, out in enumerate(self.steps) for pre, action, post, j in out)
+        return tuple(self.transition(i, step) for i, step in self.declared())
 
     def __len__(self) -> int:
         return sum(map(len, self.steps))
 
+    def __iter__(self) -> Iterator[Transition]:
+        return iter(self.transitions)
+
+    def __getitem__(self, k):
+        return self.transitions[k]
+
     def __eq__(self, other) -> bool:
-        return self.transitions == (other.transitions if other.__class__ is StepGraph else other)
+        return self.transitions == (other.transitions if isinstance(other, StepGraph) else other)
 
     def __repr__(self) -> str:
         return repr(self.transitions)
-
-
-_transitions_field = InterfaceAutomaton.transitions  # the field's own accessor
-InterfaceAutomaton.transitions = property(
-    lambda a: steps.transitions if (steps := _transitions_field.__get__(a)).__class__ is StepGraph else steps,
-    doc="The steps as ``Transition`` tuples; a product builds them from its ``StepGraph`` when first read.")
 
 
 EMPTY_AUTOMATON_NAME = "empty"
@@ -258,20 +259,9 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
     for overlap in (ins & outs) | (ins & hid) | (outs & hid):
         diags.append(Diagnostic("alphabet-overlap", f"alphabets not disjoint: {overlap}"))
 
-    alphabet = ins | outs | hid
-    for i, t in enumerate(a.transitions):
-        faults = [f for f in (
-            t.source not in states and ("transition-source", f"unknown source state {t.source!r}"),
-            t.target not in states and ("transition-target", f"unknown target state {t.target!r}"),
-            t.action not in alphabet and ("transition-action", f"undeclared action {t.action}"),
-            t.pre is not None and t.pre not in a.preconditions
-            and ("transition-pre", f"unknown precondition {t.pre!r}"),
-            t.post is not None and t.post not in a.postconditions
-            and ("transition-post", f"unknown postcondition {t.post!r}"),
-        ) if f]
-        if faults:  # the location text only for a step that has a fault
-            where = f"transition {i + 1}: {t.source} -[{t.action}]-> {t.target}"
-            diags += (Diagnostic(code, message, where) for code, message in faults)
+    for k, code, message in step_faults(a):
+        t = a.transitions[k]
+        diags.append(Diagnostic(code, message, f"transition {k + 1}: {t.source} -[{t.action}]-> {t.target}"))
 
     table = decls_mapping(a.variables)
     for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition")):
@@ -280,6 +270,23 @@ def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
                 diags.append(Diagnostic("constraint-variable",
                                         f"{which} {name} references undeclared variable {path}"))
     return diags
+
+
+def step_faults(a: InterfaceAutomaton) -> Iterator[tuple[int, str, str]]:
+    """Each fault of each step, in the order the steps were given: the step's index, the
+    diagnostic code and the message. An endpoint numbered past the declared states is unknown."""
+    g, known, alphabet, pres, posts = a.graph, len(set(a.states)), a.classes, a.preconditions, a.postconditions
+    for k, (i, (pre, action, post, j)) in enumerate(g.declared()):
+        if i >= known:
+            yield k, "transition-source", f"unknown state {g.names[i]!r}"
+        if j >= known:
+            yield k, "transition-target", f"unknown state {g.names[j]!r}"
+        if action not in alphabet:
+            yield k, "transition-action", f"undeclared action {action}"
+        if pre is not None and pre not in pres:
+            yield k, "transition-pre", f"unknown precondition {pre!r}"
+        if post is not None and post not in posts:
+            yield k, "transition-post", f"unknown postcondition {post!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +354,11 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
     if not a.hidden:
         return a
     mapping = {h: h if h.namespace else ActionLabel(h.name, a.name) for h in a.hidden}
-    return a._replace(hidden=tuple(mapping.values()), transitions=tuple(
-        t._replace(action=mapping.get(t.action, t.action)) for t in a.transitions
-    ))
+    g = a.graph
+    steps = [[(pre, mapping.get(action, action), post, j) for pre, action, post, j in out] for out in g.steps]
+    # a new hidden field and graph, which keeps the numbering; the constructor's checks still hold
+    return _new(InterfaceAutomaton, (*a[:5], _label_tuple(mapping.values()), *a[6:9],
+                                     StepGraph(g.names, steps, g.initials, g.order)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .automata import (
     InterfaceAutomaton,
     ProductResult,
     Transition,
+    step_faults,
     validate,
 )
 from .domains import Domain, VariableDecl, is_identifier
@@ -75,12 +76,14 @@ from .exprs import (
 )
 from .expr_parse import DeclsArg, parse_domain, parse_expr
 from .frozen import Frozen, _new
-from .lexer import ParseError, TokenStream
+from .lexer import TokenStream
 
 # one step, ``name -[ name [:: name] [pre name] [post name] ]-> name ;``, the lexer's whitespace
 # for each space but no comment or ``→``; a name ends at a word boundary: ``prex`` is not ``pre x``
 _STEP = re.compile(r" N - \[ N(?: :: N)?(?: pre\b N)?(?: post\b N)? \] -> N ;"
                    .replace(" ", "[ \t\r\n]*").replace("N", r"([A-Za-z_][A-Za-z0-9_]*)\b"))
+_FAULT_GROUP = {"transition-source": 0, "transition-action": 1,  # the group of the name a step fault is at
+                "transition-pre": 3, "transition-post": 4, "transition-target": 5}
 
 
 class DocumentMeta(Frozen):
@@ -350,24 +353,18 @@ class _Contract:
         pres = {c.name: c for c in declared if c.kind is ConstraintKind.PRE}
         posts = {c.name: c for c in declared if c.kind is ConstraintKind.POST}
 
-        def error(step_at: int, k: int, message: str) -> ParseError:  # at the k-th name of the step
-            ts.skip_to(step_at)
-            return ts.error(message, self.read_step()[1][k])
-
         transitions: list[Transition] = []
-        for step_at, names in self.steps:
-            source, first, second, pre, post, target = names
-            if source not in states or target not in states:
-                k = 5 if source in states else 0
-                raise error(step_at, k, f"unknown state {names[k]!r}")
+        for _, (source, first, second, pre, post, target) in self.steps:
             label = (first, None) if second is None else (second, first)  # (name, namespace)
-            if (action := alphabet.get(label)) is None:
-                raise error(step_at, 1, f"undeclared action {ActionLabel(*label)}")
-            if pre is not None and pre not in pres:
-                raise error(step_at, 3, f"unknown precondition {pre!r}")
-            if post is not None and post not in posts:
-                raise error(step_at, 4, f"unknown postcondition {post!r}")
+            action = alphabet.get(label) or _new(ActionLabel, label)
             transitions.append(_new(Transition, (source, pre, action, post, target)))
+        automaton = InterfaceAutomaton(
+            name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
+            inputs=tuple(lists["inputs"]), outputs=tuple(lists["outputs"]), hidden=tuple(lists["hidden"]),
+            variables=self.variables, preconditions=pres, postconditions=posts, transitions=transitions)
+        for k, code, message in step_faults(automaton):  # the first, at its name in the step re-read
+            ts.skip_to(self.steps[k][0])
+            raise ts.error(message, self.read_step()[1][_FAULT_GROUP[code]])
 
         decl_domains = decls_mapping(self.variables)
         for c, body_at in self.constraints.values():
@@ -375,12 +372,6 @@ class _Contract:
                 _check_body(c, decl_domains)
             except (SortError, UnknownVariable) as exc:
                 raise ts.error(f"constraint {c.name}: {exc}", body_at) from None
-
-        automaton = InterfaceAutomaton(
-            name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
-            inputs=tuple(lists["inputs"]), outputs=tuple(lists["outputs"]), hidden=tuple(lists["hidden"]),
-            variables=self.variables, preconditions=pres, postconditions=posts,
-            transitions=tuple(transitions))
         return automaton, declared
 
 

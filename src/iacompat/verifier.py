@@ -208,10 +208,8 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     return auto._replace(
         states=tuple(s for s, k in zip(auto.states, keep) if k),
         initials=tuple(names[i] for i in initials),
-        transitions=tuple(
-            graph.transition(i, step) for i, out in enumerate(graph.steps) if keep[i]
-            for step in out if keep[step[3]]
-        ),
+        transitions=(graph.transition(i, step) for i, out in enumerate(graph.steps) if keep[i]
+                     for step in out if keep[step[3]]),
     )
 
 

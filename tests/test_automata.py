@@ -119,6 +119,17 @@ def test_unknown_transition_endpoints_diagnosed():
     assert any("nowhere" in d.message for d in ia.validate(a))
 
 
+def test_step_faults_are_listed_in_order_at_their_step():
+    go = ia.ActionLabel("go")
+    a = ia.InterfaceAutomaton(
+        name="A", states=("s", "t"), initials=("s",), inputs=(go,), outputs=(), hidden=(),
+        transitions=(ia.Transition("t", None, go, None, "s"),
+                     ia.Transition("u", "P", ia.ActionLabel("nogo"), None, "v")))
+    codes = ["transition-source", "transition-target", "transition-action", "transition-pre"]
+    assert [(d.code, d.location) for d in ia.validate(a)] == [
+        (code, "transition 2: u -[nogo]-> v") for code in codes]
+
+
 def test_undeclared_constraint_name_diagnosed():
     a = ia.InterfaceAutomaton(
         name="A", states=("s",), initials=("s",),
@@ -266,6 +277,20 @@ def test_qualify_hidden_namespaces():
     assert len(prod.hidden) == len(set(qualified.hidden)) == 23
     assert {ia.ActionLabel("init", "LE_Device"), ia.ActionLabel("init", "TransportLayer")} <= set(qualified.hidden)
     assert ia.qualify_hidden(qualified) == qualified
+
+
+def test_qualify_hidden_keeps_the_steps_in_order():
+    h, qualified_h, go = ia.ActionLabel("h"), ia.ActionLabel("h", "A"), ia.ActionLabel("go")
+    T = ia.Transition
+    a = ia.InterfaceAutomaton(
+        name="A", states=("s", "t"), initials=("s",), inputs=(), outputs=(go,), hidden=(h, qualified_h),
+        transitions=(T("t", None, h, None, "s"), T("s", None, go, None, "t"),
+                     T("s", None, qualified_h, None, "s"), T("t", None, h, None, "s")))
+    q = ia.qualify_hidden(a)
+    assert q.hidden == (qualified_h,)
+    # declaration order, the repeated step kept
+    assert [f"{t.action}@{t.source}" for t in q.transitions] == ["A::h@t", "go@s", "A::h@s", "A::h@t"]
+    assert ia.qualify_hidden(q) == q
 
 
 def test_qualify_hidden_identity_without_hidden():

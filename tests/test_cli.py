@@ -217,6 +217,7 @@ def test_case_study_outputs_match_the_goldens(tmp_path, capsys):
         (["check", "--qualify-hidden", "--witness", "--report", str(report), LD, TL], 1,
          "check_witness.txt"),
         (["dot", LD], 0, "le_device.dot"),
+        (["dot", TL], 0, "transport_layer.dot"),
     ):
         got, out, err = run_cli(capsys, *argv)
         assert (got, err) == (code, ""), golden

@@ -5,6 +5,7 @@ import that loads no code generator."""
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,11 +166,45 @@ def test_replace_rebuilds_through_the_constructor():
     assert (a.states, a.initials, a.name) == (("s",), ("s",), "empty")
 
 
+_STEP_LINE = re.compile(r"^\s*(\w+) -\[(\w+)(?: pre (\w+))?(?: post (\w+))?\]-> (\w+);", re.M)
+
+
+def _automata_with_their_steps():
+    """Parsed, code-built and product automata, each with its steps as a tuple in the
+    order they were given: a fixture's as its text lists them, a product's by pair state."""
+    out = []
+    for file, name in (("le_device.ia", "LE_Device"), ("transport_layer.ia", "TransportLayer")):
+        steps = tuple(ia.Transition(s, pre or None, ia.ActionLabel(action), post or None, t)
+                      for s, action, pre, post, t in _STEP_LINE.findall(ia.fixture_text(file)))
+        out.append((ia.load_fixture(file).automaton(name), steps))
+    go, ha, hb = (ia.ActionLabel(n) for n in ("go", "ha", "hb"))
+    T = ia.Transition
+    stray = (T("s", None, go, None, "nowhere"), T("nowhere", None, go, None, "s"))
+    out.append((ia.InterfaceAutomaton(name="A", states=("s",), initials=("s",), inputs=(go,),
+                                      outputs=(), hidden=(), transitions=stray), stray))
+    a = ia.InterfaceAutomaton(name="A", states=("a0", "a1"), initials=("a0",), inputs=(), outputs=(go,),
+                              hidden=(ha,), transitions=(T("a0", None, go, None, "a1"),
+                                                         T("a1", None, ha, None, "a0")))
+    b = ia.InterfaceAutomaton(name="B", states=("b0", "b1"), initials=("b0",), inputs=(go,), outputs=(),
+                              hidden=(hb,), transitions=(T("b1", None, hb, None, "b1"),
+                                                         T("b0", None, go, None, "b1")))
+    product_steps = (T("a0__b0", None, go, None, "a1__b1"), T("a1__b1", None, ha, None, "a0__b1"),
+                     T("a1__b1", None, hb, None, "a1__b1"), T("a0__b1", None, hb, None, "a0__b1"))
+    out.append((ia.product(a, b).automaton, product_steps))
+    out.append((ia.check_compatibility(a, b).product.automaton, product_steps))
+    return out
+
+
 def test_copy_and_pickle_round_trip():
     values = [v for v, _ in NODES + DOMAINS] + [ia.Chain(("+", "-"), (X, ia.IntLit(1), X))]
     for v in values:
         assert copy.copy(v) == v and copy.deepcopy(v) == v
         assert pickle.loads(pickle.dumps(v)) == v
+    for a, steps in _automata_with_their_steps():
+        assert a.transitions == steps and steps == a.transitions
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and repr(twin) == repr(a)
+        assert a._replace() == a
 
 
 def test_import_loads_no_code_generator():

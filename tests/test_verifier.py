@@ -537,6 +537,6 @@ def test_monotone_environment(seed):
     src = rng.choice(a1.states)
     tgt = rng.choice(a1.states)
     widened = a1._replace(inputs=a1.inputs + (fresh,),
-                         transitions=a1.transitions + (ia.Transition(src, None, fresh, None, tgt),))
+                         transitions=(*a1.transitions, ia.Transition(src, None, fresh, None, tgt)))
     rep2 = ia.check_compatibility(widened, a2)
     assert rep2.verdict is ia.CompatVerdict.COMPATIBLE
