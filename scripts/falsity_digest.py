@@ -9,8 +9,10 @@ on some guards, a parameter ``x`` that shadows the variable ``x``. The product
 conjoins the guards of the synchronised steps, and ``illegal_states`` queries
 every guard on a step at budgets 16 and 10^6. Each query made through
 ``iacompat.verifier.constraint_falsity`` is recorded as (text, verdict,
-explored). The verdict counts, the total valuations and the SHA-256 of all
-records are printed, so two checkouts decide alike when their lines agree:
+explored, witness), so the witness of a satisfiable query pins the order in
+which valuations are enumerated, not only how many. The verdict counts, the
+total valuations and the SHA-256 of all records are printed, so two
+checkouts decide alike when their lines agree:
 
     python3 scripts/falsity_digest.py --pairs 2000 --seed 0
 
@@ -78,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def recorded(c, *rest, **kwargs):
         res = original(c, *rest, **kwargs)
-        records.append(f"{c.name}: {ia.to_text(c.body)}\t{res.verdict.value}\t{res.explored}\n")
+        records.append(f"{c.name}: {ia.to_text(c.body)}\t{res.verdict.value}\t{res.explored}\t{res.witness!r}\n")
         return res
 
     rng = random.Random(args.seed)
@@ -98,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     with args.dump.open("w", encoding="utf-8") if args.dump else nullcontext() as out:
         for line in records:
             digest.update(line.encode())
-            _, verdict, explored = line.rsplit("\t", 2)
+            _, verdict, explored, _ = line.split("\t")
             verdicts[verdict] += 1
             valuations += int(explored)
             if out:

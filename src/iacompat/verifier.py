@@ -90,8 +90,8 @@ def illegal_states(
     budget = default_budget() if budget is None else budget
 
     # one verdict cache and one preparation memo per registry, since a pre and
-    # a post may share a name; the queries share their domains' value lists,
-    # for this call only
+    # a post may share a name; the queries share their domains' value pools,
+    # each listed as far as some query has read it, for this call only
     pre_cache: dict[str, Verdict] = {}
     post_cache: dict[str, Verdict] = {}
     pools: Pools = {}

@@ -853,6 +853,57 @@ def test_shared_pools_change_no_result():
     assert len(pools) == len(set(pools))
 
 
+def test_a_satisfiable_query_lists_a_short_prefix_of_a_domain():
+    mem_domain = LD_DECLS["mem"].domain
+    everything = list(mem_domain.values())
+    pools = {}
+    e = ia.parse_expression("mem(id).s = 1", LD_DECLS)
+    res = ia.falsity(e, LD_DECLS, pools=pools)
+    assert res == ia.falsity(e, LD_DECLS)
+    assert (res.explored, res.witness) == _first_satisfying(ia.simplify(e), {"id": LE_ID, "mem": mem_domain})
+    mem = pools[mem_domain]
+    assert res.explored <= len(mem) <= 2 * res.explored < len(everything)
+    assert mem == everything[:len(mem)]
+
+    # a later query over the same pools reads further: it extends the same
+    # list, and the maps listed before are the very same objects
+    listed = list(mem)
+    e = ia.parse_expression("mem(id).c = <off> and mem(id).s = 10", LD_DECLS)
+    res = ia.falsity(e, LD_DECLS, pools=pools)
+    assert res == ia.falsity(e, LD_DECLS)
+    assert pools[mem_domain] is mem and len(mem) > len(listed)
+    assert all(a is b for a, b in zip(mem, listed))
+    assert mem == everything[:len(mem)]
+
+
+@pytest.mark.parametrize("text", [
+    "myCS.s = myCS@pre.s + 1",
+    "myCS.c = <leader> and myCS@pre.s = 3",
+    "myCS.s < myCS@pre.s and myCS@pre.c = <off>",
+    "myCS.s > myCS@pre.s and myCS@pre.s > myCS.s",
+])
+def test_one_pool_serves_a_name_and_its_old_copy(text):
+    # myCS and myCS@pre read one pool, listed by the outer and the inner loop
+    # of one enumeration
+    e = ia.parse_expression(text, LD_DECLS)
+    pools = {}
+    res = ia.falsity(e, LD_DECLS, pools=pools)
+    assert list(pools) == [DATA]
+    assert (res.explored, res.witness) == _first_satisfying(ia.simplify(e), {"myCS": DATA})
+    assert ia.falsity(e, LD_DECLS, pools=pools) == res
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("1 in set {1, 2}", ia.Verdict.SATISFIABLE),
+    ("{1} = {2}", ia.Verdict.FALSE),
+])
+def test_a_guard_over_no_variable_has_one_empty_valuation(text, verdict):
+    e = ia.parse_expression(text, {})
+    res = ia.falsity(e, {}, pools={})
+    assert (res.verdict, res.explored) == (verdict, 1)
+    assert res.witness == (ia.Valuation({}) if verdict is ia.Verdict.SATISFIABLE else None)
+
+
 def _int_guard(rng, name, kind, params):
     """A named guard over INT_DECLS and ``params``; a pre reads no old state."""
     body = rand_int_guard(rng)

@@ -45,14 +45,15 @@ def test_parse_digest_is_pinned():
 
 
 def test_falsity_digest_is_pinned():
-    """What a check decides on the guards of 100 seeded pairs; the digest moves when any query's does."""
+    """What a check decides on the guards of 100 seeded pairs; the digest moves when any query's
+    verdict, valuation count or witness does."""
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "falsity_digest.py"), "--pairs", "100", "--seed", "0"],
         capture_output=True, text=True, timeout=120,
     )
     assert done.stdout.strip() == (
         "100 pairs, 1285 queries: 527 false, 299 satisfiable, 459 unknown; 99798 valuations, "
-        "sha256 e41dfcf719adba2696c8b8f6fc0dc297d58ffd468a159df09ec2171a51c78d6e")
+        "sha256 052af7ab360369961fc24d8e94fae5e996acf11efa032618e87cc8b75e6f09c1")
 
 
 def test_product_digest_is_pinned():
