@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Digest of the falsity verdicts a check reaches on seeded random guards.
+"""Digest of the falsity verdicts of every step guard on seeded random guards.
 
 Each pair is two one-state contracts over the same int, record and map
 variables that synchronise on ``go``; each side also has a hidden step of its
 own. Every step may carry a pre and a post drawn by ``randgen.rand_int_guard``
 (the posts read old-state copies too), with the operation parameter ``p`` and,
 on some guards, a parameter ``x`` that shadows the variable ``x``. The product
-conjoins the guards of the synchronised steps, and ``illegal_states`` queries
-every guard on a step at budgets 16 and 10^6. Each query made through
-``iacompat.verifier.constraint_falsity`` is recorded as (text, verdict,
-explored, witness), so the witness of a satisfiable query pins the order in
-which valuations are enumerated, not only how many. The verdict counts, the
-total valuations and the SHA-256 of all records are printed, so two
-checkouts decide alike when their lines agree:
+conjoins the guards of the synchronised steps. At budgets 16 and 10^6, the
+script queries the guards of every product step in state and step order: the
+pre, then the post unless the pre is FALSE, each name once per registry, with
+one ``Preparations`` per kind and one dict of pools for all the queries. A
+check queries fewer (``illegal_states`` stops at a state's first enabled
+step), so the script makes the queries itself to pin every guard's verdict.
+Each query is recorded as (text, verdict, explored, witness), so the witness
+of a satisfiable query pins the order in which valuations are enumerated, not
+only how many. The verdict counts, the total valuations and the SHA-256 of
+all records are printed, so two checkouts decide alike when their lines
+agree:
 
     python3 scripts/falsity_digest.py --pairs 2000 --seed 0
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import random
 import sys
 from collections import Counter
@@ -34,25 +37,17 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import iacompat as ia  # noqa: E402
-from randgen import INT_DECLS, INT_PARAMS, rand_int_guard  # noqa: E402
+from iacompat.falsity import Preparations, Verdict, constraint_falsity  # noqa: E402
+from randgen import INT_DECLS, rand_int_constraint  # noqa: E402
 
-verifier = importlib.import_module("iacompat.verifier")
 BUDGETS = (16, 10**6)
-
-
-def guard(rng: random.Random, side: str, kind: ia.ConstraintKind, i: int) -> ia.NamedConstraint:
-    body = rand_int_guard(rng)
-    while kind is ia.ConstraintKind.PRE and any(r.old for r in ia.variable_refs(body)):
-        body = rand_int_guard(rng)
-    names = ("p", "x") if rng.random() < 0.25 else ("p",)
-    params = tuple(ia.ParamDecl(n, INT_PARAMS[n]) for n in names)
-    return ia.NamedConstraint(f"{side}{kind.value}{i}", kind, body, ia.ConstraintContext(side, "go", params))
+PRE, POST = ia.ConstraintKind.PRE, ia.ConstraintKind.POST
 
 
 def side(rng: random.Random, name: str, state: str, *, sends: bool) -> ia.InterfaceAutomaton:
     """One state with 1-3 ``go`` steps and a hidden step, each guarded at random."""
-    pres = {c.name: c for c in (guard(rng, name, ia.ConstraintKind.PRE, i) for i in range(3))}
-    posts = {c.name: c for c in (guard(rng, name, ia.ConstraintKind.POST, i) for i in range(3))}
+    pres = {c.name: c for c in (rand_int_constraint(rng, f"{name}pre{i}", PRE, name) for i in range(3))}
+    posts = {c.name: c for c in (rand_int_constraint(rng, f"{name}post{i}", POST, name) for i in range(3))}
     go, own = ia.ActionLabel("go"), ia.ActionLabel(name.lower())
 
     def pick(registry):
@@ -68,6 +63,28 @@ def side(rng: random.Random, name: str, state: str, *, sends: bool) -> ia.Interf
     )
 
 
+def query_every_guard(prod: ia.ProductResult, budget: int, records: list[str]) -> None:
+    """Decide the guards of every step of ``prod`` and append one record per query."""
+    auto = prod.automaton
+    registries = {PRE: auto.preconditions, POST: auto.postconditions}
+    prepared = {kind: Preparations(registries[kind], prod.conjunctions[kind], auto.variables) for kind in registries}
+    verdicts: dict = {PRE: {}, POST: {}}
+    pools: dict = {}
+
+    def is_false(kind: ia.ConstraintKind, name: str) -> bool:
+        if name not in verdicts[kind]:
+            c = registries[kind][name]
+            res = constraint_falsity(c, auto.variables, budget=budget, pools=pools, prepared=prepared[kind])
+            records.append(f"{c.name}: {ia.to_text(c.body)}\t{res.verdict.value}\t{res.explored}\t{res.witness!r}\n")
+            verdicts[kind][name] = res.verdict
+        return verdicts[kind][name] is Verdict.FALSE
+
+    for out in auto.graph.steps:
+        for pre, _, post, _ in out:
+            if (pre is None or not is_false(PRE, pre)) and post is not None:
+                is_false(POST, post)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=2000)
@@ -76,23 +93,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     records: list[str] = []
-    original = verifier.constraint_falsity
-
-    def recorded(c, *rest, **kwargs):
-        res = original(c, *rest, **kwargs)
-        records.append(f"{c.name}: {ia.to_text(c.body)}\t{res.verdict.value}\t{res.explored}\t{res.witness!r}\n")
-        return res
-
     rng = random.Random(args.seed)
-    verifier.constraint_falsity = recorded
-    try:
-        for _ in range(args.pairs):
-            a1, a2 = side(rng, "L", "s", sends=True), side(rng, "R", "t", sends=False)
-            prod = ia.product(a1, a2)
-            for budget in BUDGETS:
-                verifier.illegal_states(prod, budget=budget)
-    finally:
-        verifier.constraint_falsity = original
+    for _ in range(args.pairs):
+        a1, a2 = side(rng, "L", "s", sends=True), side(rng, "R", "t", sends=False)
+        prod = ia.product(a1, a2)
+        for budget in BUDGETS:
+            query_every_guard(prod, budget, records)
 
     digest = hashlib.sha256()
     verdicts: Counter[str] = Counter()

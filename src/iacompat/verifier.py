@@ -12,11 +12,11 @@ not propagate badness.
 Every stage runs on the product's ``graph`` of integer pair states, with
 lists and bytearrays, and builds ``Transition`` tuples only for what its
 result holds. Each is linear in the product: the illegal-state pass makes
-O(|P|) set tests, O(|shared|) lookups where an output goes unreceived, and one
-falsity query per distinct guard; the closure (a least fixpoint over
-predecessor lists), the prune and the witness search are breadth-first sweeps
-in O(states + transitions). ``OpCounter`` exposes the closure's elementary
-operation count for measurement.
+O(|P|) set tests, O(|shared|) lookups where an output goes unreceived, and at
+most one falsity query per guard an all-guards-false verdict needs; the
+closure (a least fixpoint over predecessor lists), the prune and the witness
+search are breadth-first sweeps in O(states + transitions). ``OpCounter``
+exposes the closure's elementary operation count for measurement.
 """
 from __future__ import annotations
 
@@ -84,7 +84,11 @@ def illegal_states(
     guards are judged over the product's merged variable declarations.
     ``strict_deadlock`` extends the all-guards-false clause to states with no
     outgoing transitions (the vacuous reading); by default deadlocks are not
-    illegal. A falsity verdict of Unknown never disables a transition.
+    illegal. A falsity verdict of Unknown never disables a transition, so one
+    in a state that has an enabled step is never queried: guards are queried
+    only as far as that clause needs them, not at all in a state with a step
+    that has neither a pre nor a post, else in step order up to the first
+    step whose pre and post are both not FALSE.
     """
     auto, (a1, a2) = prod.automaton, prod.operands
     budget = default_budget() if budget is None else budget
@@ -125,11 +129,14 @@ def illegal_states(
                 if action in sends2 and action not in takes1:
                     reasons.setdefault(pid, []).append(UnreceivedOutput(action, "right"))
 
-        disabled = [
-            step for step in out
-            if step[0] is not None and is_false(step[0], pre_cache, pre_prep)
-            or step[2] is not None and is_false(step[2], post_cache, post_prep)
-        ] if guarded else []
+        # one enabled step settles the state, so the scan stops at the first
+        disabled = []
+        if guarded and all(step[0] is not None or step[2] is not None for step in out):
+            for step in out:
+                if not (step[0] is not None and is_false(step[0], pre_cache, pre_prep)
+                        or step[2] is not None and is_false(step[2], post_cache, post_prep)):
+                    break
+                disabled.append(step)
         # with no step at all, only the vacuous reading condemns the state
         if len(disabled) == len(out) and (out or strict_deadlock):
             disabled_steps = tuple(graph.transition(i, step) for step in disabled)

@@ -32,6 +32,7 @@ from iacompat import (
     MethodCall,
     NamedConstraint,
     Not,
+    ParamDecl,
     RecordDomain,
     SeqDomain,
     SetLit,
@@ -39,6 +40,7 @@ from iacompat import (
     Valuation,
     VariableDecl,
     VarRef,
+    variable_refs,
 )
 
 
@@ -200,6 +202,19 @@ def rand_int_guard(rng: random.Random, depth: int = 3):
         return Not(rand_int_guard(rng, depth - 1))
     op = ("and", "and", "or", "or", "implies")[pick - 1]
     return join(op, rand_int_guard(rng, depth - 1), rand_int_guard(rng, depth - 1))
+
+
+def rand_int_constraint(rng: random.Random, name: str, kind: ConstraintKind, contract: str,
+                        operation: str = "go") -> NamedConstraint:
+    """A pre or post drawn by rand_int_guard, a pre with no old-state read. Its
+    operation has the parameter ``p`` and, one time in four, ``x``, which
+    shadows the variable ``x``."""
+    body = rand_int_guard(rng)
+    while kind is ConstraintKind.PRE and any(r.old for r in variable_refs(body)):
+        body = rand_int_guard(rng)
+    names = ("p", "x") if rng.random() < 0.25 else ("p",)
+    params = tuple(ParamDecl(n, INT_PARAMS[n]) for n in names)
+    return NamedConstraint(name, kind, body, ConstraintContext(contract, operation, params))
 
 
 def rand_int_chain(rng: random.Random, links: int):

@@ -45,8 +45,8 @@ def test_parse_digest_is_pinned():
 
 
 def test_falsity_digest_is_pinned():
-    """What a check decides on the guards of 100 seeded pairs; the digest moves when any query's
-    verdict, valuation count or witness does."""
+    """What the falsity tiers decide on every step guard of 100 seeded pairs; the digest moves when
+    any query's verdict, valuation count or witness does."""
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "falsity_digest.py"), "--pairs", "100", "--seed", "0"],
         capture_output=True, text=True, timeout=120,

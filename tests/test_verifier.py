@@ -1,5 +1,6 @@
 """Illegal states, bad-state closure, pruning, and the end-to-end check."""
 
+import importlib
 import json
 import random
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
 from oracles import oracle_reachable, oracle_verdict
-from randgen import cycle_pair, rand_composable_pair
+from randgen import INT_DECLS, cycle_pair, rand_composable_pair, rand_int_constraint
+
+verifier = importlib.import_module("iacompat.verifier")
 
 
 def _lab(name):
@@ -105,6 +108,85 @@ def test_pre_and_post_of_one_name_keep_separate_verdicts():
     assert ill.states == frozenset({"s1__t"})
     (reason,) = ill.reasons["s1__t"]
     assert reason == ia.AllGuardsFalse((ia.Transition("s1__t", "C", stay, None, "s1__t"),))
+
+
+@pytest.fixture
+def queried(monkeypatch):
+    """The names of the constraints ``illegal_states`` queries, in order."""
+    names = []
+    original = verifier.constraint_falsity
+
+    def counted(c, *args, **kwargs):
+        names.append(c.name)
+        return original(c, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "constraint_falsity", counted)
+    return names
+
+
+def _one_state_with(steps):
+    """A over ``x`` with the guards Dead and Ok (pre), Never and Fine (post),
+    whose state s0 has ``steps`` as (pre, action, post), each back to s0."""
+    x_decl = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
+    pres = {name: ia.parse_constraint(f"context A::go() pre {name}: {body}", x_decl)
+            for name, body in (("Dead", "x < 0"), ("Ok", "x < 10"))}
+    posts = {name: ia.parse_constraint(f"context A::go() post {name}: {body}", x_decl)
+             for name, body in (("Never", "x > 10"), ("Fine", "x >= x@pre"))}
+    actions = sorted({_lab(a) for _, a, _ in steps})
+    a = _auto("A", ["s0"], ["s0"], hidden=actions, variables=x_decl, pres=pres, posts=posts,
+              transitions=[ia.Transition("s0", pre, _lab(a), post, "s0") for pre, a, post in steps])
+    return ia.product(a, _auto("B", ["t"], ["t"]))
+
+
+def test_a_state_with_an_unguarded_step_queries_no_guard(queried):
+    prod = _one_state_with([("Dead", "go", None), (None, "stay", None)])
+    assert ia.illegal_states(prod).states == frozenset()
+    assert queried == []
+
+
+def test_the_first_enabled_step_ends_the_scan(queried):
+    prod = _one_state_with([("Ok", "go", None), ("Dead", "stay", "Never")])
+    assert ia.illegal_states(prod).states == frozenset()
+    assert queried == ["Ok"]
+
+
+def test_an_unknown_guard_ends_the_scan_as_an_enabled_step(queried):
+    # 11 values of x and 11 of x@pre are more than a budget of 1 allows
+    prod = _one_state_with([(None, "go", "Fine"), ("Dead", "stay", None)])
+    assert ia.illegal_states(prod, budget=1).states == frozenset()
+    assert queried == ["Fine"]
+
+
+def test_a_state_whose_steps_are_all_disabled_queries_every_guard(queried):
+    # the post of a step whose pre is FALSE is never queried
+    prod = _one_state_with([("Dead", "go", "Fine"), ("Ok", "stay", "Never"), (None, "back", "Never")])
+    ill = ia.illegal_states(prod)
+    assert queried == ["Dead", "Ok", "Never"]
+    assert ill.states == frozenset({"s0__t"})
+    assert ill.reasons["s0__t"] == (ia.AllGuardsFalse(tuple(prod.automaton.transitions)),)
+    assert [t.action for t in prod.automaton.transitions] == [_lab("go"), _lab("stay"), _lab("back")]
+
+
+def test_a_state_with_no_step_queries_nothing_under_either_reading(queried):
+    x_decl = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
+    dead = ia.parse_constraint("context A::go() pre Dead: x < 0", x_decl)
+    go = _lab("go")
+    a = _auto("A", ["s0", "s1"], ["s0"], hidden=[go], variables=x_decl, pres={"Dead": dead},
+              transitions=[ia.Transition("s0", None, go, None, "s1")])
+    prod = ia.product(a, _auto("B", ["t0"], ["t0"]))
+    assert ia.illegal_states(prod).states == frozenset()
+    strict = ia.illegal_states(prod, strict_deadlock=True)
+    assert strict.states == frozenset({"s1__t0"})
+    assert strict.reasons["s1__t0"] == (ia.AllGuardsFalse(()),)
+    assert queried == []
+
+
+def test_the_case_study_check_queries_no_guard(queried):
+    ld = ia.load_fixture("le_device.ia").automaton("LE_Device")
+    tl = ia.load_fixture("transport_layer.ia").automaton("TransportLayer")
+    rep = ia.check_compatibility(ld, tl, ia.CompatOptions(qualify_hidden=True))
+    assert len(rep.illegal.states) == 21
+    assert queried == []
 
 
 def test_fixture_illegal_set_against_oracle():
@@ -488,6 +570,56 @@ def test_verdict_matches_oracle(seed):
     eng = rep.verdict is ia.CompatVerdict.COMPATIBLE
     orc = oracle_verdict(a1, a2)[0]
     assert eng == orc
+
+
+def _eager_guard_reasons(prod, *, strict_deadlock, budget):
+    """The all-guards-FALSE reason of each state by the eager rule: every step
+    guard decided on its own, and a state condemned exactly when each of its
+    steps has a FALSE pre or post."""
+    auto = prod.automaton
+
+    def false_names(registry):
+        return {name for name, c in registry.items()
+                if ia.constraint_falsity(c, auto.variables, budget=budget).verdict is ia.Verdict.FALSE}
+
+    pre_false, post_false = false_names(auto.preconditions), false_names(auto.postconditions)
+    found = {}
+    for pid in auto.states:
+        out = [t for t in auto.transitions if t.source == pid]
+        if all(t.pre in pre_false or t.post in post_false for t in out) and (out or strict_deadlock):
+            found[pid] = ia.AllGuardsFalse(tuple(out))
+    return found
+
+
+def _with_int_guards(a, rng):
+    """``a`` over INT_DECLS, each of its guards redrawn by rand_int_constraint."""
+    def redraw(registry):
+        return {n: rand_int_constraint(rng, n, c.kind, a.name, c.context.operation) for n, c in registry.items()}
+    return a._replace(variables={d.name: d for d in INT_DECLS},
+                      preconditions=redraw(a.preconditions), postconditions=redraw(a.postconditions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), int_guards=st.booleans(),
+       budget=st.sampled_from((16, 10**6)), strict_deadlock=st.booleans())
+def test_the_lazy_guard_scan_matches_the_eager_rule(seed, int_guards, budget, strict_deadlock):
+    # the int guards read more values than a budget of 16 allows, so there an
+    # Unknown-guarded step ends a scan as an enabled one does
+    rng = random.Random(seed)
+    a1, a2 = rand_composable_pair(rng, 6)
+    if int_guards:
+        a1, a2 = _with_int_guards(a1, rng), _with_int_guards(a2, rng)
+    prod = ia.product(a1, a2)
+    ill = ia.illegal_states(prod, strict_deadlock=strict_deadlock, budget=budget)
+    eager = _eager_guard_reasons(prod, strict_deadlock=strict_deadlock, budget=budget)
+    want = {}
+    for pid in prod.automaton.states:
+        reasons = [r for r in ill.reasons.get(pid, ()) if isinstance(r, ia.UnreceivedOutput)]
+        reasons += [eager[pid]] if pid in eager else []
+        if reasons:
+            want[pid] = tuple(reasons)
+    assert ill.states == frozenset(want)
+    assert dict(ill.reasons) == want
 
 
 @settings(max_examples=100, deadline=None)
