@@ -9,9 +9,9 @@ on some guards, a parameter ``x`` that shadows the variable ``x``. The product
 conjoins the guards of the synchronised steps. At budgets 16 and 10^6, the
 script queries the guards of every product step in state and step order: the
 pre, then the post unless the pre is FALSE, each name once per registry, with
-one ``Preparations`` per kind and one dict of pools for all the queries. A
-check queries fewer (``illegal_states`` stops at a state's first enabled
-step), so the script makes the queries itself to pin every guard's verdict.
+one dict of pools for all the queries. A check queries fewer
+(``illegal_states`` stops at a state's first enabled step), so the script
+makes the queries itself to pin every guard's verdict.
 Each query is recorded as (text, verdict, explored, witness), so the witness
 of a satisfiable query pins the order in which valuations are enumerated, not
 only how many. The verdict counts, the total valuations and the SHA-256 of
@@ -37,7 +37,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import iacompat as ia  # noqa: E402
-from iacompat.falsity import Preparations, Verdict, constraint_falsity  # noqa: E402
+from iacompat.falsity import Verdict, constraint_falsity  # noqa: E402
 from randgen import INT_DECLS, rand_int_constraint  # noqa: E402
 
 BUDGETS = (16, 10**6)
@@ -67,14 +67,13 @@ def query_every_guard(prod: ia.ProductResult, budget: int, records: list[str]) -
     """Decide the guards of every step of ``prod`` and append one record per query."""
     auto = prod.automaton
     registries = {PRE: auto.preconditions, POST: auto.postconditions}
-    prepared = {kind: Preparations(registries[kind], prod.conjunctions[kind], auto.variables) for kind in registries}
     verdicts: dict = {PRE: {}, POST: {}}
     pools: dict = {}
 
     def is_false(kind: ia.ConstraintKind, name: str) -> bool:
         if name not in verdicts[kind]:
             c = registries[kind][name]
-            res = constraint_falsity(c, auto.variables, budget=budget, pools=pools, prepared=prepared[kind])
+            res = constraint_falsity(c, auto.variables, budget=budget, pools=pools)
             records.append(f"{c.name}: {ia.to_text(c.body)}\t{res.verdict.value}\t{res.explored}\t{res.witness!r}\n")
             verdicts[kind][name] = res.verdict
         return verdicts[kind][name] is Verdict.FALSE

@@ -18,7 +18,7 @@ each automaton builds on first use (``classes``, ``autonomous``, ``enabled``).
 ``product`` numbers the pair states in the order it finds them, visiting
 reachable pairs only (O(|transitions1| * |transitions2|) work at worst), and
 builds its graph directly; its ``ProductResult`` carries all the graph stages
-read besides: the two operands and the operand names of each conjunction it added.
+read besides: the two operands.
 
 ``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so they hash and
 compare as C-level tuples. They compare and hash equal to plain tuples of
@@ -365,17 +365,15 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
 # synchronized product
 
 class ProductResult(Frozen):
-    """A product with what the graph stages read besides it: the two operands it
-    composed, and the operand names of each conjunction it added, by kind."""
+    """A product with what the graph stages read besides it: the two operands it composed."""
 
     automaton: InterfaceAutomaton
     pair_of: Mapping[str, tuple[str, str]]
     shared_actions: tuple[ActionLabel, ...]
     operands: tuple[InterfaceAutomaton, InterfaceAutomaton]
-    conjunctions: Mapping[ConstraintKind, Mapping[str, tuple[str, str]]]
 
     def __post_init__(self):
-        return self.automaton, dict(self.pair_of), self.shared_actions, tuple(self.operands), self.conjunctions
+        return self.automaton, dict(self.pair_of), self.shared_actions, tuple(self.operands)
 
 
 class ProductError(ValueError):
@@ -438,7 +436,6 @@ class _GuardRegistry:
         self.taken = taken
         self.rename = {n: new for n, c in right.items() if (new := self.intern(c)) != n}
         self.conjunctions: dict[tuple[str, str], str] = {}
-        self.operands: dict[str, tuple[str, str]] = {}  # of each conjunction added as a new entry
 
     def intern(self, c: NamedConstraint) -> str:
         same = self.entries.get(c.name)
@@ -453,9 +450,7 @@ class _GuardRegistry:
     def conjoin(self, n1: str, n2: str) -> str:
         if (n1, n2) not in self.conjunctions:
             conj = _conjoin_constraints(self.entries[n1], self.entries[n2], self.contract)
-            name = self.conjunctions[n1, n2] = self.intern(conj)
-            if self.entries[name].context is conj.context:  # not an equal entry reused
-                self.operands[name] = (n1, n2)
+            self.conjunctions[n1, n2] = self.intern(conj)
         return self.conjunctions[n1, n2]
 
 
@@ -542,5 +537,4 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
         pair_of=pair_of,
         shared_actions=tuple(sorted(shared_set, key=lambda l: l.sort_key)),
         operands=(a1, a2),
-        conjunctions={ConstraintKind.PRE: pres.operands, ConstraintKind.POST: posts.operands},
     )

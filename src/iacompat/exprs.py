@@ -300,11 +300,12 @@ class NamedConstraint(Frozen):
         return {p.name: p.domain for p in self.context.params}
 
     def undeclared_paths(self, decls: Mapping[str, Domain]) -> list[str]:
-        """Dotted paths, sorted, of the referenced variables that ``decls`` does
-        not declare; a path that starts with an operation parameter is no variable."""
-        params = {p.name for p in self.context.params}
-        paths = {r.path for r in variable_refs(self.body) if r.path[0] not in params}
-        return sorted(".".join(p) for p in paths if resolve_path(decls, p) is None)
+        """Dotted paths, sorted, of the referenced variables that do not resolve:
+        a path that starts with an operation parameter against the parameters,
+        any other against ``decls``."""
+        params = self.param_domains()
+        paths = {r.path for r in variable_refs(self.body)}
+        return sorted(".".join(p) for p in paths if resolve_path(params if p[0] in params else decls, p) is None)
 
 
 # ---------------------------------------------------------------------------

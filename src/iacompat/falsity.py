@@ -22,21 +22,18 @@ assignment and once for the new one. Evaluation errors count as not-true.
 A query is a preparation, then a decision. ``prepare`` runs the first two
 tiers: it simplifies without sorting runs (evaluation is order-free),
 resolves the names the guard reads and bounds it. ``decide`` counts the
-budget over the full domains of those names, compiles the guard once and
-enumerates raw value tuples in a fixed order: the names by sorted name, every
-old assignment inside each current one. It lists each domain's values in a
-``Pool`` only as far as it reads them. Only a satisfying witness becomes a
-``Valuation``; ``explored`` counts up to and including it. ``Preparations``
-prepares each constraint of a registry once, and a conjunction from its
-operands' preparations: FALSE if either was refuted, else their parts and
-names together, which decides exactly as the conjunction's own body would.
+budget over the domains of those names, lists each domain's values once per
+``pools`` dict, compiles the guard once and enumerates raw value tuples in a
+fixed order: the names by sorted name, every old assignment inside each
+current one. Only a satisfying witness becomes a ``Valuation``; ``explored``
+counts up to and including it.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import os
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
 from .evaluate import EvalError, Valuation, compile_expr, fold, slot_access
@@ -84,36 +81,7 @@ class FalsityResult(Frozen):
     explored: int = 0
 
 
-class Pool(list):
-    """A domain's values listed so far, of ``size`` in all, in ``values()`` order; ``rest`` lists the others."""
-
-    def __init__(self, dom: Domain):
-        super().__init__()
-        self.rest, self.size = dom.values(), dom.count()
-
-    def runs(self) -> Iterator[list[Value]]:
-        """Every value in order: those listed, then runs as long as all before them."""
-        i = 0
-        while i < self.size:
-            if i == len(self):
-                self.extend(itertools.islice(self.rest, i or 1))
-            yield (run := self[i:])
-            i += len(run)
-
-
-Pools = dict[Domain, Pool]  # each domain's values, listed as far as a query read
-
-
-def _blocks(pools: list[Pool], head: list[tuple[Value]]) -> Iterator[Iterator[tuple]]:
-    """``itertools.product(*head, *pools[len(head):])``, listing values as it reads them:
-    one product per run of the next pool once every pool after it is listed."""
-    d = len(head)
-    for run in pools[d].runs():
-        if any(len(p) < p.size for p in pools[d + 1:]):
-            for v in run:
-                yield from _blocks(pools, head + [(v,)])
-        else:
-            yield itertools.product(*head, run, *pools[d + 1:])
+Pools = dict[Domain, list[Value]]  # each domain's values, listed once
 
 
 # a guard ready to decide: whether a tier refuted it without a valuation, the
@@ -169,15 +137,13 @@ def decide(p: Prepared, budget: Optional[int] = None, pools: Optional[Pools] = N
     pools = {} if pools is None else pools
     for dom in domains:
         if dom not in pools:
-            pools[dom] = Pool(dom)
+            pools[dom] = list(dom.values())
     lists = [pools[dom] for dom in domains]
     body = parts[0] if len(parts) == 1 else Chain(("and",) * (len(parts) - 1), parts)
     run = compile_expr(body, slot_access(cur_names, old_names))
 
     explored = 0
-    lazy = any(len(p) < p.size for p in lists)
-    envs = itertools.chain.from_iterable(_blocks(lists, [])) if lazy else itertools.product(*lists)
-    for explored, env in enumerate(envs, 1):
+    for explored, env in enumerate(itertools.product(*lists), 1):
         try:
             if run(env) is True:
                 witness = Valuation(
@@ -190,33 +156,6 @@ def decide(p: Prepared, budget: Optional[int] = None, pools: Optional[Pools] = N
     return FalsityResult(Verdict.FALSE, explored=explored)
 
 
-class Preparations(dict):
-    """The preparation of each constraint of one registry, made on first use. A
-    conjunction ``product`` added, with its ``operands``, merges theirs: FALSE if
-    one is refuted, else their parts and names. A parameter of the conjunction
-    that rebinds a name an operand read, or an operand that does not resolve,
-    leaves the conjunction's own body to prepare."""
-
-    def __init__(self, registry: Mapping[str, NamedConstraint], operands: Mapping[str, tuple[str, str]], variables):
-        super().__init__()
-        self.registry, self.operands, self.decls = registry, operands, decls_mapping(variables)
-
-    def __missing__(self, name: str) -> Prepared:
-        c = self.registry[name]
-        params = c.param_domains()
-        try:
-            ops = [self[n] for n in self.operands.get(name, ())]
-        except EvalError:  # the body's own preparation raises it, or finds a literal false
-            ops = []
-        if ops and all(params.get(n, d) == d for _, _, names in ops for (_, n), d in names.items()):
-            (r1, parts1, names1), (r2, parts2, names2) = ops
-            p = (r1 or r2, parts1 + parts2, {**names1, **names2})
-        else:
-            p = prepare(c.body, self.decls, params)
-        self[name] = p
-        return p
-
-
 def falsity(
     expr: Expr,
     decls,
@@ -227,8 +166,8 @@ def falsity(
 ) -> FalsityResult:
     """Verdict for a bare boolean expression over the given declarations.
 
-    ``pools`` keeps each domain's values across the queries that share it, a
-    query that reads further extending the list; without it, each lists its own.
+    ``pools`` keeps each domain's values across the queries that share it;
+    without it, each query lists its own.
     """
     return decide(prepare(expr, decls_mapping(decls), params or {}), budget, pools)
 
@@ -239,12 +178,8 @@ def constraint_falsity(
     *,
     budget: Optional[int] = None,
     pools: Optional[Pools] = None,
-    prepared: Optional[Preparations] = None,
 ) -> FalsityResult:
-    """Falsity of a named constraint; operation parameters enumerate too. ``prepared``,
-    its registry's ``Preparations``, stands in for ``variables``."""
-    if prepared is not None:
-        return decide(prepared[c.name], budget, pools)
+    """Falsity of a named constraint; operation parameters enumerate too."""
     return falsity(c.body, variables, params=c.param_domains(), budget=budget, pools=pools)
 
 

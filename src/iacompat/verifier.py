@@ -36,8 +36,8 @@ from .automata import (
     qualify_hidden,
     validate,
 )
-from .exprs import ConstraintKind
-from .falsity import Pools, Preparations, Verdict, constraint_falsity, default_budget
+from .exprs import NamedConstraint
+from .falsity import Pools, Verdict, constraint_falsity, default_budget
 from .frozen import Frozen
 
 
@@ -93,20 +93,15 @@ def illegal_states(
     auto, (a1, a2) = prod.automaton, prod.operands
     budget = default_budget() if budget is None else budget
 
-    # one verdict cache and one preparation memo per registry, since a pre and
-    # a post may share a name; the queries share their domains' value pools,
-    # each listed as far as some query has read it, for this call only
+    # one verdict cache per registry, since a pre and a post may share a name;
+    # the queries share their domains' value lists, for this call only
     pre_cache: dict[str, Verdict] = {}
     post_cache: dict[str, Verdict] = {}
     pools: Pools = {}
-    pre_prep = Preparations(auto.preconditions, prod.conjunctions[ConstraintKind.PRE], auto.variables)
-    post_prep = Preparations(auto.postconditions, prod.conjunctions[ConstraintKind.POST], auto.variables)
 
-    def is_false(name: str, cache: dict[str, Verdict], prepared: Preparations) -> bool:
+    def is_false(name: str, cache: dict[str, Verdict], registry: Mapping[str, NamedConstraint]) -> bool:
         if name not in cache:
-            cache[name] = constraint_falsity(
-                prepared.registry[name], auto.variables, budget=budget, pools=pools, prepared=prepared
-            ).verdict
+            cache[name] = constraint_falsity(registry[name], auto.variables, budget=budget, pools=pools).verdict
         return cache[name] is Verdict.FALSE
 
     shared = frozenset(prod.shared_actions)
@@ -133,8 +128,8 @@ def illegal_states(
         disabled = []
         if guarded and all(step[0] is not None or step[2] is not None for step in out):
             for step in out:
-                if not (step[0] is not None and is_false(step[0], pre_cache, pre_prep)
-                        or step[2] is not None and is_false(step[2], post_cache, post_prep)):
+                if not (step[0] is not None and is_false(step[0], pre_cache, auto.preconditions)
+                        or step[2] is not None and is_false(step[2], post_cache, auto.postconditions)):
                     break
                 disabled.append(step)
         # with no step at all, only the vacuous reading condemns the state

@@ -146,10 +146,11 @@ def test_missing_field_of_a_declared_record_diagnosed():
         ("constraint-variable", "precondition Typo references undeclared variable myCS.nosuch")]
 
 
-def test_undeclared_paths_are_sorted_once_and_skip_parameters():
+def test_undeclared_paths_are_sorted_once_and_resolve_parameters_first():
+    # p binds the int parameter, which has no field q, though a variable p.q is declared
     c = ia.parse_constraint("context A::op(p : int[0..3]) pre G: "
-                            "z.b = 1 and p.q = 2 and y = 1 and a = 1 and z.b = 2")
-    assert c.undeclared_paths({"y": ia.IntRangeDomain(0, 2)}) == ["a", "z.b"]
+                            "z.b = 1 and p.q = 2 and y = 1 and a = 1 and z.b = 2 and p = 1")
+    assert c.undeclared_paths({"y": ia.IntRangeDomain(0, 2), "p.q": ia.IntRangeDomain(0, 2)}) == ["a", "p.q", "z.b"]
 
 
 _X_AS_Y = {"x": ia.VariableDecl("y", ia.IntRangeDomain(0, 2))}
@@ -423,7 +424,7 @@ def test_case_study_registry_holds_only_used_conjunctions():
     assert {t.post for t in auto.transitions} - {None} <= set(auto.postconditions)
 
 
-def test_product_hands_over_the_operands_of_each_new_conjunction():
+def test_product_names_each_new_conjunction_and_reuses_an_equal_entry():
     go = ia.ActionLabel("go")
     x, y = ia.VariableDecl("x", ia.IntRangeDomain(0, 2)), ia.VariableDecl("y", ia.IntRangeDomain(0, 2))
     p = ia.NamedConstraint("P", ia.ConstraintKind.PRE, ia.parse_expression("x < 1", {"x": x}))
@@ -436,12 +437,10 @@ def test_product_hands_over_the_operands_of_each_new_conjunction():
                                   left, transitions=(ia.Transition("s", "P", go, None, "s"),))
         prod = ia.product(a, b)
         assert [t.pre for t in prod.automaton.transitions] == [conj]
-        assert prod.conjunctions == {ia.ConstraintKind.PRE: {conj: ("P", "Q")}, ia.ConstraintKind.POST: {}}
-    # a conjunction equal to an entry of the left operand reuses it, with no operands
+    # a conjunction equal to an entry of the left operand reuses it
     a = a._replace(preconditions={"P": p, "P_and_Q": pq})
     prod = ia.product(a, b)
     assert [t.pre for t in prod.automaton.transitions] == ["P_and_Q"]
-    assert prod.conjunctions == {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}}
     assert prod.operands == (a, b)
 
 

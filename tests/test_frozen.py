@@ -150,7 +150,7 @@ def test_post_init_checks_and_normalises():
         assert ia.parse_expression(ia.to_text(e)) == e
     pairs = {"p": ("a", "b")}
     e = ia.empty_automaton()
-    prod = ia.ProductResult(e, pairs, (), [e, e], {ia.ConstraintKind.PRE: {}, ia.ConstraintKind.POST: {}})
+    prod = ia.ProductResult(e, pairs, (), [e, e])
     assert prod.pair_of == pairs and prod.pair_of is not pairs
     assert prod.operands == (e, e)
 

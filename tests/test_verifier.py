@@ -496,6 +496,20 @@ def test_invalid_automaton_rejected():
     assert any("initial set empty" in str(d) for d in exc.value.diagnostics)
 
 
+def test_a_path_into_an_int_parameter_is_rejected_before_any_query():
+    # built in code, so no sort check saw it: p is an int and has no field q
+    body = ia.parse_expression("p.q < 1")
+    g = ia.NamedConstraint("G", ia.ConstraintKind.PRE, body,
+                           ia.ConstraintContext("A", "go", (ia.ParamDecl("p", ia.IntRangeDomain(0, 3)),)))
+    go = _lab("go")
+    a = _auto("A", ["s"], ["s"], hidden=[go], pres={"G": g},
+              transitions=[ia.Transition("s", "G", go, None, "s")])
+    with pytest.raises(ia.InvalidAutomaton) as exc:
+        ia.check_compatibility(a, _auto("B", ["t"], ["t"]))
+    assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+        ("constraint-variable", "precondition G references undeclared variable p.q")]
+
+
 def test_enum_budget_option_flows_to_falsity():
     # a budget of 1 cannot refute the dead guard, so the state stays legal;
     # x + x ranges over [0, 20], so bounds alone cannot refute it either
