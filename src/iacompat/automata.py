@@ -43,9 +43,7 @@ from .exprs import (
     ParamDecl,
     decls_mapping,
 )
-from .frozen import Frozen, factory
-
-_new = tuple.__new__  # a value built without its class's Python-level __new__ or check
+from .frozen import Frozen, _new, factory
 
 
 class _Label(NamedTuple):

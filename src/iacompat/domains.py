@@ -311,22 +311,26 @@ class VariableDecl(Frozen):
             raise ValueError(f"variable name is not a dotted identifier path: {self.name!r}")
 
 
-def resolve_path(decls: Mapping[str, Domain], path: tuple[str, ...]) -> Optional[tuple[str, Domain]]:
-    """How a dotted path binds: its longest declared prefix, then record fields,
-    with an opaque domain absorbing the rest of the path.
+def bind_path(path: tuple[str, ...], decls: Mapping[str, Domain],
+              params: Mapping[str, Domain]) -> Optional[tuple[str, Domain, Domain]]:
+    """How a dotted path in a constraint binds, in sort checking, validation and
+    falsity alike: to the operation parameter its first segment names, else to
+    its longest declared prefix; then through record fields, with an opaque
+    domain absorbing the rest of the path.
 
-    Returns (declared name, domain of the full path), or None when no prefix is
-    declared or a field after it is missing.
+    Returns (bound name, its domain, domain of the full path), or None when
+    nothing binds or a field after the bound name is missing.
     """
+    table = params if path[0] in params else decls
     for cut in range(len(path), 0, -1):
-        declared = ".".join(path[:cut])
-        if declared in decls:
-            dom = decls[declared]
+        name = ".".join(path[:cut])
+        if name in table:
+            dom = table[name]
             for seg in path[cut:]:
                 if isinstance(dom, OpaqueDomain):
                     break
                 dom = dom.field_domain(seg) if isinstance(dom, RecordDomain) else None
                 if dom is None:
                     return None
-            return declared, dom
+            return name, table[name], dom
     return None

@@ -16,6 +16,7 @@ loop and depth comes only from nesting; ``BinOp`` holds the comparisons.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
@@ -27,7 +28,7 @@ from .domains import (
     Domain,
     Sort,
     VariableDecl,
-    resolve_path,
+    bind_path,
     sorts_compatible,
 )
 from .frozen import Frozen, factory
@@ -255,10 +256,6 @@ def variable_refs(e: Expr) -> Iterator[VarRef]:
             yield node
 
 
-def has_old_refs(e: Expr) -> bool:
-    return any(r.old for r in variable_refs(e))
-
-
 # ---------------------------------------------------------------------------
 # named constraints
 
@@ -291,21 +288,24 @@ class NamedConstraint(Frozen):
     context: ConstraintContext = ConstraintContext()
 
     def __post_init__(self) -> None:
-        if self.kind is not ConstraintKind.POST and has_old_refs(self.body):
+        if self.kind is not ConstraintKind.POST and any(r.old for r in self.refs):
             raise ValueError(
                 f"constraint {self.name}: old-state references are only legal in postconditions"
             )
+
+    @cached_property
+    def refs(self) -> tuple[VarRef, ...]:
+        """The body's distinct variable references, in ``walk`` order."""
+        return tuple(dict.fromkeys(variable_refs(self.body)))
 
     def param_domains(self) -> dict[str, Domain]:
         return {p.name: p.domain for p in self.context.params}
 
     def undeclared_paths(self, decls: Mapping[str, Domain]) -> list[str]:
-        """Dotted paths, sorted, of the referenced variables that do not resolve:
-        a path that starts with an operation parameter against the parameters,
-        any other against ``decls``."""
+        """Dotted paths, sorted, of the referenced variables that ``bind_path``
+        does not bind over ``decls`` and the operation parameters."""
         params = self.param_domains()
-        paths = {r.path for r in variable_refs(self.body)}
-        return sorted(".".join(p) for p in paths if resolve_path(params if p[0] in params else decls, p) is None)
+        return sorted({r.dotted for r in self.refs if bind_path(r.path, decls, params) is None})
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +338,10 @@ class SortScope(Frozen):
     open_world: bool = False
 
     def sort_of_path(self, path: tuple[str, ...]) -> Sort:
-        table = self.params if path[0] in self.params else self.decls
-        hit = resolve_path(table, path)
+        hit = bind_path(path, self.decls, self.params)
         if hit is not None:
-            return hit[1].sort()
-        if self.open_world and table is self.decls:
+            return hit[2].sort()
+        if self.open_world and path[0] not in self.params:  # never a parameter's path
             return OPAQUE
         raise UnknownVariable(".".join(path))
 

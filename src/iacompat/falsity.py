@@ -35,7 +35,7 @@ import itertools
 import os
 from typing import Mapping, Optional
 
-from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, resolve_path
+from .domains import Domain, IntRangeDomain, MapDomain, RecordDomain, Value, bind_path
 from .evaluate import EvalError, Valuation, compile_expr, fold, slot_access
 from .exprs import (
     Apply,
@@ -92,22 +92,21 @@ Prepared = tuple[bool, tuple[Expr, ...], dict[tuple[bool, str], Domain]]
 
 def prepare(expr: Expr, decls: Mapping[str, Domain], params: Mapping[str, Domain]) -> Prepared:
     """``expr`` simplified, resolved over the declarations and parameters, bounded."""
-    table = {**decls, **params}
     s = fold(expr, None)  # no sort: evaluation does not depend on the order of a run
     if isinstance(s, BoolLit):  # tested by class: no literal built per query
         return not s.value, (), {}
 
-    # the declared variables behind every free reference, parameters first as
-    # in sort checking; enumerate each declared variable's own domain, not
-    # the leaf the path points at: the valuation binds whole variables
+    # the variables behind every reference the folded guard still reads, bound
+    # as in sort checking; enumerate each bound variable's own domain, not the
+    # leaf the path points at: the valuation binds whole variables
     names: dict[tuple[bool, str], Domain] = {}
     leaves: dict[VarRef, Domain] = {}  # the domain of each path's full length
     for ref in variable_refs(s):
-        hit = resolve_path(params if ref.path[0] in params else table, ref.path)
+        hit = bind_path(ref.path, decls, params)
         if hit is None:
             raise EvalError(f"free variable {'.'.join(ref.path)} does not resolve against the declarations")
-        names[ref.old, hit[0]] = table[hit[0]]
-        leaves[ref] = hit[1]
+        names[ref.old, hit[0]] = hit[1]
+        leaves[ref] = hit[2]
     parts = s.operands if isinstance(s, Chain) and s.ops[0] == "and" else (s,)
     return _never_true(s, leaves), parts, names
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iacompat as ia
-from iacompat.domains import FrozenMap as FM, resolve_path
-from iacompat.automata import _conjoin_constraints
+from iacompat.domains import FrozenMap as FM, bind_path
+from iacompat.automata import _GuardRegistry, _conjoin_constraints
 from iacompat.evaluate import compile_expr, slot_access
 from iacompat.exprs import SortScope, infer_sort
+from iacompat.falsity import prepare
 from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
 from randgen import (
     INT_DECLS,
@@ -174,15 +175,19 @@ def test_unknown_variable_is_a_sort_error():
         ia.parse_constraint("pre P: nosuch < 10", LD_DECLS)
 
 
-def test_resolve_path_binds_by_one_rule():
+def test_bind_path_binds_by_one_rule():
     small = ia.IntRangeDomain(0, 3)
     decls = {"myCS": DATA, "myCS.s": small, "msg": ia.OpaqueDomain()}
-    assert resolve_path(decls, ("myCS", "s")) == ("myCS.s", small)  # longest prefix wins
-    assert resolve_path(decls, ("myCS", "c")) == ("myCS", CLAIM)
-    assert resolve_path(decls, ("msg", "a", "b")) == ("msg", ia.OpaqueDomain())
-    assert resolve_path(decls, ("myCS", "nosuch")) is None
-    assert resolve_path(decls, ("myCS", "c", "x")) is None  # a field of a non-record
-    assert resolve_path(decls, ("nosuch",)) is None
+    opaque = ia.OpaqueDomain()
+    assert bind_path(("myCS", "s"), decls, {}) == ("myCS.s", small, small)  # longest prefix wins
+    assert bind_path(("myCS", "c"), decls, {}) == ("myCS", DATA, CLAIM)
+    assert bind_path(("msg", "a", "b"), decls, {}) == ("msg", opaque, opaque)
+    assert bind_path(("myCS", "nosuch"), decls, {}) is None
+    assert bind_path(("myCS", "c", "x"), decls, {}) is None  # a field of a non-record
+    assert bind_path(("nosuch",), decls, {}) is None
+    # a parameter named by the first segment wins over any declared prefix
+    assert bind_path(("myCS", "s"), decls, {"myCS": opaque}) == ("myCS", opaque, opaque)
+    assert bind_path(("myCS", "s"), decls, {"myCS": small}) is None
 
 
 def test_parameter_paths_bind_first_and_never_open_world():
@@ -195,6 +200,133 @@ def test_parameter_paths_bind_first_and_never_open_world():
     assert e == ia.VarRef(("p", "a"))
     # falsity binds the parameter too, not the longer declared variable p.a
     assert ia.falsity(e, decls, params={"p": p}).verdict is ia.Verdict.SATISFIABLE
+
+
+def _three_bindings(path, decls, params):
+    """How sort checking, validation and falsity each bind ``path``: its sort, or
+    None on ``UnknownVariable``; whether ``undeclared_paths`` lists it; and the
+    (name, domain) ``prepare`` enumerates, or None on ``EvalError``."""
+    try:
+        sort = SortScope(decls, params).sort_of_path(path)
+    except ia.UnknownVariable:
+        sort = None
+    c = ia.NamedConstraint("G", ia.ConstraintKind.PRE, ia.VarRef(path),
+                           ia.ConstraintContext("A", "op", tuple(ia.ParamDecl(n, d) for n, d in params.items())))
+    listed = c.undeclared_paths(decls) == [".".join(path)]
+    try:
+        (((_, name), dom),) = prepare(ia.VarRef(path), decls, params)[2].items()
+        bound = name, dom
+    except ia.EvalError:
+        bound = None
+    return sort, listed, bound
+
+
+def _assert_binds_alike(path, decls, params, bound):
+    """All three sites refuse ``path`` when ``bound`` is None, else bind it as it says."""
+    want = (None, True, None) if bound is None else (bound[2], False, bound[:2])
+    assert _three_bindings(path, decls, params) == want, path
+
+
+def _expected_binding(path, decls, params):
+    """The rule, stated apart: a parameter named by the first segment, else the
+    longest declared prefix; then record fields, an opaque domain taking the rest.
+    Returns (name, its domain, the sort of the full path), or None."""
+    cut = 1 if path[0] in params else next(
+        (k for k in range(len(path), 0, -1) if ".".join(path[:k]) in decls), None)
+    if cut is None:
+        return None
+    name = ".".join(path[:cut])
+    dom = leaf = params[name] if path[0] in params else decls[name]
+    for seg in path[cut:]:
+        if isinstance(leaf, ia.OpaqueDomain):
+            break
+        if not isinstance(leaf, ia.RecordDomain) or leaf.field_domain(seg) is None:
+            return None
+        leaf = leaf.field_domain(seg)
+    return name, dom, leaf.sort()
+
+
+_INT = ia.IntRangeDomain(0, 1)
+_PQ = ia.RecordDomain((("q", _INT),))
+_RA = ia.RecordDomain((("a", ia.BoolDomain()),))
+
+
+@pytest.mark.parametrize("path, decls, params, bound", [
+    # p binds the int parameter, which has no field q, though p.q is declared
+    (("p", "q"), {"p.q": _INT}, {"p": _INT}, None),
+    (("p", "q"), {}, {"p": _PQ}, ("p", _PQ, _INT.sort())),
+    (("r", "b"), {"r": _RA}, {}, None),
+    (("o", "x", "y"), {"o": ia.OpaqueDomain()}, {}, ("o", ia.OpaqueDomain(), ia.OpaqueDomain().sort())),
+    (("r",), {"r": _RA}, {"r": _INT}, ("r", _INT, _INT.sort())),
+])
+def test_sort_checking_validation_and_falsity_bind_a_path_alike(path, decls, params, bound):
+    assert _expected_binding(path, decls, params) == bound
+    _assert_binds_alike(path, decls, params, bound)
+
+
+_SEGMENTS = ("p", "q", "r")
+
+
+def _rand_bind_domain(rng, depth=2):
+    pick = rng.randrange(4 if depth else 2)
+    if pick == 0:
+        return ia.IntRangeDomain(0, rng.randint(0, 2))
+    if pick == 1:
+        return ia.OpaqueDomain()
+    fields = rng.sample(_SEGMENTS, rng.randint(1, 2))
+    return ia.RecordDomain(tuple((f, _rand_bind_domain(rng, depth - 1)) for f in fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_path_binds_alike_in_sort_checking_validation_and_falsity(seed):
+    # dotted declared names, records and opaque variables, and parameters that
+    # shadow a variable or the first segment of a dotted one
+    rng = random.Random(seed)
+    names = {".".join(rng.choices(_SEGMENTS, k=rng.randint(1, 2))) for _ in range(rng.randint(1, 4))}
+    decls = {n: _rand_bind_domain(rng) for n in sorted(names)}
+    params = {n: _rand_bind_domain(rng) for n in rng.sample(_SEGMENTS, rng.randint(0, 2))}
+    for k in (1, 2, 3):
+        for path in itertools.product(_SEGMENTS, repeat=k):
+            _assert_binds_alike(path, decls, params, _expected_binding(path, decls, params))
+
+
+def test_falsity_names_only_what_the_folded_guard_reads():
+    decls = {"x": _INT, "y": _INT}
+    e = ia.parse_expression("x > 0 or (false and y > 0)", decls)
+    assert list(prepare(e, decls, {})[2]) == [(False, "x")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_refs_are_the_distinct_references_in_walk_order(seed):
+    rng = random.Random(seed)
+    body = _with_old(rand_term(rng), rng)
+    distinct = []
+    for r in ia.variable_refs(body):
+        if r not in distinct:
+            distinct.append(r)
+    assert ia.NamedConstraint("P", ia.ConstraintKind.POST, body).refs == tuple(distinct)
+
+
+def test_unchecked_conjunctions_and_renamed_copies_derive_their_refs_when_read():
+    # _conjoin_constraints and a renaming intern build without NamedConstraint's
+    # check, so neither has its references until something reads them
+    context = ia.ConstraintContext("A", "op", (ia.ParamDecl("p", _INT),))
+    a = ia.parse_constraint("context A::op(p : int[0..1]) pre G: p.q = 1 and x = 1")
+    b = ia.NamedConstraint("G", ia.ConstraintKind.PRE, ia.parse_expression("y = 1 or w.f"), context)
+    decls = {"x": _INT, "y": _INT}
+    conj = _conjoin_constraints(a, b, "AB")
+    registry = _GuardRegistry({"G": a}, {}, "AB", {"G"})
+    copy = registry.entries[registry.intern(b)]
+    assert copy.name == "G_2"
+    for unchecked in (conj, copy):
+        assert "refs" not in vars(unchecked)
+        checked = ia.NamedConstraint(unchecked.name, unchecked.kind, unchecked.body, unchecked.context)
+        assert unchecked.undeclared_paths(decls) == checked.undeclared_paths(decls)
+        assert unchecked.refs == checked.refs
+    assert conj.undeclared_paths(decls) == ["p.q", "w.f"]
+    assert copy.undeclared_paths(decls) == ["w.f"]
 
 
 def test_sort_mismatch_rejected():
@@ -929,8 +1061,8 @@ def test_a_parameter_that_shadows_the_other_operands_variable_binds_it_in_the_co
 
 def _check_refutation(expr, decls, params=None):
     """Every FALSE decided without a valuation agrees with the oracle."""
-    table = {**{d.name: d.domain for d in decls}, **(params or {})}
-    if any(resolve_path(table, r.path) is None for r in ia.variable_refs(expr)):
+    table = {d.name: d.domain for d in decls}
+    if any(bind_path(r.path, table, params or {}) is None for r in ia.variable_refs(expr)):
         return None  # a reference that binds nothing
     # a budget of one valuation leaves only what needs none
     res = ia.falsity(expr, decls, params=params, budget=1)

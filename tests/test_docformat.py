@@ -241,6 +241,9 @@ PARSE_ERRORS = [
      "case.ia:1:71: record domain repeats a field name"),
     ("doc", _GO + "var x : bool;\n  pre P: x@pre; }",
      "case.ia:2:3: constraint P: old-state references are only legal in postconditions"),
+    # the old copy of a path read before in its current state is a reference of its own
+    ("doc", _GO + "var x : bool;\n  pre P: x or not x~; }",
+     "case.ia:2:3: constraint P: old-state references are only legal in postconditions"),
     ("doc", "contract A { inputs; outputs; hidden; }",
      "case.ia:1:10: contract 'A' is missing its 'states' section"),
     ("doc", "\ncontract\n  A { states s; inputs; outputs; }",

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every top-level function or
+class of the package is exported or read somewhere.
 
-The package's ``__init__`` is left out: it imports names to re-export them.
+The package's ``__init__`` is left out of the first check: it imports names to
+re-export them.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "iacompat").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,47 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nfrom typing import Iterator, Mapping\nx: Mapping\n"
     assert unused_imports(source) == ["os", "Iterator"]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the module reads: as a variable, an attribute, an imported
+    name or an identifier string (``getattr`` by name). A top-level function or
+    class reading its own name, as a recursive call does, does not count."""
+    read: set[str] = set()
+    for stmt in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        read |= names
+    return read
+
+
+def unread_definitions(definitions: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each top-level function or class of the modules in
+    ``definitions`` (module name to source) that no source in ``readers`` reads."""
+    read = set().union(*map(read_names, readers))
+    return [f"{module}.{node.name}" for module, source in definitions.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read]
+
+
+def test_every_function_and_class_is_exported_or_read():
+    """``__init__`` exports by importing, so it is one of the readers."""
+    definitions = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "iacompat"}
+    assert unread_definitions(definitions, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def test_an_unread_definition_is_found():
+    helper = "def used(x):\n    return x\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Unread:\n    pass\n"
+    caller = "from m import used\nimport m\nm.used(1)\ngetattr(m, 'Named')\n"
+    named = "class Named:\n    pass\n"
+    assert unread_definitions({"m": helper + named}, [helper + named, caller]) == ["m.recursive", "m.Unread"]
