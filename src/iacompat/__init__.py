@@ -52,7 +52,6 @@ from .evaluate import (
     MissingVariable,
     UndefinedApplication,
     Valuation,
-    evaluate,
     simplify,
 )
 from .expr_parse import parse_expression
@@ -80,7 +79,7 @@ from .exprs import (
     variable_refs,
     walk,
 )
-from .falsity import FalsityResult, Verdict, constraint_falsity, default_budget, falsity
+from .falsity import FalsityResult, Verdict, constraint_falsity, default_budget
 from .fixtures import fixture_text, load_fixture
 from .lexer import ParseError
 from .verifier import (

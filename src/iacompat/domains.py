@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import cached_property
 from math import inf
 from typing import Any, Iterator, Mapping, Optional
 
@@ -100,7 +101,7 @@ class Domain(Frozen):
     """Base class; concrete domains are the immutable ``Frozen`` values below."""
 
     def sort(self) -> Sort:
-        raise NotImplementedError
+        return self._sort  # a composite domain derives it once; the others override sort
 
     def count(self, cap: float = inf) -> Optional[int]:
         """Number of values, or None when the domain is not enumerable. Counting stops
@@ -187,7 +188,8 @@ class SeqDomain(Domain):
         if self.max_len is not None and self.max_len < 0:
             raise ValueError("sequence bound must be non-negative")
 
-    def sort(self) -> Sort:
+    @cached_property
+    def _sort(self) -> Sort:
         return Sort("seq", elem=self.element.sort())
 
     def count(self, cap: float = inf) -> Optional[int]:
@@ -221,7 +223,8 @@ class MapDomain(Domain):
     key: Domain
     value: Domain
 
-    def sort(self) -> Sort:
+    @cached_property
+    def _sort(self) -> Sort:
         return Sort("map", key=self.key.sort(), value=self.value.sort())
 
     def count(self, cap: float = inf) -> Optional[int]:
@@ -259,7 +262,8 @@ class RecordDomain(Domain):
             if not is_identifier(n):
                 raise ValueError(f"record field is not an identifier: {n!r}")
 
-    def sort(self) -> Sort:
+    @cached_property
+    def _sort(self) -> Sort:
         return Sort("record", fields=tuple((n, d.sort()) for n, d in self.fields))
 
     def count(self, cap: float = inf) -> Optional[int]:

@@ -67,7 +67,8 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
     if form == "postfix":
         return _parse_postfix(ts)
     if form == "prefix":
-        if ts.accept("ident", ops[0]):
+        if ts.text == ops[0] and ts.kind == "ident":
+            ts.advance()
             return Not(parse_expr(ts, level))
         return parse_expr(ts, level + 1)
     left = parse_expr(ts, level + 1)
@@ -93,8 +94,9 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
 
 def _parse_postfix(ts: TokenStream) -> Expr:
     e = _parse_primary(ts)
-    while True:
-        if ts.accept("punct", "("):
+    while ts.kind == "punct" and ts.text in ("(", "[", ".", "->"):
+        text = ts.advance()
+        if text == "(":
             start = ts.at  # the first bound's first token
             first = parse_expr(ts)
             if ts.accept("punct", ","):
@@ -109,20 +111,19 @@ def _parse_postfix(ts: TokenStream) -> Expr:
             else:
                 ts.expect("punct", ")")
                 e = Apply(e, first)
-        elif ts.accept("punct", "["):
+        elif text == "[":
             key = parse_expr(ts)
             ts.expect("punct", "]")
             e = Apply(e, key)
-        elif ts.accept("punct", "."):
+        elif text == ".":
             name = ts.expect("ident", what="a member name")
             e = MethodCall(e, name, _parse_optional_args(ts)) if name in METHODS else FieldAccess(e, name)
-        elif ts.accept("punct", "->"):
+        else:
             if ts.kind == "ident" and ts.text not in METHODS:
                 raise ts.error(f"unknown arrow operation {ts.text!r}")
             name = ts.expect("ident", what="a collection operation")
             e = MethodCall(e, name, _parse_optional_args(ts))
-        else:
-            return e
+    return e
 
 
 def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
@@ -131,6 +132,12 @@ def _parse_optional_args(ts: TokenStream) -> tuple[Expr, ...]:
 
 def _parse_primary(ts: TokenStream) -> Expr:
     kind, text = ts.kind, ts.text
+    if kind == "ident":
+        if text not in _EXPR_RESERVED:
+            return _parse_path(ts)
+        if text in ("true", "false"):
+            return BoolLit(ts.advance() == "true")
+        raise ts.error(f"{text!r} cannot start an expression")
     if kind == "int":
         return IntLit(ts.expect_int())
     if kind == "enumlit":
@@ -143,12 +150,6 @@ def _parse_primary(ts: TokenStream) -> Expr:
         return e
     if ts.accept("punct", "{"):
         return SetLit(ts.items(parse_expr, "}"))
-    if kind == "ident":
-        if text in ("true", "false"):
-            return BoolLit(ts.advance() == "true")
-        if text in _EXPR_RESERVED:
-            raise ts.error(f"{text!r} cannot start an expression")
-        return _parse_path(ts)
     raise ts.error(f"expected an expression, found {ts.found!r}")
 
 
@@ -158,10 +159,11 @@ def _parse_path(ts: TokenStream) -> VarRef:
     A dotted suffix naming a collection built-in belongs to the postfix layer,
     not to the path: ``devOn.range`` is a method call on the variable ``devOn``.
     """
-    parts = [ts.expect("ident")]
+    parts = [ts.advance()]
     old = False
     while True:
-        if not old and ts.accept("oldmark"):
+        if ts.kind == "oldmark" and not old:
+            ts.advance()
             old = True
             continue
         if ts.kind == "punct" and ts.text == ".":
@@ -201,11 +203,14 @@ def parse_expression(
 def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
     """A domain descriptor; a name must be one of ``type_env``'s aliases."""
     at = ts.at
-    if ts.accept("ident", "bool"):
+    if ts.kind != "ident":
+        raise ts.error(f"expected a domain, found {ts.found!r}")
+    word = ts.advance()
+    if word == "bool":
         return BoolDomain()
-    if ts.accept("ident", "opaque"):
+    if word == "opaque":
         return OpaqueDomain()
-    if ts.accept("ident", "int"):
+    if word == "int":
         ts.expect("punct", "[")
         lo = _parse_signed_int(ts)
         ts.expect("punct", "..")
@@ -215,7 +220,7 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
             return IntRangeDomain(lo, hi)
         except ValueError as exc:
             raise ts.error(str(exc), at) from None
-    if ts.accept("ident", "enum"):
+    if word == "enum":
         ts.expect("punct", "{")
         lits = [ts.expect("ident", what="an enum literal")]
         while ts.accept("punct", ","):
@@ -225,19 +230,19 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
             return EnumDomain(tuple(lits))
         except ValueError as exc:
             raise ts.error(str(exc), at) from None
-    if ts.accept("ident", "seq"):
+    if word == "seq":
         ts.expect("ident", "of", what="'of'")
         elem = parse_domain(ts, type_env)
         max_len = None
         if ts.accept("ident", "maxlen"):
             max_len = ts.expect_int("a length bound")
         return SeqDomain(elem, max_len)
-    if ts.accept("ident", "map"):
+    if word == "map":
         key = parse_domain(ts, type_env)
         ts.expect("ident", "to", what="'to'")
         value = parse_domain(ts, type_env)
         return MapDomain(key, value)
-    if ts.accept("ident", "record"):
+    if word == "record":
         ts.expect("punct", "{")
         fields: list[tuple[str, Domain]] = []
         while True:
@@ -251,12 +256,9 @@ def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
             return RecordDomain(tuple(fields))
         except ValueError as exc:
             raise ts.error(str(exc), at) from None
-    if ts.kind == "ident":
-        name = ts.advance()
-        if name in type_env:
-            return type_env[name]
-        raise ts.error(f"unknown type name {name!r}", at)
-    raise ts.error(f"expected a domain, found {ts.found!r}")
+    if word in type_env:
+        return type_env[word]
+    raise ts.error(f"unknown type name {word!r}", at)
 
 
 def _parse_signed_int(ts: TokenStream) -> int:

@@ -353,25 +353,26 @@ def _require(cond: bool, message: str, e: Expr) -> None:
 
 def infer_sort(e: Expr, scope: SortScope) -> Sort:
     """Sort of an expression, raising SortError / UnknownVariable on bad input."""
-    if isinstance(e, BoolLit):
+    cls = e.__class__
+    if cls is BoolLit:
         return BOOL
-    if isinstance(e, IntLit):
+    if cls is IntLit:
         return INT
-    if isinstance(e, EnumLit):
+    if cls is EnumLit:
         return ENUM
-    if isinstance(e, SetLit):
+    if cls is SetLit:
         elem: Sort = OPAQUE
         for item in e.items:
             s = infer_sort(item, scope)
             elem = s if elem.tag == "opaque" else elem
             _require(sorts_compatible(elem, s), "mixed element sorts in set literal", e)
         return Sort("set", elem=elem)
-    if isinstance(e, VarRef):
+    if cls is VarRef:
         return scope.sort_of_path(e.path)
-    if isinstance(e, Not):
+    if cls is Not:
         _require(infer_sort(e.operand, scope).tag in ("bool", "opaque"), "not needs a boolean", e)
         return BOOL
-    if isinstance(e, Chain) and e.ops[0] == "implies":
+    if cls is Chain and e.ops[0] == "implies":
         # the operands, then each link from the last one back, as the nested
         # definition takes them; an error names the run from the bad link on
         bad = [k for k, x in enumerate(e.operands) if infer_sort(x, scope).tag not in ("bool", "opaque")]
@@ -379,7 +380,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
             k = min(bad[-1], len(e.ops) - 1)  # the last link takes both its operands
             raise SortError("implies needs boolean operands", Chain(e.ops[k:], e.operands[k:]))
         return BOOL
-    if isinstance(e, Chain):
+    if cls is Chain:
         # each link after both its operands, in the order the recursive
         # definition takes; an error names the run up to the bad operand
         logic = e.ops[0] in ("and", "or")
@@ -392,7 +393,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
                                 Chain(e.ops[:k], e.operands[:k + 1]))
             left = right
         return BOOL if logic else INT
-    if isinstance(e, BinOp):
+    if cls is BinOp:
         ls, rs = infer_sort(e.left, scope), infer_sort(e.right, scope)
         if e.op in ("=", "<>"):
             if not sorts_compatible(ls, rs):  # the message prints both sorts, so only on failure
@@ -401,14 +402,14 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         _require(ls.tag in ("int", "opaque") and rs.tag in ("int", "opaque"),
                  f"{e.op} needs integer operands", e)
         return BOOL
-    if isinstance(e, Membership):
+    if cls is Membership:
         item = infer_sort(e.item, scope)
         coll = infer_sort(e.collection, scope)
         _require(coll.tag in ("set", "opaque"), "in set needs a set on the right", e)
         if coll.tag == "set":
             _require(sorts_compatible(item, coll.elem), "member sort does not fit the set", e)
         return BOOL
-    if isinstance(e, Apply):
+    if cls is Apply:
         t = infer_sort(e.target, scope)
         k = infer_sort(e.key, scope)
         if t.tag == "map":
@@ -419,7 +420,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
             return t.elem
         _require(t.tag == "opaque", "application target is neither map nor sequence", e)
         return OPAQUE
-    if isinstance(e, FieldAccess):
+    if cls is FieldAccess:
         t = infer_sort(e.target, scope)
         if t.tag == "record":
             for n, s in t.fields or ():
@@ -428,7 +429,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
             raise SortError(f"record has no field {e.name!r}", e)
         _require(t.tag == "opaque", "field access on a non-record", e)
         return OPAQUE
-    if isinstance(e, MethodCall):
+    if cls is MethodCall:
         t, name = infer_sort(e.target, scope), e.name
         _require(name in METHODS, f"unknown method {name!r}", e)
         tags, noun, result = METHODS[name]

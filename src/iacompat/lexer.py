@@ -72,8 +72,7 @@ class TokenStream:
     its text, or the end of input."""
 
     def __init__(self, text: str, source: str = "<string>"):
-        self.input = text
-        self.source = source
+        self.input, self.source, self.text = text, source, None
         self.skip_to(0)
 
     def __enter__(self) -> TokenStream:
@@ -83,35 +82,36 @@ class TokenStream:
         if kind is RecursionError:
             self.lex_rest()
 
-    def _token(self, pos: int) -> tuple[str, str, int, int]:
-        """The kind, text, start and end offsets of the token after offset ``pos``."""
-        m = _TOKEN.match(self.input, pos)
-        i = m.lastindex
-        if i > _EOF:
-            raise ParseError(_ERRORS.get(i, f"unexpected character {m[i]!r}"),
-                             *position(self.input, m.start(i)), self.source)
-        return _KIND[i], "->" if i == _ARROW else m[i], m.start(i) - _SHIFT[i], m.end()
-
     def skip_to(self, pos: int) -> None:
         """Make the token after offset ``pos`` the current one."""
-        self.kind, self.text, self.at, self.end = self._token(pos)
+        self.kind, self.end = None, pos
+        self.advance()
 
     def lex_rest(self) -> None:
-        """Raise the first lexical fault after the current token, if there is one."""
-        pos = self.end
-        while pos < len(self.input):
-            pos = self._token(pos)[3]
+        """Raise the first lexical fault after the current token, if any; else step to the end."""
+        while self.kind != "eof":
+            self.advance()
 
     @property
     def lookahead(self) -> tuple[str, str]:
         """The kind and text of the token after the current one; the end of input follows itself."""
-        return self._token(self.end)[:2]
+        state = self.kind, self.text, self.at, self.end
+        self.advance()
+        ahead = self.kind, self.text
+        self.kind, self.text, self.at, self.end = state
+        return ahead
 
     def advance(self) -> str:
-        """Step past the current token and return its text."""
+        """Step past the current token and return its text; the one place a match becomes a token."""
         t = self.text
         if self.kind != "eof":
-            self.kind, self.text, self.at, self.end = self._token(self.end)
+            m = _TOKEN.match(self.input, self.end)
+            i = m.lastindex
+            if i > _EOF:
+                raise ParseError(_ERRORS.get(i, f"unexpected character {m[i]!r}"),
+                                 *position(self.input, m.start(i)), self.source)
+            self.kind, self.text, self.at, self.end = (
+                _KIND[i], "->" if i == _ARROW else m[i], m.start(i) - _SHIFT[i], m.end())
         return t
 
     def accept(self, kind: str, text: str | None = None) -> str | None:
@@ -148,5 +148,6 @@ class TokenStream:
     def error(self, message: str, at: int | None = None) -> ParseError:
         """A ParseError located at offset ``at``, by default the current token's; but a
         lexical fault after the current token is raised instead, as the text's first."""
+        at = self.at if at is None else at
         self.lex_rest()
-        return ParseError(message, *position(self.input, self.at if at is None else at), self.source)
+        return ParseError(message, *position(self.input, at), self.source)

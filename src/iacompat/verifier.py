@@ -451,5 +451,23 @@ def report_to_dict(report: CompatReport) -> dict:
 
 
 def report_to_json(report: CompatReport) -> str:
-    import json  # on first use: only a report needs it
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    from json.encoder import encode_basestring_ascii  # on first use: only a report needs it
+    return _to_json(report_to_dict(report), encode_basestring_ascii, "\n") + "\n"
+
+
+def _to_json(x, quote, nl: str) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for what a report holds, each line after
+    the first opened by ``nl``: str, int, bool, None, and lists and str-keyed dicts of them."""
+    cls = x.__class__
+    if cls is str or cls is int:
+        return quote(x) if cls is str else int.__repr__(x)
+    if cls is bool or x is None:
+        return "null" if x is None else "true" if x else "false"
+    inner = nl + "  "
+    if cls is list:
+        parts, ends = [quote(v) if v.__class__ is str else _to_json(v, quote, inner) for v in x], "[]"
+    elif cls is dict:
+        parts, ends = [f"{quote(k)}: {_to_json(x[k], quote, inner)}" for k in sorted(x)], "{}"
+    else:
+        raise TypeError(f"a report holds no {cls.__name__} value: {x!r}")
+    return f"{ends[0]}{inner}{(',' + inner).join(parts)}{nl}{ends[1]}" if parts else ends

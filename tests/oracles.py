@@ -386,16 +386,16 @@ def collect_paths(expr, into):
             collect_paths(item, into)
 
 
-def _own_resolve(decl_map, dotted):
-    # longest declared prefix wins; the remainder navigates record fields
+def _own_resolve(decl_map, param_map, dotted):
+    """The name a path binds to, and that name's domain: the parameter its first
+    segment names, else its longest declared prefix."""
     parts = dotted.split(".")
+    if parts[0] in param_map:
+        return parts[0], param_map[parts[0]]
     for cut in range(len(parts), 0, -1):
         prefix = ".".join(parts[:cut])
         if prefix in decl_map:
-            dom = decl_map[prefix]
-            for fieldname in parts[cut:]:
-                dom = dom.field_domain(fieldname)
-            return prefix, dom
+            return prefix, decl_map[prefix]
     raise KeyError(dotted)
 
 
@@ -435,19 +435,19 @@ def oracle_falsity(expr, decls, params=()):
     (the engine's Unknown tier).
     """
     decl_map = {d.name: d.domain for d in decls}
-    for p in params:
-        decl_map[p.name] = p.domain
+    param_map = {p.name: p.domain for p in params}
     paths = set()
     collect_paths(expr, paths)
-    roots_cur, roots_old = set(), set()
+    domains, roots_old = {}, set()
     for dotted, old in paths:
-        root, _ = _own_resolve(decl_map, dotted)
-        (roots_old if old else roots_cur).add(root)
-    roots_cur |= roots_old  # old roots also need a current value
-    names = sorted(roots_cur)
+        root, dom = _own_resolve(decl_map, param_map, dotted)
+        domains[root] = dom
+        if old:
+            roots_old.add(root)
+    names = sorted(domains)  # old roots also need a current value
     pools = []
     for n in names:
-        pools.append(oracle_values(decl_map[n]))
+        pools.append(oracle_values(domains[n]))
         if pools[-1] is None:
             return None
     old_names = sorted(roots_old)

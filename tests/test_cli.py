@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import iacompat
 from iacompat.cli import main
 from iacompat.domains import FrozenMap
+from iacompat.evaluate import evaluate
 from iacompat.fixtures import fixture_text
 from iacompat.lexer import position
 from test_docformat import _LEX_FRAGMENTS
@@ -420,11 +421,11 @@ def test_an_evaluation_error_names_a_long_computed_index_by_its_digits(tmp_path,
         expr = iacompat.parse_expression(text, doc.automaton().variables)
         if message is None:
             with pytest.raises(iacompat.EvalError) as exc:
-                iacompat.evaluate(iacompat.Not(expr), iacompat.Valuation(values))
+                evaluate(iacompat.Not(expr), iacompat.Valuation(values))
             assert str(exc.value) == f"expected a boolean from `{iacompat.to_text(expr)}`, got {too_long}"
             continue
         with pytest.raises(iacompat.UndefinedApplication) as exc:
-            iacompat.evaluate(expr, iacompat.Valuation(values))
+            evaluate(expr, iacompat.Valuation(values))
         assert str(exc.value) == message
 
 

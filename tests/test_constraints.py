@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import iacompat as ia
 from iacompat.domains import FrozenMap as FM, bind_path
 from iacompat.automata import _GuardRegistry, _conjoin_constraints
-from iacompat.evaluate import compile_expr, slot_access
+from iacompat.evaluate import compile_expr, evaluate, slot_access
 from iacompat.exprs import SortScope, infer_sort
-from iacompat.falsity import prepare
+from iacompat.falsity import falsity, prepare
 from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
 from randgen import (
     INT_DECLS,
@@ -199,7 +199,16 @@ def test_parameter_paths_bind_first_and_never_open_world():
     e = ia.parse_expression("p.a", decls, params={"p": p})
     assert e == ia.VarRef(("p", "a"))
     # falsity binds the parameter too, not the longer declared variable p.a
-    assert ia.falsity(e, decls, params={"p": p}).verdict is ia.Verdict.SATISFIABLE
+    assert falsity(e, decls, params={"p": p}).verdict is ia.Verdict.SATISFIABLE
+
+
+def test_the_oracle_binds_a_parameter_before_a_declared_dotted_name():
+    decls = [ia.VariableDecl("p.a", ia.IntRangeDomain(0, 1))]
+    p = ia.ParamDecl("p", ia.RecordDomain((("a", ia.BoolDomain()),)))
+    e = ia.parse_expression("p.a", decls, params={"p": p.domain})
+    res = falsity(e, decls, params={"p": p.domain})
+    assert res.verdict is ia.Verdict.SATISFIABLE and res.witness.values == {"p": {"a": True}}
+    assert oracle_falsity(e, decls, (p,)) is False
 
 
 def _three_bindings(path, decls, params):
@@ -362,7 +371,7 @@ RECORD_DECLS = {
         "key-apply", "key-size", "key-domain", "range-equal", "range-size", "range-holds"])
 def test_falsity_on_records_in_sets_and_maps(text, verdict):
     e = ia.parse_expression(text, RECORD_DECLS)
-    res = ia.falsity(e, RECORD_DECLS)
+    res = falsity(e, RECORD_DECLS)
     assert res.verdict is verdict
     assert oracle_falsity(e, list(RECORD_DECLS.values())) is (verdict is ia.Verdict.FALSE)
     if verdict is ia.Verdict.SATISFIABLE:
@@ -490,10 +499,10 @@ def test_each_operation_evaluates_by_its_target(text, value, result):
     val = ia.Valuation({"o": value, "b": True})
     if isinstance(result, str):
         with pytest.raises(ia.EvalError) as exc:
-            ia.evaluate(e, val)
+            evaluate(e, val)
         assert str(exc.value) == result
     else:
-        assert ia.evaluate(e, val) == result == oracle_evaluate(e, val)
+        assert evaluate(e, val) == result == oracle_evaluate(e, val)
 
 
 def test_an_unknown_operation_is_an_error_in_sorts_and_evaluation():
@@ -502,7 +511,7 @@ def test_an_unknown_operation_is_an_error_in_sorts_and_evaluation():
         infer_sort(e, SortScope(decls={}, open_world=True))
     assert str(exc.value) == "unknown method 'foo' in `x.foo()`"
     with pytest.raises(ia.EvalError) as exc:
-        ia.evaluate(e, ia.Valuation({"x": (1,)}))
+        evaluate(e, ia.Valuation({"x": (1,)}))
     assert str(exc.value) == "unknown method 'foo'"
     # an unknown name after an arrow is a parse error
     with pytest.raises(ia.ParseError) as exc:
@@ -517,33 +526,33 @@ def test_an_unknown_operation_is_an_error_in_sorts_and_evaluation():
 def test_pre_is_boundary():
     c = parse_case("LDPreIS")
     for s in range(10):
-        assert ia.evaluate(c.body, ia.Valuation({"myCS.s": s})) is True
-    assert ia.evaluate(c.body, ia.Valuation({"myCS.s": 10})) is False
+        assert evaluate(c.body, ia.Valuation({"myCS.s": s})) is True
+    assert evaluate(c.body, ia.Valuation({"myCS.s": 10})) is False
 
 
 def test_pre_cc_truth_table_spot():
     c = parse_case("LDPreCC")
-    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "undecided"})) is True
-    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "leader"})) is False
-    assert ia.evaluate(c.body, ia.Valuation({"myCS.c": "undecided", "newc": "follower"})) is True
+    assert evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "undecided"})) is True
+    assert evaluate(c.body, ia.Valuation({"myCS.c": "off", "newc": "leader"})) is False
+    assert evaluate(c.body, ia.Valuation({"myCS.c": "undecided", "newc": "follower"})) is True
 
 
 def test_post_is_requires_old_state():
     c = parse_case("LDPostIS")
     ok = ia.Valuation({"myCS": {"c": "off", "s": 5}}, old={"myCS": {"c": "off", "s": 4}})
-    assert ia.evaluate(c.body, ok) is True
+    assert evaluate(c.body, ok) is True
     wrong = ia.Valuation({"myCS": {"c": "off", "s": 6}}, old={"myCS": {"c": "off", "s": 4}})
-    assert ia.evaluate(c.body, wrong) is False
+    assert evaluate(c.body, wrong) is False
     with pytest.raises(ia.EvalError):
-        ia.evaluate(c.body, ia.Valuation({"myCS": {"c": "off", "s": 5}}))
+        evaluate(c.body, ia.Valuation({"myCS": {"c": "off", "s": 5}}))
 
 
 def test_map_application_and_membership():
     c = parse_case("LDPreW")
     val = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 0}}, "n": "dev1"})
-    assert ia.evaluate(c.body, val) is True
+    assert evaluate(c.body, val) is True
     val2 = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 0}}, "n": "dev2"})
-    assert ia.evaluate(c.body, val2) is False
+    assert evaluate(c.body, val2) is False
 
 
 def test_apply_miss_is_absorbed_by_or():
@@ -552,28 +561,28 @@ def test_apply_miss_is_absorbed_by_or():
     # disjunct is true
     val = ia.Valuation({"mem": {}, "n": "dev1", "dat": {"c": "off", "s": 0}})
     with pytest.raises(ia.UndefinedApplication, match="^key 'dev1' outside the domain of `mem`$"):
-        ia.evaluate(c.body, val)
+        evaluate(c.body, val)
     hit = ia.Valuation({"mem": {"dev1": {"c": "off", "s": 3}}, "n": "dev1",
                         "dat": {"c": "off", "s": 3}})
-    assert ia.evaluate(c.body, hit) is True
+    assert evaluate(c.body, hit) is True
 
 
 def test_not_empty_semantics():
-    assert ia.evaluate(ia.parse_expression("queue->notEmpty", TL_DECLS),
+    assert evaluate(ia.parse_expression("queue->notEmpty", TL_DECLS),
                        ia.Valuation({"queue": ()})) is False
-    assert ia.evaluate(ia.parse_expression("queue->notEmpty", TL_DECLS),
+    assert evaluate(ia.parse_expression("queue->notEmpty", TL_DECLS),
                        ia.Valuation({"queue": ("m1",)})) is True
     # failed map application under ->notEmpty reads as empty
     e = ia.parse_expression("devOn[devId]->notEmpty", TL_DECLS,
                             params={"devId": LE_ID})
-    assert ia.evaluate(e, ia.Valuation({"devOn": {}, "devId": "dev1"})) is False
-    assert ia.evaluate(e, ia.Valuation({"devOn": {"dev1": True}, "devId": "dev1"})) is True
+    assert evaluate(e, ia.Valuation({"devOn": {}, "devId": "dev1"})) is False
+    assert evaluate(e, ia.Valuation({"devOn": {"dev1": True}, "devId": "dev1"})) is True
 
 
 def test_cross_sort_equality_is_false():
     e = ia.parse_expression("x = y", {"x": ia.VariableDecl("x", ia.BoolDomain()),
                                       "y": ia.VariableDecl("y", ia.OpaqueDomain())})
-    assert ia.evaluate(e, ia.Valuation({"x": True, "y": 1})) is False
+    assert evaluate(e, ia.Valuation({"x": True, "y": 1})) is False
 
 
 @pytest.mark.parametrize("a, b", [
@@ -589,19 +598,19 @@ def test_equality_keeps_bool_and_int_apart_at_depth(a, b):
     opaque = {n: ia.VariableDecl(n, ia.OpaqueDomain()) for n in ("a", "b")}
     for text, want in (("a = b", False), ("a <> b", True), ("a in set {b}", False)):
         e = ia.parse_expression(text, opaque)
-        assert ia.evaluate(e, ia.Valuation({"a": a, "b": b})) is want
+        assert evaluate(e, ia.Valuation({"a": a, "b": b})) is want
         assert oracle_evaluate(e, ia.Valuation({"a": a, "b": b})) is want
     same = ia.parse_expression("a = b", opaque)
-    assert ia.evaluate(same, ia.Valuation({"a": a, "b": a})) is True
-    assert ia.evaluate(same, ia.Valuation({"a": b, "b": b})) is True
+    assert evaluate(same, ia.Valuation({"a": a, "b": a})) is True
+    assert evaluate(same, ia.Valuation({"a": b, "b": b})) is True
 
 
 def test_map_application_keeps_bool_and_int_keys_apart():
     decls = {n: ia.VariableDecl(n, ia.OpaqueDomain()) for n in ("m", "k")}
     e = ia.parse_expression("m(k) = 1", decls)
     with pytest.raises(ia.UndefinedApplication):
-        ia.evaluate(e, ia.Valuation({"m": FM({(True,): 1}), "k": (1,)}))
-    assert ia.evaluate(e, ia.Valuation({"m": FM({(1,): 1}), "k": (1,)})) is True
+        evaluate(e, ia.Valuation({"m": FM({(True,): 1}), "k": (1,)}))
+    assert evaluate(e, ia.Valuation({"m": FM({(1,): 1}), "k": (1,)})) is True
 
 
 def test_deep_chains_walk_print_sort_and_simplify():
@@ -663,11 +672,11 @@ def test_simplify_folds_the_leading_literals_of_a_sum():
 def test_parallel_conjunction_absorbs_errors():
     e = ia.parse_expression("x and missing")
     # false wins even though the right side is unbound
-    assert ia.evaluate(e, ia.Valuation({"x": False})) is False
+    assert evaluate(e, ia.Valuation({"x": False})) is False
     with pytest.raises(ia.MissingVariable, match="^unbound variable: missing$"):
-        ia.evaluate(e, ia.Valuation({"x": True}))
+        evaluate(e, ia.Valuation({"x": True}))
     e2 = ia.parse_expression("missing or x")
-    assert ia.evaluate(e2, ia.Valuation({"x": True})) is True
+    assert evaluate(e2, ia.Valuation({"x": True})) is True
 
 
 def test_deep_conjunction_gets_a_verdict():
@@ -677,11 +686,11 @@ def test_deep_conjunction_gets_a_verdict():
     for modulus, verdict in ((9, ia.Verdict.SATISFIABLE), (10, ia.Verdict.FALSE)):
         atoms = tuple(ia.BinOp("<>", x, ia.IntLit(k % modulus)) for k in range(400))
         e = ia.Chain(("and",) * 399, atoms)
-        res = ia.falsity(e, decls)
+        res = falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, 10)
         if verdict is ia.Verdict.SATISFIABLE:
             assert res.witness == ia.Valuation({"x": 9})
-            assert ia.evaluate(e, res.witness) is True
+            assert evaluate(e, res.witness) is True
 
 
 def _implies_run(operands):
@@ -722,10 +731,10 @@ def test_an_implies_run_evaluates_left_to_right():
     for values in ({"p": False}, {"p": True, "q": True}, {"p": 5}, {"p": True, "r": True},
                    {"q": False}, {"p": True, "q": True, "r": False}, {"p": True, "q": 2, "r": 1}):
         val = ia.Valuation(values)
-        assert _outcome(ia.evaluate, e, val) == _outcome(oracle_evaluate, e, val)
-    assert ia.evaluate(e, ia.Valuation({"p": False})) is True
+        assert _outcome(evaluate, e, val) == _outcome(oracle_evaluate, e, val)
+    assert evaluate(e, ia.Valuation({"p": False})) is True
     with pytest.raises(ia.EvalError, match="expected a boolean from `3`"):
-        ia.evaluate(e, ia.Valuation({"p": True, "q": True, "r": False}))
+        evaluate(e, ia.Valuation({"p": True, "q": True, "r": False}))
 
 
 def test_a_long_implies_run_gets_a_verdict():
@@ -738,9 +747,9 @@ def test_a_long_implies_run_gets_a_verdict():
         e = _implies_run(antecedents + [last])
         s = ia.simplify(e)  # the same run: nothing folds
         assert [type(n) for n in ia.walk(s)] == [type(n) for n in ia.walk(e)]
-        res = ia.falsity(e, decls)
+        res = falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, explored)
-        assert ia.evaluate(e, ia.Valuation({"x": 4})) is (verdict is ia.Verdict.SATISFIABLE)
+        assert evaluate(e, ia.Valuation({"x": 4})) is (verdict is ia.Verdict.SATISFIABLE)
 
 
 @pytest.mark.parametrize("text, named", [
@@ -759,7 +768,7 @@ def test_an_implies_sort_error_names_the_run_from_the_bad_link(text, named):
 
 def test_constant_fold_example():
     e = ia.parse_expression("true and false")
-    assert ia.evaluate(e, ia.Valuation()) is False
+    assert evaluate(e, ia.Valuation()) is False
 
 
 # ---------------------------------------------------------------------------
@@ -803,15 +812,15 @@ def test_reflexivity_opt_in():
 
 def test_falsity_satisfiable_with_witness():
     e = ia.parse_expression("myCS.s < 10", LD_DECLS)
-    res = ia.falsity(e, LD_DECLS)
+    res = falsity(e, LD_DECLS)
     assert res.verdict is ia.Verdict.SATISFIABLE
     assert res.witness is not None
-    assert ia.evaluate(e, res.witness) is True
+    assert evaluate(e, res.witness) is True
 
 
 def test_falsity_false_by_enumeration():
     e = ia.parse_expression("myCS.s < 0", LD_DECLS)
-    res = ia.falsity(e, LD_DECLS)
+    res = falsity(e, LD_DECLS)
     assert res.verdict is ia.Verdict.FALSE
     assert oracle_falsity(e, list(LD_DECLS.values())) is True
 
@@ -819,14 +828,14 @@ def test_falsity_false_by_enumeration():
 def test_falsity_unknown_on_opaque():
     decls = {"x": ia.VariableDecl("x", ia.OpaqueDomain())}
     e = ia.parse_expression("x = x", decls)
-    assert ia.falsity(e, decls).verdict is ia.Verdict.UNKNOWN
+    assert falsity(e, decls).verdict is ia.Verdict.UNKNOWN
 
 
 def test_falsity_budget_forces_unknown():
     # bounds cannot refute it (myCS.s + myCS.s ranges over [0, 20]); only
     # enumeration can, and 3 valuations are too few
     e = ia.parse_expression("myCS.s + myCS.s = 1", LD_DECLS)
-    res = ia.falsity(e, LD_DECLS, budget=3)
+    res = falsity(e, LD_DECLS, budget=3)
     assert res.verdict is ia.Verdict.UNKNOWN
 
 
@@ -892,12 +901,12 @@ def test_case_study_constraints_never_unsatisfiable():
 def test_falsity_rejects_a_missing_field():
     guard = ia.BinOp("<", ia.VarRef(("myCS", "nosuch")), ia.IntLit(3))
     with pytest.raises(ia.EvalError, match="free variable myCS.nosuch does not resolve"):
-        ia.falsity(guard, LD_DECLS)
+        falsity(guard, LD_DECLS)
 
 
 def test_simplify_preserves_falsity_example():
     e = ia.parse_expression("(myCS.s < 0) and true", LD_DECLS)
-    assert ia.falsity(e, LD_DECLS).verdict is ia.Verdict.FALSE
+    assert falsity(e, LD_DECLS).verdict is ia.Verdict.FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +936,7 @@ X_DECLS = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 10))}
 ])
 def test_interval_tier_refutes_by_bounds(text, refuted):
     e = ia.parse_expression(text, X_DECLS)
-    res = ia.falsity(e, X_DECLS)
+    res = falsity(e, X_DECLS)
     want = oracle_falsity(e, list(X_DECLS.values()))
     assert (res.verdict is ia.Verdict.FALSE) is want
     assert (res.verdict is ia.Verdict.FALSE and res.explored == 0) is refuted
@@ -950,7 +959,7 @@ def test_interval_tier_reads_every_kind_of_leaf():
         ("p <> 3", True), ("p = 3", False),
     ):
         e = ia.parse_expression(text, decls, params=params)
-        res = ia.falsity(e, decls, params=params)
+        res = falsity(e, decls, params=params)
         assert (res.verdict is ia.Verdict.FALSE and res.explored == 0) is refuted, text
         if not refuted:
             assert res.verdict is ia.Verdict.SATISFIABLE, text
@@ -967,10 +976,10 @@ def test_interval_tier_runs_before_the_budget():
         ("mem(id).c = <off> implies myCS.s >= highest_strength + 4", ia.Verdict.UNKNOWN),
     ):
         e = ia.parse_expression(text, LD_DECLS)
-        res = ia.falsity(e, LD_DECLS)
+        res = falsity(e, LD_DECLS)
         assert (res.verdict, res.explored) == (verdict, 0), text
     e = ia.parse_expression("myCS.s < 0", LD_DECLS)
-    assert ia.falsity(e, LD_DECLS, budget=1) == ia.FalsityResult(ia.Verdict.FALSE)
+    assert falsity(e, LD_DECLS, budget=1) == ia.FalsityResult(ia.Verdict.FALSE)
 
 
 def test_shared_pools_change_no_result():
@@ -995,10 +1004,10 @@ def test_one_pool_serves_a_name_and_its_old_copy(text):
     # of one enumeration
     e = ia.parse_expression(text, LD_DECLS)
     pools = {}
-    res = ia.falsity(e, LD_DECLS, pools=pools)
+    res = falsity(e, LD_DECLS, pools=pools)
     assert list(pools) == [DATA]
     assert (res.explored, res.witness) == _first_satisfying(ia.simplify(e), {"myCS": DATA})
-    assert ia.falsity(e, LD_DECLS, pools=pools) == res
+    assert falsity(e, LD_DECLS, pools=pools) == res
 
 
 @pytest.mark.parametrize("text, verdict", [
@@ -1007,7 +1016,7 @@ def test_one_pool_serves_a_name_and_its_old_copy(text):
 ])
 def test_a_guard_over_no_variable_has_one_empty_valuation(text, verdict):
     e = ia.parse_expression(text, {})
-    res = ia.falsity(e, {}, pools={})
+    res = falsity(e, {}, pools={})
     assert (res.verdict, res.explored) == (verdict, 1)
     assert res.witness == (ia.Valuation({}) if verdict is ia.Verdict.SATISFIABLE else None)
 
@@ -1065,7 +1074,7 @@ def _check_refutation(expr, decls, params=None):
     if any(bind_path(r.path, table, params or {}) is None for r in ia.variable_refs(expr)):
         return None  # a reference that binds nothing
     # a budget of one valuation leaves only what needs none
-    res = ia.falsity(expr, decls, params=params, budget=1)
+    res = falsity(expr, decls, params=params, budget=1)
     if res.verdict is ia.Verdict.FALSE and res.explored == 0:
         ps = [ia.ParamDecl(n, d) for n, d in (params or {}).items()]
         assert oracle_falsity(expr, decls, ps) is True
@@ -1125,12 +1134,12 @@ def test_simplifier_soundness(seed):
     for _ in range(20):
         val = rand_valuation(rng, decls, drop=0.1 if rng.random() < 0.3 else 0.0)
         try:
-            want = ia.evaluate(expr, val)
+            want = evaluate(expr, val)
         except ia.EvalError:
             with pytest.raises(ia.EvalError):
-                ia.evaluate(simple, val)
+                evaluate(simple, val)
             continue
-        assert ia.evaluate(simple, val) == want
+        assert evaluate(simple, val) == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -1139,7 +1148,7 @@ def test_falsity_matches_enumeration_oracle(seed):
     rng = random.Random(seed)
     decls = [ia.VariableDecl(f"v{i}", rand_domain(rng)) for i in range(rng.randint(0, 2))]
     expr = rand_expr(rng, decls, depth=3)
-    res = ia.falsity(expr, decls)
+    res = falsity(expr, decls)
     want = oracle_falsity(expr, decls)
     if res.verdict is ia.Verdict.FALSE:
         assert want is True
@@ -1147,7 +1156,7 @@ def test_falsity_matches_enumeration_oracle(seed):
     elif res.verdict is ia.Verdict.SATISFIABLE:
         assert want is False
         if res.witness is not None:
-            assert ia.evaluate(expr, res.witness) is True
+            assert evaluate(expr, res.witness) is True
 
 
 @settings(max_examples=100, deadline=None)
@@ -1181,7 +1190,7 @@ def test_evaluate_agrees_with_tree_walking_oracle(seed):
         if rng.random() < 0.2:
             val.values["r.s"] = 7  # a sub-path bound on its own wins over "r"
         want = _outcome(oracle_evaluate, expr, val)
-        assert _outcome(ia.evaluate, expr, val) == want
+        assert _outcome(evaluate, expr, val) == want
         if val.old is not None:
             cur, old = sorted(val.values), sorted(val.old)
             env = tuple(val.values[n] for n in cur) + tuple(val.old[n] for n in old)
@@ -1218,7 +1227,7 @@ def _first_satisfying(expr, decl_map):
 
 
 def _check_enumeration(expr, decl_map, params=None):
-    res = ia.falsity(expr, decl_map, params=params)
+    res = falsity(expr, decl_map, params=params)
     if res.verdict is ia.Verdict.UNKNOWN:
         return
     simple = ia.simplify(expr)

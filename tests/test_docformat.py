@@ -295,6 +295,17 @@ PARSE_ERRORS = [
      "case.ia:1:6095: stray '@' (did you mean '@pre'?)"),
     ("expr", f"{_DEEP} @", "case.ia:1:6007: stray '@' (did you mean '@pre'?)"),
     ("constraint", f"pre P: {_DEEP} $", "case.ia:1:6014: unexpected character '$'"),
+    # each branch of a postfix suffix, a primary, a path and a domain, as the
+    # parser dispatches on the current token
+    ("expr", "x.", "case.ia:1:3: expected a member name, found 'end of input'"),
+    ("expr", "x.5", "case.ia:1:3: expected a member name, found '5'"),
+    ("expr", "a = not b", "case.ia:1:5: 'not' cannot start an expression"),
+    ("expr", "-x", "case.ia:1:2: expected an integer literal, found 'x'"),
+    ("expr", "x->", "case.ia:1:4: expected a collection operation, found 'end of input'"),
+    ("expr", "x->foo", "case.ia:1:4: unknown arrow operation 'foo'"),
+    ("doc", "contract A { var q : seq of bool maxlen x; }", "case.ia:1:41: expected a length bound, found 'x'"),
+    ("doc", "contract A { var a. : bool; }", "case.ia:1:21: expected a path segment, found ':'"),
+    ("doc", "contract A { var q : 5; }", "case.ia:1:22: expected a domain, found '5'"),
 ]
 
 

@@ -209,9 +209,10 @@ def test_copy_and_pickle_round_trip():
 
 def test_import_loads_no_code_generator():
     # building classes with dataclasses costs an import of inspect, ast and
-    # more; every command pays for the package import before it checks
+    # more, and only a report needs json; every command pays for the package
+    # import before it checks
     src = str(Path(ia.__file__).resolve().parents[1])
-    code = "import iacompat, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import iacompat, sys; print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout == "[]\n"

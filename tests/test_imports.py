@@ -6,7 +6,9 @@ re-export them.
 """
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -81,3 +83,18 @@ def test_an_unread_definition_is_found():
     caller = "from m import used\nimport m\nm.used(1)\ngetattr(m, 'Named')\n"
     named = "class Named:\n    pass\n"
     assert unread_definitions({"m": helper + named}, [helper + named, caller]) == ["m.recursive", "m.Unread"]
+
+
+def test_importing_a_submodule_by_its_dotted_name_gives_the_module():
+    """No name the package root exports is also one of its module names, so
+    ``import iacompat.falsity as F`` binds the module, not a function of it."""
+    import iacompat
+    import iacompat.evaluate as E
+    import iacompat.falsity as F
+
+    assert isinstance(E, ModuleType) and E.__name__ == "iacompat.evaluate"
+    assert isinstance(F, ModuleType) and F.__name__ == "iacompat.falsity"
+    for path in MODULES:
+        if path.parent.name == "iacompat" and path.stem != "__main__":
+            module = importlib.import_module(f"iacompat.{path.stem}")
+            assert getattr(iacompat, path.stem) is module, path.stem

@@ -3,9 +3,10 @@
 import importlib
 import json
 import random
+from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import iacompat as ia
 from oracles import oracle_reachable, oracle_verdict
@@ -453,6 +454,32 @@ def test_an_empty_operand_prunes_to_the_canonical_empty_automaton(empty_left):
         "verdict": "incompatible", "cause": "empty_after_pruning", "witness": None,
     }
     assert ia.report_to_json(rep) == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+# every value a report holds, and the hard cases of each: empty containers,
+# non-ASCII and control characters, quotes, backslashes, and ints of any sign and size
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example({"": [], "a": {}, "b": [[], {}]})
+@example(["caf\u00e9 \u2192 \U0001f600", 'say "hi"', "back\\slash", "\x00\x1f\x7f\n\t\r"])
+@example({"\u00e9": -1, "\x01": -(10**300), '"': 10**300, "\\": 0})
+def test_the_report_writer_matches_json_dumps(value):
+    want = json.dumps(value, indent=2, sort_keys=True)
+    assert verifier._to_json(value, encode_basestring_ascii, "\n") == want
+
+
+@pytest.mark.parametrize("value", [1.5, ("a",), {"a"}, {1: "a"}, [{"a": (1,)}], b"a"], ids=repr)
+def test_the_report_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        verifier._to_json(value, encode_basestring_ascii, "\n")
 
 
 def test_minimal_compatible_pair():
