@@ -211,6 +211,13 @@ def test_the_oracle_binds_a_parameter_before_a_declared_dotted_name():
     assert oracle_falsity(e, decls, (p,)) is False
 
 
+def test_the_oracle_leaves_a_path_into_an_opaque_variable_unknown():
+    decls = [ia.VariableDecl("msg", ia.OpaqueDomain())]
+    e = ia.parse_expression("msg.a = 1", decls)
+    assert falsity(e, decls).verdict is ia.Verdict.UNKNOWN
+    assert oracle_falsity(e, decls) is None
+
+
 def _three_bindings(path, decls, params):
     """How sort checking, validation and falsity each bind ``path``: its sort, or
     None on ``UnknownVariable``; whether ``undeclared_paths`` lists it; and the
