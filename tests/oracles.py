@@ -444,7 +444,7 @@ def oracle_falsity(expr, decls, params=()):
         domains[root] = dom
         if old:
             roots_old.add(root)
-    names = sorted(domains)  # old roots also need a current value
+    names = sorted(domains)  # an old root is here too: it needs a current value
     pools = []
     for n in names:
         pools.append(oracle_values(domains[n]))
