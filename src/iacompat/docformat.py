@@ -213,7 +213,7 @@ def parse_constraint(
 
 def _check_body(c: NamedConstraint, decls: Mapping[str, Domain]) -> None:
     """Sort-check ``c``'s body against ``decls`` and its parameters; it must be boolean."""
-    s = infer_sort(c.body, SortScope(decls=decls, params=c.param_domains()))
+    s = infer_sort(c.body, _new(SortScope, (decls, c.param_domains(), False)))
     if s.tag not in ("bool", "opaque"):
         raise SortError(f"body has sort {s}, expected boolean", c.body)
 
@@ -257,6 +257,7 @@ class _Contract:
         # every constraint by name in declaration order, with its body's first token
         self.constraints: dict[str, tuple[NamedConstraint, int]] = {}
         self.unnamed = 0
+        self.context = ConstraintContext(name)  # shared by the constraints outside a context block
         self.steps: list[tuple[int, tuple]] = []  # each step's offset, and its names as _STEP's groups
 
     def read_var(self, _: int) -> None:
@@ -303,7 +304,7 @@ class _Contract:
             self.unnamed += 1
             name = f"{kind.value}_unnamed_{self.unnamed}"
         try:
-            c = NamedConstraint(name, kind, body, ctx or ConstraintContext(self.name))
+            c = NamedConstraint(name, kind, body, ctx or self.context)
         except ValueError as exc:  # old-state reference outside a postcondition
             raise ts.error(str(exc), kind_at) from None
         constraints[name] = c, body_at

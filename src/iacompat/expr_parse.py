@@ -7,6 +7,8 @@ Name: body``, is the document's, in ``docformat``; it reads the body with
 Operator precedence is the ``exprs.PRECEDENCE`` table, which the printer reads
 too; ``parse_expr`` walks down its levels. A run of ``implies``, ``or``,
 ``and`` or ``+``/``-`` parses into one ``Chain``; comparisons do not chain.
+Every other expression node is built with ``frozen._new``, its fields in order:
+only ``Chain`` has a ``__post_init__``, which splices a run operand of its level.
 
 Reserved words inside expressions: ``and or implies not in set dom true false``.
 Everything else, including the document keywords, stays usable as a name.
@@ -46,6 +48,7 @@ from .exprs import (
     decls_mapping,
     infer_sort,
 )
+from .frozen import _new
 from .lexer import TokenStream
 
 _EXPR_RESERVED = frozenset(
@@ -69,7 +72,7 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
     if form == "prefix":
         if ts.text == ops[0] and ts.kind == "ident":
             ts.advance()
-            return Not(parse_expr(ts, level))
+            return _new(Not, (parse_expr(ts, level),))
         return parse_expr(ts, level + 1)
     left = parse_expr(ts, level + 1)
     if ts.text not in ops or ts.kind not in _OPERATOR_KINDS:
@@ -82,14 +85,14 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
         return Chain(tuple(links), tuple(operands))
     # a comparison or a membership takes one right operand
     if ts.text != "in":
-        return BinOp(ts.advance(), left, parse_expr(ts, level + 1))
+        return _new(BinOp, (ts.advance(), left, parse_expr(ts, level + 1)))
     if ts.lookahead != ("ident", "set"):
         return left  # the word was something else, e.g. a parameter mode
     ts.advance()
     ts.advance()
     if ts.accept("ident", "dom"):
-        return Membership(left, MethodCall(_parse_postfix(ts), "domain"))
-    return Membership(left, parse_expr(ts, level + 1))
+        return _new(Membership, (left, _new(MethodCall, (_parse_postfix(ts), "domain", ()))))
+    return _new(Membership, (left, parse_expr(ts, level + 1)))
 
 
 def _parse_postfix(ts: TokenStream) -> Expr:
@@ -107,22 +110,23 @@ def _parse_postfix(ts: TokenStream) -> Expr:
                 ts.expect("punct", ")")
                 if first != IntLit(1):
                     raise ts.error("sequence slices must start at 1", start)
-                e = MethodCall(e, "front", (hi,))
+                e = _new(MethodCall, (e, "front", (hi,)))
             else:
                 ts.expect("punct", ")")
-                e = Apply(e, first)
+                e = _new(Apply, (e, first))
         elif text == "[":
             key = parse_expr(ts)
             ts.expect("punct", "]")
-            e = Apply(e, key)
+            e = _new(Apply, (e, key))
         elif text == ".":
             name = ts.expect("ident", what="a member name")
-            e = MethodCall(e, name, _parse_optional_args(ts)) if name in METHODS else FieldAccess(e, name)
+            e = (_new(MethodCall, (e, name, _parse_optional_args(ts))) if name in METHODS
+                 else _new(FieldAccess, (e, name)))
         else:
             if ts.kind == "ident" and ts.text not in METHODS:
                 raise ts.error(f"unknown arrow operation {ts.text!r}")
             name = ts.expect("ident", what="a collection operation")
-            e = MethodCall(e, name, _parse_optional_args(ts))
+            e = _new(MethodCall, (e, name, _parse_optional_args(ts)))
     return e
 
 
@@ -136,20 +140,20 @@ def _parse_primary(ts: TokenStream) -> Expr:
         if text not in _EXPR_RESERVED:
             return _parse_path(ts)
         if text in ("true", "false"):
-            return BoolLit(ts.advance() == "true")
+            return _new(BoolLit, (ts.advance() == "true",))
         raise ts.error(f"{text!r} cannot start an expression")
     if kind == "int":
-        return IntLit(ts.expect_int())
+        return _new(IntLit, (ts.expect_int(),))
     if kind == "enumlit":
-        return EnumLit(ts.advance())
+        return _new(EnumLit, (ts.advance(),))
     if ts.accept("punct", "-"):
-        return IntLit(-ts.expect_int("an integer literal"))
+        return _new(IntLit, (-ts.expect_int("an integer literal"),))
     if ts.accept("punct", "("):
         e = parse_expr(ts)
         ts.expect("punct", ")")
         return e
     if ts.accept("punct", "{"):
-        return SetLit(ts.items(parse_expr, "}"))
+        return _new(SetLit, (ts.items(parse_expr, "}"),))
     raise ts.error(f"expected an expression, found {ts.found!r}")
 
 
@@ -173,7 +177,7 @@ def _parse_path(ts: TokenStream) -> VarRef:
                 parts.append(ts.advance())
                 continue
         break
-    return VarRef(tuple(parts), old)
+    return _new(VarRef, (tuple(parts), old))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,7 @@ def parse_expression(
         e = parse_expr(ts)
         if ts.kind != "eof":
             raise ts.error(f"unexpected trailing input {ts.text!r}")
-    infer_sort(e, SortScope(decls=decls_mapping(decls or {}), params=dict(params or {}),
-                            open_world=decls is None))
+    infer_sort(e, SortScope(decls_mapping(decls or {}), dict(params or {}), decls is None))
     return e
 
 

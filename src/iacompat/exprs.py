@@ -250,10 +250,16 @@ def walk(e: Expr) -> Iterator[Expr]:
             stack += reversed(get(node))
 
 
-def variable_refs(e: Expr) -> Iterator[VarRef]:
-    for node in walk(e):
-        if isinstance(node, VarRef):
-            yield node
+def variable_refs(e: Expr) -> list[VarRef]:
+    """Every variable reference, repeats included, in ``walk`` order."""
+    refs, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is VarRef:
+            refs.append(node)
+        elif (get := _CHILDREN.get(node.__class__)) is not None:
+            stack += reversed(get(node))
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +352,10 @@ class SortScope(Frozen):
         raise UnknownVariable(".".join(path))
 
 
-def _require(cond: bool, message: str, e: Expr) -> None:
+def _require(cond: bool, message: str, e: Expr, *args: object) -> None:
+    """Raise a SortError on ``e`` unless ``cond``; ``args`` fill ``message`` only then."""
     if not cond:
-        raise SortError(message, e)
+        raise SortError(message.format(*args), e)
 
 
 def infer_sort(e: Expr, scope: SortScope) -> Sort:
@@ -400,7 +407,7 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
                 raise SortError(f"cannot compare {ls} with {rs}", e)
             return BOOL
         _require(ls.tag in ("int", "opaque") and rs.tag in ("int", "opaque"),
-                 f"{e.op} needs integer operands", e)
+                 "{} needs integer operands", e, e.op)
         return BOOL
     if cls is Membership:
         item = infer_sort(e.item, scope)
@@ -431,10 +438,10 @@ def infer_sort(e: Expr, scope: SortScope) -> Sort:
         return OPAQUE
     if cls is MethodCall:
         t, name = infer_sort(e.target, scope), e.name
-        _require(name in METHODS, f"unknown method {name!r}", e)
+        _require(name in METHODS, "unknown method {!r}", e, name)
         tags, noun, result = METHODS[name]
-        _require(not tags or t.tag in tags or t.tag == "opaque", f"{name} needs a {noun}", e)
-        _require(name == "front" or not e.args, f"{name} takes no arguments", e)
+        _require(not tags or t.tag in tags or t.tag == "opaque", "{} needs a {}", e, name, noun)
+        _require(name == "front" or not e.args, "{} takes no arguments", e, name)
         if name == "front":
             _require(len(e.args) == 1, "front takes one argument", e)
             _require(infer_sort(e.args[0], scope).tag in ("int", "opaque"),

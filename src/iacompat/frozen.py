@@ -2,7 +2,10 @@
 
 ``Frozen`` is the base of the package's record types. A subclass declares its
 fields as annotations, with defaults, as a dataclass would. A value is a tuple
-of its fields, so building, hashing and indexing one run in C. Values of two
+of its fields, so hashing and indexing one run in C. Calling the class binds
+its arguments in Python; ``_new(cls, fields)`` builds the tuple in C, and a
+caller may use it only when it gives every field in order and the class has
+no ``__post_init__``, or the caller has made that check itself. Values of two
 classes never compare equal, nor does a value equal a plain tuple, so
 ``IntLit(0) != BoolLit(False)``. Every value is truthy, and no attribute of
 one can be assigned; only ``cached_property`` writes to the instance dict.

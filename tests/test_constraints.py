@@ -318,8 +318,10 @@ def test_falsity_names_only_what_the_folded_guard_reads():
 def test_refs_are_the_distinct_references_in_walk_order(seed):
     rng = random.Random(seed)
     body = _with_old(rand_term(rng), rng)
+    in_walk = [n for n in ia.walk(body) if n.__class__ is ia.VarRef]
+    assert ia.variable_refs(body) == in_walk
     distinct = []
-    for r in ia.variable_refs(body):
+    for r in in_walk:
         if r not in distinct:
             distinct.append(r)
     assert ia.NamedConstraint("P", ia.ConstraintKind.POST, body).refs == tuple(distinct)
@@ -407,6 +409,39 @@ def test_round_trip_all_case_study_bodies():
         e = ia.parse_expression(text, decls)
         assert ia.to_text(e) == text
         assert ia.parse_expression(ia.to_text(e), decls) == e
+
+
+def _rebuilt(e):
+    """``e`` built again through the public node constructors, field by field."""
+    def field(v):
+        if isinstance(v, ia.Expr):
+            return _rebuilt(v)
+        if isinstance(v, (tuple, list)):
+            assert v.__class__ is tuple, f"a field of {e!r} is a {v.__class__.__name__}"
+            return tuple(map(field, v))
+        return v
+    return e.__class__(*map(field, e))
+
+
+def test_the_parser_builds_each_node_as_its_constructor_does():
+    # the parser builds most nodes with frozen._new, which fills in no default
+    # and converts no sequence, so a tree rebuilt through the constructors
+    # must equal the parsed one
+    parsed = []
+    for name, (text, decls) in CASE_STUDY_CONSTRAINTS.items():
+        c = ia.parse_constraint(text, decls, type_env=TYPE_ENV)  # the slice sugar prints as front
+        parsed += c.body, ia.parse_expression(ia.to_text(c.body), decls, params=c.param_domains(), source=name)
+    for text in ("x > -1 and not (x in set {})", "{x, 1} = {2} implies true"):
+        parsed.append(ia.parse_expression(text, {"x": ia.IntRangeDomain(0, 2)}))
+    for seed in range(200):
+        rng = random.Random(seed)
+        decls = [ia.VariableDecl(f"v{i}", rand_domain(rng)) for i in range(rng.randint(0, 2))]
+        parsed.append(ia.parse_expression(ia.to_text(rand_expr(rng, decls, depth=3)), decls))
+    for e in parsed:
+        assert _rebuilt(e) == e, ia.to_text(e)
+    kinds = {n.__class__ for e in parsed for n in ia.walk(e)}
+    assert kinds == {ia.BoolLit, ia.IntLit, ia.EnumLit, ia.SetLit, ia.VarRef, ia.Not, ia.BinOp, ia.Chain,
+                     ia.Membership, ia.Apply, ia.FieldAccess, ia.MethodCall}
 
 
 def test_slice_is_front_sugar():
