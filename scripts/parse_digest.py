@@ -169,7 +169,7 @@ def steps(text: str) -> str:
 def outcome(parse, text: str) -> tuple[bool, str]:
     try:
         return True, parse(text)
-    except (ia.ParseError, ValueError, RecursionError) as exc:
+    except (ia.ParseError, ValueError) as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
 

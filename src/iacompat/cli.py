@@ -46,10 +46,6 @@ class _UsageError(Exception):
     pass
 
 
-# runs of one operator are flat; only nesting raises RecursionError
-_TOO_DEEP = "expression nests too deeply"
-
-
 def _positive_int(text: str) -> int:
     if positive_int(text) is None:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
@@ -57,10 +53,10 @@ def _positive_int(text: str) -> int:
 
 
 def _reason(exc: Exception) -> object:
-    """What to print for an input file that cannot be read, decoded or nested that deep."""
+    """What to print for an input file that cannot be read or decoded."""
     if isinstance(exc, UnicodeDecodeError):
         return f"not valid UTF-8 at byte offset {exc.start}"
-    return _TOO_DEEP if isinstance(exc, RecursionError) else exc
+    return exc
 
 
 def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomaton:
@@ -110,7 +106,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             worst = 2
             continue
-        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: error: {_reason(exc)}", file=sys.stderr)
             worst = 2
             continue
@@ -319,9 +315,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (ParseError, SortError, UnknownVariable, ProductError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"error: {_TOO_DEEP}", file=sys.stderr)
         return 2
 
 

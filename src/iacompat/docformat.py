@@ -148,39 +148,39 @@ class ContractDocument(Frozen):
 
 def parse_document(text: str, source: str = "<string>") -> ContractDocument:
     """Parse a full document; raises ParseError with line/column on any fault."""
-    with TokenStream(text, source) as ts:
-        meta = DocumentMeta()
-        if ts.accept("ident", "document"):
-            name = ts.expect("string", what="a quoted document name")
-            version = None
-            if ts.accept("ident", "version"):
-                version = ts.expect("string", what="a quoted version")
+    ts = TokenStream(text, source)
+    meta = DocumentMeta()
+    if ts.accept("ident", "document"):
+        name = ts.expect("string", what="a quoted document name")
+        version = None
+        if ts.accept("ident", "version"):
+            version = ts.expect("string", what="a quoted version")
+        ts.expect("punct", ";")
+        meta = DocumentMeta(name, version)
+
+    type_env: dict[str, Domain] = {}
+    automata: list[InterfaceAutomaton] = []
+    declared: list[tuple[NamedConstraint, ...]] = []
+
+    while ts.kind != "eof":
+        if ts.accept("ident", "type"):
+            if ts.kind == "ident" and ts.text in type_env:
+                raise ts.error(f"duplicate type name {ts.text!r}")
+            name = ts.expect("ident", what="a type name")
+            ts.expect("punct", "=")
+            dom = parse_domain(ts, type_env)
             ts.expect("punct", ";")
-            meta = DocumentMeta(name, version)
-
-        type_env: dict[str, Domain] = {}
-        automata: list[InterfaceAutomaton] = []
-        declared: list[tuple[NamedConstraint, ...]] = []
-
-        while ts.kind != "eof":
-            if ts.accept("ident", "type"):
-                if ts.kind == "ident" and ts.text in type_env:
-                    raise ts.error(f"duplicate type name {ts.text!r}")
-                name = ts.expect("ident", what="a type name")
-                ts.expect("punct", "=")
-                dom = parse_domain(ts, type_env)
-                ts.expect("punct", ";")
-                type_env[name] = dom
-            elif ts.accept("ident", "contract"):
-                automaton, own = _parse_contract(ts, type_env)
-                if any(a.name == automaton.name for a in automata):
-                    raise ts.error(f"duplicate contract name {automaton.name!r}")
-                automata.append(automaton)
-                declared.append(own)
-            else:
-                raise ts.error(f"expected 'type' or 'contract', found {ts.found!r}")
-        # the parser has made every check of ContractDocument's
-        return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
+            type_env[name] = dom
+        elif ts.accept("ident", "contract"):
+            automaton, own = _parse_contract(ts, type_env)
+            if any(a.name == automaton.name for a in automata):
+                raise ts.error(f"duplicate contract name {automaton.name!r}")
+            automata.append(automaton)
+            declared.append(own)
+        else:
+            raise ts.error(f"expected 'type' or 'contract', found {ts.found!r}")
+    # the parser has made every check of ContractDocument's
+    return _new(ContractDocument, (tuple(automata), tuple(declared), meta))
 
 
 def parse_constraint(
@@ -197,14 +197,14 @@ def parse_constraint(
     Parameter types name ``type_env``'s aliases. Without ``context`` the constraint has no
     owner. With ``decls``, the body is sort-checked against them and the parameters.
     """
-    with TokenStream(text, source) as ts:
-        c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
-        at = ts.at
-        if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
-            raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.found!r}")
-        SECTIONS[ts.advance()].read(c, at)
-        if not c.constraints:
-            raise ts.error("expected a constraint, found an empty context block", at)
+    ts = TokenStream(text, source)
+    c = _Contract(ts, type_env or {}, None, end=("eof", None, "end of input"))
+    at = ts.at
+    if ts.kind != "ident" or ts.text not in ("context", *_KINDS):
+        raise ts.error(f"expected 'context', 'pre', 'post' or 'inv', found {ts.found!r}")
+    SECTIONS[ts.advance()].read(c, at)
+    if not c.constraints:
+        raise ts.error("expected a constraint, found an empty context block", at)
     (constraint, _), = c.constraints.values()
     if decls is not None:
         _check_body(constraint, decls_mapping(decls))

@@ -99,6 +99,7 @@ class FrozenMap(dict):
 
 class Domain(Frozen):
     """Base class; concrete domains are the immutable ``Frozen`` values below."""
+    depth = 0  # levels of seq, map and record in the domain; a composite derives it once
 
     def sort(self) -> Sort:
         return self._sort  # a composite domain derives it once; the others override sort
@@ -183,6 +184,7 @@ class SeqDomain(Domain):
 
     element: Domain
     max_len: Optional[int] = None
+    depth = cached_property(lambda self: self.element.depth + 1)
 
     def __post_init__(self) -> None:
         if self.max_len is not None and self.max_len < 0:
@@ -222,6 +224,7 @@ class MapDomain(Domain):
 
     key: Domain
     value: Domain
+    depth = cached_property(lambda self: max(self.key.depth, self.value.depth) + 1)
 
     @cached_property
     def _sort(self) -> Sort:
@@ -253,6 +256,7 @@ class MapDomain(Domain):
 
 class RecordDomain(Domain):
     fields: tuple[tuple[str, Domain], ...]
+    depth = cached_property(lambda self: max((d.depth for _, d in self.fields), default=0) + 1)
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.fields]

@@ -49,7 +49,7 @@ from .exprs import (
     infer_sort,
 )
 from .frozen import _new
-from .lexer import TokenStream
+from .lexer import MAX_DEPTH, TokenStream
 
 _EXPR_RESERVED = frozenset(
     ["and", "or", "implies", "not", "in", "set", "dom", "true", "false"]
@@ -71,8 +71,10 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
         return _parse_postfix(ts)
     if form == "prefix":
         if ts.text == ops[0] and ts.kind == "ident":
-            ts.advance()
-            return _new(Not, (parse_expr(ts, level),))
+            ts.nest()
+            e = _new(Not, (parse_expr(ts, level),))
+            ts.depth -= 1
+            return e
         return parse_expr(ts, level + 1)
     left = parse_expr(ts, level + 1)
     if ts.text not in ops or ts.kind not in _OPERATOR_KINDS:
@@ -96,9 +98,10 @@ def parse_expr(ts: TokenStream, level: int = 0) -> Expr:
 
 
 def _parse_postfix(ts: TokenStream) -> Expr:
+    depth = ts.depth  # a bracket or a suffix opens a level to the end of the chain
     e = _parse_primary(ts)
     while ts.kind == "punct" and ts.text in ("(", "[", ".", "->"):
-        text = ts.advance()
+        text = ts.nest()
         if text == "(":
             start = ts.at  # the first bound's first token
             first = parse_expr(ts)
@@ -127,6 +130,7 @@ def _parse_postfix(ts: TokenStream) -> Expr:
                 raise ts.error(f"unknown arrow operation {ts.text!r}")
             name = ts.expect("ident", what="a collection operation")
             e = _new(MethodCall, (e, name, _parse_optional_args(ts)))
+    ts.depth = depth
     return e
 
 
@@ -148,12 +152,12 @@ def _parse_primary(ts: TokenStream) -> Expr:
         return _new(EnumLit, (ts.advance(),))
     if ts.accept("punct", "-"):
         return _new(IntLit, (-ts.expect_int("an integer literal"),))
-    if ts.accept("punct", "("):
+    if kind == "punct" and text in ("(", "{"):
+        if ts.nest() == "{":
+            return _new(SetLit, (ts.items(parse_expr, "}"),))
         e = parse_expr(ts)
         ts.expect("punct", ")")
         return e
-    if ts.accept("punct", "{"):
-        return _new(SetLit, (ts.items(parse_expr, "}"),))
     raise ts.error(f"expected an expression, found {ts.found!r}")
 
 
@@ -192,10 +196,10 @@ def parse_expression(
 ) -> Expr:
     """Parse and sort-check a bare expression. Without ``decls`` the world is open:
     an undeclared variable has the opaque sort."""
-    with TokenStream(text, source) as ts:
-        e = parse_expr(ts)
-        if ts.kind != "eof":
-            raise ts.error(f"unexpected trailing input {ts.text!r}")
+    ts = TokenStream(text, source)
+    e = parse_expr(ts)
+    if ts.kind != "eof":
+        raise ts.error(f"unexpected trailing input {ts.text!r}")
     infer_sort(e, SortScope(decls_mapping(decls or {}), dict(params or {}), decls is None))
     return e
 
@@ -203,63 +207,62 @@ def parse_expression(
 # ---------------------------------------------------------------------------
 # domain descriptors
 
-def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain]) -> Domain:
-    """A domain descriptor; a name must be one of ``type_env``'s aliases."""
+def parse_domain(ts: TokenStream, type_env: Mapping[str, Domain], depth: int = 0) -> Domain:
+    """A domain descriptor inside ``depth`` levels; a name must be one of ``type_env``'s aliases,
+    and weighs the levels of its domain."""
     at = ts.at
     if ts.kind != "ident":
         raise ts.error(f"expected a domain, found {ts.found!r}")
     word = ts.advance()
-    if word == "bool":
-        return BoolDomain()
-    if word == "opaque":
-        return OpaqueDomain()
-    if word == "int":
-        ts.expect("punct", "[")
-        lo = _parse_signed_int(ts)
-        ts.expect("punct", "..")
-        hi = _parse_signed_int(ts)
-        ts.expect("punct", "]")
-        try:
+    if word in ("seq", "map", "record") and depth == MAX_DEPTH:
+        raise ts.error("domain nests too deeply", at)
+    try:
+        if word == "bool":
+            return BoolDomain()
+        if word == "opaque":
+            return OpaqueDomain()
+        if word == "int":
+            ts.expect("punct", "[")
+            lo = _parse_signed_int(ts)
+            ts.expect("punct", "..")
+            hi = _parse_signed_int(ts)
+            ts.expect("punct", "]")
             return IntRangeDomain(lo, hi)
-        except ValueError as exc:
-            raise ts.error(str(exc), at) from None
-    if word == "enum":
-        ts.expect("punct", "{")
-        lits = [ts.expect("ident", what="an enum literal")]
-        while ts.accept("punct", ","):
-            lits.append(ts.expect("ident", what="an enum literal"))
-        ts.expect("punct", "}")
-        try:
+        if word == "enum":
+            ts.expect("punct", "{")
+            lits = [ts.expect("ident", what="an enum literal")]
+            while ts.accept("punct", ","):
+                lits.append(ts.expect("ident", what="an enum literal"))
+            ts.expect("punct", "}")
             return EnumDomain(tuple(lits))
-        except ValueError as exc:
-            raise ts.error(str(exc), at) from None
-    if word == "seq":
-        ts.expect("ident", "of", what="'of'")
-        elem = parse_domain(ts, type_env)
-        max_len = None
-        if ts.accept("ident", "maxlen"):
-            max_len = ts.expect_int("a length bound")
-        return SeqDomain(elem, max_len)
-    if word == "map":
-        key = parse_domain(ts, type_env)
-        ts.expect("ident", "to", what="'to'")
-        value = parse_domain(ts, type_env)
-        return MapDomain(key, value)
-    if word == "record":
-        ts.expect("punct", "{")
-        fields: list[tuple[str, Domain]] = []
-        while True:
-            fname = ts.expect("ident", what="a field name")
-            ts.expect("punct", ":")
-            fields.append((fname, parse_domain(ts, type_env)))
-            if not ts.accept("punct", ","):
-                break
-        ts.expect("punct", "}")
-        try:
+        if word == "seq":
+            ts.expect("ident", "of", what="'of'")
+            elem = parse_domain(ts, type_env, depth + 1)
+            max_len = None
+            if ts.accept("ident", "maxlen"):
+                max_len = ts.expect_int("a length bound")
+            return SeqDomain(elem, max_len)
+        if word == "map":
+            key = parse_domain(ts, type_env, depth + 1)
+            ts.expect("ident", "to", what="'to'")
+            value = parse_domain(ts, type_env, depth + 1)
+            return MapDomain(key, value)
+        if word == "record":
+            ts.expect("punct", "{")
+            fields: list[tuple[str, Domain]] = []
+            while True:
+                fname = ts.expect("ident", what="a field name")
+                ts.expect("punct", ":")
+                fields.append((fname, parse_domain(ts, type_env, depth + 1)))
+                if not ts.accept("punct", ","):
+                    break
+            ts.expect("punct", "}")
             return RecordDomain(tuple(fields))
-        except ValueError as exc:
-            raise ts.error(str(exc), at) from None
+    except ValueError as exc:  # a constructor's check; an inner descriptor raises its own ParseError
+        raise ts.error(str(exc), at) from None
     if word in type_env:
+        if depth + type_env[word].depth > MAX_DEPTH:
+            raise ts.error("domain nests too deeply", at)
         return type_env[word]
     raise ts.error(f"unknown type name {word!r}", at)
 

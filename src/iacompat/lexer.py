@@ -15,8 +15,8 @@ has read on its own. Only an error needs a line and a column, and
 ``position`` is the one rule for them.
 
 A lexical fault anywhere in the text is reported before any grammar error,
-as if the text were lexed whole first: ``error`` lexes the rest of the text,
-and so does a stream used as a context manager when parsing nests too deeply.
+as if the text were lexed whole first: ``error`` lexes the rest of the text.
+An expression or a domain nests at most ``MAX_DEPTH`` levels; docs/grammar.md says what counts.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 MAX_INT_DIGITS = 4300  # in a literal, as Python converts integers to and from text by default
+MAX_DEPTH = 32  # levels of nesting, so that every recursive pass over a tree has stack to spare
 
 
 class ParseError(Exception):
@@ -69,28 +70,16 @@ class TokenStream:
     ``at`` its start offset and ``end`` the offset just past it; the last is ``eof``, at the
     end of the text. ``accept`` and ``expect`` test the current token by kind and, when
     given, text; a word is an ``"ident"``. ``found`` names the current token in an error:
-    its text, or the end of input."""
+    its text, or the end of input. ``depth`` is the number of expression levels open."""
 
     def __init__(self, text: str, source: str = "<string>"):
-        self.input, self.source, self.text = text, source, None
+        self.input, self.source, self.text, self.depth = text, source, None, 0
         self.skip_to(0)
-
-    def __enter__(self) -> TokenStream:
-        return self
-
-    def __exit__(self, kind: type | None, *_: object) -> None:
-        if kind is RecursionError:
-            self.lex_rest()
 
     def skip_to(self, pos: int) -> None:
         """Make the token after offset ``pos`` the current one."""
         self.kind, self.end = None, pos
         self.advance()
-
-    def lex_rest(self) -> None:
-        """Raise the first lexical fault after the current token, if any; else step to the end."""
-        while self.kind != "eof":
-            self.advance()
 
     @property
     def lookahead(self) -> tuple[str, str]:
@@ -113,6 +102,13 @@ class TokenStream:
             self.kind, self.text, self.at, self.end = (
                 _KIND[i], "->" if i == _ARROW else m[i], m.start(i) - _SHIFT[i], m.end())
         return t
+
+    def nest(self) -> str:
+        """Step past the current token, which opens one more level of ``depth``, and return its text."""
+        if self.depth == MAX_DEPTH:
+            raise self.error("expression nests too deeply")
+        self.depth += 1
+        return self.advance()
 
     def accept(self, kind: str, text: str | None = None) -> str | None:
         """The current token's text, stepping past it, if it matches; else None."""
@@ -149,5 +145,6 @@ class TokenStream:
         """A ParseError located at offset ``at``, by default the current token's; but a
         lexical fault after the current token is raised instead, as the text's first."""
         at = self.at if at is None else at
-        self.lex_rest()
+        while self.kind != "eof":
+            self.advance()
         return ParseError(message, *position(self.input, at), self.source)

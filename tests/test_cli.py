@@ -19,7 +19,7 @@ from iacompat.domains import FrozenMap
 from iacompat.evaluate import evaluate
 from iacompat.fixtures import fixture_text
 from iacompat.lexer import position
-from test_docformat import _LEX_FRAGMENTS
+from test_docformat import _ALIASES, _LEX_FRAGMENTS, under_frames
 
 FIXTURES = Path(iacompat.__file__).parent / "fixtures"
 LD = str(FIXTURES / "le_device.ia")
@@ -430,8 +430,9 @@ def test_an_evaluation_error_names_a_long_computed_index_by_its_digits(tmp_path,
 
 
 def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
-    nests = (2, "", "error: expression nests too deeply\n")
-    assert run_cli(capsys, "eval", "(" * 130 + "1" + ")" * 130) == nests
+    # the 33rd bracket is one level past the limit
+    assert run_cli(capsys, "eval", "(" * 130 + "1" + ")" * 130) == (
+        2, "", "error: <string>:1:33: expression nests too deeply\n")
     b = _go_contract(tmp_path, "NB", False, "y : bool")
     for name, guard, lint, check in (
         ("Parens", "(" * 150 + "x > 1" + ")" * 150, 2, 2),
@@ -440,9 +441,9 @@ def test_deep_nesting_is_an_error_and_long_runs_get_verdicts(tmp_path, capsys):
         ("Sum", "x" + " + 1" * 1199 + " > 0", 0, 0),
     ):
         a = _go_contract(tmp_path, name, True, "x : int[0..10]", (f"pre G: {guard}",), pre="G")
+        nests = (2, "", f"error: {a}:10:44: expression nests too deeply\n")
         code, out, err = run_cli(capsys, "lint", a)
-        assert (code, out, err) == ((0, f"{a}: ok\n", "") if lint == 0
-                                    else (2, "", f"{a}: error: expression nests too deeply\n")), name
+        assert (code, out, err) == ((0, f"{a}: ok\n", "") if lint == 0 else nests), name
         code, out, err = run_cli(capsys, "check", a, b)
         if check == 2:
             assert (code, out, err) == nests, name
@@ -465,7 +466,41 @@ def test_lint_goes_on_after_a_file_that_nests_too_deeply(tmp_path, capsys):
     deep = _go_contract(tmp_path, "Deep", True, "x : int[0..10]",
                         ("pre G: " + "(" * 150 + "x > 1" + ")" * 150,), pre="G")
     code, out, err = run_cli(capsys, "lint", deep, PING)
-    assert (code, out, err) == (2, f"{PING}: ok\n", f"{deep}: error: expression nests too deeply\n")
+    assert (code, out, err) == (2, f"{PING}: ok\n", f"error: {deep}:10:44: expression nests too deeply\n")
+
+
+@pytest.mark.parametrize("argv", [["lint", "DOC"], ["check", "DOC", PONG], ["product", PING, "DOC"]])
+def test_an_alias_chain_past_the_limit_is_a_located_error(tmp_path, capsys, argv):
+    doc = tmp_path / "aliases.ia"
+    doc.write_text(_ALIASES + "\ncontract A { states s; initial s; inputs; outputs go; hidden; var v : T1200; "
+                   "transitions { s -[go]-> s; } }")
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {doc}:1:1040: domain nests too deeply\n")
+
+
+def test_every_command_takes_guards_at_the_nesting_limit_under_600_frames(tmp_path, capsys):
+    record = "bool"
+    for _ in range(32):
+        record = f"record {{ f : {record} }}"
+    guards = ("(" * 32 + "x > 1" + ")" * 32, "not " * 32 + "p", "m[" * 32 + "x" + "]" * 32 + " > 0",
+              "{" * 32 + "x" + "}" * 32 + " = " + "{" * 32 + "1" + "}" * 32,
+              "q" + "->front(1)" * 31 + "->size > 0", "r" + ".f" * 32 + " or p")
+    a = _go_contract(tmp_path, "Top", True,
+                     f"x : int[0..3];\n  var p : bool;\n  var m : map int[0..3] to int[0..3];\n"
+                     f"  var q : seq of int[0..3] maxlen 2;\n  var r : {record}",
+                     tuple(f"pre G{k}: {g}" for k, g in enumerate(guards)), pre="G0")
+    b = _go_contract(tmp_path, "Partner", False, "y : bool", ("pre H: y",), pre="H")
+    text = Path(a).read_text()
+    Path(a).write_text(text.replace("s -[go pre G0]-> s;", " ".join(
+        f"s -[go pre G{k}]-> s;" for k in range(len(guards)))))
+    assert under_frames(600, run_cli, capsys, "lint", a, b) == (0, f"{a}: ok\n{b}: ok\n", "")
+    code, out, err = under_frames(600, run_cli, capsys, "check", a, b)
+    assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
+    code, out, err = under_frames(600, run_cli, capsys, "product", a, b)
+    assert (code, err) == (0, "") and out.count("record") == 32
+    expr = " and ".join(guards[:2] + guards[3:4])
+    assert under_frames(600, run_cli, capsys, "eval", expr, "--bind", "x=2", "--bind", "p=true") == (
+        0, "false\n", "")
 
 
 def test_a_lexical_fault_wins_over_nesting_too_deep(tmp_path, capsys):

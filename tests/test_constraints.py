@@ -11,7 +11,9 @@ from iacompat.automata import _GuardRegistry, _conjoin_constraints
 from iacompat.evaluate import compile_expr, evaluate, slot_access
 from iacompat.exprs import SortScope, infer_sort
 from iacompat.falsity import falsity, prepare
+from iacompat.lexer import MAX_DEPTH
 from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
+from test_docformat import opener_column, under_frames
 from randgen import (
     INT_DECLS,
     INT_PARAMS,
@@ -672,6 +674,35 @@ def test_deep_chains_walk_print_sort_and_simplify():
     with pytest.raises(ia.SortError, match="and needs boolean operands") as exc:
         infer_sort(bad, SortScope(decls={"x": ia.IntRangeDomain(0, 10)}))
     assert exc.value.expr_text.endswith("x <> 9 and 1")
+
+
+# each form holds its argument one level deeper, with the token that opens the level; a
+# suffix opens a level for the suffixes after it too
+EXPR_NESTINGS = {
+    "parentheses": (lambda e: f"({e})", "("),
+    "not": (lambda e: f"not {e}", "not"),
+    "application": (lambda e: f"m({e})", "("),
+    "index": (lambda e: f"m[{e}]", "["),
+    "arguments": (lambda e: f"q.front({e})", "."),
+    "slice": (lambda e: f"q(1,...,{e})", "("),
+    "set": (lambda e: f"{{{e}}}", "{"),
+    "suffixes": (lambda e: f"{e}->front(1)", "->"),
+}
+
+
+@pytest.mark.parametrize("frames", [0, 600])
+@pytest.mark.parametrize("form", EXPR_NESTINGS)
+def test_an_expression_nests_at_most_max_depth_levels(form, frames):
+    wrap, opener = EXPR_NESTINGS[form]
+    at_limit = "x"
+    for _ in range(MAX_DEPTH):
+        at_limit = wrap(at_limit)
+    e = under_frames(frames, ia.parse_expression, at_limit)
+    assert under_frames(frames, ia.parse_expression, under_frames(frames, ia.to_text, e)) == e
+    past = wrap(at_limit)
+    with pytest.raises(ia.ParseError) as exc:
+        under_frames(frames, ia.parse_expression, past)
+    assert str(exc.value) == f"<string>:1:{opener_column(past, opener)}: expression nests too deeply"
 
 
 def test_simplify_flattens_chains_canonically():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import iacompat as ia
 from iacompat.docformat import SECTIONS, _params_text
 from iacompat.fixtures import FIXTURE_NAMES, fixture_text
-from iacompat.lexer import TokenStream, position
+from iacompat.lexer import MAX_DEPTH, TokenStream, position
 from oracles import oracle_tokenize
 from randgen import rand_composable_pair
 
@@ -144,6 +144,8 @@ def test_parse_error_positions():
 _GO = "contract A { states s; initial s; inputs; outputs; hidden go; "
 _NINES = "9" * 5000  # a literal longer than the 4300 digits Python converts
 _DEEP = "x = " + "(" * 3000 + "1" + ")" * 3000
+# each alias one level deeper than the one before it
+_ALIASES = "type T0 = bool;" + "".join(f" type T{i} = seq of T{i - 1} maxlen 1;" for i in range(1, 1201))
 _PARSERS = {"doc": ia.parse_document, "expr": ia.parse_expression, "constraint": ia.parse_constraint}
 
 # (parser, text, exact error), positions counted in source characters
@@ -295,6 +297,9 @@ PARSE_ERRORS = [
      "case.ia:1:6095: stray '@' (did you mean '@pre'?)"),
     ("expr", f"{_DEEP} @", "case.ia:1:6007: stray '@' (did you mean '@pre'?)"),
     ("constraint", f"pre P: {_DEEP} $", "case.ia:1:6014: unexpected character '$'"),
+    # an alias weighs its own levels: T33 is one past the limit, at the T32 it holds
+    ("doc", _ALIASES + " contract A { states s; inputs; outputs; hidden; var v : T1200; }",
+     "case.ia:1:1040: domain nests too deeply"),
     # each branch of a postfix suffix, a primary, a path and a domain, as the
     # parser dispatches on the current token
     ("expr", "x.", "case.ia:1:3: expected a member name, found 'end of input'"),
@@ -319,6 +324,56 @@ def test_parse_error_text_is_pinned(parser, text, expected):
     with pytest.raises(ia.ParseError) as exc:
         _PARSERS[parser](text, source="case.ia")
     assert str(exc.value) == expected
+
+
+def under_frames(frames, call, *args):
+    """``call(*args)`` from ``frames`` more Python frames than the caller's."""
+    return call(*args) if frames == 0 else under_frames(frames - 1, call, *args)
+
+
+def opener_column(text, opener):
+    """The column of the token that opens the level past ``MAX_DEPTH`` in one-line ``text``:
+    the parser reads the openers of a nest in text order, so it is the nest's ``MAX_DEPTH + 1``-th."""
+    return [m.start() for m in re.finditer(re.escape(opener), text)][MAX_DEPTH] + 1
+
+
+# each domain form holds its argument one level deeper, with the token that opens the level
+DOMAIN_NESTINGS = {
+    "seq": (lambda d: f"seq of {d} maxlen 1", "seq"),
+    "map key": (lambda d: f"map {d} to bool", "map"),
+    "map value": (lambda d: f"map bool to {d}", "map"),
+    "record": (lambda d: f"record {{ f : {d} }}", "record"),
+}
+
+
+@pytest.mark.parametrize("frames", [0, 600])
+@pytest.mark.parametrize("form", DOMAIN_NESTINGS)
+def test_a_domain_nests_at_most_max_depth_levels(form, frames):
+    wrap, opener = DOMAIN_NESTINGS[form]
+    at_limit = "bool"
+    for _ in range(MAX_DEPTH):
+        at_limit = wrap(at_limit)
+    doc = f"contract A {{ states s; inputs; outputs; hidden; var v : {at_limit}; }}"
+    a = under_frames(frames, ia.parse_document, doc).automaton()
+    assert a.variables["v"].domain.depth == MAX_DEPTH
+    assert under_frames(frames, ia.print_document, ia.document_from_automaton(a)).count(opener) == MAX_DEPTH
+    past = doc.replace(at_limit, wrap(at_limit))
+    with pytest.raises(ia.ParseError) as exc:
+        under_frames(frames, ia.parse_document, past)
+    assert str(exc.value) == f"<string>:1:{opener_column(past, opener)}: domain nests too deeply"
+
+
+@pytest.mark.parametrize("frames", [0, 600])
+def test_an_alias_weighs_the_levels_of_its_domain(frames):
+    types = _ALIASES[:_ALIASES.index(" type T33 ")]
+    doc = types + " contract A { states s; inputs; outputs; hidden; var v : T32; }"
+    assert under_frames(frames, ia.parse_document, doc).automaton().variables["v"].domain.depth == MAX_DEPTH
+    for past in (doc.replace("var v : T32", "var v : seq of T32"),
+                 doc.replace("var v : T32", "var v : record { f : T32 }"),
+                 types + " type T33 = map bool to T32;"):
+        with pytest.raises(ia.ParseError) as exc:
+            under_frames(frames, ia.parse_document, past)
+        assert str(exc.value) == f"<string>:1:{past.rindex('T32') + 1}: domain nests too deeply"
 
 
 # ---------------------------------------------------------------------------
