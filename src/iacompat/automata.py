@@ -18,7 +18,9 @@ each automaton builds on first use (``classes``, ``autonomous``, ``enabled``).
 ``product`` numbers the pair states in the order it finds them, visiting
 reachable pairs only (O(|transitions1| * |transitions2|) work at worst), and
 builds its graph directly; its ``ProductResult`` carries all the graph stages
-read besides: the two operands.
+read besides: the two operands. It numbers the shared actions once, so a step
+finds its partners by that number and hashes no label while the pairs are
+expanded; the numbers never reach the result.
 
 ``ActionLabel`` and ``Transition`` are ``NamedTuple`` values, so they hash and
 compare as C-level tuples. They compare and hash equal to plain tuples of
@@ -193,14 +195,17 @@ class StepGraph(Sequence):
     @classmethod
     def number(cls, states: Sequence[str], initials: Sequence[str], transitions: Iterable[Transition]) -> StepGraph:
         """The steps by source, numbering the states, then any other name an initial or step uses."""
-        transitions = list(transitions)
-        names = list(dict.fromkeys([*states, *initials, *(s for t in transitions for s in (t[0], t[4]))]))
-        index = {s: i for i, s in enumerate(names)}
-        steps: list[list[tuple]] = [[] for _ in names]
-        order = [index[t[0]] for t in transitions]
-        for i, (_, pre, action, post, target) in zip(order, transitions):
-            steps[i].append((pre, action, post, index[target]))
-        return cls(names, steps, [index[s] for s in initials], None if order == sorted(order) else order)
+        index: dict[str, int] = {}
+        for s in (*states, *initials):
+            index.setdefault(s, len(index))
+        order, flat = [], []
+        for source, pre, action, post, target in transitions:
+            order.append(index.setdefault(source, len(index)))
+            flat.append((pre, action, post, index.setdefault(target, len(index))))
+        steps: list[list[tuple]] = [[] for _ in index]
+        for i, step in zip(order, flat):
+            steps[i].append(step)
+        return cls(list(index), steps, [index[s] for s in initials], None if order == sorted(order) else order)
 
     def declared(self) -> Iterator[tuple[int, tuple]]:
         """Each step with its source's index, in the order the steps were given."""
@@ -363,7 +368,8 @@ def qualify_hidden(a: InterfaceAutomaton) -> InterfaceAutomaton:
 # synchronized product
 
 class ProductResult(Frozen):
-    """A product with what the graph stages read besides it: the two operands it composed."""
+    """A product with what the graph stages read besides it: the two operands it composed. The
+    product holds only the pair states its initials reach, so a ``prune`` of nothing keeps it whole."""
 
     automaton: InterfaceAutomaton
     pair_of: Mapping[str, tuple[str, str]]
@@ -463,66 +469,73 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     the operands' declarations cannot be merged.
     """
     shared_set = shared(a1, a2)
+    shared_actions = tuple(sorted(shared_set, key=lambda l: l.sort_key))
 
     name = f"{a1.name}_x_{a2.name}"
     inputs = tuple(l for l in _label_tuple(a1.inputs + a2.inputs) if l not in shared_set)
     outputs = tuple(l for l in _label_tuple(a1.outputs + a2.outputs) if l not in shared_set)
-    hidden = _label_tuple(
-        a1.hidden + a2.hidden + tuple(sorted(shared_set, key=lambda l: l.sort_key))
-    )
+    hidden = _label_tuple(a1.hidden + a2.hidden + shared_actions)
 
     variables = _merge_variables(a1, a2)
     taken = set(a1.preconditions) | set(a1.postconditions)
     pres = _GuardRegistry(a1.preconditions, a2.preconditions, name, taken)
     posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)
 
-    # each side's steps by state index; the right side's own ones, and its
-    # shared ones by action, under the names its constraints took
+    # each side's steps by state index, a shared action by its number: the left
+    # side's with the row of their target pair, the right side's own ones, and
+    # its shared ones by number, under the names its constraints took
     g1, g2 = a1.graph, a2.graph
-    left = [[(*step, step[1] in shared_set) for step in out] for out in g1.steps]
+    n2 = len(g2.names)
+    number = {action: k for k, action in enumerate(shared_actions)}
+    left = [[(pre, action, post, t1, t1 * n2, number.get(action)) for pre, action, post, t1 in out]
+            for out in g1.steps]
     own2: list[list[tuple]] = [[] for _ in g2.steps]
-    sync2: list[dict[ActionLabel, list[tuple]]] = [{} for _ in g2.steps]
+    sync2: list[dict[int, list[tuple]]] = [{} for _ in g2.steps]
     for i2, out in enumerate(g2.steps):
         for pre, action, post, t2 in out:
             pre, post = pres.rename.get(pre, pre), posts.rename.get(post, post)
-            if action in shared_set:
-                sync2[i2].setdefault(action, []).append((pre, post, t2))
-            else:
+            k = number.get(action)
+            if k is None:
                 own2[i2].append((pre, action, post, t2))
+            else:
+                sync2[i2].setdefault(k, []).append((pre, post, t2))
 
-    n2 = len(g2.names)
     index: dict[int, int] = {}  # a pair (i1, i2) as i1 * n2 + i2 -> its pair state
     pairs: list[tuple[int, int]] = []
     pair_of: dict[str, tuple[str, str]] = {}
 
-    def at(i1: int, i2: int) -> int:
-        """Index of the pair state; a new one is named and queued for expansion."""
-        j = index.get(i1 * n2 + i2)
-        if j is None:
-            pair = (g1.names[i1], g2.names[i2])
-            # a distinct pair may collide on the joined name
-            pair_of[_fresh_name(f"{pair[0]}__{pair[1]}", pair_of)] = pair
-            j = index[i1 * n2 + i2] = len(pairs)
-            pairs.append((i1, i2))
+    def add(i1: int, i2: int) -> int:
+        """Index of a new pair state, which is named and queued for expansion."""
+        pair = (g1.names[i1], g2.names[i2])
+        # a distinct pair may collide on the joined name
+        pair_of[_fresh_name(f"{pair[0]}__{pair[1]}", pair_of)] = pair
+        j = index[i1 * n2 + i2] = len(pairs)
+        pairs.append((i1, i2))
         return j
 
-    initials = list(dict.fromkeys(at(i1, i2) for i1 in g1.initials for i2 in g2.initials))
+    for i1, i2 in dict.fromkeys((i1, i2) for i1 in g1.initials for i2 in g2.initials):
+        add(i1, i2)
+    initials = list(range(len(pairs)))  # the pairs found so far
 
     steps: list[list[tuple]] = []
     for i1, i2 in pairs:  # read as it grows: each pair state once, in the order found
         here: dict[tuple, None] = {}  # insertion-ordered set
         sync = sync2[i2]
-        for pre, action, post, t1, synced in left[i1]:
-            if not synced:
-                here[pre, action, post, at(t1, i2)] = None
+        for pre, action, post, t1, row, k in left[i1]:
+            if k is None:
+                j = index.get(row + i2)
+                here[pre, action, post, add(t1, i2) if j is None else j] = None
                 continue
-            for upre, upost, t2 in sync.get(action, ()):
+            for upre, upost, t2 in sync.get(k, ()):
                 # a missing guard is true, which conjunction absorbs
                 p = upre if pre is None else pre if upre is None else pres.conjoin(pre, upre)
                 q = upost if post is None else post if upost is None else posts.conjoin(post, upost)
-                here[p, action, q, at(t1, t2)] = None
+                j = index.get(row + t2)
+                here[p, action, q, add(t1, t2) if j is None else j] = None
+        row = i1 * n2
         for pre, action, post, t2 in own2[i2]:
-            here[pre, action, post, at(i1, t2)] = None
+            j = index.get(row + t2)
+            here[pre, action, post, add(i1, t2) if j is None else j] = None
         steps.append(list(here))
 
     names = list(pair_of)
@@ -533,6 +546,6 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     return ProductResult(
         automaton=automaton,
         pair_of=pair_of,
-        shared_actions=tuple(sorted(shared_set, key=lambda l: l.sort_key)),
+        shared_actions=shared_actions,
         operands=(a1, a2),
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from itertools import repeat
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .domains import Value
@@ -195,7 +196,8 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
             # `a implies b implies z` is `not a or not b or z`, errors and all
             e = Chain(("or",) * len(e.ops), (*map(Not, e.operands[:-1]), e.operands[-1]))
         return _compile_logic(e, access) if e.ops[0] in ("and", "or") else _compile_sum(e, access)
-    sub = [compile_expr(c, access) for c in children(e)]
+    # through map, not a comprehension, which would add a frame per node
+    sub = list(map(compile_expr, children(e), repeat(access)))
     if isinstance(e, SetLit):
         def set_lit(env):
             items = [f(env) for f in sub]
@@ -263,7 +265,7 @@ def compile_expr(e: Expr, access: Access) -> Compiled:
 
 def _compile_logic(e: Chain, access: Access) -> Compiled:
     # one closure over the whole run keeps evaluation depth flat
-    parts = [(compile_expr(node, access), node) for node in e.operands]
+    parts = list(zip(map(compile_expr, e.operands, repeat(access)), e.operands))
     decisive = e.ops[0] == "or"  # the operand value that decides the run
 
     def run(env):
@@ -288,8 +290,8 @@ def _compile_logic(e: Chain, access: Access) -> Compiled:
 
 def _compile_sum(e: Chain, access: Access) -> Compiled:
     # 0 + a - b ..., each operand read and checked before the next one
-    parts = [(operator.add if op == "+" else operator.sub, compile_expr(node, access), node)
-             for op, node in zip(("+",) + e.ops, e.operands)]
+    parts = list(zip([operator.add if op == "+" else operator.sub for op in ("+",) + e.ops],
+                     map(compile_expr, e.operands, repeat(access)), e.operands))
 
     def run(env):
         acc = 0

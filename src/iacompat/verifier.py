@@ -185,7 +185,8 @@ def bad_states(
 def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     """Remove the given states, then keep only what the initials still reach.
 
-    Returns the canonical empty automaton when nothing survives, the product's own when all does.
+    Returns the canonical empty automaton when nothing survives, the product's own when all does:
+    at once when ``remove`` is empty, since a product holds only the pairs its initials reach.
     """
     auto = prod.automaton
     graph = auto.graph
@@ -193,6 +194,8 @@ def prune(prod: ProductResult, remove: frozenset[str]) -> InterfaceAutomaton:
     initials = [i for i in graph.initials if names[i] not in remove]
     if not initials:
         return empty_automaton(auto.name)
+    if not remove:
+        return auto
 
     kept = list(dict.fromkeys(initials))
     keep = bytearray(len(names))

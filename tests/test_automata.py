@@ -88,6 +88,35 @@ def test_product_keeps_the_order_of_repeated_shared_steps():
     assert auto.states == ("s__t", "s1__t1", "s1__t2", "s__t2")
 
 
+def test_product_keeps_one_step_per_collapsed_guard_name_in_order():
+    # (P, none) and (none, P) both give P; the second is the same step and is dropped
+    go = ia.ActionLabel("go")
+    a = ia.InterfaceAutomaton(name="A", states=("s", "s1"), initials=("s",), inputs=(), outputs=(go,),
+                              hidden=(), preconditions={"P": ia.parse_constraint("context A::go() pre P: true")},
+                              transitions=(ia.Transition("s", "P", go, None, "s1"),
+                                           ia.Transition("s", None, go, None, "s1")))
+    b = ia.InterfaceAutomaton(name="B", states=("t", "t1"), initials=("t",), inputs=(go,), outputs=(),
+                              hidden=(), preconditions={"P": ia.parse_constraint("context B::go() pre P: true")},
+                              transitions=(ia.Transition("t", None, go, None, "t1"),
+                                           ia.Transition("t", "P", go, None, "t1")))
+    auto = ia.product(a, b).automaton
+    assert auto.transitions == tuple(ia.Transition("s__t", pre, go, None, "s1__t1")
+                                     for pre in ("P", "P_and_P", None))
+    assert set(auto.preconditions) == {"P", "P_and_P"}
+
+
+def test_product_renames_a_pair_whose_joined_name_is_taken():
+    a = ia.InterfaceAutomaton(name="A", states=("a__b", "a"), initials=("a__b", "a"),
+                              inputs=(), outputs=(), hidden=())
+    b = ia.InterfaceAutomaton(name="B", states=("c", "b__c"), initials=("c", "b__c"),
+                              inputs=(), outputs=(), hidden=())
+    prod = ia.product(a, b)
+    assert prod.automaton.states == ("a__b__c", "a__b__b__c", "a__c", "a__b__c_2")
+    assert prod.automaton.initials == prod.automaton.states
+    assert prod.pair_of == {"a__b__c": ("a__b", "c"), "a__b__b__c": ("a__b", "b__c"),
+                            "a__c": ("a", "c"), "a__b__c_2": ("a", "b__c")}
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 

@@ -226,6 +226,15 @@ def test_case_study_outputs_match_the_goldens(tmp_path, capsys):
     assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
 
 
+
+def test_a_compatible_check_matches_its_golden_report(tmp_path, capsys):
+    # every state survives, so the pruned automaton is the product
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "check", "--qualify-hidden", "--report", str(report), PING, PONG)
+    assert (code, err) == (0, "") and out.endswith("verdict: compatible\n")
+    assert report.read_bytes() == (GOLDEN / "ping_pong_report.json").read_bytes()
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_check_into_a_closed_pipe_keeps_its_exit_code_and_report(tmp_path, unbuffered):
     # `check ... | head -1`, with the reader gone before the first write:

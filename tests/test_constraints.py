@@ -705,6 +705,17 @@ def test_an_expression_nests_at_most_max_depth_levels(form, frames):
     assert str(exc.value) == f"<string>:1:{opener_column(past, opener)}: expression nests too deeply"
 
 
+
+def test_a_guard_at_the_nesting_limit_evaluates_under_600_frames():
+    # six nodes per level, through a map index; compiling takes one frame per node
+    text = "p"
+    for _ in range(MAX_DEPTH):
+        text = f"p implies p or p and x = 1 + mb[{text}]"
+    e = ia.parse_expression(text)
+    val = ia.Valuation({"p": True, "x": 2, "mb": FM({True: 1, False: 0})})
+    assert under_frames(600, evaluate, e, val) is True
+
+
 def test_simplify_flattens_chains_canonically():
     decls = {n: ia.VariableDecl(n, ia.BoolDomain()) for n in "pqrs"}
     forms = ("p and (q and r)", "(r and q) and p", "q and true and (p and r)",

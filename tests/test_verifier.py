@@ -282,7 +282,16 @@ def test_prune_identity():
     ld, tl = _qualified_fixture_pair()
     prod = ia.product(ld, tl)
     pruned = ia.prune(prod, frozenset())
-    assert pruned == prod.automaton
+    assert pruned is prod.automaton
+
+
+def test_a_stateless_operand_prunes_to_the_empty_automaton():
+    e = ia.InterfaceAutomaton(name="E", states=(), initials=(), inputs=(),
+                              outputs=(ia.ActionLabel("ping"),), hidden=())
+    rep = ia.check_compatibility(e, ia.load_fixture("pong.ia").automaton())
+    assert rep.pruned == ia.empty_automaton("E_x_Pong")
+    assert rep.verdict is ia.CompatVerdict.INCOMPATIBLE
+    assert rep.cause is ia.IncompatibilityCause.EMPTY_AFTER_PRUNING
 
 
 def test_prune_all_initials_yields_empty():
