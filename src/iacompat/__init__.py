@@ -52,7 +52,6 @@ from .evaluate import (
     MissingVariable,
     UndefinedApplication,
     Valuation,
-    simplify,
 )
 from .expr_parse import parse_expression
 from .exprs import (

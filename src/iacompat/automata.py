@@ -10,11 +10,12 @@ only when a step needs it, and every constraint the product adds to the left
 operand's gets a name free among both kinds (see ``_GuardRegistry``).
 
 Collections are stored as tuples in declaration order, and the steps as a
-``StepGraph`` on integer states that the constructor numbers from any
-``Transition`` tuples. It reads as them again, in the order given: a listing
-may state steps out of state order, or one step twice; every algorithm here
-applies set semantics regardless. The graph stages read it and the indexes
-each automaton builds on first use (``classes``, ``autonomous``, ``enabled``).
+``StepGraph`` on integer states, numbered from 5-tuples of ``Transition``'s
+fields. It reads as ``Transition`` tuples, in the order given: a listing may
+state steps out of state order, or one step twice; every algorithm here
+applies set semantics regardless. The graph stages read it and what each
+automaton works out on first use: ``classes``, ``autonomous``, ``enabled``,
+and ``diagnostics``, which ``validate`` returns and a parser presets.
 ``product`` numbers the pair states in the order it finds them, visiting
 reachable pairs only (O(|transitions1| * |transitions2|) work at worst), and
 builds its graph directly; its ``ProductResult`` carries all the graph stages
@@ -32,6 +33,7 @@ pairs of ``product``; none does. Derive a changed step with
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -171,6 +173,9 @@ class InterfaceAutomaton(Frozen):
 
     graph = property(lambda a: a.transitions, doc="The ``transitions`` field, by the name the graph stages read.")
 
+    # what ``validate`` returns, worked out on first read; the parser presets it
+    diagnostics = cached_property(lambda a: _diagnostics(a))
+
     def action_class(self, label: ActionLabel) -> Optional[ActionClass]:
         return self.classes.get(label)
 
@@ -193,8 +198,9 @@ class StepGraph(Sequence):
         self.names, self.steps, self.initials, self.order = names, steps, initials, order
 
     @classmethod
-    def number(cls, states: Sequence[str], initials: Sequence[str], transitions: Iterable[Transition]) -> StepGraph:
-        """The steps by source, numbering the states, then any other name an initial or step uses."""
+    def number(cls, states: Sequence[str], initials: Sequence[str], transitions: Iterable[tuple]) -> StepGraph:
+        """The steps, as ``(source, pre, action, post, target)``, by source; numbering the states, then
+        any other name an initial or step uses."""
         index: dict[str, int] = {}
         for s in (*states, *initials):
             index.setdefault(s, len(index))
@@ -248,30 +254,32 @@ def empty_automaton(name: str = EMPTY_AUTOMATON_NAME) -> InterfaceAutomaton:
 # validation
 
 def validate(a: InterfaceAutomaton) -> list[Diagnostic]:
-    """Structural well-formedness diagnostics; empty means the automaton is sound."""
-    diags: list[Diagnostic] = []
+    """Structural well-formedness diagnostics; empty means the automaton is sound. Each automaton
+    works them out once, as its ``diagnostics``, or the parser presets them; treat them as read-only."""
+    return a.diagnostics
+
+
+def declaration_faults(a: InterfaceAutomaton) -> list[Diagnostic]:
+    """The rules on the declarations alone, each overlapping label once, in ``alphabet`` order. A parsed
+    automaton has its initials among its states, so these rules are all that it can break."""
     states = set(a.states)
+    diags = [Diagnostic("initial-empty", "initial set empty")] if not a.initials and a.states else []
+    diags += (Diagnostic("initial-unknown", f"initial state is not a state: {s}")
+              for s in a.initials if s not in states)
+    diags += (Diagnostic("alphabet-overlap", f"alphabets not disjoint: {label}")
+              for label, n in Counter(a.alphabet).items() if n > 1)  # each class holds a label once
+    return diags
 
-    if not a.initials and not a.is_empty():
-        diags.append(Diagnostic("initial-empty", "initial set empty"))
-    for s in a.initials:
-        if s not in states:
-            diags.append(Diagnostic("initial-unknown", f"initial state is not a state: {s}"))
 
-    ins, outs, hid = set(a.inputs), set(a.outputs), set(a.hidden)
-    for overlap in (ins & outs) | (ins & hid) | (outs & hid):
-        diags.append(Diagnostic("alphabet-overlap", f"alphabets not disjoint: {overlap}"))
-
+def _diagnostics(a: InterfaceAutomaton) -> list[Diagnostic]:
+    diags = declaration_faults(a)
     for k, code, message in step_faults(a):
         t = a.transitions[k]
         diags.append(Diagnostic(code, message, f"transition {k + 1}: {t.source} -[{t.action}]-> {t.target}"))
-
     table = decls_mapping(a.variables)
-    for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition")):
-        for name, c in reg.items():
-            for path in c.undeclared_paths(table):
-                diags.append(Diagnostic("constraint-variable",
-                                        f"{which} {name} references undeclared variable {path}"))
+    diags += (Diagnostic("constraint-variable", f"{which} {name} references undeclared variable {path}")
+              for reg, which in ((a.preconditions, "precondition"), (a.postconditions, "postcondition"))
+              for name, c in reg.items() for path in c.undeclared_paths(table))
     return diags
 
 

@@ -30,11 +30,13 @@ table of how often each may appear and how it reads and prints:
 
 ``//`` starts a line comment. Parsing resolves every name (states, actions,
 constraint and type references) and sort-checks every constraint body, so a
-parsed document is internally consistent; structural well-formedness beyond
-that (alphabet disjointness, non-empty initial set) is reported separately by
-``document_diagnostics``. A document keeps each contract's constraints as the
-contract declared them, and ``print_document`` prints each contract with its
-own, in a canonical form that parses back to an equal document.
+parsed document is internally consistent. The parser does not raise on the
+rest of well-formedness, an empty initial set or overlapping alphabets: it
+presets each automaton's ``diagnostics`` with them, which ``validate`` and
+``document_diagnostics`` report. A document keeps each contract's
+constraints as the contract declared them, and ``print_document`` prints
+each contract with its own, in a canonical form that parses back to an
+equal document.
 
 Constraint syntax lives here alone. ``parse_constraint`` reads one
 constraint on its own, ``context Device::step() pre CanStep: myCS.s < 10``,
@@ -57,7 +59,9 @@ from .automata import (
     Diagnostic,
     InterfaceAutomaton,
     ProductResult,
+    StepGraph,
     Transition,
+    declaration_faults,
     step_faults,
     validate,
 )
@@ -343,26 +347,26 @@ class _Contract:
         return tuple(zip(src, label, name, pre, post, tgt))
 
     def finish(self) -> tuple[InterfaceAutomaton, tuple[NamedConstraint, ...]]:
-        """Resolve the names the sections use and sort-check every constraint body."""
+        """Resolve the names the sections use and sort-check every constraint body. That proves every
+        rule of ``validate`` but ``declaration_faults``, which preset the automaton's ``diagnostics``."""
         ts, lists = self.ts, self.lists
-        states = lists["states"]
+        states, initials = tuple(lists["states"]), tuple(lists["initials"])
         for name, at in lists["initials"].items():
-            if name not in states:
+            if name not in lists["states"]:
                 raise ts.error(f"initial state {name!r} is not a state", at)
         alphabet = {a: a for a in chain(lists["inputs"], lists["outputs"], lists["hidden"])}
         declared = tuple(c for c, _ in self.constraints.values())
         pres = {c.name: c for c in declared if c.kind is ConstraintKind.PRE}
         posts = {c.name: c for c in declared if c.kind is ConstraintKind.POST}
 
-        transitions: list[Transition] = []
+        steps = []
         for _, (source, first, second, pre, post, target) in self.steps:
             label = (first, None) if second is None else (second, first)  # (name, namespace)
-            action = alphabet.get(label) or _new(ActionLabel, label)
-            transitions.append(_new(Transition, (source, pre, action, post, target)))
-        automaton = InterfaceAutomaton(
-            name=self.name, states=tuple(states), initials=tuple(lists["initials"]),
-            inputs=tuple(lists["inputs"]), outputs=tuple(lists["outputs"]), hidden=tuple(lists["hidden"]),
-            variables=self.variables, preconditions=pres, postconditions=posts, transitions=transitions)
+            steps.append((source, pre, alphabet.get(label) or _new(ActionLabel, label), post, target))
+        # each section read a name once, and each table keys a value by its name: the checks hold
+        automaton = _new(InterfaceAutomaton, (
+            self.name, states, initials, tuple(lists["inputs"]), tuple(lists["outputs"]), tuple(lists["hidden"]),
+            self.variables, pres, posts, StepGraph.number(states, initials, steps)))
         for k, code, message in step_faults(automaton):  # the first, at its name in the step re-read
             ts.skip_to(self.steps[k][0])
             raise ts.error(message, self.read_step()[1][_FAULT_GROUP[code]])
@@ -373,6 +377,7 @@ class _Contract:
                 _check_body(c, decl_domains)
             except (SortError, UnknownVariable) as exc:
                 raise ts.error(f"constraint {c.name}: {exc}", body_at) from None
+        vars(automaton)["diagnostics"] = declaration_faults(automaton)
         return automaton, declared
 
 
@@ -416,7 +421,7 @@ def _parse_label(ts: TokenStream) -> tuple[ActionLabel, int]:
 # diagnostics beyond parsing
 
 def document_diagnostics(doc: ContractDocument) -> list[Diagnostic]:
-    """Structural diagnostics: automaton well-formedness plus invariant checks."""
+    """Structural diagnostics: each automaton's ``validate``, then the invariants' owners and names."""
     diags: list[Diagnostic] = []
     by_name = {a.name: a for a in doc.automata}
     for a in doc.automata:
@@ -428,12 +433,8 @@ def document_diagnostics(doc: ContractDocument) -> list[Diagnostic]:
             continue
         owner = by_name.get(c.context.contract or "")
         if owner is None:
-            diags.append(
-                Diagnostic(
-                    "invariant-owner",
-                    f"invariant {c.name} names unknown contract {c.context.contract!r}",
-                )
-            )
+            diags.append(Diagnostic("invariant-owner", f"invariant {c.name} names unknown contract "
+                                                       f"{c.context.contract!r}"))
             continue
         for path in c.undeclared_paths(decls_mapping(owner.variables)):
             diags.append(Diagnostic("invariant-variable",

@@ -1,10 +1,10 @@
-"""Evaluation and simplification of constraint expressions.
+"""Evaluation and folding of constraint expressions.
 
 Logic is two-valued with explicit evaluation errors. The boolean connectives
 are symmetric ("parallel"): a conjunction is false as soon as either operand
 is false, even if the other one errors, and dually for disjunction and for
-implication. This makes evaluation order-insensitive, which the simplifier
-relies on when it sorts commutative operands and applies annihilators.
+implication. This makes evaluation order-insensitive, which ``fold`` relies
+on when it flattens a run and applies annihilators.
 
 Evaluation is compile-once: ``compile_expr`` turns an expression into nested
 closures, with every variable reference resolved to an accessor, so the
@@ -337,26 +337,20 @@ def _method(e: MethodCall, name: str, sub: list[Compiled], env: Any) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# simplification
+# folding
 
-def simplify(e: Expr) -> Expr:
-    """Semantics-preserving rewrite to a canonical form.
+def fold(e: Expr) -> Expr:
+    """Semantics-preserving rewrite, as the falsity tiers fold a guard.
 
     Constant folding, conjunction/disjunction identities and annihilators,
     double negation removal, implication unfolding against literals from the
     last link back, and flattening of each ``and``/``or`` run into one
-    ``Chain`` of its operands, sorted by their printed form. Idempotent.
-    ``x = x`` is not folded to true: that is not error-preserving for
-    expressions that can fail.
+    ``Chain`` of its operands, in their order. Idempotent. ``x = x`` is not
+    folded to true: that is not error-preserving for expressions that can
+    fail.
     """
-    return fold(e, to_text)
-
-
-def fold(e: Expr, key: Optional[Callable[[Expr], str]]) -> Expr:
-    """``simplify`` with each ``and``/``or`` run sorted by ``key``, or left in
-    its operands' order when ``key`` is None, as the falsity tiers fold."""
     if isinstance(e, Not):
-        s = fold(e.operand, key)
+        s = fold(e.operand)
         if isinstance(s, BoolLit):
             return BoolLit(not s.value)
         if isinstance(s, Not):
@@ -364,47 +358,45 @@ def fold(e: Expr, key: Optional[Callable[[Expr], str]]) -> Expr:
         return Not(s)
     if isinstance(e, Chain):
         if e.ops[0] == "implies":
-            return _simplify_implies(e, key)
-        return _simplify_logic(e, key) if e.ops[0] in ("and", "or") else _simplify_sum(e, key)
+            return _fold_implies(e)
+        return _fold_logic(e) if e.ops[0] in ("and", "or") else _fold_sum(e)
     if isinstance(e, BinOp):
-        return _simplify_binop(e, key)
+        return _fold_binop(e)
     if isinstance(e, SetLit):
-        return SetLit(tuple(fold(x, key) for x in e.items))
+        return SetLit(tuple(fold(x) for x in e.items))
     if isinstance(e, Membership):
-        return Membership(fold(e.item, key), fold(e.collection, key))
+        return Membership(fold(e.item), fold(e.collection))
     if isinstance(e, Apply):
-        return Apply(fold(e.target, key), fold(e.key, key))
+        return Apply(fold(e.target), fold(e.key))
     if isinstance(e, FieldAccess):
-        return FieldAccess(fold(e.target, key), e.name)
+        return FieldAccess(fold(e.target), e.name)
     if isinstance(e, MethodCall):
-        return MethodCall(fold(e.target, key), e.name, tuple(fold(a, key) for a in e.args))
+        return MethodCall(fold(e.target), e.name, tuple(fold(a) for a in e.args))
     return e
 
 
-def _simplify_logic(e: Chain, key) -> Expr:
+def _fold_logic(e: Chain) -> Expr:
     # a run is true (false) when all its operands are, whatever their
-    # grouping and order, so it flattens; each operand is keyed once
+    # grouping and order, so it flattens
     op, unit = e.ops[0], e.ops[0] == "and"
     parts: list[Expr] = []
     for part in e.operands:
-        s = fold(part, key)
+        s = fold(part)
         if isinstance(s, BoolLit):
             if s.value is not unit:
                 return s  # the annihilator
             continue  # the identity
-        # a simplified operand may be a run of the same operator itself
+        # a folded operand may be a run of the same operator itself
         parts += s.operands if isinstance(s, Chain) and s.ops[0] == op else (s,)
     if len(parts) < 2:
         return parts[0] if parts else BoolLit(unit)
-    if key is not None:
-        parts.sort(key=key)
     return Chain((op,) * (len(parts) - 1), tuple(parts))
 
 
-def _simplify_sum(e: Chain, key) -> Expr:
+def _fold_sum(e: Chain) -> Expr:
     # literals fold from the left, as the binary definition does, until the
     # first operand that is not one, or a value too long to be a literal
-    ops, parts = list(e.ops), [fold(x, key) for x in e.operands]
+    ops, parts = list(e.ops), [fold(x) for x in e.operands]
     while ops and isinstance(parts[0], IntLit) and isinstance(parts[1], IntLit):
         v = parts[0].value + (parts[1].value if ops[0] == "+" else -parts[1].value)
         if abs(v) >= _INT_BOUND:
@@ -414,10 +406,10 @@ def _simplify_sum(e: Chain, key) -> Expr:
     return Chain(tuple(ops), tuple(parts)) if ops else parts[0]
 
 
-def _simplify_implies(e: Chain, key) -> Expr:
+def _fold_implies(e: Chain) -> Expr:
     # fold from the last link back; `kept` holds the antecedents before `r`, last first
-    kept, r = [], fold(e.operands[-1], key)
-    for l in (fold(x, key) for x in reversed(e.operands[:-1])):
+    kept, r = [], fold(e.operands[-1])
+    for l in (fold(x) for x in reversed(e.operands[:-1])):
         if l == BoolLit(False) or (not kept and r == BoolLit(True)):
             kept, r = [], BoolLit(True)
         elif l == BoolLit(True):
@@ -429,8 +421,8 @@ def _simplify_implies(e: Chain, key) -> Expr:
     return Chain(("implies",) * len(kept), (*reversed(kept), r)) if kept else r
 
 
-def _simplify_binop(e: BinOp, key) -> Expr:
-    l, r, op = fold(e.left, key), fold(e.right, key), e.op
+def _fold_binop(e: BinOp) -> Expr:
+    l, r, op = fold(e.left), fold(e.right), e.op
     if op in ("=", "<>"):
         if type(l) is type(r) and isinstance(l, (BoolLit, IntLit, EnumLit)):
             return BoolLit((l == r) == (op == "="))

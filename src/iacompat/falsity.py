@@ -2,7 +2,7 @@
 
 Four tiers, in order:
 
-1. Syntactic simplification, which may fold the guard to a literal.
+1. Folding (``evaluate.fold``), which may turn the guard into a literal.
 2. Intervals: every int term gets bounds from the declared ``int[lo..hi]``
    domain it reads, through ``+`` and ``-``. A comparison that no pair of
    values in its bounds makes true is false, and so is a conjunction with
@@ -20,13 +20,12 @@ referenced with an old-state marker is enumerated twice, once for the old
 assignment and once for the new one. Evaluation errors count as not-true.
 
 A query is a preparation, then a decision. ``prepare`` runs the first two
-tiers: it simplifies without sorting runs (evaluation is order-free),
-resolves the names the guard reads and bounds it. ``decide`` counts the
-budget over the domains of those names, lists each domain's values once per
-``pools`` dict, compiles the guard once and enumerates raw value tuples in a
-fixed order: the names by sorted name, every old assignment inside each
-current one. Only a satisfying witness becomes a ``Valuation``; ``explored``
-counts up to and including it.
+tiers: it folds the guard, resolves the names the guard reads and bounds
+it. ``decide`` counts the budget over the domains of those names, lists each
+domain's values once per ``pools`` dict, compiles the guard once and
+enumerates raw value tuples in a fixed order: the names by sorted name,
+every old assignment inside each current one. Only a satisfying witness
+becomes a ``Valuation``; ``explored`` counts up to and including it.
 """
 from __future__ import annotations
 
@@ -85,14 +84,14 @@ Pools = dict[Domain, list[Value]]  # each domain's values, listed once
 
 
 # a guard ready to decide: whether a tier refuted it without a valuation, the
-# ``and`` parts of its simplified body (none for a literal), and the domain of
+# ``and`` parts of its folded body (none for a literal), and the domain of
 # each declared name it reads, keyed by (old, name): current names sort first
 Prepared = tuple[bool, tuple[Expr, ...], dict[tuple[bool, str], Domain]]
 
 
 def prepare(expr: Expr, decls: Mapping[str, Domain], params: Mapping[str, Domain]) -> Prepared:
-    """``expr`` simplified, resolved over the declarations and parameters, bounded."""
-    s = fold(expr, None)  # no sort: evaluation does not depend on the order of a run
+    """``expr`` folded, resolved over the declarations and parameters, bounded."""
+    s = fold(expr)
     if isinstance(s, BoolLit):  # tested by class: no literal built per query
         return not s.value, (), {}
 

@@ -8,10 +8,10 @@ caller may use it only when it gives every field in order and the class has
 no ``__post_init__``, or the caller has made that check itself. Values of two
 classes never compare equal, nor does a value equal a plain tuple, so
 ``IntLit(0) != BoolLit(False)``. Every value is truthy, and no attribute of
-one can be assigned; only ``cached_property`` writes to the instance dict.
-``_replace`` rebuilds a value through the constructor. A ``__post_init__``
-checks the built value, and the field values it returns, if any, are stored
-instead.
+one can be assigned; only a ``cached_property``, or the code that makes a
+value and presets one, writes to the instance dict. ``_replace`` rebuilds a value through the
+constructor, so the copy works out its own. A ``__post_init__`` checks the
+built value, and the field values it returns, if any, are stored instead.
 """
 from collections import _tuplegetter  # namedtuple's C-level field accessor
 from operator import itemgetter

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, report files."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,6 +29,8 @@ TL = str(FIXTURES / "transport_layer.ia")
 PING = str(FIXTURES / "ping.ia")
 PONG = str(FIXTURES / "pong.ia")
 BROKEN = str(Path(__file__).parent / "data" / "broken.ia")
+REPO = Path(__file__).resolve().parents[1]
+OVERLAPS = "tests/data/overlaps.ia"  # from REPO, as the golden lint output names it
 GOLDEN = Path(__file__).parent / "data" / "golden"
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "compat-report.schema.json").read_text())
@@ -58,6 +62,19 @@ def test_lint_broken_contract(capsys):
     code, out, _ = run_cli(capsys, "lint", BROKEN)
     assert code == 1
     assert "alphabet-overlap: alphabets not disjoint: turnOn (Broken)" in out
+
+
+def test_alphabet_overlaps_are_listed_in_alphabet_order_under_any_hash_seed():
+    # each label once, inputs first, whatever order a set of them iterates in
+    want = (GOLDEN / "overlaps_lint.txt").read_text(encoding="utf-8")
+    invalid = "".join(f"invalid: {line.split(': ', 1)[1].removesuffix(' (Overlaps)')}\n"
+                      for line in want.splitlines())
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        for argv, out, err in ((["lint", OVERLAPS], want, ""), (["check", OVERLAPS, PING], "", invalid)):
+            proc = subprocess.run([sys.executable, "-m", "iacompat", *argv], cwd=REPO, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, err), (seed, argv)
 
 
 def test_lint_missing_file(capsys):
@@ -585,6 +602,37 @@ def test_mutated_documents_exit_cleanly_with_located_errors(mutant_path, mutant)
             assert line <= len(starts), argv
             p = starts[line - 1] + col - 1
             assert p <= len(text) and position(text, p) == (line, col), argv
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lint_of_a_mutant_is_what_validate_gives_its_code_built_copy(tmp_path, capsys):
+    # the parser presets each automaton's diagnostics with the rules it does not
+    # raise on; the constructor's copy works out every rule of validate afresh
+    mutate = _load_script("cli_digest").mutate
+    rng = random.Random(0)
+    texts = {name: fixture_text(name) for name in sorted(_PARTNER)}
+    path = tmp_path / "mutant.ia"
+    parsed, flagged = 0, 0
+    for _ in range(1200):
+        text = mutate(rng, texts[rng.choice(sorted(texts))])
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "lint", str(path))
+        if code == 2:
+            continue
+        doc = iacompat.parse_document(text, source=str(path))
+        copies = tuple(iacompat.InterfaceAutomaton(**dict(zip(a._fields, a))) for a in doc.automata)
+        assert not any("diagnostics" in vars(c) for c in copies)
+        diags = iacompat.document_diagnostics(iacompat.ContractDocument(copies, doc.declared, doc.meta))
+        assert out == ("".join(f"{path}: {d}\n" for d in diags) if diags else f"{path}: ok\n"), text
+        assert [iacompat.validate(c) for c in copies] == [iacompat.validate(a) for a in doc.automata]
+        parsed, flagged = parsed + 1, flagged + (code == 1)
+    assert parsed > 300 and flagged > 0
 
 
 _RECORD_KEYED_MAP = "m : map record { a : bool } to bool"

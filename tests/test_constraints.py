@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import iacompat as ia
 from iacompat.domains import FrozenMap as FM, bind_path
 from iacompat.automata import _GuardRegistry, _conjoin_constraints
-from iacompat.evaluate import compile_expr, evaluate, slot_access
+from iacompat.evaluate import compile_expr, evaluate, fold, slot_access
 from iacompat.exprs import SortScope, infer_sort
 from iacompat.falsity import falsity, prepare
 from iacompat.lexer import MAX_DEPTH
@@ -666,9 +666,7 @@ def test_deep_chains_walk_print_sort_and_simplify():
     text = ia.to_text(e)
     assert text == " and ".join(f"x <> {k % 10}" for k in range(2001))
     assert ia.parse_expression(text, X_DECLS) == e  # sort inference on the way
-    s = ia.simplify(e)
-    assert ia.simplify(s) == s
-    assert ia.to_text(s) == " and ".join(sorted(f"x <> {k % 10}" for k in range(2001)))
+    assert fold(e) == e  # a flat run of comparisons: nothing folds
     # a bad operand deep in the run is named with the run up to it
     bad = ia.Chain(("and",) * 2001, (*atoms[:1000], ia.IntLit(1), *atoms[1000:]))
     with pytest.raises(ia.SortError, match="and needs boolean operands") as exc:
@@ -716,16 +714,18 @@ def test_a_guard_at_the_nesting_limit_evaluates_under_600_frames():
     assert under_frames(600, evaluate, e, val) is True
 
 
-def test_simplify_flattens_chains_canonically():
+def test_fold_flattens_chains_in_operand_order():
     decls = {n: ia.VariableDecl(n, ia.BoolDomain()) for n in "pqrs"}
-    forms = ("p and (q and r)", "(r and q) and p", "q and true and (p and r)",
-             "r and not not (q and p)", "(true implies r) and (q and (p and true))")
-    assert {ia.to_text(ia.simplify(ia.parse_expression(f, decls))) for f in forms} == {"p and q and r"}
-    mixed = ia.simplify(ia.parse_expression("s or (r and (q or p))", decls))
-    assert ia.to_text(mixed) == "(p or q) and r or s"
-    assert ia.simplify(mixed) == mixed
-    assert ia.to_text(ia.simplify(ia.parse_expression("p and (false or q and false)", decls))) == "false"
-    assert ia.to_text(ia.simplify(ia.parse_expression("p or (q or true)", decls))) == "true"
+    for form, want in (("p and (q and r)", "p and q and r"), ("(r and q) and p", "r and q and p"),
+                       ("q and true and (p and r)", "q and p and r"), ("r and not not (q and p)", "r and q and p"),
+                       ("(true implies r) and (q and (p and true))", "r and q and p")):
+        s = fold(ia.parse_expression(form, decls))
+        assert (ia.to_text(s), s.ops) == (want, ("and", "and"))
+    mixed = fold(ia.parse_expression("s or (r and (q or p))", decls))
+    assert ia.to_text(mixed) == "s or r and (q or p)"
+    assert fold(mixed) == mixed
+    assert ia.to_text(fold(ia.parse_expression("p and (false or q and false)", decls))) == "false"
+    assert ia.to_text(fold(ia.parse_expression("p or (q or true)", decls))) == "true"
 
 
 def test_a_run_is_one_node():
@@ -750,7 +750,7 @@ def test_simplify_folds_the_leading_literals_of_a_sum():
     # which is what folding a left-deep tree of binary sums gives
     for text, want in (("1 + 2 - 4 + x < 5", "-1 + x < 5"), ("x + 1 + 2 < 5", "x + 1 + 2 < 5"),
                        ("1 - 2 < 0", "true"), ("x - (1 - 3) > 0", "x - -2 > 0")):
-        assert ia.to_text(ia.simplify(ia.parse_expression(text, X_DECLS))) == want
+        assert ia.to_text(fold(ia.parse_expression(text, X_DECLS))) == want
 
 
 def test_parallel_conjunction_absorbs_errors():
@@ -785,9 +785,9 @@ def _implies_run(operands):
 def _simplify_implies_by_recursion(e):
     # each link folded after the run to its right, by recursion over the links
     if not (isinstance(e, ia.Chain) and e.ops[0] == "implies"):
-        return ia.simplify(e)
+        return fold(e)
     rest = e.operands[1] if len(e.ops) == 1 else _implies_run(e.operands[1:])
-    l, r = ia.simplify(e.operands[0]), _simplify_implies_by_recursion(rest)
+    l, r = fold(e.operands[0]), _simplify_implies_by_recursion(rest)
     if l == ia.BoolLit(False) or r == ia.BoolLit(True):
         return ia.BoolLit(True)
     if l == ia.BoolLit(True):
@@ -804,7 +804,7 @@ def test_simplify_folds_an_implies_run_link_by_link():
     rng = random.Random(12)
     for _ in range(500):
         e = _implies_run([rng.choice(leaves) for _ in range(rng.randint(2, 7))])
-        assert ia.simplify(e) == _simplify_implies_by_recursion(e), ia.to_text(e)
+        assert fold(e) == _simplify_implies_by_recursion(e), ia.to_text(e)
 
 
 def test_an_implies_run_evaluates_left_to_right():
@@ -822,14 +822,14 @@ def test_an_implies_run_evaluates_left_to_right():
 
 
 def test_a_long_implies_run_gets_a_verdict():
-    # 3000 links, which simplify and compile_expr take in one loop
+    # 3000 links, which fold and compile_expr take in one loop
     x = ia.VarRef(("x",))
     decls = {"x": ia.VariableDecl("x", ia.IntRangeDomain(0, 9))}
     antecedents = [ia.BinOp(">=", x, ia.IntLit(k % 10 - 10)) for k in range(3000)]
     for last, verdict, explored in ((ia.BinOp(">", x, ia.IntLit(9)), ia.Verdict.FALSE, 10),
                                     (ia.BinOp("=", x, ia.IntLit(4)), ia.Verdict.SATISFIABLE, 5)):
         e = _implies_run(antecedents + [last])
-        s = ia.simplify(e)  # the same run: nothing folds
+        s = fold(e)  # the same run: nothing folds
         assert [type(n) for n in ia.walk(s)] == [type(n) for n in ia.walk(e)]
         res = falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, explored)
@@ -861,33 +861,25 @@ def test_constant_fold_example():
 
 def test_simplify_identity_elimination():
     e = ia.parse_expression("(myCS.s < 10) and true", LD_DECLS)
-    assert ia.to_text(ia.simplify(e)) == "myCS.s < 10"
+    assert ia.to_text(fold(e)) == "myCS.s < 10"
 
 
 def test_simplify_annihilator():
     e = ia.parse_expression("false and (myCS.s < 10)", LD_DECLS)
-    assert ia.to_text(ia.simplify(e)) == "false"
-
-
-def test_simplify_commutative_canonical_order():
-    decls = {"p": ia.VariableDecl("p", ia.BoolDomain()),
-             "q": ia.VariableDecl("q", ia.BoolDomain())}
-    a = ia.simplify(ia.parse_expression("p and q", decls))
-    b = ia.simplify(ia.parse_expression("q and p", decls))
-    assert ia.to_text(a) == ia.to_text(b)
+    assert ia.to_text(fold(e)) == "false"
 
 
 def test_simplify_implication_folds():
-    assert ia.to_text(ia.simplify(ia.parse_expression("false implies x",
+    assert ia.to_text(fold(ia.parse_expression("false implies x",
         {"x": ia.VariableDecl("x", ia.BoolDomain())}))) == "true"
-    assert ia.to_text(ia.simplify(ia.parse_expression("true implies x",
+    assert ia.to_text(fold(ia.parse_expression("true implies x",
         {"x": ia.VariableDecl("x", ia.BoolDomain())}))) == "x"
 
 
 def test_reflexivity_opt_in():
     decls = {"x": ia.VariableDecl("x", ia.OpaqueDomain())}
     e = ia.parse_expression("x = x", decls)
-    assert ia.to_text(ia.simplify(e)) == "x = x"
+    assert ia.to_text(fold(e)) == "x = x"
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1082,7 @@ def test_one_pool_serves_a_name_and_its_old_copy(text):
     pools = {}
     res = falsity(e, LD_DECLS, pools=pools)
     assert list(pools) == [DATA]
-    assert (res.explored, res.witness) == _first_satisfying(ia.simplify(e), {"myCS": DATA})
+    assert (res.explored, res.witness) == _first_satisfying(fold(e), {"myCS": DATA})
     assert falsity(e, LD_DECLS, pools=pools) == res
 
 
@@ -1214,7 +1206,7 @@ def test_simplifier_soundness(seed):
     rng = random.Random(seed)
     decls = [ia.VariableDecl(f"v{i}", rand_domain(rng)) for i in range(rng.randint(0, 2))]
     expr = rand_expr(rng, decls, depth=3)
-    simple = ia.simplify(expr)
+    simple = fold(expr)
     for _ in range(20):
         val = rand_valuation(rng, decls, drop=0.1 if rng.random() < 0.3 else 0.0)
         try:
@@ -1314,7 +1306,7 @@ def _check_enumeration(expr, decl_map, params=None):
     res = falsity(expr, decl_map, params=params)
     if res.verdict is ia.Verdict.UNKNOWN:
         return
-    simple = ia.simplify(expr)
+    simple = fold(expr)
     if isinstance(simple, ia.BoolLit):
         assert res.explored == 0
         return

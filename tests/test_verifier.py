@@ -3,6 +3,8 @@
 import importlib
 import json
 import random
+import sys
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -188,6 +190,69 @@ def test_the_case_study_check_queries_no_guard(queried):
     rep = ia.check_compatibility(ld, tl, ia.CompatOptions(qualify_hidden=True))
     assert len(rep.illegal.states) == 21
     assert queried == []
+
+
+# a pair shaped like the guard-stress workload's: named guards over the case
+# study's declarations, which a check queries
+GUARDED_PAIR = """
+type Claim = enum { undecided, leader, follower, off };
+contract Sender {
+  states s0, s1;
+  initial s0;
+  inputs;
+  outputs go, stop;
+  hidden;
+  var myCS : record { c : Claim, s : int[0..10] };
+  context Sender::go() { pre Low: myCS.s < 3; pre Lead: myCS.c = <leader> and myCS.s > 4; }
+  post Up: myCS.s = myCS@pre.s + 1;
+  transitions { s0 -[go pre Low post Up]-> s1; s1 -[stop pre Lead]-> s0; }
+}
+contract Receiver {
+  states t0, t1;
+  initial t0;
+  inputs go, stop;
+  outputs;
+  hidden;
+  var myCS : record { c : Claim, s : int[0..10] };
+  pre Never: myCS.s > 10;
+  pre Off: myCS.c = <off>;
+  transitions { t0 -[go pre Never]-> t1; t1 -[stop pre Off]-> t0; }
+}
+"""
+
+
+def _calls(run):
+    """Runs ``run()``; the frames each Python function ran in, and the callers of each, by name."""
+    frames, callers = defaultdict(dict), defaultdict(set)
+
+    def hook(frame, event, _):
+        if event == "call":  # a generator's frame is called again at each resume
+            name = frame.f_code.co_name
+            frames[name][id(frame)] = frame
+            callers[name].add(frame.f_back.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {name: len(f) for name, f in frames.items()}, callers
+
+
+@pytest.mark.parametrize("texts, queries", [
+    ((ia.fixture_text("le_device.ia"), ia.fixture_text("transport_layer.ia")), False),
+    ((GUARDED_PAIR,), True),
+])
+def test_a_check_proves_each_parsed_automaton_once(texts, queries):
+    # the parser runs the step rules and sort-checks every body; validate reads that proof
+    def run():
+        automata = [a for text in texts for a in ia.parse_document(text).automata]
+        ia.check_compatibility(*automata, ia.CompatOptions(qualify_hidden=True))
+
+    frames, callers = _calls(run)
+    assert frames["step_faults"] == 2 and callers["step_faults"] == {"finish"}
+    assert "undeclared_paths" not in frames and "_diagnostics" not in frames
+    assert callers["bind_path"] == ({"sort_of_path", "prepare"} if queries else {"sort_of_path"})
 
 
 def test_fixture_illegal_set_against_oracle():
