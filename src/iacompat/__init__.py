@@ -76,7 +76,6 @@ from .exprs import (
     VarRef,
     to_text,
     variable_refs,
-    walk,
 )
 from .falsity import FalsityResult, Verdict, constraint_falsity, default_budget
 from .fixtures import fixture_text, load_fixture

@@ -44,7 +44,6 @@ from .exprs import (
     ConstraintContext,
     ConstraintKind,
     NamedConstraint,
-    ParamDecl,
     decls_mapping,
 )
 from .frozen import Frozen, _new, factory
@@ -183,9 +182,6 @@ class InterfaceAutomaton(Frozen):
         """The label with its class's decoration (``?``, ``!`` or ``;``), bare if undeclared."""
         cls = self.classes.get(label)
         return f"{label}{cls.decoration}" if cls else str(label)
-
-    def is_empty(self) -> bool:
-        return not self.states
 
 
 class StepGraph(Sequence):
@@ -381,7 +377,7 @@ class ProductResult(Frozen):
 
     automaton: InterfaceAutomaton
     pair_of: Mapping[str, tuple[str, str]]
-    shared_actions: tuple[ActionLabel, ...]
+    shared_actions: tuple[ActionLabel, ...]  # in sort_key order, the order of illegal reasons
     operands: tuple[InterfaceAutomaton, InterfaceAutomaton]
 
     def __post_init__(self):
@@ -393,29 +389,22 @@ class ProductError(ValueError):
     parameter is declared with different domains on the two sides."""
 
 
-def _merge_variables(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> dict[str, VariableDecl]:
-    merged = dict(a1.variables)
-    for name, decl in a2.variables.items():
-        if name in merged and merged[name].domain != decl.domain:
-            raise ProductError(f"variable {name!r} declared with different domains in both operands")
-        merged[name] = decl
+def _merge(first, second, fault: str) -> dict:
+    """Declarations by name, the first side's kept; a name on both sides must have one domain,
+    else ``ProductError(fault)`` with the name in its ``{!r}``."""
+    merged = {d.name: d for d in first}
+    for d in second:
+        if merged.setdefault(d.name, d).domain != d.domain:
+            raise ProductError(fault.format(d.name))
     return merged
-
-
-def _merge_params(p1: tuple[ParamDecl, ...], p2: tuple[ParamDecl, ...]) -> tuple[ParamDecl, ...]:
-    merged = {p.name: p for p in p1}
-    for p in p2:
-        if merged.setdefault(p.name, p).domain != p.domain:
-            raise ProductError(f"parameter {p.name!r} declared with different domains")
-    return tuple(merged.values())
 
 
 def _conjoin_constraints(c1: NamedConstraint, c2: NamedConstraint, contract: str) -> NamedConstraint:
     """Canonical conjunction of two same-kind constraints, sorted by name."""
     first, second = sorted((c1, c2), key=lambda c: c.name)
     ops = [c.context.operation for c in (first, second) if c.context.operation]
-    context = ConstraintContext(contract, "_and_".join(ops) if ops else None,
-                                _merge_params(first.context.params, second.context.params))
+    params = _merge(first.context.params, second.context.params, "parameter {!r} declared with different domains")
+    context = ConstraintContext(contract, "_and_".join(ops) if ops else None, tuple(params.values()))
     # NamedConstraint's check is skipped: both bodies passed it, and a
     # conjunction adds no old-state reference to a pre
     return _new(NamedConstraint, (f"{first.name}_and_{second.name}", first.kind,
@@ -484,7 +473,8 @@ def product(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> ProductResult:
     outputs = tuple(l for l in _label_tuple(a1.outputs + a2.outputs) if l not in shared_set)
     hidden = _label_tuple(a1.hidden + a2.hidden + shared_actions)
 
-    variables = _merge_variables(a1, a2)
+    variables = _merge(a1.variables.values(), a2.variables.values(),
+                       "variable {!r} declared with different domains in both operands")
     taken = set(a1.preconditions) | set(a1.postconditions)
     pres = _GuardRegistry(a1.preconditions, a2.preconditions, name, taken)
     posts = _GuardRegistry(a1.postconditions, a2.postconditions, name, taken)

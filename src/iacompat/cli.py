@@ -59,7 +59,8 @@ def _reason(exc: Exception) -> object:
     return exc
 
 
-def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomaton:
+def _load_single(path: str, contract: Optional[str] = None, hint: str = "") -> InterfaceAutomaton:
+    """The file's one contract, or the named one; ``hint`` ends the error of a file of many."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -68,13 +69,10 @@ def _load_single(path: str, contract: Optional[str] = None) -> InterfaceAutomato
     if contract is not None:
         try:
             return doc.automaton(contract)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise _UsageError(f"{path}: {exc}") from None
     if len(doc.automata) != 1:
-        raise _UsageError(
-            f"{path}: expected exactly one contract, found {len(doc.automata)};"
-            " pick one with --contract"
-        )
+        raise _UsageError(f"{path}: expected exactly one contract, found {len(doc.automata)}{hint}")
     return doc.automata[0]
 
 
@@ -187,7 +185,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    a = _load_single(args.file, args.contract)
+    a = _load_single(args.file, args.contract, "; pick one with --contract")
     _write_or_print(export_dot(a), args.output)
     return 0
 

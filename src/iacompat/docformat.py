@@ -52,13 +52,12 @@ from functools import partial
 from itertools import chain, groupby
 from math import inf
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 from .automata import (
     ActionLabel,
     Diagnostic,
     InterfaceAutomaton,
-    ProductResult,
     StepGraph,
     Transition,
     declaration_faults,
@@ -115,6 +114,9 @@ class ContractDocument(Frozen):
             raise ValueError(f"document holds {len(self.automata)} contracts "
                              f"but {len(self.declared)} tuples of constraints")
         for a, cs in zip(self.automata, self.declared):
+            bad = [s for s in a.graph.names if not is_identifier(s)]
+            if bad:
+                raise ValueError(f"contract {a.name!r} names a state that is not an identifier: {bad[0]!r}")
             if len({c.name for c in cs}) != len(cs):
                 raise ValueError(f"contract {a.name!r} declares two constraints of one name")
             if ({c.name: c for c in cs if c.kind is ConstraintKind.PRE} != a.preconditions
@@ -512,12 +514,10 @@ def _params_text(params: tuple[ParamDecl, ...]) -> str:
     return ", ".join(f"{p.mode + ' ' if p.mode else ''}{p.name} : {p.domain.text()}" for p in params)
 
 
-def document_from_automaton(
-    a: InterfaceAutomaton, meta: DocumentMeta = DocumentMeta()
-) -> ContractDocument:
+def document_from_automaton(a: InterfaceAutomaton) -> ContractDocument:
     """Wrap a standalone automaton (e.g. a product) as a printable document."""
     cs = tuple(a.preconditions.values()) + tuple(a.postconditions.values())
-    return ContractDocument((a,), (cs,), meta)
+    return ContractDocument((a,), (cs,))
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +575,13 @@ SECTIONS: dict[str, Section] = {
 # ---------------------------------------------------------------------------
 # DOT export
 
-def export_dot(item: Union[InterfaceAutomaton, ProductResult]) -> str:
-    """Graphviz text for an automaton or a product.
+def export_dot(a: InterfaceAutomaton) -> str:
+    """Graphviz text for an automaton.
 
     Edge labels carry the action with its class decoration (``?`` input,
     ``!`` output, ``;`` hidden) and any pre/post names. Output order follows
     declaration order, so equal inputs yield byte-identical text.
     """
-    a = item.automaton if isinstance(item, ProductResult) else item
     lines = [f"digraph {_dot_id(a.name)} {{"]
     lines += [f'  __start{i} [shape=point, label=""];' for i in range(len(a.initials))]
     lines += [f"  {_dot_id(s)};" for s in a.states]

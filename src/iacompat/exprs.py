@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .domains import (
     BOOL,
@@ -239,19 +239,8 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return () if get is None else get(e)
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Every node, pre-order and left to right, from an explicit stack."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        get = _CHILDREN.get(node.__class__)  # children(), without a call per node
-        if get is not None:
-            stack += reversed(get(node))
-
-
 def variable_refs(e: Expr) -> list[VarRef]:
-    """Every variable reference, repeats included, in ``walk`` order."""
+    """Every variable reference, repeats included, pre-order, left to right."""
     refs, stack = [], [e]
     while stack:
         node = stack.pop()
@@ -301,7 +290,7 @@ class NamedConstraint(Frozen):
 
     @cached_property
     def refs(self) -> tuple[VarRef, ...]:
-        """The body's distinct variable references, in ``walk`` order."""
+        """The body's distinct variable references, pre-order, left to right."""
         return tuple(dict.fromkeys(variable_refs(self.body)))
 
     def param_domains(self) -> dict[str, Domain]:

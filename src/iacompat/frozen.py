@@ -2,19 +2,19 @@
 
 ``Frozen`` is the base of the package's record types. A subclass declares its
 fields as annotations, with defaults, as a dataclass would. A value is a tuple
-of its fields, so hashing and indexing one run in C. Calling the class binds
-its arguments in Python; ``_new(cls, fields)`` builds the tuple in C, and a
-caller may use it only when it gives every field in order and the class has
-no ``__post_init__``, or the caller has made that check itself. Values of two
-classes never compare equal, nor does a value equal a plain tuple, so
-``IntLit(0) != BoolLit(False)``. Every value is truthy, and no attribute of
-one can be assigned; only a ``cached_property``, or the code that makes a
-value and presets one, writes to the instance dict. ``_replace`` rebuilds a value through the
-constructor, so the copy works out its own. A ``__post_init__`` checks the
-built value, and the field values it returns, if any, are stored instead.
+of its fields, so hashing and indexing one run in C. A call that gives every field
+in order takes them as they are; any other binds in one Python loop, as a function
+of those parameters would. ``_new(cls, fields)`` builds the tuple in C, and a caller
+may use it only when it gives every field in order and the class has no
+``__post_init__``, or the caller has made that check itself. Values of two classes
+never compare equal, nor does a value equal a plain tuple, so ``IntLit(0) !=
+BoolLit(False)``. Every value is truthy, and no attribute of one can be assigned;
+only a ``cached_property``, or the code that makes a value and presets one, writes
+to the instance dict. ``_replace`` rebuilds a value through the constructor, so the
+copy works out its own. A ``__post_init__`` checks the built value, and the field
+values it returns, if any, are stored instead.
 """
 from collections import _tuplegetter  # namedtuple's C-level field accessor
-from operator import itemgetter
 
 _new, _eq, _ne = tuple.__new__, tuple.__eq__, tuple.__ne__
 _REQUIRED = object()  # the default of a field that has none
@@ -30,16 +30,6 @@ class factory:
 def _bind(cls, args, kwargs):
     """The field values of a call, in field order, defaults filled in."""
     n, row = len(args), cls._row
-    if not kwargs:
-        if cls._fixed <= n <= len(row):  # fixed defaults fill the rest
-            return args + row[n:]
-    elif not n:  # by name, or by a fixed default
-        named = {**cls._defaults, **kwargs}
-        if len(named) == len(row):
-            try:
-                return cls._get(named)
-            except KeyError:
-                pass
     if n > len(row):
         raise TypeError(f"{cls.__name__}() takes {len(row)} arguments but {n} were given")
     out = list(args)
@@ -63,16 +53,12 @@ def _checked_new(cls, *args, **kwargs):
 
 class Frozen(tuple):
     __slots__ = ()
-    _fields, _row, _defaults, _fixed = (), (), {}, 0
+    _fields, _row = (), ()
 
     def __init_subclass__(cls) -> None:
         own = tuple(cls.__dict__.get("__annotations__", ()))
         if own:
             cls._fields, cls._row = own, tuple(cls.__dict__.get(f, _REQUIRED) for f in own)
-            made = [i for i, d in enumerate(cls._row) if d is _REQUIRED or isinstance(d, factory)]
-            cls._fixed = made[-1] + 1 if made else 0
-            cls._defaults = {f: cls._row[i] for i, f in enumerate(own) if i not in made}
-            cls._get = itemgetter(*own) if len(own) > 1 else lambda named: (named[own[0]],)
             for i, f in enumerate(own):
                 setattr(cls, f, _tuplegetter(i, f))
         if "__post_init__" in cls.__dict__:

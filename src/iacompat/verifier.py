@@ -105,7 +105,6 @@ def illegal_states(
         return cache[name] is Verdict.FALSE
 
     shared = frozenset(prod.shared_actions)
-    shared_sorted = sorted(shared, key=lambda l: l.sort_key)
     out1 = {s: sends & shared for s, sends in a1.enabled[ActionClass.OUTPUT].items()}
     out2 = {s: sends & shared for s, sends in a2.enabled[ActionClass.OUTPUT].items()}
     in1, in2 = a1.enabled[ActionClass.INPUT], a2.enabled[ActionClass.INPUT]
@@ -117,8 +116,8 @@ def illegal_states(
     for i, (pid, out) in enumerate(zip(auto.states, graph.steps)):
         s1, s2 = prod.pair_of[pid]
         sends1, takes1, sends2, takes2 = out1[s1], in1[s1], out2[s2], in2[s2]
-        if not (sends1 <= takes2 and sends2 <= takes1):  # reasons in the order of shared_sorted
-            for action in shared_sorted:
+        if not (sends1 <= takes2 and sends2 <= takes1):  # reasons in the order of shared_actions
+            for action in prod.shared_actions:
                 if action in sends1 and action not in takes2:
                     reasons.setdefault(pid, []).append(UnreceivedOutput(action, "left"))
                 if action in sends2 and action not in takes1:

@@ -101,7 +101,7 @@ def test_acceptance_2_case_study_verdict(capsys):
              len(rep.illegal.states), len(rep.bad))
     if stats != (57, 185, 21, 57):
         problems.append(f"product/illegal/bad stats: {stats}")
-    if not rep.pruned.is_empty():
+    if rep.pruned.states:
         problems.append("pruned automaton should be empty")
     if rep.witness is None:
         problems.append("missing witness")

@@ -202,7 +202,7 @@ def test_registries_agree_with_their_values(fields, message):
 
 def test_empty_automaton_is_legal():
     assert ia.validate(ia.empty_automaton()) == []
-    assert ia.empty_automaton().is_empty()
+    assert not ia.empty_automaton().states
 
 
 # ---------------------------------------------------------------------------

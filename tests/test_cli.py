@@ -689,6 +689,18 @@ def test_dot_contract_selector(capsys):
     assert out.startswith("digraph TransportLayer {")
 
 
+def test_only_dot_points_to_contract_for_a_file_of_two(tmp_path, capsys):
+    # check and product have no --contract, so their error names no such option
+    two = tmp_path / "two.ia"
+    two.write_text(fixture_text("ping.ia") + fixture_text("pong.ia").replace('document "pong-demo" version "1";', ""))
+    many = f"error: {two}: expected exactly one contract, found 2"
+    for argv, err in ((("check", str(two), PONG), many), (("product", str(two), PONG), many),
+                      (("dot", str(two)), f"{many}; pick one with --contract"),
+                      (("dot", str(two), "--contract", "Pang"), f"error: {two}: no contract named 'Pang' in document")):
+        assert run_cli(capsys, *argv) == (2, "", err + "\n")
+    assert run_cli(capsys, "dot", str(two), "--contract", "Pong")[1].startswith("digraph Pong {")
+
+
 def test_dot_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "dot", TL)
     _, out2, _ = run_cli(capsys, "dot", TL)

@@ -9,7 +9,7 @@ import iacompat as ia
 from iacompat.domains import FrozenMap as FM, bind_path
 from iacompat.automata import _GuardRegistry, _conjoin_constraints
 from iacompat.evaluate import compile_expr, evaluate, fold, slot_access
-from iacompat.exprs import SortScope, infer_sort
+from iacompat.exprs import SortScope, children, infer_sort
 from iacompat.falsity import falsity, prepare
 from iacompat.lexer import MAX_DEPTH
 from oracles import collect_paths, oracle_evaluate, oracle_falsity, oracle_values
@@ -30,6 +30,13 @@ from randgen import (
 
 import itertools
 import random
+
+
+def preorder(e):
+    """Every node of ``e``, pre-order and left to right: the reference for ``variable_refs``."""
+    yield e
+    for c in children(e):
+        yield from preorder(c)
 
 
 CLAIM = ia.EnumDomain(("undecided", "leader", "follower", "off"))
@@ -320,7 +327,7 @@ def test_falsity_names_only_what_the_folded_guard_reads():
 def test_refs_are_the_distinct_references_in_walk_order(seed):
     rng = random.Random(seed)
     body = _with_old(rand_term(rng), rng)
-    in_walk = [n for n in ia.walk(body) if n.__class__ is ia.VarRef]
+    in_walk = [n for n in preorder(body) if n.__class__ is ia.VarRef]
     assert ia.variable_refs(body) == in_walk
     distinct = []
     for r in in_walk:
@@ -441,7 +448,7 @@ def test_the_parser_builds_each_node_as_its_constructor_does():
         parsed.append(ia.parse_expression(ia.to_text(rand_expr(rng, decls, depth=3)), decls))
     for e in parsed:
         assert _rebuilt(e) == e, ia.to_text(e)
-    kinds = {n.__class__ for e in parsed for n in ia.walk(e)}
+    kinds = {n.__class__ for e in parsed for n in preorder(e)}
     assert kinds == {ia.BoolLit, ia.IntLit, ia.EnumLit, ia.SetLit, ia.VarRef, ia.Not, ia.BinOp, ia.Chain,
                      ia.Membership, ia.Apply, ia.FieldAccess, ia.MethodCall}
 
@@ -662,7 +669,7 @@ def test_deep_chains_walk_print_sort_and_simplify():
     x = ia.VarRef(("x",))
     atoms = [ia.BinOp("<>", x, ia.IntLit(k % 10)) for k in range(2001)]
     e = ia.Chain(("and",) * 2000, tuple(atoms))
-    assert sum(1 for _ in ia.walk(e)) == 1 + 3 * 2001
+    assert sum(1 for _ in preorder(e)) == 1 + 3 * 2001
     text = ia.to_text(e)
     assert text == " and ".join(f"x <> {k % 10}" for k in range(2001))
     assert ia.parse_expression(text, X_DECLS) == e  # sort inference on the way
@@ -830,7 +837,7 @@ def test_a_long_implies_run_gets_a_verdict():
                                     (ia.BinOp("=", x, ia.IntLit(4)), ia.Verdict.SATISFIABLE, 5)):
         e = _implies_run(antecedents + [last])
         s = fold(e)  # the same run: nothing folds
-        assert [type(n) for n in ia.walk(s)] == [type(n) for n in ia.walk(e)]
+        assert [type(n) for n in preorder(s)] == [type(n) for n in preorder(e)]
         res = falsity(e, decls)
         assert (res.verdict, res.explored) == (verdict, explored)
         assert evaluate(e, ia.Valuation({"x": 4})) is (verdict is ia.Verdict.SATISFIABLE)

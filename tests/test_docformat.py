@@ -720,6 +720,21 @@ def test_a_document_built_in_code_sort_checks_its_constraints():
     assert ia.parse_document(ia.print_document(ok)) == ok
 
 
+def test_a_document_built_in_code_names_each_state_by_an_identifier():
+    # printed, a state "s 1" would read `states s 1;`, which does not parse back
+    go, T = ia.ActionLabel("go"), ia.Transition
+    for states, target in ((("s 1",), "s 1"), (("s",), "t-2")):
+        a = ia.InterfaceAutomaton(name="A", states=states, initials=states[:1], inputs=(), outputs=(go,),
+                                  hidden=(), transitions=[T(states[0], None, go, None, target)])
+        with pytest.raises(ValueError, match=f"^contract 'A' names a state that is not an identifier: '{target}'$"):
+            ia.document_from_automaton(a)
+        assert f'"{target}"' in ia.export_dot(a)  # outside a document, DOT quotes it
+    a = ia.InterfaceAutomaton(name="A", states=("s1",), initials=("s1",), inputs=(), outputs=(go,),
+                              hidden=(), transitions=[T("s1", None, go, None, "s1")])
+    doc = ia.document_from_automaton(a)
+    assert ia.parse_document(ia.print_document(doc)) == doc
+
+
 @pytest.mark.parametrize("name, version, error", [
     ('a"b', None, "cannot hold"),
     ("a\nb", None, "cannot hold"),
@@ -764,7 +779,7 @@ def test_unnamed_constraint_prints_with_generated_name():
 def test_empty_automaton_prints_and_reparses():
     doc = ia.document_from_automaton(ia.empty_automaton())
     text, doc2 = _roundtrip(doc)
-    assert doc2.automaton("empty").is_empty()
+    assert not doc2.automaton("empty").states
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +806,7 @@ def test_dot_product_marks_shared_hidden():
     ld = ia.qualify_hidden(ia.load_fixture("le_device.ia").automaton("LE_Device"))
     tl = ia.qualify_hidden(ia.load_fixture("transport_layer.ia").automaton("TransportLayer"))
     prod = ia.product(ld, tl)
-    dot = ia.export_dot(prod)
+    dot = ia.export_dot(prod.automaton)
     assert 'label="sendMessages;' in dot
     assert "sendMessages!" not in dot
 

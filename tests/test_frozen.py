@@ -1,10 +1,12 @@
 """Value semantics of the immutable record types: equality that tells classes
-apart, hashing, truth, immutability, repr, defaults, ``_replace``, and an
-import that loads no code generator."""
+apart, hashing, truth, immutability, repr, defaults, binding as Python binds,
+``_replace``, and an import that loads no code generator."""
 
 import copy
+import inspect
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 import iacompat as ia
 from iacompat.domains import Sort
 from iacompat.exprs import ConstraintContext, ConstraintKind, ParamDecl, SortScope
+from iacompat.frozen import _REQUIRED, Frozen, _bind, factory
 
 X = ia.VarRef(("x",))
 NODES = (
@@ -216,3 +219,46 @@ def test_import_loads_no_code_generator():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout == "[]\n"
+
+
+def _frozen_classes():
+    todo, out = [Frozen], []
+    while todo:
+        subs = todo.pop().__subclasses__()
+        out += subs
+        todo += subs
+    return sorted((c for c in out if c.__module__.startswith("iacompat.")),
+                  key=lambda c: (c.__module__, c.__qualname__))
+
+
+@pytest.mark.parametrize("cls", _frozen_classes(), ids=lambda c: c.__qualname__)
+def test_bind_agrees_with_python_binding(cls):
+    # the signature a dataclass of the same fields would have, a factory standing for its default
+    sig = inspect.Signature([inspect.Parameter(f, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                               **({} if d is _REQUIRED else {"default": d}))
+                             for f, d in zip(cls._fields, cls._row)])
+    rng = random.Random(cls.__qualname__)
+    for _ in range(200):
+        n = len(cls._fields)
+        k = rng.randint(0, n + (rng.random() < 0.1))  # now and then one argument too many
+        args = tuple(object() for _ in range(k))
+        kwargs = {f: object() for f, d in zip(cls._fields[k:], cls._row[k:])
+                  if rng.random() < (0.95 if d is _REQUIRED else 0.5)}
+        if rng.random() < 0.1:
+            kwargs["unknown"] = object()
+        if min(k, n) and rng.random() < 0.1:
+            kwargs[cls._fields[rng.randrange(min(k, n))]] = object()  # given twice
+        try:
+            bound = sig.bind(*args, **kwargs)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _bind(cls, args, dict(kwargs))
+            continue
+        bound.apply_defaults()
+        got, again = _bind(cls, args, dict(kwargs)), _bind(cls, args, dict(kwargs))
+        for f, v, w in zip(cls._fields, got, again):
+            want = bound.arguments[f]
+            if isinstance(want, factory):
+                assert v == want.make() and v is not w, f
+            else:
+                assert v is want, f

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, and every top-level function or
-class of the package is exported or read somewhere.
+"""Every name a module imports is used in it, every top-level function or
+class of the package is exported or read somewhere, and every method and
+class attribute of a package class is read outside the tests.
 
 The package's ``__init__`` is left out of the first check: it imports names to
 re-export them.
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "iacompat").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
 READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = [p for p in READERS if "tests" not in p.relative_to(ROOT).parts]  # perfbench/tests too
 
 
 def unused_imports(source: str) -> list[str]:
@@ -83,6 +85,40 @@ def test_an_unread_definition_is_found():
     caller = "from m import used\nimport m\nm.used(1)\ngetattr(m, 'Named')\n"
     named = "class Named:\n    pass\n"
     assert unread_definitions({"m": helper + named}, [helper + named, caller]) == ["m.recursive", "m.Unread"]
+
+
+def unread_members(definitions: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.name`` for each method or class attribute, dunders aside, of a class of the
+    modules in ``definitions`` (module name to source) that no source in ``readers`` reads."""
+    read = set().union(*map(read_names, readers))
+    out = []
+    for module, source in definitions.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                out += (f"{module}.{cls.name}.{name}" for name in names
+                        if not (name.startswith("__") and name.endswith("__")) and name not in read)
+    return out
+
+
+def test_every_method_and_class_attribute_is_read_outside_the_tests():
+    """A method only tests call is API that nothing else needs."""
+    definitions = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "iacompat"}
+    assert unread_members(definitions, [p.read_text(encoding="utf-8") for p in PROGRAM]) == []
+
+
+def test_an_unread_member_is_found():
+    helper = ("class A:\n    x: int\n    y = z = 0\n\n    def __len__(self):\n        return 0\n\n"
+              "    def used(self):\n        return self.x + self.y\n\n    def unused(self):\n        return 1\n")
+    assert unread_members({"m": helper}, [helper, "A().used()\n"]) == ["m.A.z", "m.A.unused"]
 
 
 def test_importing_a_submodule_by_its_dotted_name_gives_the_module():

@@ -362,7 +362,7 @@ def test_a_stateless_operand_prunes_to_the_empty_automaton():
 def test_prune_all_initials_yields_empty():
     prod, _ = _chain_product()
     pruned = ia.prune(prod, frozenset(prod.automaton.initials))
-    assert pruned.is_empty()
+    assert not pruned.states
     assert pruned.initials == ()
 
 
@@ -491,7 +491,7 @@ def test_qualified_fixtures_incompatible_frozen_stats():
     assert len(rep.product.automaton.transitions) == 185
     assert len(rep.illegal.states) == 21
     assert len(rep.bad) == 57
-    assert rep.pruned.is_empty()
+    assert not rep.pruned.states
     assert rep.witness is not None
     assert rep.witness.states[0] == "Off__Init"
     assert rep.witness.states[-1] in rep.illegal.states
